@@ -12,7 +12,7 @@ box-counting dimension depends on the Sobolev index.
 
 from .logspace import (LogModeVector, MIN_NORMAL_LOG, NEG_INF, PLANAR_X, PLANAR_Y,
                        UnderflowError, log_add_signed, logsumexp)
-from .spectral import (LinearizationSpectrum, ObstructionVerdict, SobolevIndex,
+from .spectral import (LinearizationSpectrum, ObstructionVerdict,
                        Spectrum, SpectrumError, block_eigenvalues,
                        c1_obstruction_check, linearization_spectrum, make_spectrum,
                        spectral_gap)
@@ -33,14 +33,12 @@ from .geometry import (CoverReport, DimensionScan, GeometryError, PointCloud,
                        doubling_factor, fractal_dimension_estimate,
                        log_doubling_estimate, separated_count_exact,
                        separated_count_log, smoothness_criterion)
-from .simulate import (CoupledState, CoupledSystem, KickOperator, Scenario,
-                       Section4Laws, SimulationError, TrajectoryRecord,
-                       bad_cube_cloud, build_kick_operator, integrate,
-                       log_lipschitz_modulus, make_section4_system,
-                       section4_attractor, smooth_forcing_laws, thm44_laws,
-                       trajectory_pair_experiment)
+from .simulate import (KickOperator, Scenario, Section4Laws, SimulationError,
+                       TrajectoryRecord, bad_cube_cloud, build_kick_operator,
+                       log_lipschitz_modulus, section4_attractor,
+                       smooth_forcing_laws, thm44_laws, trajectory_pair_experiment)
 from .config import (ConfigError, config_hash, load_config, parse_scales,
-                     resolve_config, spectrum_from_config)
+                     resolve_config, scenario_from_config, spectrum_from_config)
 from .reports import RunReport, fmt17, load_cloud_csv, write_csv, write_json
 
 __version__ = "0.1.0"

@@ -8,11 +8,9 @@ baseline (a finding, not a crash), 1 on operational failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,7 +18,7 @@ from . import floquet as fl
 from . import geometry as geo
 from . import simulate as sim
 from .config import (ConfigError, config_hash, load_config, parse_scales,
-                     spectrum_from_config)
+                     scenario_from_config, spectrum_from_config)
 from .reports import (RunReport, cloud_rows, fmt17, geometry_rows, load_cloud_csv,
                       trajectory_rows, write_csv, write_json)
 from .spectral import c1_obstruction_check, spectral_gap
@@ -120,31 +118,18 @@ def _expected(cfg, key):
     return {key: want} if want else {}
 
 
-def _build_cloud(cfg, args):
+def _build_cloud(cfg):
     gcfg = cfg["geometry"]["cloud"]
     kind = gcfg.get("kind", "section4")
-    spec = spectrum_from_config(cfg)
     if kind == "file":
         return load_cloud_csv(gcfg["path"]), {"kind": "file"}
     if kind == "bad_cubes":
-        dyn = cfg["dynamics"]
-        scen = sim.Scenario(
-            spectrum=spec,
-            lipschitz_budget=dyn["L"],
-            half_period=cfg["drive"]["tau"] * cfg["drive"]["T_scale"],
-            amplitude=cfg["drive"]["amplitude"],
-            plateau_fraction=cfg["drive"]["plateau_fraction"],
-            n_trunc=dyn["n_trunc"],
-            kick_base_level=dyn["n0"],
-            kick_max_level=dyn["kick_max_level"],
-            kick_window=dyn["kappa"],
-            segment_width=dyn["segment_width"],
-            beta_scale=dyn["beta_scale"],
-        )
-        shift = fl.poincare_predicted(spec, scen.half_period)
+        scen = scenario_from_config(cfg)
+        shift = fl.poincare_predicted(scen.spectrum, scen.half_period)
         cloud, meta = sim.bad_cube_cloud(scen, shift)
         meta["kind"] = "bad_cubes"
         return cloud, meta
+    spec = spectrum_from_config(cfg)
     laws = sim.thm44_laws() if gcfg.get("laws", "thm44") == "thm44" else sim.smooth_forcing_laws(
         gcfg.get("n_max", 48)
     )
@@ -158,7 +143,7 @@ def cmd_dimension(cfg, args) -> int:
     started = time.time()
     out = _out_dir(cfg, args)
     report = RunReport(config_hash(cfg), "dimension", expected=_expected(cfg, "dimension"))
-    cloud, meta = _build_cloud(cfg, args)
+    cloud, meta = _build_cloud(cfg)
     scales = parse_scales(args.scales or cfg["geometry"]["scales"])
     if meta.get("kind") == "bad_cubes":
         cube = geo.cube_doubling_report(cloud, meta["levels"])
@@ -174,32 +159,16 @@ def cmd_dimension(cfg, args) -> int:
         ]
     else:
         s_list = cfg["geometry"]["s_list"]
-        threads = max(1, args.threads)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                scans = list(pool.map(
-                    lambda s: geo.fractal_dimension_estimate(cloud.with_norm(s), scales=scales),
-                    s_list,
-                ))
-        else:
-            scans = [geo.fractal_dimension_estimate(cloud.with_norm(s), scales=scales)
-                     for s in s_list]
-        rows = []
-        slopes = {}
-        for s, scan in zip(s_list, scans):
-            slopes[str(s)] = scan.slope
-            locs = (float("nan"),) + scan.local_slopes
-            for le, cnt, sl in zip(scan.log_scales, scan.counts, locs):
-                d_val = (geo.doubling_factor(cloud.with_norm(s), log_eps=le)
-                         if cfg["geometry"]["include_doubling"] else None)
-                rows.append({"s": s, "log_eps": le, "n_eps": cnt, "d_eps": d_val,
-                             "local_slope": sl})
+        result = geo.dimension_vs_s_scan(
+            cloud, s_list, scales=scales,
+            include_doubling=cfg["geometry"]["include_doubling"])
+        scans, rows = result["scans"], result["rows"]
         growing = any(
             len(scan.local_slopes) >= 3 and scan.local_slopes[-1] > scan.local_slopes[0] + 0.5
-            for scan in scans
+            for scan in scans.values()
         )
         report.verdicts["dimension"] = "diverging" if growing else "finite"
-        report.constants["slopes"] = slopes
+        report.constants["slopes"] = {str(s): scans[s].slope for s in s_list}
     path = write_csv(os.path.join(out, "dimension_scan.csv"),
                      ["s", "eps", "log_eps", "n_eps", "d_eps", "local_slope"],
                      geometry_rows(rows))
@@ -214,23 +183,8 @@ def cmd_dimension(cfg, args) -> int:
 def cmd_simulate(cfg, args) -> int:
     started = time.time()
     out = _out_dir(cfg, args)
-    spec = spectrum_from_config(cfg)
-    dyn = cfg["dynamics"]
-    scen = sim.Scenario(
-        spectrum=spec,
-        lipschitz_budget=dyn["L"],
-        half_period=cfg["drive"]["tau"] * cfg["drive"]["T_scale"],
-        amplitude=cfg["drive"]["amplitude"],
-        plateau_fraction=cfg["drive"]["plateau_fraction"],
-        n_trunc=dyn["n_trunc"],
-        kick_base_level=dyn["n0"],
-        kick_max_level=dyn["kick_max_level"],
-        kick_window=dyn["kappa"],
-        segment_width=dyn["segment_width"],
-        steps_per_period=dyn["steps_per_period"],
-        beta_scale=dyn["beta_scale"],
-    )
-    result = sim.trajectory_pair_experiment(scen, n_periods=dyn["n_periods"])
+    scen = scenario_from_config(cfg)
+    result = sim.trajectory_pair_experiment(scen, n_periods=cfg["dynamics"]["n_periods"])
     report = RunReport(config_hash(cfg), "simulate", expected=_expected(cfg, "simulate"))
     if not np.any(np.isfinite(result["distance_logs"])):
         report.verdicts["simulate"] = "degenerate"
@@ -295,9 +249,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON experiment configuration")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent sweeps")
+                        help="accepted for compatibility; sweeps run serially")
     parser.add_argument("--scales", help="geometric scale ladder a:b:n")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("gap-check", "floquet", "dimension", "simulate"):
         sub.add_parser(name)

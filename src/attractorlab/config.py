@@ -11,10 +11,12 @@ import math
 
 import jsonschema
 
+from .simulate import Scenario
 from .spectral import Spectrum, make_spectrum
 
 __all__ = ["ConfigError", "SCHEMA", "DEFAULTS", "load_config", "resolve_config",
-           "config_hash", "spectrum_from_config", "parse_scales"]
+           "config_hash", "spectrum_from_config", "scenario_from_config",
+           "parse_scales"]
 
 
 class ConfigError(ValueError):
@@ -89,7 +91,6 @@ SCHEMA = {
                     "properties": {
                         "kind": {"enum": ["bad_cubes", "section4", "file"]},
                         "path": {"type": "string"},
-                        "levels": {"type": "array", "items": {"type": "integer"}},
                         "n_max": {"type": "integer", "minimum": 3},
                         "laws": {"enum": ["thm44", "smooth"]},
                     },
@@ -102,7 +103,6 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "dir": {"type": "string"},
-                "formats": {"type": "array", "items": {"enum": ["csv", "json"]}},
             },
         },
         "expectations": {
@@ -138,7 +138,7 @@ DEFAULTS = {
         "cloud": {"kind": "section4", "n_max": 48, "laws": "thm44"},
         "include_doubling": False,
     },
-    "output": {"dir": "runs", "formats": ["csv", "json"]},
+    "output": {"dir": "runs"},
     "expectations": {},
 }
 
@@ -162,7 +162,38 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
     resolved = _merge(DEFAULTS, raw)
     resolved.setdefault("spectrum", {}).setdefault("params", {})
+    _check_cloud(resolved)
     return resolved
+
+
+def _bad_cube_min_n_max(kick_max_level: int, family: str) -> int:
+    """Smallest spectral truncation that holds every bad-cube orbit: level
+    K needs the first-mode orbit through 2K + ceil(sqrt K) periods, which
+    reaches mode 4K + 2 ceil(sqrt K) - 1.  An explicit spectrum cannot
+    extend, and its shift drops the last odd modes, so it needs two more."""
+    k = kick_max_level
+    need = 4 * k + 2 * math.ceil(math.sqrt(k)) - 1
+    return need + 2 if family == "explicit" else need
+
+
+def _check_cloud(resolved: dict) -> None:
+    """Refuse cloud configs that would fail late or mean nothing."""
+    geo = resolved["geometry"]
+    kind = geo["cloud"].get("kind", "section4")
+    if kind == "bad_cubes":
+        sec = resolved["spectrum"]
+        n_max = (len(sec["params"].get("values", ())) if sec["family"] == "explicit"
+                 else sec["n_max"])
+        k = resolved["dynamics"]["kick_max_level"]
+        need = _bad_cube_min_n_max(k, sec["family"])
+        if n_max < need:
+            raise ConfigError(
+                f"bad_cubes with kick_max_level {k} needs spectrum n_max >= {need} "
+                f"(got {n_max}): the cube orbits exit a smaller truncation")
+    if kind == "file" and any(s != 0 for s in geo["s_list"]):
+        raise ConfigError(
+            "file clouds carry no spectrum, so every Sobolev index s gives the s=0 "
+            f"scan; set geometry.s_list to [0] (got {geo['s_list']})")
 
 
 def load_config(path: str) -> dict:
@@ -182,6 +213,24 @@ def config_hash(resolved: dict) -> str:
 def spectrum_from_config(resolved: dict) -> Spectrum:
     sec = resolved["spectrum"]
     return make_spectrum(sec["family"], sec.get("params", {}), sec["n_max"])
+
+
+def scenario_from_config(resolved: dict) -> Scenario:
+    dyn, drv = resolved["dynamics"], resolved["drive"]
+    return Scenario(
+        spectrum=spectrum_from_config(resolved),
+        lipschitz_budget=dyn["L"],
+        half_period=drv["tau"] * drv["T_scale"],
+        amplitude=drv["amplitude"],
+        plateau_fraction=drv["plateau_fraction"],
+        n_trunc=dyn["n_trunc"],
+        kick_base_level=dyn["n0"],
+        kick_max_level=dyn["kick_max_level"],
+        kick_window=dyn["kappa"],
+        segment_width=dyn["segment_width"],
+        steps_per_period=dyn["steps_per_period"],
+        beta_scale=dyn["beta_scale"],
+    )
 
 
 def parse_scales(spec) -> list[float]:

@@ -316,11 +316,6 @@ class PeriodicDrive:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def zero_crossings(self, t_end: float) -> np.ndarray:
-        """Sign-change times of x on [0, t_end] (multiples of the half-period)."""
-        k = int(math.floor(t_end / self.half_period))
-        return np.arange(0, k + 1, dtype=float) * self.half_period
-
 
 def periodic_drive(amplitude: float, tau: float, plateau_fraction: float = 0.75) -> PeriodicDrive:
     return PeriodicDrive(amplitude, tau, plateau_fraction)

@@ -261,18 +261,6 @@ class WeightedShift:
             return -1, mode + 1, -T * (lam(mode) + lam(mode + 1)) / 2.0
         return 1, mode - 1, -T * (lam(mode - 1) + lam(mode)) / 2.0
 
-    def dense_matrix(self, n: int) -> np.ndarray:
-        """Dense representation over modes 1..n (orbit images beyond n are
-        dropped); magnitudes must be representable."""
-        m = np.zeros((n, n))
-        for mode in range(1, n + 1):
-            if mode not in self.image_index:
-                continue
-            img = self.image_index[mode]
-            if img <= n:
-                m[img - 1, mode - 1] = math.exp(self.log_multiplier[mode])
-        return m
-
 
 def poincare_predicted(spec: Spectrum, half_period: float) -> WeightedShift:
     """Closed-form weighted shift of the full-period map.

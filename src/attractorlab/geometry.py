@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -100,20 +99,6 @@ class PointCloud:
     def with_norm(self, s: float) -> "PointCloud":
         return PointCloud(self.points, self.spectrum, s, list(self.tags))
 
-    def select(self, predicate) -> "PointCloud":
-        keep = [(p, t) for p, t in zip(self.points, self.tags) if predicate(t)]
-        if not keep:
-            raise GeometryError("selection left no points")
-        return PointCloud([p for p, _ in keep], self.spectrum, self.s, [t for _, t in keep])
-
-    def project_modes(self) -> "PointCloud":
-        """Drop the planar block (the coordinate-restriction projection)."""
-        pts = [
-            LogModeVector({i: v for i, v in p.entries.items() if i not in (PLANAR_X, PLANAR_Y)})
-            for p in self.points
-        ]
-        return PointCloud(pts, self.spectrum, self.s, list(self.tags))
-
     def scaled(self, log_factor: float) -> "PointCloud":
         return PointCloud([p.scaled(log_factor) for p in self.points],
                           self.spectrum, self.s, list(self.tags))
@@ -147,14 +132,6 @@ class PointCloud:
             self._cache[key] = row
         return row
 
-    def norm_logs(self) -> np.ndarray:
-        """log H^s norms of the points themselves."""
-        w = self._cache.setdefault(("w", self.s), self._weight_logs())
-        with np.errstate(invalid="ignore"):
-            terms = w[None, :] + 2.0 * self._logmags
-        terms[np.isnan(terms)] = NEG_INF
-        return 0.5 * _logsumexp_rows(terms)
-
     def dense_weighted(self) -> np.ndarray | None:
         """Norm-weighted dense coordinates (distances become plain Euclidean),
         or None when some magnitude underflows doubles."""
@@ -174,30 +151,12 @@ class CoverReport:
     n_balls: int
     method: str
     centers: tuple[int, ...]
-    packing_separated: bool
 
 
-def _farthest_cover(cloud: PointCloud, log_eps: float, member_rows=None):
-    """Farthest-point traversal with centers restricted to data points;
-    lowest index wins ties.  The chosen centers are pairwise more than eps
-    apart, so their count also lower-bounds the eps-packing number."""
-    n = len(cloud)
-    ids = list(range(n)) if member_rows is None else list(member_rows)
-    centers = [ids[0]]
-    d = cloud.distance_log_row(ids[0])[ids]
-    while True:
-        far = int(np.argmax(d))
-        if d[far] <= log_eps + _LOG_SLACK:
-            return centers, d
-        centers.append(ids[far])
-        d = np.minimum(d, cloud.distance_log_row(ids[far])[ids])
-
-
-def _greedy_cover(cloud: PointCloud, log_eps: float, member_rows=None):
+def _greedy_cover(cloud: PointCloud, log_eps: float, member_rows=None) -> list[int]:
     """Max-coverage greedy set cover over data-point centers: each round
     picks the point whose ball covers the most uncovered points (lowest
-    index on ties).  Tracks minimal covers closely enough for slope
-    estimates, unlike the packing-style farthest-point traversal."""
+    index on ties)."""
     n = len(cloud)
     ids = list(range(n)) if member_rows is None else list(member_rows)
     k = len(ids)
@@ -206,7 +165,6 @@ def _greedy_cover(cloud: PointCloud, log_eps: float, member_rows=None):
         cover[a] = cloud.distance_log_row(i)[ids] <= log_eps + _LOG_SLACK
     uncovered = np.ones(k, dtype=bool)
     centers: list[int] = []
-    final_d = np.full(k, -np.inf)
     while np.any(uncovered):
         gains = cover[:, uncovered].sum(axis=1)
         best = int(np.argmax(gains))
@@ -214,7 +172,7 @@ def _greedy_cover(cloud: PointCloud, log_eps: float, member_rows=None):
             raise GeometryError("cover stalled; a point covers nothing, not even itself")
         centers.append(ids[best])
         uncovered &= ~cover[best]
-    return centers, final_d
+    return centers
 
 
 def _exact_cover(cloud: PointCloud, log_eps: float, member_rows=None) -> list[int]:
@@ -233,7 +191,7 @@ def _exact_cover(cloud: PointCloud, log_eps: float, member_rows=None) -> list[in
                 mask |= 1 << b
         masks.append(mask)
     full = (1 << k) - 1
-    greedy, _ = _greedy_cover(cloud, log_eps, ids)
+    greedy = _greedy_cover(cloud, log_eps, ids)
     pos = {g: ids.index(g) for g in greedy}
     best = [pos[g] for g in greedy]
     best_size = len(best)
@@ -264,10 +222,9 @@ def covering_number(cloud: PointCloud, eps: float | None = None, method: str = "
                     log_eps: float | None = None, member_rows=None) -> CoverReport:
     """Number of eps-balls (centers at data points) covering the cloud.
 
-    "greedy" is the deterministic max-coverage heuristic, "farthest" the
-    farthest-point packing traversal (its count also bounds the packing
-    number), "exact" branch-and-bound for <= 24 points.  Scales may be
-    passed as log_eps when eps underflows doubles.
+    "greedy" is the deterministic max-coverage heuristic, "exact"
+    branch-and-bound for <= 24 points, "auto" picks between them by size.
+    Scales may be passed as log_eps when eps underflows doubles.
     """
     if log_eps is None:
         if eps is None or eps <= 0:
@@ -279,34 +236,19 @@ def covering_number(cloud: PointCloud, eps: float | None = None, method: str = "
     if method == "greedy":
         if len(ids) > _GREEDY_MATRIX_CAP:
             raise GeometryError(
-                f"greedy cover matrix capped at {_GREEDY_MATRIX_CAP} points; "
-                "use method='farthest' for larger clouds"
+                f"greedy cover matrix capped at {_GREEDY_MATRIX_CAP} points"
             )
-        centers, _ = _greedy_cover(cloud, log_eps, member_rows)
-    elif method == "farthest":
-        centers, final_d = _farthest_cover(cloud, log_eps, member_rows)
-        if np.any(final_d > log_eps + _LOG_SLACK):
-            raise GeometryError("cover validity re-check failed")
+        centers = _greedy_cover(cloud, log_eps, member_rows)
     elif method == "exact":
         centers = _exact_cover(cloud, log_eps, member_rows)
     else:
         raise GeometryError(f"unknown covering method {method!r}")
-    if method != "farthest":
-        covered_log = np.full(len(ids), np.inf)
-        for c in centers:
-            covered_log = np.minimum(covered_log, cloud.distance_log_row(c)[ids])
-        if np.any(covered_log > log_eps + _LOG_SLACK):
-            raise GeometryError("cover validity re-check failed")
-    if method == "farthest":
-        separated = True  # pairwise > eps by construction
-    elif len(centers) <= 64:
-        separated = all(
-            cloud.distance_log_row(a)[b] > log_eps + _LOG_SLACK
-            for a, b in combinations(centers, 2)
-        )
-    else:
-        separated = False
-    return CoverReport(log_eps, len(centers), method, tuple(centers), separated)
+    covered_log = np.full(len(ids), np.inf)
+    for c in centers:
+        covered_log = np.minimum(covered_log, cloud.distance_log_row(c)[ids])
+    if np.any(covered_log > log_eps + _LOG_SLACK):
+        raise GeometryError("cover validity re-check failed")
+    return CoverReport(log_eps, len(centers), method, tuple(centers))
 
 
 @dataclass(frozen=True)

@@ -86,10 +86,6 @@ class LogModeVector:
             entries[first_index + k] = (1 if v > 0 else -1, math.log(abs(v)))
         return cls(entries)
 
-    @classmethod
-    def from_scaled_unit(cls, index: int, logmag: float, sign: int = 1) -> "LogModeVector":
-        return cls({index: (sign, logmag)})
-
     def sign(self, index: int) -> int:
         return self.entries.get(index, (0, NEG_INF))[0]
 
@@ -146,9 +142,3 @@ class LogModeVector:
             w = 0.0 if weight_log is None else weight_log(idx)
             terms.append(w + 2.0 * l)
         return 0.5 * logsumexp(terms)
-
-    def apply_diagonal_log(self, diag_log) -> "LogModeVector":
-        """Multiply coordinate-wise by exp(diag_log(index)) (e.g. apply A)."""
-        return LogModeVector(
-            {i: (s, l + diag_log(i)) for i, (s, l) in self.entries.items()}
-        )

@@ -5,7 +5,7 @@ clouds, the projected-attractor sample, and the log-Lipschitz modulus."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +17,10 @@ from .cutoffs import (
     build_cutoff_family,
     mollifier_bump,
     periodic_drive,
-    planar_rhs,
     smooth_step,
 )
 from .fits import line_fit, monotone_increase
 from .floquet import (
-    PeriodicOperator,
     WeightedShift,
     equalizers,
     iterate_norm,
@@ -30,19 +28,18 @@ from .floquet import (
     poincare_predicted,
     ratio_bounds_check,
 )
-from .integrators import lawson_rk4, lawson_rk4_adaptive, propagate_periods
+# lawson_rk4 and adaptive_simpson are not called here, but the layer tracer
+# in perfbench/layers.py wraps these module bindings; drop them together.
+from .integrators import lawson_rk4, lawson_rk4_adaptive, propagate_periods  # noqa: F401
 from .logspace import NEG_INF, PLANAR_X, PLANAR_Y, LogModeVector
 from .geometry import PointCloud
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson  # noqa: F401
 from .spectral import Spectrum, spectral_gap
 
 __all__ = [
     "SimulationError",
     "Scenario",
-    "CoupledState",
     "TrajectoryRecord",
-    "CoupledSystem",
-    "integrate",
     "trajectory_pair_experiment",
     "KickOperator",
     "build_kick_operator",
@@ -51,7 +48,6 @@ __all__ = [
     "thm44_laws",
     "smooth_forcing_laws",
     "section4_attractor",
-    "make_section4_system",
     "log_lipschitz_modulus",
 ]
 
@@ -75,7 +71,6 @@ class Scenario:
     kick_window: float = 0.05
     segment_width: float = 0.5
     steps_per_period: int = 4096
-    integrator_tol: float = 1e-10
     beta_scale: float = 1.0
 
     def __post_init__(self):
@@ -103,27 +98,14 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class CoupledState:
-    x: float
-    y: float
-    modes: LogModeVector
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise SimulationError("planar part must be finite")
-
-
-@dataclass(frozen=True)
 class TrajectoryRecord:
     """Sampled trajectory: unit-scale dense mode states plus the running log
     factor, so norms stay exact far below double range."""
 
     times: np.ndarray
-    planar: np.ndarray
     states: list[np.ndarray]
     logscales: np.ndarray
     spectrum: Spectrum
-    events: dict
 
     def lognorm(self, k: int, s: float = 0.0) -> float:
         w = self.states[k]
@@ -139,97 +121,6 @@ class TrajectoryRecord:
 
     def mode_point(self, k: int) -> LogModeVector:
         return LogModeVector.from_dense(self.states[k]).scaled(self.logscales[k])
-
-
-@dataclass(frozen=True)
-class CoupledSystem:
-    """Pieces of the right-hand side; planar motion is either locked to the
-    closed-form drive or generated by an autonomous planar field."""
-
-    spectrum: Spectrum
-    n_modes: int
-    drive: PeriodicDrive | None = None
-    planar_field: object = None
-    coupling: PeriodicOperator | None = None
-    forcing: object = None
-    planar_scale: float = 1.0
-
-    def planar_at(self, t: float, state: np.ndarray | None = None):
-        if self.drive is not None:
-            x = float(self.drive.value(t))
-            y = float(self.drive.value(t - 0.5 * self.drive.half_period))
-            return x, y
-        return float(state[0]), float(state[1])
-
-
-def _mode_rhs(system: CoupledSystem):
-    if system.drive is not None:
-        def rhs(t, w):
-            x, y = system.planar_at(t)
-            out = np.zeros_like(w)
-            if system.coupling is not None:
-                out += system.coupling.coupling_matrix(t) @ w
-            if system.forcing is not None:
-                out += system.forcing(t, x, y, w)
-            return out
-        return rhs
-
-    def rhs(t, u):
-        x, y = u[0], u[1]
-        out = np.zeros_like(u)
-        dx, dy = system.planar_field(x, y)
-        out[0] = system.planar_scale * dx
-        out[1] = system.planar_scale * dy
-        if system.forcing is not None:
-            out[2:] += system.forcing(t, x, y, u[2:])
-        return out
-    return rhs
-
-
-def integrate(system: CoupledSystem, initial: CoupledState, t_end: float,
-              tol: float = 1e-10, n_samples: int = 33, t_start: float = 0.0) -> TrajectoryRecord:
-    """Exponential integrator over [t_start, t_end] with dense samples; the
-    diagonal decay is exact per step.  Magnitudes are renormalized between
-    samples (drive-locked systems), so log-norms never flush to zero."""
-    lam = system.spectrum.values[: system.n_modes]
-    rhs = _mode_rhs(system)
-    times = np.linspace(t_start, t_end, n_samples)
-    if system.drive is not None:
-        w = initial.modes.to_dense(system.n_modes)
-        logscale = 0.0
-        states, scales, planar = [], [], []
-        nrm0 = float(np.linalg.norm(w))
-        if nrm0 > 0:
-            logscale = math.log(nrm0)
-            w = w / nrm0
-        for k, t in enumerate(times):
-            if k:
-                w, _ = lawson_rk4_adaptive(lam, rhs, w, times[k - 1], t, tol=tol,
-                                           initial_steps=64)
-                nrm = float(np.linalg.norm(w))
-                if nrm > 0:
-                    logscale += math.log(nrm)
-                    w = w / nrm
-            states.append(w.copy())
-            scales.append(logscale)
-            planar.append(system.planar_at(t))
-        events = {"zero_crossings": system.drive.zero_crossings(t_end - t_start) + t_start,
-                  "period_boundaries": np.arange(t_start, t_end + 1e-12,
-                                                 2.0 * system.drive.half_period)}
-        return TrajectoryRecord(times, np.asarray(planar), states,
-                                np.asarray(scales), system.spectrum, events)
-
-    u = np.concatenate([[initial.x, initial.y], initial.modes.to_dense(system.n_modes)])
-    decay = np.concatenate([[0.0, 0.0], lam])
-    states, planar = [], []
-    for k, t in enumerate(times):
-        if k:
-            u, _ = lawson_rk4_adaptive(decay, rhs, u, times[k - 1], t, tol=tol,
-                                       initial_steps=64)
-        planar.append((u[0], u[1]))
-        states.append(u[2:].copy())
-    return TrajectoryRecord(times, np.asarray(planar), states,
-                            np.zeros(len(times)), system.spectrum, {})
 
 
 def trajectory_pair_experiment(
@@ -301,11 +192,7 @@ def trajectory_pair_experiment(
         and kappa_expected > 0
         and abs(kappa - kappa_expected) <= 0.2 * kappa_expected
     )
-    planar = np.asarray([(float(drive.value(t)), float(drive.value(t - 0.5 * drive.half_period)))
-                         for t in times])
-    record = TrajectoryRecord(times, planar, log.states, log.lognorms, spec,
-                              {"period_boundaries": times,
-                               "zero_crossings": drive.zero_crossings(times[-1])})
+    record = TrajectoryRecord(times, log.states, log.lognorms, spec)
     return {
         "kappa_fit": kappa,
         "r_squared": fit_quad.r_squared,
@@ -342,42 +229,6 @@ class KickOperator:
     def cube_modes(self, level: int) -> list[int]:
         k = int(math.ceil(math.sqrt(level)))
         return [2 * (level + j) for j in range(1, k + 1)]
-
-    def active_terms(self, segment_param: float, level: int, vertex: int):
-        """(mode, coefficient log) pairs the kick drives for a trajectory at
-        the given segment parameter; empty off the anchor's interval."""
-        fam = self.psi_by_level[level]
-        out = []
-        k = int(math.ceil(math.sqrt(level)))
-        p = vertex
-        gate = fam.member_value(p, segment_param)
-        if gate == 0.0:
-            return out
-        for j in range(1, k + 1):
-            key = (level, p, j)
-            if key in self.coeff_logs:
-                out.append((2 * (level + j), self.coeff_logs[key] + math.log(gate)))
-        return out
-
-    def forcing_dense(self, level: int, vertex: int, segment_param: float, n_modes: int):
-        """Dense additive forcing profile (t, x, y, w) -> dw for the anchor
-        trajectory; only usable at levels whose coefficients are
-        representable."""
-        drive = self.scenario.drive()
-        theta = self.theta
-        terms = self.active_terms(segment_param, level, vertex)
-        coeffs = np.zeros(n_modes)
-        for mode, clog in terms:
-            if clog < -700.0:
-                raise SimulationError(
-                    f"kick coefficient at level {level} underflows dense arithmetic"
-                )
-            coeffs[mode - 1] = math.exp(clog)
-
-        def forcing(t, x, y, w):
-            return coeffs * float(theta.value(drive.value(t)))
-
-        return forcing
 
 
 def _segment_intervals(scenario: Scenario, level: int) -> tuple[float, float]:
@@ -622,44 +473,6 @@ def _signed_log(v: float) -> tuple[int, float]:
     if v == 0.0:
         return (0, NEG_INF)
     return (1 if v > 0 else -1, math.log(abs(v)))
-
-
-def make_section4_system(laws: Section4Laws, spec: Spectrum, n_trunc: int,
-                         beta_scale: float = 1.0) -> tuple[CoupledSystem, dict]:
-    """Autonomous planar circle field coupled to the angular-window forcing
-    F(x, y) = sum_n B_n theta(R) psi_n(phi) e_n."""
-    ns = np.arange(laws.n_min, n_trunc + 1, dtype=float)
-    a_n = np.exp(laws.log_a(ns))
-    b_n = np.exp(laws.log_b(ns))
-    edges = np.concatenate([[0.0], np.cumsum(a_n)])
-    intervals = [(edges[i], edges[i + 1]) for i in range(len(a_n))]
-    phis = 0.5 * (edges[:-1] + edges[1:])
-    family = build_cutoff_family(intervals, phis, BoundLaw("inverse_width", 1))
-    radial = mollifier_bump(0.0, 2.0, 0.5, 1.25)
-
-    def forcing(t, x, y, w):
-        r = math.hypot(x, y)
-        out = np.zeros_like(w)
-        if r < 1e-12:
-            return out
-        theta_r = float(radial.value(r))
-        if theta_r == 0.0:
-            return out
-        phi = math.atan2(y, x) % (2.0 * math.pi)
-        for idx, n in enumerate(ns.astype(int)):
-            lo, hi = intervals[idx]
-            if lo < phi < hi and n <= len(w):
-                out[n - 1] += beta_scale * b_n[idx] * theta_r * float(
-                    family.member_value(idx, phi)
-                )
-        return out
-
-    system = CoupledSystem(spec, n_trunc, drive=None, planar_field=planar_rhs,
-                           coupling=None, forcing=forcing, planar_scale=beta_scale)
-    meta = {"anchors": dict(zip(map(int, ns), map(float, phis))),
-            "fiber_heights": {int(n): float(b_n[i] / spec.lam(int(n)))
-                              for i, n in enumerate(ns.astype(int))}}
-    return system, meta
 
 
 def log_lipschitz_modulus(distance_logs, a_distance_logs, gamma: float,

@@ -8,14 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logspace import PLANAR_X, PLANAR_Y
-
 # An eigenvalue counts as real when its imaginary part is at noise level.
 REAL_EIG_TOL = 1e-9
 
 __all__ = [
     "Spectrum",
-    "SobolevIndex",
     "SpectrumError",
     "make_spectrum",
     "spectral_gap",
@@ -77,25 +74,6 @@ class Spectrum:
             vals = [self.lam(k) for k in range(1, n + 1)]
             return Spectrum(self.family, n, np.asarray(vals), self.params)
         return Spectrum(self.family, n, self.values[:n], self.params)
-
-    def sobolev_weight_log(self, s: float):
-        """weight_log callable for LogModeVector norms: s*log(lambda_n) on
-        mode indices, 0 on the planar block (product norm R^2 x H^s)."""
-        logs = np.log(self.values)
-
-        def weight(idx: int) -> float:
-            if idx in (PLANAR_X, PLANAR_Y):
-                return 0.0
-            return s * float(logs[idx - 1]) if idx <= self.n_max else s * math.log(self.lam(idx))
-
-        return weight
-
-
-@dataclass(frozen=True)
-class SobolevIndex:
-    """Scale exponent s of the H^s norm (s=0 is the plain norm)."""
-
-    s: float = 0.0
 
 
 def make_spectrum(family: str, params=None, n_max: int = 2) -> Spectrum:

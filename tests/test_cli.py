@@ -1,0 +1,171 @@
+"""End-to-end runs through `cli.main`, plus the config checks that refuse a
+run before any numerics start.  `floquet` and `simulate` are left out: both
+pay the symbolic smooth-step warm-up, several seconds per process."""
+
+import json
+import os
+
+import pytest
+
+from attractorlab import cli
+from attractorlab.config import ConfigError, resolve_config, scenario_from_config
+from attractorlab.geometry import PointCloud
+from attractorlab.logspace import LogModeVector
+from attractorlab.reports import cloud_rows, write_csv
+
+LINEAR = {"family": "linear", "n_max": 16, "params": {"c": 1.0}}
+SCAN_CSVS = ("dimension_scan.csv", "cloud.csv")
+
+
+def write_config(path, cfg) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    return str(path)
+
+
+def run(cfg_path, out, command, *extra) -> int:
+    return cli.main(["--config", cfg_path, "--out", str(out), *extra, command])
+
+
+def report(out, command) -> dict:
+    with open(os.path.join(out, f"{command}_report.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_bytes(out) -> dict:
+    got = {}
+    for name in SCAN_CSVS:
+        with open(os.path.join(out, name), "rb") as fh:
+            got[name] = fh.read()
+    return got
+
+
+@pytest.fixture
+def cube_cloud_file(tmp_path):
+    """Three tiny cubes in log coordinates, written as a `kind: file` cloud."""
+    points, tags = [], []
+    for level, log_eps in ((2, -1.0), (3, -2.5), (4, -4.0)):
+        modes = [2 * (level + j) for j in range(1, 3)]
+        for p in range(4):
+            points.append(LogModeVector({m: (1, log_eps) for b, m in enumerate(modes)
+                                         if (p >> b) & 1}))
+            tags.append(f"cube:n={level}:p={p}")
+    path = str(tmp_path / "cubes.csv")
+    write_csv(path, ["point_id", "tag", "mode_index", "sign", "logmag"],
+              cloud_rows(PointCloud(points, tags=tags)))
+    return path
+
+
+def file_config(cloud_path, s_list=(0.0,)):
+    return {"spectrum": LINEAR,
+            "geometry": {"cloud": {"kind": "file", "path": cloud_path},
+                         "s_list": list(s_list), "scales": "1e0:1e-2:5",
+                         "include_doubling": True}}
+
+
+def bad_cube_config(family, n_max, kick_max_level):
+    spectrum = {"family": family, "n_max": n_max}
+    if family == "linear":
+        spectrum["params"] = {"c": 1.0}
+    else:
+        spectrum["params"] = {"values": [float(k) for k in range(1, n_max + 1)]}
+    return {"spectrum": spectrum,
+            "dynamics": {"L": 3.0, "kick_max_level": kick_max_level},
+            "geometry": {"cloud": {"kind": "bad_cubes"}}}
+
+
+class TestGapCheck:
+    def test_linear_obstruction(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"spectrum": LINEAR, "dynamics": {"L": 3.0},
+                                                 "expectations": {"gap_check": "obstruction"}})
+        assert run(cfg, tmp_path / "out", "gap-check") == 0
+        assert report(tmp_path / "out", "gap-check")["verdicts"] == {"gap_check": "obstruction"}
+
+
+class TestDimension:
+    def test_section4_byte_identical(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"family": "quadratic", "n_max": 12},
+            "geometry": {"cloud": {"kind": "section4", "n_max": 12},
+                         "s_list": [0, 2], "scales": "1e-1:1e-3:4"}})
+        assert run(cfg, tmp_path / "a", "dimension") == 0
+        assert run(cfg, tmp_path / "b", "dimension", "--threads", "2") == 0
+        assert read_bytes(tmp_path / "a") == read_bytes(tmp_path / "b")
+        got = report(tmp_path / "a", "dimension")
+        assert got["verdicts"]["dimension"] in ("finite", "diverging")
+        assert set(got["constants"]["slopes"]) == {"0", "2"}
+
+    def test_file_cloud_with_doubling_byte_identical(self, tmp_path, cube_cloud_file, capsys):
+        cfg = write_config(tmp_path / "c.json", file_config(cube_cloud_file))
+        assert run(cfg, tmp_path / "a", "dimension") == 0
+        assert run(cfg, tmp_path / "b", "dimension") == 0
+        assert read_bytes(tmp_path / "a") == read_bytes(tmp_path / "b")
+        with open(tmp_path / "a" / "dimension_scan.csv", encoding="utf-8") as fh:
+            rows = fh.read().splitlines()[1:]
+        assert len(rows) == 5 and all(r.split(",")[4] for r in rows)  # d_eps filled
+
+    def test_doubling_builds_one_cloud_per_s(self, tmp_path, cube_cloud_file, monkeypatch,
+                                             capsys):
+        builds = []
+        original = PointCloud.__post_init__
+
+        def counted(self):
+            builds.append(self.s)
+            original(self)
+
+        monkeypatch.setattr(PointCloud, "__post_init__", counted)
+        cfg = write_config(tmp_path / "c.json", file_config(cube_cloud_file))
+        assert run(cfg, tmp_path / "out", "dimension") == 0
+        assert len(builds) == 2  # the loaded file, then one view for s = 0
+
+
+class TestRemovedSurface:
+    @pytest.mark.parametrize("raw", [
+        {"output": {"formats": ["csv"]}},
+        {"geometry": {"cloud": {"levels": [4, 5]}}},
+    ])
+    def test_removed_config_keys_rejected(self, raw):
+        with pytest.raises(ConfigError, match="Additional properties"):
+            resolve_config({"spectrum": LINEAR, **raw})
+
+    def test_format_flag_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"spectrum": LINEAR})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", cfg, "--format", "csv", "gap-check"])
+        assert exc.value.code == 2
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("family,kick_max_level,bound", [
+        ("linear", 6, 29), ("linear", 9, 41), ("linear", 10, 47), ("linear", 16, 71),
+        ("explicit", 6, 31), ("explicit", 9, 43), ("explicit", 16, 73),
+    ])
+    def test_bad_cube_truncation_bound(self, family, kick_max_level, bound):
+        resolve_config(bad_cube_config(family, bound, kick_max_level))
+        with pytest.raises(ConfigError, match=f"n_max >= {bound} "):
+            resolve_config(bad_cube_config(family, bound - 1, kick_max_level))
+
+    def test_bad_cubes_fail_before_numerics(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", bad_cube_config("linear", 28, 6))
+        assert run(cfg, tmp_path / "out", "dimension") == 1
+        assert "n_max >= 29" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_file_cloud_refuses_nonzero_s(self, cube_cloud_file):
+        resolve_config(file_config(cube_cloud_file, [0.0]))
+        with pytest.raises(ConfigError, match="s_list"):
+            resolve_config(file_config(cube_cloud_file, [0.0, 1.0]))
+
+
+def test_scenario_from_config():
+    cfg = resolve_config({
+        "spectrum": LINEAR,
+        "drive": {"amplitude": 2.0, "tau": 0.5, "T_scale": 3.0, "plateau_fraction": 0.8},
+        "dynamics": {"L": 3.0, "n0": 5, "kappa": 0.04, "kick_max_level": 7, "n_trunc": 12,
+                     "steps_per_period": 512, "segment_width": 0.25, "beta_scale": 2.0}})
+    scen = scenario_from_config(cfg)
+    assert scen.spectrum.n_max == 16 and scen.spectrum.family == "linear"
+    assert (scen.lipschitz_budget, scen.half_period, scen.amplitude) == (3.0, 1.5, 2.0)
+    assert (scen.plateau_fraction, scen.n_trunc, scen.steps_per_period) == (0.8, 12, 512)
+    assert (scen.kick_base_level, scen.kick_max_level, scen.kick_window) == (5, 7, 0.04)
+    assert (scen.segment_width, scen.beta_scale) == (0.25, 2.0)
