@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,31 +34,51 @@ class CutoffError(ValueError):
     """Degenerate interval or overlapping supports."""
 
 
-@lru_cache(maxsize=None)
-def _unit_step_derivative(order: int):
-    """Vectorized k-th derivative of the normalized mollifier step
-    h(u) = phi(u) / (phi(u) + phi(1-u)), phi(u) = exp(-1/u)."""
-    import sympy as sp
+def _check_order(order: int) -> None:
+    if not 0 <= order <= _MAX_ORDER:
+        raise CutoffError(f"derivative order must lie in 0..{_MAX_ORDER}, got {order}")
 
-    u = sp.Symbol("u", positive=True)
-    phi = sp.exp(-1 / u)
-    h = phi / (phi + phi.subs(u, 1 - u))
-    expr = sp.diff(h, u, order) if order else h
-    fn = sp.lambdify(u, sp.simplify(expr) if order <= 2 else expr, modules="numpy")
 
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        if order == 0:
-            out[x >= 1.0 - _GUARD] = 1.0
-        interior = (x > _GUARD) & (x < 1.0 - _GUARD)
-        if np.any(interior):
-            with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-                vals = fn(x[interior])
-            out[interior] = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
+def _phi_jet(x: np.ndarray, order: int) -> list[np.ndarray]:
+    """Taylor coefficients of phi(x + d) = exp(-1/(x + d)) in d up to d^order:
+    the jet of -1/x is r^(j+1) with r = -1/x, and e = exp(g) obeys
+    e_k = (1/k) sum_j j g_j e_(k-j)."""
+    r = -1.0 / x
+    g = [r ** (j + 1) for j in range(order + 1)]
+    e = [np.exp(r)]
+    for k in range(1, order + 1):
+        e.append(sum(j * g[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return e
+
+
+def _unit_step(u, order: int = 0) -> np.ndarray:
+    """order-th derivative of the normalized mollifier step
+    h(u) = phi(u) / (phi(u) + phi(1-u)), phi(u) = exp(-1/u).
+
+    Order 0 is the closed form 1 / (exp(1/(u-1) + 1/u) + 1); higher orders
+    come from truncated Taylor arithmetic on phi(u) and phi(1-u) and the
+    quotient recurrence, times order!."""
+    _check_order(order)
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    if order == 0:
+        out[u >= 1.0 - _GUARD] = 1.0
+    interior = (u > _GUARD) & (u < 1.0 - _GUARD)
+    if not np.any(interior):
         return out
-
-    return evaluate
+    x = u[interior]
+    if order == 0:
+        with np.errstate(over="ignore"):
+            out[interior] = 1.0 / (np.exp(1.0 / (x - 1.0) + 1.0 / x) + 1.0)
+        return out
+    a = _phi_jet(x, order)
+    b = [(-1.0) ** k * c for k, c in enumerate(_phi_jet(1.0 - x, order))]
+    d = [p + q for p, q in zip(a, b)]  # d_0 >= exp(-2): one of u, 1-u is >= 1/2
+    h = [a[0] / d[0]]
+    for k in range(1, order + 1):
+        h.append((a[k] - sum(d[j] * h[k - j] for j in range(1, k + 1))) / d[0])
+    out[interior] = h[order] * math.factorial(order)
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,15 +97,11 @@ class SmoothStep:
         return self.hi - self.lo
 
     def value(self, x):
-        return _unit_step_derivative(0)((np.asarray(x, dtype=float) - self.lo) / self.width)
+        return _unit_step((np.asarray(x, dtype=float) - self.lo) / self.width)
 
     def derivative(self, x, order: int = 1):
-        if order == 0:
-            return self.value(x)
-        if order > _MAX_ORDER:
-            raise CutoffError(f"derivative order capped at {_MAX_ORDER}")
         u = (np.asarray(x, dtype=float) - self.lo) / self.width
-        return _unit_step_derivative(order)(u) / self.width**order
+        return _unit_step(u, order) / self.width**order
 
     def __call__(self, x):
         return self.value(x)
@@ -123,14 +138,15 @@ class BumpFunction:
         return self._up.value(x) * self._down.value(-x)
 
     def derivative(self, x, order: int = 1):
+        _check_order(order)
         if order == 0:
             return self.value(x)
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         # Leibniz over the two step factors; the falling factor carries (-1)^j.
         for j in range(order + 1):
-            a = self._up.derivative(x, j) if j else self._up.value(x)
-            b = self._down.derivative(-x, order - j) if order - j else self._down.value(-x)
+            a = self._up.derivative(x, j)
+            b = self._down.derivative(-x, order - j)
             out += math.comb(order, j) * a * ((-1.0) ** (order - j)) * b
         return out
 
@@ -138,20 +154,13 @@ class BumpFunction:
         return self.value(x)
 
 
-def mollifier_bump(
-    a: float, b: float, plateau_lo: float, plateau_hi: float, order_cap: int = 6
-) -> BumpFunction:
+def mollifier_bump(a: float, b: float, plateau_lo: float, plateau_hi: float) -> BumpFunction:
     """Smooth bump on [a, b] with plateau [plateau_lo, plateau_hi], built from
-    normalized-mollifier step transitions; derivatives up to order_cap are
+    normalized-mollifier step transitions; derivatives up to order 12 are
     evaluable everywhere."""
-    if order_cap > _MAX_ORDER:
-        raise CutoffError(f"order cap {order_cap} beyond supported {_MAX_ORDER}")
     if not (a < plateau_lo <= plateau_hi < b):
         raise CutoffError("need a < plateau_lo <= plateau_hi < b")
-    bump = BumpFunction(a, plateau_lo, plateau_hi, b)
-    for k in range(order_cap + 1):
-        _unit_step_derivative(k)  # precompile
-    return bump
+    return BumpFunction(a, plateau_lo, plateau_hi, b)
 
 
 @dataclass(frozen=True)

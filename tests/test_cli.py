@@ -1,6 +1,6 @@
-"""End-to-end runs through `cli.main`, plus the config checks that refuse a
-run before any numerics start.  `floquet` and `simulate` are left out: both
-pay the symbolic smooth-step warm-up, several seconds per process."""
+"""End-to-end runs of every command through `cli.main`, plus the config
+checks that refuse a run before any numerics start.  The `floquet` and
+`simulate` runs share one small linear c=1 spectrum and run twice each."""
 
 import json
 import os
@@ -8,6 +8,7 @@ import os
 import pytest
 
 from attractorlab import cli
+from attractorlab import simulate as sim
 from attractorlab.config import ConfigError, resolve_config, scenario_from_config
 from attractorlab.geometry import PointCloud
 from attractorlab.logspace import LogModeVector
@@ -15,6 +16,11 @@ from attractorlab.reports import cloud_rows, write_csv
 
 LINEAR = {"family": "linear", "n_max": 16, "params": {"c": 1.0}}
 SCAN_CSVS = ("dimension_scan.csv", "cloud.csv")
+SMALL_DYNAMICS = {
+    "spectrum": {"family": "linear", "n_max": 14, "params": {"c": 1.0}},
+    "dynamics": {"L": 3.0, "n_trunc": 8, "n_periods": 3, "steps_per_period": 1024},
+    "expectations": {"floquet": "pattern_ok", "simulate": "superexponential"},
+}
 
 
 def write_config(path, cfg) -> str:
@@ -32,9 +38,9 @@ def report(out, command) -> dict:
         return json.load(fh)
 
 
-def read_bytes(out) -> dict:
+def read_bytes(out, names=SCAN_CSVS) -> dict:
     got = {}
-    for name in SCAN_CSVS:
+    for name in names:
         with open(os.path.join(out, name), "rb") as fh:
             got[name] = fh.read()
     return got
@@ -80,6 +86,51 @@ class TestGapCheck:
                                                  "expectations": {"gap_check": "obstruction"}})
         assert run(cfg, tmp_path / "out", "gap-check") == 0
         assert report(tmp_path / "out", "gap-check")["verdicts"] == {"gap_check": "obstruction"}
+
+
+@pytest.fixture(scope="module")
+def dynamics_runs(tmp_path_factory):
+    """floquet and simulate, each run twice into the output dirs a and b"""
+    root = tmp_path_factory.mktemp("dynamics")
+    cfg = write_config(root / "c.json", SMALL_DYNAMICS)
+    codes = {(out, command): run(cfg, root / out, command)
+             for out in ("a", "b") for command in ("floquet", "simulate")}
+    return root, codes
+
+
+class TestFloquet:
+    def test_pattern_ok_byte_identical(self, dynamics_runs):
+        root, codes = dynamics_runs
+        assert codes["a", "floquet"] == 0 and codes["b", "floquet"] == 0
+        got = report(root / "a", "floquet")
+        assert got["verdicts"] == {"floquet": "pattern_ok"}
+        assert got["constants"]["pattern_ok"] is True
+        names = ("floquet_iterates.csv",)
+        assert read_bytes(root / "a", names) == read_bytes(root / "b", names)
+
+
+class TestSimulate:
+    CSVS = ("pair_distance.csv", "pair_trajectory.csv")
+
+    def test_superexponential_byte_identical(self, dynamics_runs):
+        root, codes = dynamics_runs
+        assert codes["a", "simulate"] == 0 and codes["b", "simulate"] == 0
+        assert report(root / "a", "simulate")["verdicts"] == {"simulate": "superexponential"}
+        assert read_bytes(root / "a", self.CSVS) == read_bytes(root / "b", self.CSVS)
+
+    def test_kappa_fit_matches_shift(self, dynamics_runs):
+        root, _ = dynamics_runs
+        got = report(root / "a", "simulate")["constants"]
+        assert got["kappa_expected"] > 0.0
+        assert abs(got["kappa_fit"] - got["kappa_expected"]) <= (
+            sim.KAPPA_REL_TOL * got["kappa_expected"])
+        assert got["consistent_with_shift"] is True
+
+    def test_rotation_free_control_is_exponential_only(self):
+        scen = scenario_from_config(resolve_config(SMALL_DYNAMICS))
+        result = sim.trajectory_pair_experiment(scen, n_periods=3, rotation_on=False)
+        assert result["exponential_only"] is True
+        assert result["consistent_with_shift"] is False
 
 
 class TestDimension:

@@ -5,9 +5,65 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from attractorlab.cutoffs import (BoundLaw, CutoffError, build_cutoff_family,
-                                  mollifier_bump, periodic_drive, planar_rhs,
-                                  smooth_step)
+from attractorlab.cutoffs import (_MAX_ORDER, BoundLaw, CutoffError, SmoothStep,
+                                  _unit_step, build_cutoff_family, mollifier_bump,
+                                  periodic_drive, planar_rhs, smooth_step)
+
+ORDERS = range(1, _MAX_ORDER + 1)
+U = np.linspace(0.01, 0.99, 2001)
+
+
+def scale(k):
+    """max |h^(k)| on the sample grid, the yardstick for order-k errors"""
+    return np.max(np.abs(_unit_step(U, k)))
+
+
+class TestUnitStepKernel:
+    """Oracles for the normalized mollifier step h and its Taylor-jet
+    derivatives: closed forms, symmetry, finite differences, quadrature."""
+
+    def test_first_derivative_closed_form(self):
+        h = _unit_step(U)
+        exact = h * (1.0 - h) * (1.0 / U**2 + 1.0 / (1.0 - U) ** 2)
+        assert np.max(np.abs(_unit_step(U, 1) - exact)) <= 1e-12 * scale(1)
+
+    @pytest.mark.parametrize("k", ORDERS)
+    def test_reflection(self, k):
+        # h(1 - u) = 1 - h(u), so h^(k)(u) = (-1)^(k+1) h^(k)(1 - u)
+        got = _unit_step(U, k) - (-1.0) ** (k + 1) * _unit_step(1.0 - U, k)
+        assert np.max(np.abs(got)) <= 1e-13 * scale(k)
+
+    @pytest.mark.parametrize("k", range(2, _MAX_ORDER + 1))
+    def test_central_difference_of_previous_order(self, k):
+        v, dl = np.linspace(0.05, 0.95, 181), 1e-5
+        fd = (_unit_step(v + dl, k - 1) - _unit_step(v - dl, k - 1)) / (2.0 * dl)
+        assert np.max(np.abs(fd - _unit_step(v, k))) <= 1e-5 * scale(k)
+
+    @pytest.mark.parametrize("k", range(2, _MAX_ORDER + 1))
+    def test_higher_derivatives_integrate_to_zero(self, k):
+        # h^(k-1) vanishes at both ends of [0, 1]
+        m = scale(k)
+        val, _ = quad(lambda x: float(_unit_step(x, k)), 0.0, 1.0, limit=400,
+                      epsabs=1e-13 * m, epsrel=0.0)
+        assert abs(val) <= 1e-10 * m
+
+    def test_values_bit_identical_to_closed_form(self):
+        us = [0.02, 0.1, 0.3, 0.6, 0.9, 0.97]
+        pinned = [float.fromhex(h) for h in (
+            "0x1.437271fc1ccf6p-71", "0x1.212f2a770ac2bp-13", "0x1.095c3e04caf7ep-3",
+            "0x1.64e4f458025b2p-1", "0x1.ffeded0d588f5p-1", "0x1.fffffffffffacp-1")]
+        step = SmoothStep(0.0, 1.0)
+        assert step.value(np.array(us)).tolist() == pinned
+        assert [float(step.value(u)) for u in us] == pinned
+        assert step.value(0.5).shape == ()
+
+    @pytest.mark.parametrize("order", [-1, _MAX_ORDER + 1])
+    def test_order_out_of_range_rejected(self, order):
+        with pytest.raises(CutoffError, match="derivative order"):
+            smooth_step(0.0, 1.0).derivative(0.5, order)
+        with pytest.raises(CutoffError, match="derivative order"):
+            mollifier_bump(0.0, 1.0, 0.3, 0.7).derivative(0.2, order)
+
 
 
 class TestBump:

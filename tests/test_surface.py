@@ -1,11 +1,14 @@
-"""Guards on the package surface: every exported name exists, and every
+"""Guards on the package surface: every exported name exists, every
 binding the benchmark's layer tracer wraps still resolves, so a deletion
-that would break the traced run fails here first."""
+that would break the traced run fails here first, and the smooth-step
+kernel runs without a symbolic-algebra import."""
 
 import importlib
 import importlib.util
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +44,21 @@ def test_tracer_bindings_resolve():
     finally:
         tracer.uninstall()
     assert geometry.box_count is original
+
+
+def test_bump_derivatives_import_no_sympy():
+    # a fresh interpreter, so no earlier import in this session can mask it
+    code = (
+        "import sys\n"
+        "from attractorlab.cutoffs import mollifier_bump\n"
+        "bump = mollifier_bump(0.0, 1.0, 0.3, 0.7)\n"
+        "for k in range(7):\n"
+        "    bump.derivative([0.1, 0.2, 0.8], k)\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(attractorlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
