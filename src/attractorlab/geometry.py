@@ -4,6 +4,7 @@ smoothness criterion for the forcing laws."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -97,7 +98,13 @@ class PointCloud:
         return cls(pts, spectrum, s, list(tags) if tags else [])
 
     def with_norm(self, s: float) -> "PointCloud":
-        return PointCloud(self.points, self.spectrum, s, list(self.tags))
+        """The same points under the H^s norm: a view that shares the points,
+        tags and dense sign/log-magnitude matrices with this cloud (no
+        rebuild) and starts an empty cache of its own."""
+        view = copy.copy(self)
+        view.s = s
+        view._cache = {}
+        return view
 
     def scaled(self, log_factor: float) -> "PointCloud":
         return PointCloud([p.scaled(log_factor) for p in self.points],
@@ -134,14 +141,19 @@ class PointCloud:
 
     def dense_weighted(self) -> np.ndarray | None:
         """Norm-weighted dense coordinates (distances become plain Euclidean),
-        or None when some magnitude underflows doubles."""
+        or None when some magnitude underflows doubles.  Computed once per s
+        and cached, the None verdict included; callers must not write to it."""
+        key = ("dense", self.s)
+        if key in self._cache:
+            return self._cache[key]
         w = self._cache.setdefault(("w", self.s), self._weight_logs())
         logs = self._logmags + 0.5 * w[None, :]
         present = self._signs != 0
-        if np.any(logs[present] < math.log(2.0**-1000)):
-            return None
-        with np.errstate(under="ignore"):
-            out = self._signs * np.exp(np.where(present, logs, NEG_INF))
+        out = None
+        if not np.any(logs[present] < math.log(2.0**-1000)):
+            with np.errstate(under="ignore"):
+                out = self._signs * np.exp(np.where(present, logs, NEG_INF))
+        self._cache[key] = out
         return out
 
 
@@ -153,15 +165,13 @@ class CoverReport:
     centers: tuple[int, ...]
 
 
-def _greedy_cover(cloud: PointCloud, log_eps: float, member_rows=None) -> list[int]:
+def _greedy_cover(cloud: PointCloud, log_eps: float, ids: np.ndarray) -> list[int]:
     """Max-coverage greedy set cover over data-point centers: each round
     picks the point whose ball covers the most uncovered points (lowest
     index on ties)."""
-    n = len(cloud)
-    ids = list(range(n)) if member_rows is None else list(member_rows)
     k = len(ids)
     cover = np.empty((k, k), dtype=bool)
-    for a, i in enumerate(ids):
+    for a, i in enumerate(ids.tolist()):
         cover[a] = cloud.distance_log_row(i)[ids] <= log_eps + _LOG_SLACK
     uncovered = np.ones(k, dtype=bool)
     centers: list[int] = []
@@ -170,30 +180,25 @@ def _greedy_cover(cloud: PointCloud, log_eps: float, member_rows=None) -> list[i
         best = int(np.argmax(gains))
         if gains[best] == 0:
             raise GeometryError("cover stalled; a point covers nothing, not even itself")
-        centers.append(ids[best])
+        centers.append(int(ids[best]))
         uncovered &= ~cover[best]
     return centers
 
 
-def _exact_cover(cloud: PointCloud, log_eps: float, member_rows=None) -> list[int]:
+def _exact_cover(cloud: PointCloud, log_eps: float, ids: np.ndarray) -> list[int]:
     """Branch-and-bound minimal cover (centers at data points).  Branches on
     the lowest-index uncovered point; the greedy cover seeds the bound."""
-    ids = list(range(len(cloud))) if member_rows is None else list(member_rows)
     if len(ids) > _EXACT_COVER_CAP:
         raise GeometryError(f"exact covers limited to {_EXACT_COVER_CAP} points")
     k = len(ids)
+    id_list = ids.tolist()
     masks = []
-    for i in ids:
-        row = cloud.distance_log_row(i)[ids]
-        mask = 0
-        for b, v in enumerate(row):
-            if v <= log_eps + _LOG_SLACK:
-                mask |= 1 << b
-        masks.append(mask)
+    for i in id_list:
+        inside = np.flatnonzero(cloud.distance_log_row(i)[ids] <= log_eps + _LOG_SLACK)
+        masks.append(sum(1 << b for b in inside.tolist()))
     full = (1 << k) - 1
     greedy = _greedy_cover(cloud, log_eps, ids)
-    pos = {g: ids.index(g) for g in greedy}
-    best = [pos[g] for g in greedy]
+    best = [id_list.index(g) for g in greedy]
     best_size = len(best)
     order = sorted(range(k), key=lambda i: -bin(masks[i]).count("1"))
 
@@ -212,7 +217,7 @@ def _exact_cover(cloud: PointCloud, log_eps: float, member_rows=None) -> list[in
                 search(covered | masks[i], chosen + [i])
 
     search(0, [])
-    return [ids[i] for i in best]
+    return [id_list[i] for i in best]
 
 
 _GREEDY_MATRIX_CAP = 6000
@@ -230,7 +235,9 @@ def covering_number(cloud: PointCloud, eps: float | None = None, method: str = "
         if eps is None or eps <= 0:
             raise GeometryError("scale must be positive")
         log_eps = math.log(eps)
-    ids = list(range(len(cloud))) if member_rows is None else list(member_rows)
+    # one int array per call: each distance row is cut to it by one fancy index
+    ids = (np.arange(len(cloud)) if member_rows is None
+           else np.asarray(member_rows, dtype=np.intp))
     if method == "auto":
         method = "exact" if len(ids) <= _EXACT_COVER_CAP else "greedy"
     if method == "greedy":
@@ -238,9 +245,9 @@ def covering_number(cloud: PointCloud, eps: float | None = None, method: str = "
             raise GeometryError(
                 f"greedy cover matrix capped at {_GREEDY_MATRIX_CAP} points"
             )
-        centers = _greedy_cover(cloud, log_eps, member_rows)
+        centers = _greedy_cover(cloud, log_eps, ids)
     elif method == "exact":
-        centers = _exact_cover(cloud, log_eps, member_rows)
+        centers = _exact_cover(cloud, log_eps, ids)
     else:
         raise GeometryError(f"unknown covering method {method!r}")
     covered_log = np.full(len(ids), np.inf)
@@ -265,7 +272,11 @@ class DimensionScan:
 def box_count(cloud: PointCloud, eps: float | None = None,
               log_eps: float | None = None) -> int:
     """Occupied-lattice-box count at side eps in the norm-weighted
-    coordinates (anchored at the cloud's min corner)."""
+    coordinates (anchored at the cloud's min corner).
+
+    Exact: the integer cell rows are counted as distinct byte strings in a
+    hash set, which compares whole rows, so the count equals the number of
+    distinct rows without the lexicographic sort a row-unique pass needs."""
     if log_eps is None:
         if eps is None or eps <= 0:
             raise GeometryError("scale must be positive")
@@ -276,8 +287,8 @@ def box_count(cloud: PointCloud, eps: float | None = None,
                             "needs representable coordinates")
     eps = math.exp(log_eps)
     shifted = coords - np.min(coords, axis=0)
-    cells = np.floor(shifted / eps + 1e-12).astype(np.int64)
-    return int(len(np.unique(cells, axis=0)))
+    cells = np.floor(shifted / eps + 1e-12).astype(np.int64)  # C-contiguous rows
+    return len(set(map(bytes, cells)))
 
 
 def fractal_dimension_estimate(cloud: PointCloud, scales=None, log_scales=None,

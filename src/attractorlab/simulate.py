@@ -145,7 +145,14 @@ def trajectory_pair_experiment(
     """
     spec = scenario.spectrum
     if spec.n_max < 2 * n_periods + 3:
-        raise SimulationError("truncation too small for the requested number of periods")
+        raise SimulationError(
+            f"{n_periods} periods need spectrum n_max >= {2 * n_periods + 3} "
+            f"(got {spec.n_max})")
+    # the shift moves mode 1 to mode 2k + 1 by period k (0-based position 2k)
+    if rotation_on and scenario.n_trunc < 2 * n_periods + 1:
+        raise SimulationError(
+            f"{n_periods} periods need n_trunc >= {2 * n_periods + 1} "
+            f"(got {scenario.n_trunc}): the orbit of mode 1 exits a smaller truncation")
     if initial_scale == 0.0:
         # identical trajectories: the distance is identically zero
         return {

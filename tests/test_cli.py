@@ -152,11 +152,14 @@ class TestDimension:
         assert run(cfg, tmp_path / "b", "dimension") == 0
         assert read_bytes(tmp_path / "a") == read_bytes(tmp_path / "b")
         with open(tmp_path / "a" / "dimension_scan.csv", encoding="utf-8") as fh:
-            rows = fh.read().splitlines()[1:]
-        assert len(rows) == 5 and all(r.split(",")[4] for r in rows)  # d_eps filled
+            rows = [r.split(",") for r in fh.read().splitlines()[1:]]
+        # n_eps and d_eps as this config wrote them at commit 8824d1f, before
+        # hashed box keys, norm views and array-indexed covers
+        assert [int(r[3]) for r in rows] == [1, 4, 4, 7, 10]
+        assert [int(r[4]) for r in rows] == [1, 2, 3, 4, 1]
 
-    def test_doubling_builds_one_cloud_per_s(self, tmp_path, cube_cloud_file, monkeypatch,
-                                             capsys):
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
         builds = []
         original = PointCloud.__post_init__
 
@@ -165,9 +168,23 @@ class TestDimension:
             original(self)
 
         monkeypatch.setattr(PointCloud, "__post_init__", counted)
+        return builds
+
+    def test_doubling_builds_one_cloud_per_s(self, tmp_path, cube_cloud_file, monkeypatch,
+                                             capsys):
+        builds = self.count_builds(monkeypatch)
         cfg = write_config(tmp_path / "c.json", file_config(cube_cloud_file))
         assert run(cfg, tmp_path / "out", "dimension") == 0
-        assert len(builds) == 2  # the loaded file, then one view for s = 0
+        assert len(builds) == 1  # the loaded file; the s = 0 view shares its matrices
+
+    def test_section4_scan_builds_one_cloud(self, tmp_path, monkeypatch, capsys):
+        builds = self.count_builds(monkeypatch)
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"family": "quadratic", "n_max": 12},
+            "geometry": {"cloud": {"kind": "section4", "n_max": 12},
+                         "s_list": [0, 2], "scales": "1e-1:1e-3:4"}})
+        assert run(cfg, tmp_path / "out", "dimension") == 0
+        assert len(builds) == 1  # both s views share the section-4 cloud's matrices
 
 
 class TestRemovedSurface:
@@ -201,6 +218,22 @@ class TestFailFast:
         assert run(cfg, tmp_path / "out", "dimension") == 1
         assert "n_max >= 29" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("n_max,dynamics,need", [
+        (40, {"L": 3.0, "n_periods": 8}, "n_trunc >= 17"),  # default n_trunc 16
+        (18, {"L": 3.0, "n_periods": 8, "n_trunc": 20}, "n_max >= 19"),
+    ])
+    def test_simulate_truncation_names_minimum(self, tmp_path, monkeypatch, capsys,
+                                               n_max, dynamics, need):
+        def assembled(*args, **kwargs):
+            raise AssertionError("operator assembled before the truncation check")
+
+        monkeypatch.setattr(sim, "make_periodic_operator", assembled)
+        cfg = write_config(tmp_path / "c.json", {"spectrum": dict(LINEAR, n_max=n_max),
+                                                 "dynamics": dynamics})
+        assert run(cfg, tmp_path / "out", "simulate") == 1
+        err = capsys.readouterr().err
+        assert "SimulationError" in err and need in err
 
     def test_file_cloud_refuses_nonzero_s(self, cube_cloud_file):
         resolve_config(file_config(cube_cloud_file, [0.0]))

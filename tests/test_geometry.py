@@ -3,15 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from attractorlab.geometry import (GeometryError, PointCloud, covering_number,
+from attractorlab.geometry import (GeometryError, PointCloud, box_count, covering_number,
                                    doubling_factor, fractal_dimension_estimate,
                                    log_doubling_estimate, separated_count_exact,
                                    separated_count_log, smoothness_criterion)
 from attractorlab.logspace import LogModeVector, PLANAR_X, PLANAR_Y
 from attractorlab.spectral import make_spectrum
-from attractorlab.simulate import thm44_laws
+from attractorlab.simulate import section4_attractor, thm44_laws
 
 
 def segment_cloud(n=64, length=1.0):
@@ -92,6 +92,22 @@ class TestCovering:
         with pytest.raises(GeometryError, match="24"):
             covering_number(segment_cloud(30), 0.1, method="exact")
 
+    @pytest.mark.parametrize("method", ["greedy", "exact"])
+    def test_member_rows_list_or_array(self, method):
+        cloud = grid_cloud(5, 1.0)
+        rows = [12, 3, 4, 7, 0, 11, 18, 20, 24, 13]
+        for eps in (0.9, 1.1, 1.5, 2.5):
+            listed = covering_number(cloud, eps, method=method, member_rows=rows)
+            arrayed = covering_number(cloud, eps, method=method, member_rows=np.array(rows))
+            assert (listed.n_balls, listed.centers) == (arrayed.n_balls, arrayed.centers)
+            assert all(type(c) is int for c in listed.centers + arrayed.centers)
+            assert set(listed.centers) <= set(rows)
+
+    def test_greedy_ties_go_to_first_member(self):
+        # every point covers the whole segment, so the first member listed wins
+        cloud = segment_cloud(6)
+        assert covering_number(cloud, 10.0, member_rows=np.array([4, 2, 5])).centers == (4,)
+
     @given(st.floats(min_value=-200.0, max_value=200.0))
     @settings(max_examples=12, deadline=None)
     def test_scale_invariance_under_log_shift(self, shift):
@@ -100,6 +116,91 @@ class TestCovering:
         moved = covering_number(cloud.scaled(shift),
                                 log_eps=math.log(1.3) + shift).n_balls
         assert moved == base
+
+
+def sorted_box_count(cloud, log_eps):
+    """Reference count: the same lattice cells, distinct rows by a sort."""
+    coords = cloud.dense_weighted()
+    shifted = coords - np.min(coords, axis=0)
+    cells = np.floor(shifted / math.exp(log_eps) + 1e-12).astype(np.int64)
+    return len(np.unique(cells, axis=0))
+
+
+@st.composite
+def coarse_arrays(draw):
+    """Small dense clouds on a coarse grid of signed values, so duplicate
+    points, negative coordinates and all-zero columns are common."""
+    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    flat = draw(st.lists(st.integers(-4, 4), min_size=n * m, max_size=n * m))
+    return 0.25 * np.array(flat, dtype=float).reshape(n, m)
+
+
+# Box counts of the n_max 24 section-4 cloud (3382 points) at scales
+# geomspace(1e-1, 1e-4, 6), obtained by running test_section4_box_counts_pinned's
+# construction at commit 8824d1f, where box_count sorted the cells with
+# np.unique(cells, axis=0).
+SECTION4_BOX_COUNTS = {
+    0: (342, 1891, 1906, 1923, 1935, 1954),
+    2: (343, 1897, 1917, 1949, 1995, 2079),
+    4: (357, 1984, 2126, 2257, 2389, 2511),
+}
+
+
+class TestBoxCount:
+    @given(coarse_arrays(), st.sampled_from([-3.0, -1.2, -0.3, 0.0, 0.9]))
+    @example(np.array([[0.5, -0.25], [0.5, -0.25], [-1.0, 0.75]]), -1.2)  # duplicates
+    @example(np.array([[-0.75], [0.25], [-0.75], [1.0]]), -0.3)  # one column
+    @example(np.array([[-0.5, 0.0, 1.0]]), 0.0)  # one point
+    @example(np.zeros((3, 2)), 0.0)  # no stored coordinate at all
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sorted_distinct_rows(self, arr, log_eps):
+        cloud = PointCloud.from_dense(arr)
+        got = box_count(cloud, log_eps=log_eps)
+        assert type(got) is int
+        assert got == sorted_box_count(cloud, log_eps)
+
+    def test_section4_box_counts_pinned(self):
+        spec = make_spectrum("quadratic", {}, 24)
+        cloud, _ = section4_attractor(thm44_laws(), spec, 24)
+        log_scales = [math.log(e) for e in np.geomspace(1e-1, 1e-4, 6)]
+        for s, want in SECTION4_BOX_COUNTS.items():
+            view = cloud.with_norm(s)
+            assert tuple(box_count(view, log_eps=le) for le in log_scales) == want
+            assert tuple(sorted_box_count(view, le) for le in log_scales) == want
+
+    def test_underflow_refused(self):
+        cloud = PointCloud([LogModeVector({3: (1, -5000.0)}), LogModeVector({})])
+        for _ in range(2):  # the cached None verdict refuses as the first did
+            with pytest.raises(GeometryError, match="underflow"):
+                box_count(cloud, 0.1)
+
+
+class TestNormView:
+    def test_view_matches_fresh_cloud_bitwise(self):
+        spec = make_spectrum("quadratic", {}, 12)
+        rng = np.random.default_rng(11)
+        pts = []
+        for _ in range(25):
+            modes = rng.choice([PLANAR_X, PLANAR_Y, *range(1, 13)], size=3, replace=False)
+            pts.append(LogModeVector({int(i): (int(rng.choice([-1, 1])), float(rng.normal(-2, 3)))
+                                      for i in modes}))
+        pts += [pts[3], LogModeVector({})]  # a duplicate point and the origin
+        tags = [f"p{k}" for k in range(len(pts))]
+        base = PointCloud(pts, spec, 0.0, tags)
+        base.distance_log_row(0)
+        base.dense_weighted()
+        before = dict(base._cache)
+        for s in (0.0, 1.5, 4.0):
+            view = base.with_norm(s)
+            fresh = PointCloud(pts, spec, s, tags)
+            assert view.s == s and view.tags == fresh.tags
+            assert view._signs is base._signs and view._logmags is base._logmags
+            for i in range(len(pts)):
+                assert view.distance_log_row(i).tobytes() == fresh.distance_log_row(i).tobytes()
+            assert view.dense_weighted().tobytes() == fresh.dense_weighted().tobytes()
+        assert base.s == 0.0
+        assert base._cache.keys() == before.keys()
+        assert all(base._cache[k] is v for k, v in before.items())
 
 
 class TestDimension:
