@@ -14,8 +14,8 @@ from .logspace import (LogModeVector, MIN_NORMAL_LOG, NEG_INF, PLANAR_X, PLANAR_
                        UnderflowError, log_add_signed, logsumexp)
 from .spectral import (LinearizationSpectrum, ObstructionVerdict,
                        Spectrum, SpectrumError, block_eigenvalues,
-                       c1_obstruction_check, linearization_spectrum, make_spectrum,
-                       spectral_gap)
+                       c1_obstruction_check, cube_width, linearization_spectrum,
+                       make_spectrum, spectral_gap)
 from .cutoffs import (BoundLaw, BumpFunction, CutoffError, CutoffFamily,
                       PeriodicDrive, SmoothStep, build_cutoff_family,
                       mollifier_bump, periodic_drive, planar_rhs, smooth_step)

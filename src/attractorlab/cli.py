@@ -8,6 +8,7 @@ baseline (a finding, not a crash), 1 on operational failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -160,7 +161,7 @@ def cmd_dimension(cfg, args) -> int:
     else:
         s_list = cfg["geometry"]["s_list"]
         result = geo.dimension_vs_s_scan(
-            cloud, s_list, scales=scales,
+            cloud, s_list, log_scales=[math.log(e) for e in scales],
             include_doubling=cfg["geometry"]["include_doubling"])
         scans, rows = result["scans"], result["rows"]
         growing = any(

@@ -7,12 +7,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 
 import jsonschema
 
 from .simulate import Scenario
-from .spectral import Spectrum, make_spectrum
+from .spectral import Spectrum, cube_width, make_spectrum
 
 __all__ = ["ConfigError", "SCHEMA", "DEFAULTS", "load_config", "resolve_config",
            "config_hash", "spectrum_from_config", "scenario_from_config",
@@ -172,7 +171,7 @@ def _bad_cube_min_n_max(kick_max_level: int, family: str) -> int:
     reaches mode 4K + 2 ceil(sqrt K) - 1.  An explicit spectrum cannot
     extend, and its shift drops the last odd modes, so it needs two more."""
     k = kick_max_level
-    need = 4 * k + 2 * math.ceil(math.sqrt(k)) - 1
+    need = 4 * k + 2 * cube_width(k) - 1
     return need + 2 if family == "explicit" else need
 
 
@@ -229,7 +228,6 @@ def scenario_from_config(resolved: dict) -> Scenario:
         kick_window=dyn["kappa"],
         segment_width=dyn["segment_width"],
         steps_per_period=dyn["steps_per_period"],
-        beta_scale=dyn["beta_scale"],
     )
 
 

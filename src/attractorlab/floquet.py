@@ -14,7 +14,7 @@ from .cutoffs import BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump, sm
 from .fits import quadratic_fit
 from .integrators import lawson_rk4
 from .quadrature import adaptive_simpson
-from .spectral import Spectrum, spectral_gap
+from .spectral import Spectrum, cube_width, spectral_gap
 
 __all__ = [
     "FloquetError",
@@ -433,9 +433,7 @@ def ratio_bounds_check(shift: WeightedShift, n: int) -> dict:
     most n^(3/2)."""
     if n < 1:
         raise FloquetError("level must be positive")
-    k = math.isqrt(n)
-    if k * k != n:
-        k = int(math.ceil(math.sqrt(n)))
+    k = cube_width(n)
     count = 2 * n + k
     base = iterate_norm(shift, 1, count).lognorm
     band = {s: iterate_norm(shift, 2 * s, count).lognorm for s in range(n, n + k + 1)}

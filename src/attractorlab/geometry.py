@@ -1,6 +1,10 @@
 """Covering numbers, box-counting dimension, doubling and log-doubling
 factors over point clouds kept in sign/log-magnitude coordinates, plus the
-smoothness criterion for the forcing laws."""
+smoothness criterion for the forcing laws.
+
+Every scale is passed as its log (log_eps, log_scales), since the scales of
+interest underflow doubles; every ball cover reads one cached log-distance
+matrix per norm view."""
 
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import numpy as np
 
 from .fits import LineFit, line_fit, local_slopes, monotone_increase
 from .logspace import NEG_INF, PLANAR_X, PLANAR_Y, LogModeVector
-from .spectral import Spectrum
+from .spectral import Spectrum, cube_width
 
 __all__ = [
     "GeometryError",
@@ -34,7 +38,8 @@ __all__ = [
 # closed-ball membership in log coordinates allows this additive slack
 _LOG_SLACK = 1e-12
 _EXACT_COVER_CAP = 24
-_PAIRWISE_CACHE_CAP = 4800
+# one float64 log-distance matrix per norm view: 4800^2 doubles is 184 MB
+_MATRIX_CAP = 4800
 
 
 class GeometryError(ValueError):
@@ -42,7 +47,7 @@ class GeometryError(ValueError):
 
 
 def _logsumexp_rows(terms: np.ndarray) -> np.ndarray:
-    m = np.max(terms, axis=1)
+    m = np.max(terms, axis=1, initial=NEG_INF)  # a cloud may store no coordinate
     out = np.full(terms.shape[0], NEG_INF)
     finite = m > NEG_INF
     if np.any(finite):
@@ -100,7 +105,7 @@ class PointCloud:
     def with_norm(self, s: float) -> "PointCloud":
         """The same points under the H^s norm: a view that shares the points,
         tags and dense sign/log-magnitude matrices with this cloud (no
-        rebuild) and starts an empty cache of its own."""
+        rebuild) and starts an empty cache of its own, so cache keys need no s."""
         view = copy.copy(self)
         view.s = s
         view._cache = {}
@@ -111,21 +116,21 @@ class PointCloud:
                           self.spectrum, self.s, list(self.tags))
 
     def _weight_logs(self) -> np.ndarray:
-        w = np.zeros(len(self._indices))
-        for k, i in enumerate(self._indices):
-            if i in (PLANAR_X, PLANAR_Y):
-                continue
-            if self.spectrum is None:
-                continue
-            w[k] = self.s * math.log(self.spectrum.lam(i))
+        """Per-coordinate log weights s log(lambda_i), zero on the planar
+        block; computed once per view."""
+        w = self._cache.get("w")
+        if w is None:
+            w = np.zeros(len(self._indices))
+            if self.spectrum is not None:
+                for k, i in enumerate(self._indices):
+                    if i not in (PLANAR_X, PLANAR_Y):
+                        w[k] = self.s * math.log(self.spectrum.lam(i))
+            self._cache["w"] = w
         return w
 
     def distance_log_row(self, i: int) -> np.ndarray:
         """log distances from point i to every point, in the selected norm."""
-        key = ("row", i, self.s)
-        if key in self._cache:
-            return self._cache[key]
-        w = self._cache.setdefault(("w", self.s), self._weight_logs())
+        w = self._weight_logs()
         L, S = self._logmags, self._signs
         li, si = L[i], S[i]
         m = np.maximum(L, li[None, :])
@@ -134,26 +139,33 @@ class PointCloud:
             diff = S * np.exp(L - ms) - si[None, :] * np.exp(li[None, :] - ms)
             terms = w[None, :] + 2.0 * (ms + np.log(np.abs(diff)))
         terms[np.isnan(terms)] = NEG_INF
-        row = 0.5 * _logsumexp_rows(terms)
-        if len(self.points) <= _PAIRWISE_CACHE_CAP:
-            self._cache[key] = row
-        return row
+        return 0.5 * _logsumexp_rows(terms)
+
+    def distance_log_matrix(self) -> np.ndarray:
+        """All log distances in the selected norm: the distance_log_row
+        rows stacked once per view and cached; callers must not write to it."""
+        D = self._cache.get("matrix")
+        if D is None:
+            n = len(self.points)
+            if n > _MATRIX_CAP:
+                raise GeometryError(f"log-distance matrix capped at {_MATRIX_CAP} points; "
+                                    f"the cloud has {n}")
+            D = self._cache["matrix"] = np.stack([self.distance_log_row(i) for i in range(n)])
+        return D
 
     def dense_weighted(self) -> np.ndarray | None:
         """Norm-weighted dense coordinates (distances become plain Euclidean),
-        or None when some magnitude underflows doubles.  Computed once per s
-        and cached, the None verdict included; callers must not write to it."""
-        key = ("dense", self.s)
-        if key in self._cache:
-            return self._cache[key]
-        w = self._cache.setdefault(("w", self.s), self._weight_logs())
-        logs = self._logmags + 0.5 * w[None, :]
+        or None when some magnitude underflows doubles.  Computed once per
+        view and cached, the None verdict included; callers must not write to it."""
+        if "dense" in self._cache:
+            return self._cache["dense"]
+        logs = self._logmags + 0.5 * self._weight_logs()[None, :]
         present = self._signs != 0
         out = None
         if not np.any(logs[present] < math.log(2.0**-1000)):
             with np.errstate(under="ignore"):
                 out = self._signs * np.exp(np.where(present, logs, NEG_INF))
-        self._cache[key] = out
+        self._cache["dense"] = out
         return out
 
 
@@ -165,40 +177,31 @@ class CoverReport:
     centers: tuple[int, ...]
 
 
-def _greedy_cover(cloud: PointCloud, log_eps: float, ids: np.ndarray) -> list[int]:
-    """Max-coverage greedy set cover over data-point centers: each round
-    picks the point whose ball covers the most uncovered points (lowest
-    index on ties)."""
-    k = len(ids)
-    cover = np.empty((k, k), dtype=bool)
-    for a, i in enumerate(ids.tolist()):
-        cover[a] = cloud.distance_log_row(i)[ids] <= log_eps + _LOG_SLACK
-    uncovered = np.ones(k, dtype=bool)
+def _greedy_cover(ball: np.ndarray) -> list[int]:
+    """Max-coverage greedy set cover over a boolean ball matrix (row a is the
+    ball around member a): each round picks the member whose ball covers the
+    most uncovered members (lowest index on ties)."""
+    uncovered = np.ones(len(ball), dtype=bool)
     centers: list[int] = []
     while np.any(uncovered):
-        gains = cover[:, uncovered].sum(axis=1)
+        gains = ball[:, uncovered].sum(axis=1)
         best = int(np.argmax(gains))
         if gains[best] == 0:
             raise GeometryError("cover stalled; a point covers nothing, not even itself")
-        centers.append(int(ids[best]))
-        uncovered &= ~cover[best]
+        centers.append(best)
+        uncovered &= ~ball[best]
     return centers
 
 
-def _exact_cover(cloud: PointCloud, log_eps: float, ids: np.ndarray) -> list[int]:
-    """Branch-and-bound minimal cover (centers at data points).  Branches on
-    the lowest-index uncovered point; the greedy cover seeds the bound."""
-    if len(ids) > _EXACT_COVER_CAP:
+def _exact_cover(ball: np.ndarray) -> list[int]:
+    """Branch-and-bound minimal cover over a boolean ball matrix.  Branches
+    on the lowest-index uncovered member; the greedy cover seeds the bound."""
+    k = len(ball)
+    if k > _EXACT_COVER_CAP:
         raise GeometryError(f"exact covers limited to {_EXACT_COVER_CAP} points")
-    k = len(ids)
-    id_list = ids.tolist()
-    masks = []
-    for i in id_list:
-        inside = np.flatnonzero(cloud.distance_log_row(i)[ids] <= log_eps + _LOG_SLACK)
-        masks.append(sum(1 << b for b in inside.tolist()))
+    masks = [sum(1 << b for b in np.flatnonzero(row).tolist()) for row in ball]
     full = (1 << k) - 1
-    greedy = _greedy_cover(cloud, log_eps, ids)
-    best = [id_list.index(g) for g in greedy]
+    best = _greedy_cover(ball)
     best_size = len(best)
     order = sorted(range(k), key=lambda i: -bin(masks[i]).count("1"))
 
@@ -217,45 +220,31 @@ def _exact_cover(cloud: PointCloud, log_eps: float, ids: np.ndarray) -> list[int
                 search(covered | masks[i], chosen + [i])
 
     search(0, [])
-    return [id_list[i] for i in best]
+    return best
 
 
-_GREEDY_MATRIX_CAP = 6000
+_COVERS = {"greedy": _greedy_cover, "exact": _exact_cover}
 
 
-def covering_number(cloud: PointCloud, eps: float | None = None, method: str = "greedy",
-                    log_eps: float | None = None, member_rows=None) -> CoverReport:
-    """Number of eps-balls (centers at data points) covering the cloud.
+def covering_number(cloud: PointCloud, log_eps: float, method: str = "greedy",
+                    member_rows=None) -> CoverReport:
+    """Number of closed balls of log radius log_eps (centers at data points)
+    covering the cloud, or the members listed in member_rows.
 
     "greedy" is the deterministic max-coverage heuristic, "exact"
     branch-and-bound for <= 24 points, "auto" picks between them by size.
-    Scales may be passed as log_eps when eps underflows doubles.
     """
-    if log_eps is None:
-        if eps is None or eps <= 0:
-            raise GeometryError("scale must be positive")
-        log_eps = math.log(eps)
-    # one int array per call: each distance row is cut to it by one fancy index
     ids = (np.arange(len(cloud)) if member_rows is None
            else np.asarray(member_rows, dtype=np.intp))
     if method == "auto":
         method = "exact" if len(ids) <= _EXACT_COVER_CAP else "greedy"
-    if method == "greedy":
-        if len(ids) > _GREEDY_MATRIX_CAP:
-            raise GeometryError(
-                f"greedy cover matrix capped at {_GREEDY_MATRIX_CAP} points"
-            )
-        centers = _greedy_cover(cloud, log_eps, ids)
-    elif method == "exact":
-        centers = _exact_cover(cloud, log_eps, ids)
-    else:
+    if method not in _COVERS:
         raise GeometryError(f"unknown covering method {method!r}")
-    covered_log = np.full(len(ids), np.inf)
-    for c in centers:
-        covered_log = np.minimum(covered_log, cloud.distance_log_row(c)[ids])
-    if np.any(covered_log > log_eps + _LOG_SLACK):
+    ball = cloud.distance_log_matrix()[np.ix_(ids, ids)] <= log_eps + _LOG_SLACK
+    local = _COVERS[method](ball)
+    if not np.all(np.any(ball[local], axis=0)):
         raise GeometryError("cover validity re-check failed")
-    return CoverReport(log_eps, len(centers), method, tuple(centers))
+    return CoverReport(log_eps, len(local), method, tuple(ids[local].tolist()))
 
 
 @dataclass(frozen=True)
@@ -269,18 +258,13 @@ class DimensionScan:
     counter: str = "boxes"
 
 
-def box_count(cloud: PointCloud, eps: float | None = None,
-              log_eps: float | None = None) -> int:
-    """Occupied-lattice-box count at side eps in the norm-weighted
+def box_count(cloud: PointCloud, log_eps: float) -> int:
+    """Occupied-lattice-box count at side exp(log_eps) in the norm-weighted
     coordinates (anchored at the cloud's min corner).
 
     Exact: the integer cell rows are counted as distinct byte strings in a
     hash set, which compares whole rows, so the count equals the number of
     distinct rows without the lexicographic sort a row-unique pass needs."""
-    if log_eps is None:
-        if eps is None or eps <= 0:
-            raise GeometryError("scale must be positive")
-        log_eps = math.log(eps)
     coords = cloud.dense_weighted()
     if coords is None:
         raise GeometryError("cloud magnitudes underflow doubles; box counting "
@@ -291,17 +275,16 @@ def box_count(cloud: PointCloud, eps: float | None = None,
     return len(set(map(bytes, cells)))
 
 
-def fractal_dimension_estimate(cloud: PointCloud, scales=None, log_scales=None,
+def fractal_dimension_estimate(cloud: PointCloud, log_scales,
                                method: str = "boxes") -> DimensionScan:
     """Least-squares slope of log N_eps against log(1/eps) over the declared
-    window, with per-scale local slopes for divergence detection.
+    window of log scales, with per-scale local slopes for divergence
+    detection.
 
     The default counter is lattice box occupancy (clean slopes, same
     dimension as minimal ball covers); clouds whose magnitudes underflow
     doubles automatically fall back to greedy ball covering in log space.
     """
-    if log_scales is None:
-        log_scales = [math.log(e) for e in scales]
     log_scales = sorted(log_scales, reverse=True)  # scales strictly decreasing
     if len(log_scales) < 4:
         raise GeometryError("need at least four scales in the window")
@@ -323,18 +306,13 @@ def fractal_dimension_estimate(cloud: PointCloud, scales=None, log_scales=None,
                          fit.r_squared, tuple(local_slopes(x, y)), counter)
 
 
-def doubling_factor(cloud: PointCloud, eps: float | None = None,
-                    log_eps: float | None = None) -> int:
+def doubling_factor(cloud: PointCloud, log_eps: float) -> int:
     """Worst case over data-point centers of the number of eps/2-balls needed
-    to cover the eps-ball; brute force."""
-    if log_eps is None:
-        if eps is None or eps <= 0:
-            raise GeometryError("scale must be positive")
-        log_eps = math.log(eps)
+    to cover the eps-ball (eps = exp(log_eps)); brute force over the rows of
+    the view's log-distance matrix."""
     log_half = log_eps - math.log(2.0)
     worst = 1
-    for i in range(len(cloud)):
-        row = cloud.distance_log_row(i)
+    for row in cloud.distance_log_matrix():
         members = np.nonzero(row <= log_eps + _LOG_SLACK)[0]
         if len(members) <= worst:
             continue
@@ -344,24 +322,21 @@ def doubling_factor(cloud: PointCloud, eps: float | None = None,
     return worst
 
 
-def log_doubling_estimate(cloud: PointCloud | None, scales=None, log_scales=None,
-                          d_values=None, log_d_values=None) -> dict:
+def log_doubling_estimate(cloud: PointCloud | None, log_scales,
+                          log_d_values=None) -> dict:
     """Slope of log D_eps against log log(1/eps) plus a trend verdict:
     "diverging" certifies non-embeddability into any log-Lipschitz manifold,
-    "finite" proves nothing (one-sided test)."""
-    if log_scales is None:
-        log_scales = [math.log(e) for e in scales]
+    "finite" proves nothing (one-sided test).  Without log_d_values the
+    doubling factors are computed on the cloud."""
     log_scales = sorted(log_scales, reverse=True)
     if len(log_scales) < 3:
         raise GeometryError("need at least three scales")
     if -log_scales[-1] < -log_scales[0] + 2.0 * math.log(10.0) - 1e-9:
         raise GeometryError("scales must span at least two decades")
     if log_d_values is None:
-        if d_values is None:
-            if cloud is None:
-                raise GeometryError("need a cloud or explicit doubling values")
-            d_values = [doubling_factor(cloud, log_eps=le) for le in log_scales]
-        log_d_values = [math.log(max(d, 1)) for d in d_values]
+        if cloud is None:
+            raise GeometryError("need a cloud or explicit doubling values")
+        log_d_values = [math.log(max(doubling_factor(cloud, le), 1)) for le in log_scales]
     x = np.log(-np.asarray(log_scales, dtype=float))
     y = np.asarray(log_d_values, dtype=float)
     fit = line_fit(x, y)
@@ -411,7 +386,7 @@ def smoothness_criterion(log_b_law, log_a_law, spec: Spectrum | None, s: float, 
     }
 
 
-def dimension_vs_s_scan(cloud: PointCloud, s_list, scales=None, log_scales=None,
+def dimension_vs_s_scan(cloud: PointCloud, s_list, log_scales,
                         include_doubling: bool = False) -> dict:
     """Re-norm the same cloud under each Sobolev index and re-run the
     box-counting estimate; emits plot-ready rows (s, log_eps, N, D, slope)."""
@@ -419,11 +394,11 @@ def dimension_vs_s_scan(cloud: PointCloud, s_list, scales=None, log_scales=None,
     rows = []
     for s in s_list:
         view = cloud.with_norm(s)
-        scan = fractal_dimension_estimate(view, scales=scales, log_scales=log_scales)
+        scan = fractal_dimension_estimate(view, log_scales=log_scales)
         results[s] = scan
         slopes = (float("nan"),) + scan.local_slopes
         for le, cnt, sl in zip(scan.log_scales, scan.counts, slopes):
-            d_val = doubling_factor(view, log_eps=le) if include_doubling else None
+            d_val = doubling_factor(view, le) if include_doubling else None
             rows.append({"s": s, "log_eps": le, "n_eps": cnt,
                          "d_eps": d_val, "local_slope": sl})
     return {"scans": results, "rows": rows}
@@ -442,7 +417,7 @@ def cube_doubling_report(cloud: PointCloud, levels: dict) -> dict:
     log2_d_bounds = []
     log_scales = []
     for n, info in sorted(levels.items()):
-        k = int(math.ceil(math.sqrt(n)))
+        k = cube_width(n)
         log_eps = info["log_eps"]
         rows = info["point_ids"]
         r_n = n**0.25 / 2.0

@@ -34,7 +34,7 @@ from .integrators import lawson_rk4, lawson_rk4_adaptive, propagate_periods  # n
 from .logspace import NEG_INF, PLANAR_X, PLANAR_Y, LogModeVector
 from .geometry import PointCloud
 from .quadrature import adaptive_simpson  # noqa: F401
-from .spectral import Spectrum, spectral_gap
+from .spectral import Spectrum, cube_width, spectral_gap
 
 __all__ = [
     "SimulationError",
@@ -74,7 +74,6 @@ class Scenario:
     kick_window: float = 0.05
     segment_width: float = 0.5
     steps_per_period: int = 4096
-    beta_scale: float = 1.0
 
     def __post_init__(self):
         gap = spectral_gap(self.spectrum)
@@ -238,7 +237,7 @@ class KickOperator:
     residual_report: dict
 
     def cube_modes(self, level: int) -> list[int]:
-        k = int(math.ceil(math.sqrt(level)))
+        k = cube_width(level)
         return [2 * (level + j) for j in range(1, k + 1)]
 
 
@@ -303,7 +302,7 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
     residuals = {}
     margin = math.log(100.0)
     for n in levels:
-        k = int(math.ceil(math.sqrt(n)))
+        k = cube_width(n)
         leftover = iterate_norm(shift, 1, 2 * n + k).lognorm
         residuals[n] = {
             "leftover_log": leftover,
@@ -326,7 +325,7 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
     coeff_logs: dict[tuple[int, int, int], float] = {}
     kernel_logs: dict[int, float] = {}
     for n in levels:
-        k = int(math.ceil(math.sqrt(n)))
+        k = cube_width(n)
         lo, hi = _segment_intervals(scenario, n)
         edges = np.linspace(lo, hi, 2**k + 1)
         sub = [(edges[i], edges[i + 1]) for i in range(2**k)]
@@ -363,7 +362,7 @@ def bad_cube_cloud(scenario: Scenario, shift: WeightedShift) -> tuple[PointCloud
     for n in range(scenario.kick_base_level, scenario.kick_max_level + 1):
         if n in levels_meta:
             continue
-        k = int(math.ceil(math.sqrt(n)))
+        k = cube_width(n)
         modes = kick.cube_modes(n)
         eps_log = kick.eps_logs[n]
         ids = []

@@ -21,11 +21,18 @@ __all__ = [
     "linearization_spectrum",
     "ObstructionVerdict",
     "c1_obstruction_check",
+    "cube_width",
 ]
 
 
 class SpectrumError(ValueError):
     """Invalid spectrum construction or truncation request."""
+
+
+def cube_width(n: int) -> int:
+    """ceil(sqrt(n)) for n >= 1, in exact integer arithmetic: the number of
+    modes, and the log2 of the vertex count, of the level-n almost cube."""
+    return math.isqrt(n - 1) + 1
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,22 @@ class TestDimension:
         assert run(cfg, tmp_path / "out", "dimension") == 0
         assert len(builds) == 1  # the loaded file; the s = 0 view shares its matrices
 
+    def test_bad_cubes_diverging(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"family": "linear", "n_max": 32, "params": {"c": 1.0}},
+            "drive": {"tau": 0.5},
+            "dynamics": {"L": 3.0, "n0": 4, "kick_max_level": 6, "kappa": 0.04},
+            "geometry": {"cloud": {"kind": "bad_cubes"}},
+            "expectations": {"dimension": "diverging"}})
+        assert run(cfg, tmp_path / "out", "dimension") == 0
+        assert report(tmp_path / "out", "dimension")["verdicts"] == {"dimension": "diverging"}
+        with open(tmp_path / "out" / "dimension_scan.csv", encoding="utf-8") as fh:
+            rows = [r.split(",") for r in fh.read().splitlines()[1:]]
+        # n_eps (half-scale covers of levels 4, 5, 6) and local_slope (log2
+        # doubling bounds) as this config wrote them at commit 19c6238
+        assert [r[3] for r in rows] == ["4", "8", "8"]
+        assert [r[5] for r in rows] == ["2", "3", "3"]
+
     def test_section4_scan_builds_one_cloud(self, tmp_path, monkeypatch, capsys):
         builds = self.count_builds(monkeypatch)
         cfg = write_config(tmp_path / "c.json", {
@@ -246,10 +262,10 @@ def test_scenario_from_config():
         "spectrum": LINEAR,
         "drive": {"amplitude": 2.0, "tau": 0.5, "T_scale": 3.0, "plateau_fraction": 0.8},
         "dynamics": {"L": 3.0, "n0": 5, "kappa": 0.04, "kick_max_level": 7, "n_trunc": 12,
-                     "steps_per_period": 512, "segment_width": 0.25, "beta_scale": 2.0}})
+                     "steps_per_period": 512, "segment_width": 0.25}})
     scen = scenario_from_config(cfg)
     assert scen.spectrum.n_max == 16 and scen.spectrum.family == "linear"
     assert (scen.lipschitz_budget, scen.half_period, scen.amplitude) == (3.0, 1.5, 2.0)
     assert (scen.plateau_fraction, scen.n_trunc, scen.steps_per_period) == (0.8, 12, 512)
     assert (scen.kick_base_level, scen.kick_max_level, scen.kick_window) == (5, 7, 0.04)
-    assert (scen.segment_width, scen.beta_scale) == (0.25, 2.0)
+    assert scen.segment_width == 0.25

@@ -14,6 +14,11 @@ from attractorlab.spectral import make_spectrum
 from attractorlab.simulate import section4_attractor, thm44_laws
 
 
+def logs(scales):
+    """math.log of each scale, as the estimators take them."""
+    return [math.log(e) for e in scales]
+
+
 def segment_cloud(n=64, length=1.0):
     pts = np.zeros((n, 2))
     pts[:, 0] = np.linspace(0.0, length, n)
@@ -62,18 +67,18 @@ class TestDistances:
 class TestCovering:
     def test_separated_collinear_points(self):
         cloud = PointCloud.from_dense([[0.0], [1.0], [2.0], [3.0], [4.0]])
-        assert covering_number(cloud, 0.5).n_balls == 5
+        assert covering_number(cloud, math.log(0.5)).n_balls == 5
 
     def test_orthonormal_basis(self):
         cloud = PointCloud.from_dense(np.eye(6))
-        assert covering_number(cloud, 0.5).n_balls == 6
+        assert covering_number(cloud, math.log(0.5)).n_balls == 6
 
     def test_grid_exact_vs_auto(self):
         # the estimator used on small fixtures (auto) takes the exact branch
         cloud = grid_cloud(4, 1.0)
-        exact = covering_number(cloud, 1.1, method="exact")
-        auto = covering_number(cloud, 1.1, method="auto")
-        greedy = covering_number(cloud, 1.1, method="greedy")
+        exact = covering_number(cloud, math.log(1.1), method="exact")
+        auto = covering_number(cloud, math.log(1.1), method="auto")
+        greedy = covering_number(cloud, math.log(1.1), method="greedy")
         assert exact.n_balls == 4  # pinwheel of four edge-centered balls
         assert auto.n_balls - exact.n_balls <= 1
         assert greedy.n_balls >= exact.n_balls
@@ -81,24 +86,21 @@ class TestCovering:
     def test_monotone_in_scale(self):
         cloud = grid_cloud(4, 1.0)
         scales = [0.6, 0.9, 1.4, 2.1, 3.0, 4.5]
-        counts = [covering_number(cloud, e, method="exact").n_balls for e in scales]
+        counts = [covering_number(cloud, math.log(e), method="exact").n_balls for e in scales]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(GeometryError):
-            covering_number(segment_cloud(8), -1.0)
 
     def test_exact_cap(self):
         with pytest.raises(GeometryError, match="24"):
-            covering_number(segment_cloud(30), 0.1, method="exact")
+            covering_number(segment_cloud(30), math.log(0.1), method="exact")
 
     @pytest.mark.parametrize("method", ["greedy", "exact"])
     def test_member_rows_list_or_array(self, method):
         cloud = grid_cloud(5, 1.0)
         rows = [12, 3, 4, 7, 0, 11, 18, 20, 24, 13]
         for eps in (0.9, 1.1, 1.5, 2.5):
-            listed = covering_number(cloud, eps, method=method, member_rows=rows)
-            arrayed = covering_number(cloud, eps, method=method, member_rows=np.array(rows))
+            listed = covering_number(cloud, math.log(eps), method=method, member_rows=rows)
+            arrayed = covering_number(cloud, math.log(eps), method=method,
+                                      member_rows=np.array(rows))
             assert (listed.n_balls, listed.centers) == (arrayed.n_balls, arrayed.centers)
             assert all(type(c) is int for c in listed.centers + arrayed.centers)
             assert set(listed.centers) <= set(rows)
@@ -106,7 +108,8 @@ class TestCovering:
     def test_greedy_ties_go_to_first_member(self):
         # every point covers the whole segment, so the first member listed wins
         cloud = segment_cloud(6)
-        assert covering_number(cloud, 10.0, member_rows=np.array([4, 2, 5])).centers == (4,)
+        assert covering_number(cloud, math.log(10.0),
+                               member_rows=np.array([4, 2, 5])).centers == (4,)
 
     @given(st.floats(min_value=-200.0, max_value=200.0))
     @settings(max_examples=12, deadline=None)
@@ -116,6 +119,108 @@ class TestCovering:
         moved = covering_number(cloud.scaled(shift),
                                 log_eps=math.log(1.3) + shift).n_balls
         assert moved == base
+
+
+def row_cover(cloud, log_eps, method, member_rows=None):
+    """Reference covers as commit 19c6238 computed them: every cover
+    rebuilt its ball matrix from distance_log_row, one row per member, and
+    mapped centres back to cloud indices itself."""
+    ids = (np.arange(len(cloud)) if member_rows is None
+           else np.asarray(member_rows, dtype=np.intp))
+    id_list = ids.tolist()
+    balls = [cloud.distance_log_row(i)[ids] <= log_eps + 1e-12 for i in id_list]
+
+    def greedy():
+        cover = np.array(balls, dtype=bool).reshape(len(ids), len(ids))
+        uncovered = np.ones(len(ids), dtype=bool)
+        centers = []
+        while np.any(uncovered):
+            best = int(np.argmax(cover[:, uncovered].sum(axis=1)))
+            centers.append(int(ids[best]))
+            uncovered &= ~cover[best]
+        return centers
+
+    if method == "greedy":
+        return greedy()
+    masks = [sum(1 << b for b in np.flatnonzero(ball).tolist()) for ball in balls]
+    full = (1 << len(ids)) - 1
+    best = [id_list.index(g) for g in greedy()]
+    order = sorted(range(len(ids)), key=lambda i: -bin(masks[i]).count("1"))
+
+    def search(covered, chosen):
+        nonlocal best
+        if covered == full:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        if len(chosen) + 1 >= len(best):
+            return
+        low_bit = ~covered & full & -(~covered & full)
+        for i in order:
+            if masks[i] & low_bit:
+                search(covered | masks[i], chosen + [i])
+
+    search(0, [])
+    return [id_list[i] for i in best]
+
+
+@st.composite
+def clouds_with_members(draw):
+    """Small dense clouds on a coarse grid (duplicate points and ties at the
+    ball radius are common) and a member subset in drawn order, or None."""
+    n, m = draw(st.integers(1, 18)), draw(st.integers(1, 3))
+    flat = draw(st.lists(st.integers(-6, 6), min_size=n * m, max_size=n * m))
+    members = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                        unique=True))
+    return PointCloud.from_dense(0.5 * np.array(flat, dtype=float).reshape(n, m)), members
+
+
+class TestCoverOracle:
+    @pytest.mark.parametrize("method", ["greedy", "exact"])
+    @given(clouds_with_members(), st.sampled_from([-2.0, -0.7, 0.0, math.log(1.5), 1.1, 2.5]))
+    @example((PointCloud.from_dense(np.zeros((3, 2))), None), 0.0)  # no stored coordinate
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_by_row_cover(self, method, drawn, log_eps):
+        cloud, members = drawn
+        got = covering_number(cloud, log_eps, method=method, member_rows=members)
+        want = row_cover(cloud, log_eps, method, members)
+        assert (got.n_balls, got.centers) == (len(want), tuple(want))
+        assert all(type(c) is int for c in got.centers)
+
+    @given(clouds_with_members(), st.sampled_from([-0.7, 0.0, 1.1, 2.5]))
+    @settings(max_examples=30, deadline=None)
+    def test_doubling_matches_row_by_row_covers(self, drawn, log_eps):
+        cloud, _ = drawn
+        worst = 1
+        for i in range(len(cloud)):
+            members = np.flatnonzero(cloud.distance_log_row(i) <= log_eps + 1e-12)
+            method = "exact" if len(members) <= 24 else "greedy"
+            worst = max(worst, len(row_cover(cloud, log_eps - math.log(2.0), method, members)))
+        assert doubling_factor(cloud, log_eps) == worst
+
+    def test_matrix_is_stacked_rows_per_view(self):
+        spec = make_spectrum("quadratic", {}, 10)
+        rng = np.random.default_rng(5)
+        base = PointCloud([LogModeVector({int(i): (1, float(rng.normal(-3, 2)))
+                                          for i in rng.choice(10, size=2, replace=False) + 1})
+                           for _ in range(20)], spec, 0.0)
+        matrices = []
+        for s in (0.0, 2.0):
+            view = base.with_norm(s)
+            D = view.distance_log_matrix()
+            assert view.distance_log_matrix() is D
+            rows = np.stack([view.distance_log_row(i) for i in range(len(view))])
+            assert D.tobytes() == rows.tobytes()
+            matrices.append(D)
+        assert not np.array_equal(matrices[0], matrices[1])
+        assert "matrix" not in base._cache
+
+    def test_matrix_cap_names_limit(self):
+        cloud = PointCloud.from_dense(np.zeros((4801, 1)))
+        with pytest.raises(GeometryError, match="4800 points; the cloud has 4801"):
+            covering_number(cloud, 0.0)
+        with pytest.raises(GeometryError, match="4800"):
+            doubling_factor(cloud, 0.0)
 
 
 def sorted_box_count(cloud, log_eps):
@@ -172,7 +277,7 @@ class TestBoxCount:
         cloud = PointCloud([LogModeVector({3: (1, -5000.0)}), LogModeVector({})])
         for _ in range(2):  # the cached None verdict refuses as the first did
             with pytest.raises(GeometryError, match="underflow"):
-                box_count(cloud, 0.1)
+                box_count(cloud, math.log(0.1))
 
 
 class TestNormView:
@@ -207,23 +312,23 @@ class TestDimension:
     def test_segment_dimension_one(self):
         cloud = segment_cloud(1024)
         scan = fractal_dimension_estimate(
-            cloud, scales=np.geomspace(0.05, 0.004, 8))
+            cloud, log_scales=logs(np.geomspace(0.05, 0.004, 8)))
         assert scan.slope == pytest.approx(1.0, abs=0.1)
 
     def test_square_grid_dimension_two(self):
         cloud = grid_cloud(64, 1.0 / 63.0)
         scan = fractal_dimension_estimate(
-            cloud, scales=np.geomspace(0.15, 0.03, 8))
+            cloud, log_scales=logs(np.geomspace(0.15, 0.03, 8)))
         assert scan.slope == pytest.approx(2.0, abs=0.15)
 
     def test_single_point_dimension_zero(self):
         cloud = PointCloud([LogModeVector({1: (1, 0.0)})])
-        scan = fractal_dimension_estimate(cloud, scales=[0.1, 0.05, 0.02, 0.01])
+        scan = fractal_dimension_estimate(cloud, log_scales=logs([0.1, 0.05, 0.02, 0.01]))
         assert scan.slope == 0.0
 
     def test_needs_four_scales(self):
         with pytest.raises(GeometryError):
-            fractal_dimension_estimate(segment_cloud(16), scales=[0.1, 0.05, 0.02])
+            fractal_dimension_estimate(segment_cloud(16), log_scales=logs([0.1, 0.05, 0.02]))
 
     def test_projection_monotonicity(self):
         rng = np.random.default_rng(3)
@@ -235,34 +340,34 @@ class TestDimension:
             for p in pts
         ])
         for eps in (0.5, 1.0, 2.0):
-            assert (covering_number(proj, eps, method="exact").n_balls
-                    <= covering_number(full, eps, method="exact").n_balls)
+            assert (covering_number(proj, math.log(eps), method="exact").n_balls
+                    <= covering_number(full, math.log(eps), method="exact").n_balls)
 
 
 class TestDoubling:
     def test_single_point(self):
         cloud = PointCloud([LogModeVector({1: (1, 0.0)})])
-        assert doubling_factor(cloud, 1.0) == 1
+        assert doubling_factor(cloud, 0.0) == 1
 
     def test_segment_doubling_bounded(self):
         cloud = segment_cloud(128)
         for eps in (0.5, 0.25, 0.125, 0.0625):
-            assert doubling_factor(cloud, eps) <= 3
+            assert doubling_factor(cloud, math.log(eps)) <= 3
 
     def test_doubling_at_least_one(self):
         cloud = grid_cloud(3)
-        assert doubling_factor(cloud, 0.01) >= 1
+        assert doubling_factor(cloud, math.log(0.01)) >= 1
 
     def test_planar_grid_log_doubling_finite(self):
         cloud = grid_cloud(24, 1.0 / 23.0)
         scales = list(np.geomspace(0.5, 0.004, 7))
-        out = log_doubling_estimate(cloud, scales=scales)
+        out = log_doubling_estimate(cloud, log_scales=logs(scales))
         assert out["verdict"] == "finite"
         assert out["estimate"] <= 3.0
 
     def test_scale_span_validated(self):
         with pytest.raises(GeometryError, match="decades"):
-            log_doubling_estimate(segment_cloud(16), scales=[0.5, 0.3, 0.1])
+            log_doubling_estimate(segment_cloud(16), log_scales=logs([0.5, 0.3, 0.1]))
 
 
 class TestSmoothnessCriterion:

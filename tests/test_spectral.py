@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from attractorlab.spectral import (SpectrumError, block_eigenvalues,
-                                   c1_obstruction_check, linearization_spectrum,
-                                   make_spectrum, spectral_gap)
+                                   c1_obstruction_check, cube_width,
+                                   linearization_spectrum, make_spectrum, spectral_gap)
+
+
+def test_cube_width_is_ceil_sqrt():
+    assert [cube_width(n) for n in range(1, 11)] == [1, 2, 2, 2, 3, 3, 3, 3, 3, 4]
+    assert all(cube_width(n) == int(math.ceil(math.sqrt(n))) for n in range(1, 10**5 + 1))
+    assert cube_width(10**40) == 10**20 and cube_width(10**40 + 1) == 10**20 + 1
 
 
 class TestMakeSpectrum:

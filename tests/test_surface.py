@@ -1,7 +1,7 @@
 """Guards on the package surface: every exported name exists, every
 binding the benchmark's layer tracer wraps still resolves, so a deletion
 that would break the traced run fails here first, and the smooth-step
-kernel runs without a symbolic-algebra import."""
+kernel and the CLI run without the packages only the test oracles use."""
 
 import importlib
 import importlib.util
@@ -46,15 +46,17 @@ def test_tracer_bindings_resolve():
     assert geometry.box_count is original
 
 
-def test_bump_derivatives_import_no_sympy():
+@pytest.mark.parametrize("module", ["sympy", "scipy"])
+def test_runs_without(module):
     # a fresh interpreter, so no earlier import in this session can mask it
     code = (
         "import sys\n"
+        "import attractorlab.cli\n"
         "from attractorlab.cutoffs import mollifier_bump\n"
         "bump = mollifier_bump(0.0, 1.0, 0.3, 0.7)\n"
         "for k in range(7):\n"
         "    bump.derivative([0.1, 0.2, 0.8], k)\n"
-        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+        f"assert {module!r} not in sys.modules, '{module} was imported'\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(attractorlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
