@@ -10,24 +10,22 @@ clouds with diverging log-doubling factor, and projected attractors whose
 box-counting dimension depends on the Sobolev index.
 """
 
-from .logspace import (LogModeVector, MIN_NORMAL_LOG, NEG_INF, PLANAR_X, PLANAR_Y,
-                       UnderflowError, log_add_signed, logsumexp)
+from .logspace import LogModeVector, NEG_INF, PLANAR_X, PLANAR_Y
 from .spectral import (LinearizationSpectrum, ObstructionVerdict,
                        Spectrum, SpectrumError, block_eigenvalues,
                        c1_obstruction_check, cube_width, linearization_spectrum,
                        make_spectrum, spectral_gap)
-from .cutoffs import (BoundLaw, BumpFunction, CutoffError, CutoffFamily,
-                      PeriodicDrive, SmoothStep, build_cutoff_family,
-                      mollifier_bump, periodic_drive, planar_rhs, smooth_step)
+from .cutoffs import (BumpFunction, CutoffError, PeriodicDrive, SmoothStep,
+                      mollifier_bump, periodic_drive, smooth_step)
 from .quadrature import adaptive_simpson
 from .integrators import (IntegrationError, lawson_rk4, lawson_rk4_adaptive,
                           propagate_periods)
 from .floquet import (DecayCertificate, EpsilonCalibration, FloquetError,
                       IterateNorms, NumericPoincare, PeriodicOperator,
                       WeightedShift, calibrate_epsilon, decay_certificate,
-                      equalizer_scaling_fit, equalizers, iterate_norm, kick_gain,
-                      make_periodic_operator, poincare_numeric, poincare_predicted,
-                      ratio_bounds_check, shift_match_report)
+                      equalizers, iterate_norm, make_periodic_operator,
+                      poincare_numeric, poincare_predicted, ratio_bounds_check,
+                      shift_match_report)
 from .geometry import (CoverReport, DimensionScan, GeometryError, PointCloud,
                        covering_number, cube_doubling_report, dimension_vs_s_scan,
                        doubling_factor, fractal_dimension_estimate,

@@ -21,7 +21,7 @@ from . import simulate as sim
 from .config import (ConfigError, config_hash, load_config, parse_scales,
                      scenario_from_config, spectrum_from_config)
 from .reports import (RunReport, cloud_rows, fmt17, geometry_rows, load_cloud_csv,
-                      trajectory_rows, write_csv, write_json)
+                      trajectory_rows, write_csv)
 from .spectral import c1_obstruction_check, spectral_gap
 
 __all__ = ["main"]
@@ -153,6 +153,7 @@ def cmd_dimension(cfg, args) -> int:
             {k: v for k, v in lvl.items()} for lvl in cube["levels"]
         ]
         report.constants["log_doubling_estimate"] = cube["log_doubling"]["estimate"]
+        report.constants["all_bounds_ok"] = cube["all_bounds_ok"]
         rows = [
             {"s": 0.0, "log_eps": lvl["log_eps"], "n_eps": lvl["n_half_cover"],
              "d_eps": None, "local_slope": lvl["log2_doubling_bound"]}

@@ -69,8 +69,6 @@ SCHEMA = {
                 "kick_max_level": {"type": "integer", "minimum": 1},
                 "n_periods": {"type": "integer", "minimum": 3},
                 "steps_per_period": {"type": "integer", "minimum": 64},
-                "segment_width": {"type": "number", "exclusiveMinimum": 0,
-                                  "exclusiveMaximum": 1},
             },
         },
         "geometry": {
@@ -129,7 +127,6 @@ DEFAULTS = {
         "kick_max_level": 16,
         "n_periods": 6,
         "steps_per_period": 4096,
-        "segment_width": 0.5,
     },
     "geometry": {
         "scales": "1e-1:1e-3:8",
@@ -226,7 +223,6 @@ def scenario_from_config(resolved: dict) -> Scenario:
         kick_base_level=dyn["n0"],
         kick_max_level=dyn["kick_max_level"],
         kick_window=dyn["kappa"],
-        segment_width=dyn["segment_width"],
         steps_per_period=dyn["steps_per_period"],
     )
 

@@ -1,5 +1,5 @@
-"""C-infinity bump functions, cut-off families with certified derivative
-bounds, the odd square-wave drive, and the planar limit-cycle field."""
+"""C-infinity smooth steps and bump functions with derivatives up to order
+12, and the odd smoothed square-wave drive."""
 
 from __future__ import annotations
 
@@ -8,20 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fits import monotone_increase
-
 __all__ = [
     "CutoffError",
     "SmoothStep",
     "smooth_step",
     "BumpFunction",
     "mollifier_bump",
-    "BoundLaw",
-    "CutoffFamily",
-    "build_cutoff_family",
     "PeriodicDrive",
     "periodic_drive",
-    "planar_rhs",
 ]
 
 # Unit-step evaluations outside [GUARD, 1-GUARD] are exact endpoint values;
@@ -31,7 +25,7 @@ _MAX_ORDER = 12
 
 
 class CutoffError(ValueError):
-    """Degenerate interval or overlapping supports."""
+    """Degenerate interval, derivative order or drive parameters."""
 
 
 def _check_order(order: int) -> None:
@@ -129,10 +123,6 @@ class BumpFunction:
         object.__setattr__(self, "_up", SmoothStep(self.support_lo, self.plateau_lo))
         object.__setattr__(self, "_down", SmoothStep(-self.support_hi, -self.plateau_hi))
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.support_lo, self.support_hi)
-
     def value(self, x):
         x = np.asarray(x, dtype=float)
         return self._up.value(x) * self._down.value(-x)
@@ -161,99 +151,6 @@ def mollifier_bump(a: float, b: float, plateau_lo: float, plateau_hi: float) -> 
     if not (a < plateau_lo <= plateau_hi < b):
         raise CutoffError("need a < plateau_lo <= plateau_hi < b")
     return BumpFunction(a, plateau_lo, plateau_hi, b)
-
-
-@dataclass(frozen=True)
-class BoundLaw:
-    """Declared derivative-growth law for a cut-off family.
-
-    kind "inverse_width": sup|psi_n^(k)| <= C_k * |I_n|^(-k);
-    kind "dyadic":        sup|psi_n^(R)| <= M_R * 2^(2*R*level_n).
-    """
-
-    kind: str
-    order: int
-
-    def __post_init__(self):
-        if self.kind not in ("inverse_width", "dyadic"):
-            raise CutoffError(f"unknown bound law {self.kind!r}")
-        if not 0 < self.order <= _MAX_ORDER:
-            raise CutoffError("bound-law order out of range")
-
-
-@dataclass(frozen=True)
-class CutoffFamily:
-    """Disjointly supported bumps psi_n with anchors s_n: psi_n(s_m) is
-    exactly the Kronecker delta."""
-
-    intervals: tuple[tuple[float, float], ...]
-    anchors: tuple[float, ...]
-    members: tuple[BumpFunction, ...]
-    bound_law: BoundLaw
-    levels: tuple[int, ...]
-
-    def member_value(self, n: int, x):
-        return self.members[n].value(x)
-
-    def kronecker_matrix(self) -> np.ndarray:
-        anchors = np.asarray(self.anchors)
-        return np.array([m.value(anchors) for m in self.members])
-
-    def interval_lengths(self) -> np.ndarray:
-        return np.array([hi - lo for lo, hi in self.intervals])
-
-    def check_bounds(self, samples_per_interval: int = 4096) -> dict:
-        """Sample sup |psi_n^(k)| on each support and report the empirical
-        law constants; flags a violation when the constants trend upward
-        (the law demands an n-independent constant)."""
-        k = self.bound_law.order
-        sups = []
-        for m in self.members:
-            xs = np.linspace(m.support_lo, m.support_hi, samples_per_interval)
-            sups.append(float(np.max(np.abs(m.derivative(xs, k)))))
-        sups = np.asarray(sups)
-        if self.bound_law.kind == "inverse_width":
-            constants = sups * self.interval_lengths() ** k
-        else:
-            constants = sups / np.exp2(2.0 * k * np.asarray(self.levels, dtype=float))
-        return {
-            "order": k,
-            "kind": self.bound_law.kind,
-            "sampled_sup": sups,
-            "constants": constants,
-            "constant": float(np.max(constants)),
-            "violated": bool(len(constants) >= 4 and monotone_increase(constants)),
-        }
-
-
-def build_cutoff_family(
-    intervals,
-    anchors,
-    bound_law: BoundLaw,
-    levels=None,
-    plateau_margin: float = 0.5,
-) -> CutoffFamily:
-    """Family of bumps over pairwise-disjoint intervals, each exactly 1 at its
-    own anchor and exactly 0 on every other member's interval."""
-    intervals = [tuple(map(float, iv)) for iv in intervals]
-    anchors = [float(a) for a in anchors]
-    if len(intervals) != len(anchors):
-        raise CutoffError("need one anchor per interval")
-    order = sorted(range(len(intervals)), key=lambda i: intervals[i][0])
-    for i, j in zip(order, order[1:]):
-        if intervals[i][1] > intervals[j][0]:
-            raise CutoffError(
-                f"intervals {intervals[i]} and {intervals[j]} overlap"
-            )
-    members = []
-    for (lo, hi), anchor in zip(intervals, anchors):
-        if not lo < anchor < hi:
-            raise CutoffError(f"anchor {anchor} not interior to ({lo}, {hi})")
-        p_lo = lo + plateau_margin * (anchor - lo)
-        p_hi = hi - plateau_margin * (hi - anchor)
-        members.append(BumpFunction(lo, p_lo, p_hi, hi))
-    levels = tuple(range(1, len(members) + 1)) if levels is None else tuple(levels)
-    return CutoffFamily(tuple(intervals), tuple(anchors), tuple(members), bound_law, levels)
 
 
 @dataclass(frozen=True)
@@ -328,10 +225,3 @@ class PeriodicDrive:
 
 def periodic_drive(amplitude: float, tau: float, plateau_fraction: float = 0.75) -> PeriodicDrive:
     return PeriodicDrive(amplitude, tau, plateau_fraction)
-
-
-def planar_rhs(x: float, y: float) -> tuple[float, float]:
-    """Planar field with the unit circle as attracting set and the radial
-    dynamics R' = -R (R^2 - 1)."""
-    r2 = x * x + y * y
-    return (-x * (r2 - 1.0), -y * (r2 - 1.0))

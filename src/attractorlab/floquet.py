@@ -5,7 +5,7 @@ decay / ratio / equalizer certificates built on them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,8 +33,6 @@ __all__ = [
     "decay_certificate",
     "ratio_bounds_check",
     "equalizers",
-    "equalizer_scaling_fit",
-    "kick_gain",
 ]
 
 
@@ -49,11 +47,6 @@ class EpsilonCalibration:
 
     epsilon: float
     active_integral: float
-    t0: float
-
-    @property
-    def total_angle(self) -> float:
-        return self.epsilon * self.active_integral
 
 
 def calibrate_epsilon(
@@ -68,8 +61,7 @@ def calibrate_epsilon(
     integral = adaptive_simpson(lambda t: float(theta1.value(-drive.value(t))), 0.0, T, quad_tol)
     if integral <= 0.0:
         raise FloquetError("rotation window has zero measure; cannot calibrate")
-    t0 = drive.plateau_entry_time(0.25)
-    return EpsilonCalibration(math.pi / (2.0 * integral), integral, t0)
+    return EpsilonCalibration(math.pi / (2.0 * integral), integral)
 
 
 @dataclass(frozen=True)
@@ -98,10 +90,6 @@ class PeriodicOperator:
     @property
     def period(self) -> float:
         return 2.0 * self.drive.half_period
-
-    @cached_property
-    def t0(self) -> float:
-        return self.drive.plateau_entry_time(0.25)
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -141,11 +129,6 @@ class PeriodicOperator:
         r1m = self.epsilon * self.theta1.value(-x)
         r1p = self.epsilon * self.theta1.value(x)
         return tm, r1m, tp, r1p
-
-    def coupling_matrix(self, t: float) -> np.ndarray:
-        dm, rm, dp, rp = self._templates
-        tm, r1m, tp, r1p = (float(v) for v in self._coefficients(t))
-        return tm * dm + r1m * rm + tp * dp + r1p * rp
 
     def tabulated_rhs(self, t0: float, t1: float, steps: int):
         """rhs(t, u) = Phi(t) u with the drive coefficients pre-evaluated on
@@ -242,25 +225,6 @@ class WeightedShift:
     def log_mult(self, mode: int) -> float:
         return self.log_multiplier[mode]
 
-    def half_map_minus(self, mode: int) -> tuple[int, int, float]:
-        """(sign, image, log magnitude) of the first half-period map."""
-        T = self.half_period
-        lam = self.spectrum.lam
-        if mode % 2 == 1:
-            return -1, mode + 1, -T * (lam(mode) + lam(mode + 1)) / 2.0
-        return 1, mode - 1, -T * (lam(mode - 1) + lam(mode)) / 2.0
-
-    def half_map_plus(self, mode: int) -> tuple[int, int, float]:
-        """(sign, image, log magnitude) of the second half-period map; mode 1
-        decays alone at the halved rate."""
-        T = self.half_period
-        lam = self.spectrum.lam
-        if mode == 1:
-            return 1, 1, -T * lam(1) / 2.0
-        if mode % 2 == 0:
-            return -1, mode + 1, -T * (lam(mode) + lam(mode + 1)) / 2.0
-        return 1, mode - 1, -T * (lam(mode - 1) + lam(mode)) / 2.0
-
 
 def poincare_predicted(spec: Spectrum, half_period: float) -> WeightedShift:
     """Closed-form weighted shift of the full-period map.
@@ -278,12 +242,9 @@ def poincare_predicted(spec: Spectrum, half_period: float) -> WeightedShift:
         if mode % 2 == 1:
             if mode + 2 > spec.n_max and spec.family == "explicit":
                 continue
-            try:
-                lam_hi = spec.lam(mode + 2)
-            except Exception:
-                continue
             image[mode] = mode + 2
-            logmult[mode] = -T * (spec.lam(mode) + 2.0 * spec.lam(mode + 1) + lam_hi) / 2.0
+            logmult[mode] = -T * (spec.lam(mode) + 2.0 * spec.lam(mode + 1)
+                                  + spec.lam(mode + 2)) / 2.0
         elif mode == 2:
             image[mode] = 1
             logmult[mode] = -T * (2.0 * spec.lam(1) + spec.lam(2)) / 2.0
@@ -469,54 +430,7 @@ def equalizers(shift: WeightedShift, n: int) -> dict:
         "gamma": gamma,
         "a_within_bounds": all(lower - 1e-12 <= v <= 1e-12 for v in a_logs.values()),
         "equalization_exact": max(
-            abs(a + band[n + kk] - log_b) for kk, a in a_logs.items() for _ in [0]
+            abs(a + band[n + kk] - log_b) for kk, a in a_logs.items()
         ),
     }
 
-
-def equalizer_scaling_fit(shift: WeightedShift, levels) -> dict:
-    """gamma_1, gamma_2 with e^{-gamma_2 n^2} <= B(n) <= e^{-gamma_1 n^2}
-    fitted over the given levels."""
-    rates = {}
-    for n in levels:
-        log_b = equalizers(shift, n)["log_B"]
-        rates[n] = -log_b / n**2
-    return {"gamma1": min(rates.values()), "gamma2": max(rates.values()), "rates": rates}
-
-
-def kick_gain(
-    theta: BumpFunction,
-    drive: PeriodicDrive,
-    lam: float,
-    kappa: float,
-    quad_tol: float = 1e-12,
-) -> dict:
-    """Gain of the pre-period kick window: integral over h in (-kappa, 0) of
-    the decaying weight times theta(x(h)).
-
-    The physically decaying orientation exp(lam * h) (h < 0) keeps the gain
-    in (0, 1]; the printed-orientation integral exp(-lam * h) is reported
-    alongside since the two differ only by the time-variable reflection.
-    """
-    if kappa <= 0:
-        raise FloquetError("kick window width must be positive")
-    mass = adaptive_simpson(lambda h: float(theta.value(drive.value(h))), -kappa, 0.0, quad_tol)
-    if mass <= 0.0:
-        raise FloquetError("kick window has empty support")
-    value = adaptive_simpson(
-        lambda h: math.exp(lam * h) * float(theta.value(drive.value(h))), -kappa, 0.0, quad_tol
-    )
-    # the reflected orientation grows like e^(lam kappa); scale its tolerance
-    alt_tol = quad_tol * max(1.0, math.exp(min(lam * kappa, 600.0)))
-    alt = adaptive_simpson(
-        lambda h: math.exp(-lam * h) * float(theta.value(drive.value(h))), -kappa, 0.0, alt_tol
-    )
-    fitted_c = (-math.log2(value) / lam) if lam > 0 and value < 1.0 else 0.0
-    return {
-        "value": value,
-        "log_value": math.log(value),
-        "alt_orientation_value": alt,
-        "theta_mass": mass,
-        "bounded_by_one": value <= mass <= 1.0 + 1e-12 or value <= 1.0,
-        "dyadic_rate": fitted_c,
-    }

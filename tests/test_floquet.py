@@ -6,9 +6,8 @@ from scipy.integrate import quad, solve_ivp
 
 from attractorlab.cutoffs import mollifier_bump, periodic_drive, smooth_step
 from attractorlab.floquet import (FloquetError, PeriodicOperator, WeightedShift,
-                                  calibrate_epsilon, decay_certificate,
-                                  equalizer_scaling_fit, equalizers, iterate_norm,
-                                  kick_gain, make_periodic_operator,
+                                  calibrate_epsilon, decay_certificate, equalizers,
+                                  iterate_norm, make_periodic_operator,
                                   poincare_numeric, poincare_predicted,
                                   ratio_bounds_check, shift_match_report)
 from attractorlab.spectral import make_spectrum
@@ -58,14 +57,6 @@ class TestPredictedShift:
         assert shift.image(2) == 1
         assert shift.image(1) == 3
         assert shift.log_mult(1) == pytest.approx(-4.0)
-
-    def test_half_map_magnitudes(self):
-        spec = make_spectrum("linear", {"c": 1.0}, 3)
-        shift = poincare_predicted(spec, 1.0)
-        sign, image, logmag = shift.half_map_minus(1)
-        assert image == 2 and logmag == pytest.approx(-1.5)
-        sign, image, logmag = shift.half_map_plus(1)
-        assert image == 1 and logmag == pytest.approx(-0.5)
 
     def test_zero_time_identity_magnitudes(self):
         spec = make_spectrum("linear", {"c": 1.0}, 6)
@@ -208,54 +199,3 @@ class TestEqualizers:
         assert all(v >= lower - 1e-9 for v in out["A_logs"].values())
         assert out["a_within_bounds"]
 
-    def test_b_scaling_brackets(self, shift_t1):
-        fit = equalizer_scaling_fit(shift_t1, [4, 9, 16, 25])
-        assert 0 < fit["gamma1"] <= fit["gamma2"]
-        b4 = equalizers(shift_t1, 4)["log_B"]
-        assert -fit["gamma2"] * 16 - 1e-9 <= b4 <= -fit["gamma1"] * 16 + 1e-9
-
-
-@pytest.fixture(scope="module")
-def window():
-    drive = periodic_drive(1.0, 2.0, 0.75)
-    kappa = 0.3
-    x_edge = float(drive.value(-kappa))
-    theta = mollifier_bump(0.05 * x_edge, 0.95 * x_edge, 0.4 * x_edge, 0.6 * x_edge)
-    return drive, theta, kappa
-
-
-class TestKickGain:
-    def test_zero_rate_equals_theta_mass(self, window):
-        drive, theta, kappa = window
-        out = kick_gain(theta, drive, 0.0, kappa)
-        assert out["value"] == pytest.approx(out["theta_mass"], rel=1e-12)
-
-    def test_scipy_quadrature_oracle(self, window):
-        drive, theta, kappa = window
-        lam = 7.0
-        out = kick_gain(theta, drive, lam, kappa)
-        oracle, _ = quad(lambda h: math.exp(lam * h) * float(theta.value(drive.value(h))),
-                         -kappa, 0.0, epsabs=1e-13, limit=400)
-        assert out["value"] == pytest.approx(oracle, rel=1e-9)
-
-    def test_orientation_dichotomy(self, window):
-        drive, theta, kappa = window
-        out = kick_gain(theta, drive, 9.0, kappa)
-        assert 0.0 < out["value"] <= 1.0
-        # the reflected orientation exceeds both the decaying one and the
-        # raw window mass
-        assert out["alt_orientation_value"] > out["theta_mass"] > out["value"]
-
-    def test_rate_dependence_is_roughly_window_width(self, window):
-        drive, theta, kappa = window
-        lam = 40.0
-        k1 = kick_gain(theta, drive, lam, kappa)
-        k2 = kick_gain(theta, drive, 2.0 * lam, kappa)
-        drop = k1["log_value"] - k2["log_value"]
-        assert 0.0 < drop <= kappa * lam * 1.1
-
-    def test_empty_support_rejected(self):
-        drive = periodic_drive(1.0, 2.0, 0.75)
-        dead = mollifier_bump(30.0, 40.0, 33.0, 36.0)
-        with pytest.raises(FloquetError, match="empty"):
-            kick_gain(dead, drive, 1.0, 0.3)

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from attractorlab.geometry import (GeometryError, PointCloud, box_count, covering_number,
-                                   doubling_factor, fractal_dimension_estimate,
+                                   cube_doubling_report, doubling_factor,
+                                   fractal_dimension_estimate,
                                    log_doubling_estimate, separated_count_exact,
                                    separated_count_log, smoothness_criterion)
 from attractorlab.logspace import LogModeVector, PLANAR_X, PLANAR_Y
-from attractorlab.spectral import make_spectrum
+from attractorlab.spectral import cube_width, make_spectrum
 from attractorlab.simulate import section4_attractor, thm44_laws
 
 
@@ -368,6 +368,43 @@ class TestDoubling:
     def test_scale_span_validated(self):
         with pytest.raises(GeometryError, match="decades"):
             log_doubling_estimate(segment_cloud(16), log_scales=logs([0.5, 0.3, 0.1]))
+
+
+def cube_levels(drop_from=None):
+    """Full almost-cubes at levels 4, 5, 6 (widths 2, 3, 3), as bad_cube_cloud
+    lays them out; drop_from names a level whose last vertex goes missing."""
+    points, levels = [], {}
+    for n, log_eps in ((4, -83.0), (5, -136.5), (6, -183.0)):
+        modes = [2 * (n + j) for j in range(1, cube_width(n) + 1)]
+        ids = []
+        for p in range(2 ** len(modes)):
+            ids.append(len(points))
+            points.append(LogModeVector({m: (1, log_eps) for b, m in enumerate(modes)
+                                         if (p >> b) & 1}))
+        levels[n] = {"log_eps": log_eps, "point_ids": ids, "cube_indices": modes}
+    if drop_from is not None:
+        levels[drop_from]["point_ids"].pop()
+    return PointCloud(points), levels
+
+
+class TestCubeDoubling:
+    def test_full_cubes_pass_every_bound(self):
+        out = cube_doubling_report(*cube_levels())
+        # the vertices sit at sqrt(k) eps / 2 from the centre, also at the
+        # non-square levels 5 and 6
+        assert [lvl["all_in_ball"] for lvl in out["levels"]] == [True] * 3
+        assert [lvl["n_half_cover"] for lvl in out["levels"]] == [4, 8, 8]
+        assert [lvl["chain_length"] for lvl in out["levels"]] == [1, 1, 1]
+        assert out["all_bounds_ok"] is True
+        assert out["log_doubling"]["verdict"] == "diverging"
+
+    def test_failed_bound_withdraws_diverging(self):
+        out = cube_doubling_report(*cube_levels(drop_from=5))
+        assert [lvl["count_bound_ok"] for lvl in out["levels"]] == [True, False, True]
+        assert out["all_bounds_ok"] is False
+        # the doubling bounds 2, log2 7, 3 still rise; the verdict must not
+        assert out["log_doubling"]["log_d_values"] == sorted(out["log_doubling"]["log_d_values"])
+        assert out["log_doubling"]["verdict"] == "finite"
 
 
 class TestSmoothnessCriterion:
