@@ -14,13 +14,13 @@ from .logspace import LogModeVector, NEG_INF, PLANAR_X, PLANAR_Y
 from .spectral import (LinearizationSpectrum, ObstructionVerdict,
                        Spectrum, SpectrumError, block_eigenvalues,
                        c1_obstruction_check, cube_width, linearization_spectrum,
-                       make_spectrum, spectral_gap)
+                       make_spectrum, regime_bound, spectral_gap)
 from .cutoffs import (BumpFunction, CutoffError, PeriodicDrive, SmoothStep,
                       mollifier_bump, periodic_drive, smooth_step)
 from .quadrature import adaptive_simpson
 from .integrators import (IntegrationError, lawson_rk4, lawson_rk4_adaptive,
                           propagate_periods)
-from .floquet import (DecayCertificate, EpsilonCalibration, FloquetError,
+from .floquet import (DecayCertificate, FloquetError,
                       IterateNorms, NumericPoincare, PeriodicOperator,
                       WeightedShift, calibrate_epsilon, decay_certificate,
                       equalizers, iterate_norm, make_periodic_operator,
@@ -35,8 +35,9 @@ from .simulate import (KickOperator, Scenario, Section4Laws, SimulationError,
                        TrajectoryRecord, bad_cube_cloud, build_kick_operator,
                        log_lipschitz_modulus, section4_attractor,
                        smooth_forcing_laws, thm44_laws, trajectory_pair_experiment)
-from .config import (ConfigError, config_hash, load_config, parse_scales,
-                     resolve_config, scenario_from_config, spectrum_from_config)
+from .config import (ConfigError, config_hash, drive_from_config, load_config,
+                     parse_scales, resolve_config, scenario_from_config,
+                     spectrum_from_config)
 from .reports import RunReport, fmt17, load_cloud_csv, write_csv, write_json
 
 __version__ = "0.1.0"

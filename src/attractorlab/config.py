@@ -10,11 +10,13 @@ import json
 
 import jsonschema
 
+from .cutoffs import PeriodicDrive, periodic_drive
 from .simulate import Scenario
 from .spectral import Spectrum, cube_width, make_spectrum
 
 __all__ = ["ConfigError", "SCHEMA", "DEFAULTS", "load_config", "resolve_config",
-           "config_hash", "spectrum_from_config", "scenario_from_config",
+           "config_hash", "spectrum_from_config", "drive_from_config",
+           "scenario_from_config",
            "parse_scales"]
 
 
@@ -211,14 +213,19 @@ def spectrum_from_config(resolved: dict) -> Spectrum:
     return make_spectrum(sec["family"], sec.get("params", {}), sec["n_max"])
 
 
+def drive_from_config(resolved: dict) -> PeriodicDrive:
+    """The drive of half-period tau * T_scale."""
+    drv = resolved["drive"]
+    return periodic_drive(drv["amplitude"], drv["tau"] * drv["T_scale"],
+                          drv["plateau_fraction"])
+
+
 def scenario_from_config(resolved: dict) -> Scenario:
-    dyn, drv = resolved["dynamics"], resolved["drive"]
+    dyn = resolved["dynamics"]
     return Scenario(
         spectrum=spectrum_from_config(resolved),
         lipschitz_budget=dyn["L"],
-        half_period=drv["tau"] * drv["T_scale"],
-        amplitude=drv["amplitude"],
-        plateau_fraction=drv["plateau_fraction"],
+        drive=drive_from_config(resolved),
         n_trunc=dyn["n_trunc"],
         kick_base_level=dyn["n0"],
         kick_max_level=dyn["kick_max_level"],

@@ -12,7 +12,6 @@ __all__ = ["LineFit", "line_fit", "quadratic_fit", "local_slopes", "monotone_inc
 @dataclass(frozen=True)
 class LineFit:
     slope: float
-    intercept: float
     r_squared: float
 
 
@@ -26,7 +25,7 @@ def line_fit(x, y) -> LineFit:
     resid = y - a @ coef
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return LineFit(float(coef[0]), float(coef[1]), r2)
+    return LineFit(float(coef[0]), r2)
 
 
 def quadratic_fit(x, y) -> tuple[float, float, float, float]:

@@ -11,14 +11,12 @@ from functools import cached_property
 import numpy as np
 
 from .cutoffs import BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump, smooth_step
-from .fits import quadratic_fit
 from .integrators import lawson_rk4
 from .quadrature import adaptive_simpson
-from .spectral import Spectrum, cube_width, spectral_gap
+from .spectral import Spectrum, cube_width
 
 __all__ = [
     "FloquetError",
-    "EpsilonCalibration",
     "calibrate_epsilon",
     "PeriodicOperator",
     "make_periodic_operator",
@@ -40,19 +38,12 @@ class FloquetError(RuntimeError):
     """Calibration or propagation failure."""
 
 
-@dataclass(frozen=True)
-class EpsilonCalibration:
-    """Rotation coupling selected so the phase equation sweeps exactly a
-    quarter turn over the active window of each half-period."""
-
-    epsilon: float
-    active_integral: float
-
-
 def calibrate_epsilon(
     drive: PeriodicDrive, theta1: BumpFunction, quad_tol: float = 1e-13
-) -> EpsilonCalibration:
-    """epsilon = pi / (2 * integral of theta1(-x(t)) over a half-period).
+) -> float:
+    """The rotation coupling epsilon = pi / (2 * integral of theta1(-x(t))
+    over a half-period), so the phase equation sweeps exactly a quarter turn
+    over the active window of each half-period.
 
     theta1 vanishes outside the drive plateau, so integrating the full
     half-period equals integrating [T0, T - T0].
@@ -61,7 +52,7 @@ def calibrate_epsilon(
     integral = adaptive_simpson(lambda t: float(theta1.value(-drive.value(t))), 0.0, T, quad_tol)
     if integral <= 0.0:
         raise FloquetError("rotation window has zero measure; cannot calibrate")
-    return EpsilonCalibration(math.pi / (2.0 * integral), integral)
+    return math.pi / (2.0 * integral)
 
 
 @dataclass(frozen=True)
@@ -144,38 +135,6 @@ class PeriodicOperator:
 
         return rhs
 
-    def norm_bound_report(self, n_samples: int = 512) -> dict:
-        """Closed-form 2x2 block norms sampled over one period, compared to
-        the half-gap budget (plus the anchor-diagonal allowance)."""
-        gap = spectral_gap(self.spectrum)
-        half_gap = math.inf if gap == "unbounded" else 0.5 * gap
-        lam = self.lam
-        anchor_coeff = 0.5 * lam[0] * self.anchor_scale
-        ts = np.linspace(0.0, self.period, n_samples, endpoint=False)
-        sup = 0.0
-        for t in ts:
-            x = float(self.drive.value(t))
-            tm = float(self.theta2.value(-x))
-            tp = float(self.theta2.value(x))
-            rm = self.epsilon * float(self.theta1.value(-x))
-            rp = self.epsilon * float(self.theta1.value(x))
-            block = 0.0
-            for j in range(self.n_modes // 2):
-                a, b = 2 * j, 2 * j + 1
-                block = max(block, 0.5 * abs(lam[a] - lam[b]) * tm + rm)
-            for j in range((self.n_modes - 1) // 2):
-                a, b = 2 * j + 1, 2 * j + 2
-                block = max(block, 0.5 * abs(lam[a] - lam[b]) * tp + rp)
-            sup = max(sup, block, anchor_coeff * tp)
-        budget = half_gap + self.epsilon
-        return {
-            "sampled_sup": sup,
-            "half_gap": half_gap,
-            "epsilon": self.epsilon,
-            "anchor_allowance": max(0.0, anchor_coeff - half_gap),
-            "within_budget": sup <= max(budget, anchor_coeff + 1e-9) + 1e-9,
-        }
-
 
 def make_periodic_operator(
     spectrum: Spectrum,
@@ -191,7 +150,7 @@ def make_periodic_operator(
     theta1 = mollifier_bump(amp / 4.0, 2.0 * amp, amp / 2.0, 1.5 * amp)
     theta2 = smooth_step(0.0, amp / 4.0)
     if epsilon is None:
-        epsilon = calibrate_epsilon(drive, theta1, quad_tol).epsilon
+        epsilon = calibrate_epsilon(drive, theta1, quad_tol)
     T = drive.half_period
     i2 = adaptive_simpson(lambda t: float(theta2.value(-drive.value(t))), 0.0, T, quad_tol)
     if i2 <= 0.0:
@@ -262,7 +221,6 @@ class NumericPoincare:
 
     matrix: np.ndarray
     n_columns: int
-    n_internal: int
     steps: int
 
 
@@ -290,7 +248,7 @@ def poincare_numeric(op: PeriodicOperator, n_trunc: int, tol: float = 1e-10) -> 
                          np.eye(n_int), 0.0, period, steps)
         scale = max(float(np.max(np.abs(cur))), 1e-300)
         if float(np.max(np.abs(cur - prev))) <= tol * scale:
-            return NumericPoincare(cur[:, :n_trunc], n_trunc, n_int, steps)
+            return NumericPoincare(cur[:, :n_trunc], n_trunc, steps)
         prev = cur
     raise FloquetError(f"no propagator convergence to tol={tol:g}")
 
@@ -329,19 +287,26 @@ def shift_match_report(numeric: NumericPoincare, predicted: WeightedShift) -> di
 
 @dataclass(frozen=True)
 class IterateNorms:
-    """Exact log of the iterate norm along the shift orbit (no underflow)."""
+    """Exact logs of the iterate norms along the shift orbit (no underflow):
+    lognorms[k] is log ||P^k e_mode|| for k = 0..count."""
 
     mode: int
     count: int
-    lognorm: float
+    lognorms: tuple[float, ...]
     orbit: tuple[int, ...]
+
+    @property
+    def lognorm(self) -> float:
+        return self.lognorms[-1]
 
 
 def iterate_norm(shift: WeightedShift, mode: int, count: int) -> IterateNorms:
-    """Telescoped multiplier sum of N applications of the shift to e_mode."""
+    """Telescoped multiplier sums of up to `count` applications of the shift
+    to e_mode, recorded as the running totals of one orbit walk."""
     if count < 0:
         raise FloquetError("iterate count must be nonnegative")
     total = 0.0
+    totals = [total]
     orbit = [mode]
     cur = mode
     for step in range(count):
@@ -350,41 +315,43 @@ def iterate_norm(shift: WeightedShift, mode: int, count: int) -> IterateNorms:
                 f"orbit exits the stored truncation at step {step + 1} (mode {cur})"
             )
         total += shift.log_multiplier[cur]
+        totals.append(total)
         cur = shift.image_index[cur]
         orbit.append(cur)
-    return IterateNorms(mode, count, total, tuple(orbit))
+    return IterateNorms(mode, count, tuple(totals), tuple(orbit))
 
 
 @dataclass(frozen=True)
 class DecayCertificate:
     beta: float
-    beta_analytic: float
-    r_squared: float
     passes: bool
     exponential_only: bool
     lognorms: tuple[float, ...]
 
 
-def decay_certificate(shift: WeightedShift, mode: int, n_max: int) -> DecayCertificate:
-    """Quadratic fit of -log ||P^N e_mode|| against N.
+# Relative agreement required of every second difference with the tail one.
+DECAY_REL_TOL = 1e-9
 
-    Passes when the quadratic coefficient is positive with R^2 >= 0.999 and
-    agrees with the analytic value (tail second difference of the exact
-    log-sums, halved) within 15%.
+
+def decay_certificate(shift: WeightedShift, mode: int, n_max: int) -> DecayCertificate:
+    """Exact quadratic decay of y_N = -log ||P^N e_mode|| in N = 0..n_max,
+    from one orbit walk.
+
+    beta is half the tail second difference y_n - 2 y_{n-1} + y_{n-2}.  The
+    certificate passes when beta > 1e-12 and every second difference
+    centred at N = 2..n-1 equals 2 beta to DECAY_REL_TOL relative, so each
+    is positive.  N = 1 is exempt: the orbit of e_2 turns at mode 1 there.
+    exponential_only marks beta <= 1e-12.
     """
     if n_max < 4:
         raise FloquetError("need at least four iterates to certify decay")
-    y = np.array([-iterate_norm(shift, mode, k).lognorm for k in range(n_max + 1)])
-    ns = np.arange(n_max + 1, dtype=float)
-    beta, _, _, r2 = quadratic_fit(ns, y)
-    beta_analytic = 0.5 * (y[-1] - 2.0 * y[-2] + y[-3])
-    exponential_only = beta_analytic <= 1e-12 or beta <= 1e-12
-    consistent = (
-        not exponential_only
-        and abs(beta - beta_analytic) <= 0.15 * abs(beta_analytic)
-    )
-    passes = consistent and beta > 0.0 and r2 >= 0.999
-    return DecayCertificate(beta, beta_analytic, r2, passes, exponential_only, tuple(y))
+    y = -np.asarray(iterate_norm(shift, mode, n_max).lognorms)
+    second = y[2:] - 2.0 * y[1:-1] + y[:-2]  # centred at N = 1..n_max-1
+    beta = 0.5 * float(second[-1])
+    exponential_only = beta <= 1e-12
+    passes = not exponential_only and bool(
+        np.all(np.abs(second[1:] - 2.0 * beta) <= DECAY_REL_TOL * 2.0 * beta))
+    return DecayCertificate(beta, passes, exponential_only, tuple(y))
 
 
 def ratio_bounds_check(shift: WeightedShift, n: int) -> dict:

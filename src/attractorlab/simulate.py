@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import BumpFunction, PeriodicDrive, mollifier_bump, periodic_drive, smooth_step
+from .cutoffs import BumpFunction, PeriodicDrive, mollifier_bump, smooth_step
 from .fits import line_fit, monotone_increase, quadratic_fit
 from .floquet import (
     WeightedShift,
@@ -25,7 +25,7 @@ from .integrators import lawson_rk4, lawson_rk4_adaptive, propagate_periods  # n
 from .logspace import NEG_INF, PLANAR_X, PLANAR_Y, LogModeVector
 from .geometry import PointCloud
 from .quadrature import adaptive_simpson  # noqa: F401
-from .spectral import Spectrum, cube_width, spectral_gap
+from .spectral import Spectrum, cube_width, regime_bound
 
 __all__ = [
     "SimulationError",
@@ -52,31 +52,33 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full experiment description for the rotation-coupled system."""
+    """Full experiment description for the rotation-coupled system, built
+    by `config.scenario_from_config` from a resolved config.
+
+    Refuses an unbounded spectral gap, a Lipschitz budget at or below
+    `regime_bound` = max(L0/2, lambda_1) (the regime the parity obstruction
+    certifies), a kick window outside (0, 1) and kick levels out of order.
+    """
 
     spectrum: Spectrum
     lipschitz_budget: float
-    half_period: float
-    amplitude: float = 1.0
-    plateau_fraction: float = 0.75
-    n_trunc: int = 16
-    kick_base_level: int = 4
-    kick_max_level: int = 16
-    kick_window: float = 0.05
-    steps_per_period: int = 4096
+    drive: PeriodicDrive
+    n_trunc: int
+    kick_base_level: int
+    kick_max_level: int
+    kick_window: float
+    steps_per_period: int
 
     def __post_init__(self):
-        gap = spectral_gap(self.spectrum)
-        if gap == "unbounded":
+        bound = regime_bound(self.spectrum)
+        if math.isinf(bound):
             raise SimulationError(
                 "unbounded spectral gap: the rotation construction needs sup gaps finite"
             )
-        lam2 = float(self.spectrum.values[1])
-        bound = max(0.5 * gap, lam2)
         if not self.lipschitz_budget > bound:
             raise SimulationError(
                 f"Lipschitz budget {self.lipschitz_budget} must exceed "
-                f"max(half gap, lambda_2) = {bound}"
+                f"max(L0/2, lambda_1) = {bound}"
             )
         if not 0 < self.kick_window < 1:
             raise SimulationError("kick window width must lie in (0, 1)")
@@ -84,9 +86,6 @@ class Scenario:
             raise SimulationError(
                 f"kick levels must satisfy 1 <= n0 <= kick_max_level (got n0 "
                 f"{self.kick_base_level}, kick_max_level {self.kick_max_level})")
-
-    def drive(self) -> PeriodicDrive:
-        return periodic_drive(self.amplitude, self.half_period, self.plateau_fraction)
 
 
 @dataclass(frozen=True)
@@ -157,31 +156,33 @@ def trajectory_pair_experiment(
             "record": None,
             "distance_logs": [NEG_INF] * (n_periods + 1),
         }
-    drive = scenario.drive()
+    drive = scenario.drive
     op = make_periodic_operator(spec, drive, scenario.n_trunc,
                                 epsilon=None if rotation_on else 0.0)
-    shift = poincare_predicted(spec, drive.half_period)
     period = op.period
     rhs = op.tabulated_rhs(0.0, n_periods * period,
                            n_periods * scenario.steps_per_period)
     w0 = np.zeros(scenario.n_trunc)
     w0[0] = initial_scale
 
+    # one walk of mode 1's shift orbit gives the projection schedule and the
+    # predicted curvature
+    walk = (iterate_norm(poincare_predicted(spec, drive.half_period), 1, n_periods)
+            if rotation_on else None)
     schedule = None
     if project_support and rotation_on:
-        orbits = {k: iterate_norm(shift, 1, k).orbit[-1] for k in range(1, n_periods + 1)}
-        schedule = lambda k: {orbits[k] - 1}
+        schedule = lambda k: {walk.orbit[k] - 1}
     log = propagate_periods(op.lam, rhs, w0, period, n_periods,
                             scenario.steps_per_period, support_schedule=schedule)
 
     times = log.times
     y = -log.lognorms
     kappa, _, _, r_squared = quadratic_fit(times, y)
-    beta_pred = -(
-        iterate_norm(shift, 1, n_periods).lognorm
-        - 2.0 * iterate_norm(shift, 1, n_periods - 1).lognorm
-        + iterate_norm(shift, 1, n_periods - 2).lognorm
-    ) / 2.0 if rotation_on else 0.0
+    if rotation_on:
+        sums = walk.lognorms
+        beta_pred = -(sums[n_periods] - 2.0 * sums[n_periods - 1] + sums[n_periods - 2]) / 2.0
+    else:
+        beta_pred = 0.0
     kappa_expected = beta_pred / period**2
     # the regime verdict compares the two pure-power line fits
     fit_t2 = line_fit(times**2, y)
@@ -248,8 +249,8 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
     window kernel of each distinct cube mode, and the runtime residual check
     that the base level is large enough (first-mode leftovers must stay well
     below the deposited scale)."""
-    drive = scenario.drive()
-    theta2 = smooth_step(0.0, scenario.amplitude / 4.0)
+    drive = scenario.drive
+    theta2 = smooth_step(0.0, drive.amplitude / 4.0)
     t0 = drive.plateau_entry_time(0.25)
     if scenario.kick_window > t0:
         raise SimulationError(

@@ -10,7 +10,9 @@ import pytest
 
 from attractorlab import cli
 from attractorlab import simulate as sim
-from attractorlab.config import ConfigError, resolve_config, scenario_from_config
+from attractorlab.config import (DEFAULTS, ConfigError, drive_from_config,
+                                 resolve_config, scenario_from_config)
+from attractorlab.cutoffs import periodic_drive
 from attractorlab.geometry import PointCloud
 from attractorlab.logspace import LogModeVector
 from attractorlab.reports import cloud_rows, write_csv
@@ -19,8 +21,9 @@ LINEAR = {"family": "linear", "n_max": 16, "params": {"c": 1.0}}
 SCAN_CSVS = ("dimension_scan.csv", "cloud.csv")
 SMALL_DYNAMICS = {
     "spectrum": {"family": "linear", "n_max": 14, "params": {"c": 1.0}},
-    "dynamics": {"L": 3.0, "n_trunc": 8, "n_periods": 3, "steps_per_period": 1024},
-    "expectations": {"floquet": "pattern_ok", "simulate": "superexponential"},
+    "dynamics": {"n_trunc": 8, "n_periods": 3, "steps_per_period": 1024},
+    "expectations": {"gap_check": "obstruction", "floquet": "pattern_ok",
+                     "simulate": "superexponential"},
 }
 
 
@@ -77,7 +80,7 @@ def bad_cube_config(family, n_max, kick_max_level):
     else:
         spectrum["params"] = {"values": [float(k) for k in range(1, n_max + 1)]}
     return {"spectrum": spectrum,
-            "dynamics": {"L": 3.0, "kick_max_level": kick_max_level},
+            "dynamics": {"kick_max_level": kick_max_level},
             "geometry": {"cloud": {"kind": "bad_cubes"}}}
 
 
@@ -91,12 +94,49 @@ class TestGapCheck:
 
 @pytest.fixture(scope="module")
 def dynamics_runs(tmp_path_factory):
-    """floquet and simulate, each run twice into the output dirs a and b"""
+    """gap-check, floquet and simulate, each run twice into the output dirs a
+    and b, at the default Lipschitz budget"""
     root = tmp_path_factory.mktemp("dynamics")
     cfg = write_config(root / "c.json", SMALL_DYNAMICS)
     codes = {(out, command): run(cfg, root / out, command)
-             for out in ("a", "b") for command in ("floquet", "simulate")}
+             for out in ("a", "b") for command in ("gap-check", "floquet", "simulate")}
     return root, codes
+
+
+def test_default_budget_runs_every_dynamics_command(dynamics_runs):
+    # the obstruction and the scenario share one regime bound, so the
+    # default L = 2 that gap-check certifies also builds the scenario
+    root, codes = dynamics_runs
+    assert "L" not in SMALL_DYNAMICS["dynamics"]
+    assert resolve_config(SMALL_DYNAMICS)["dynamics"]["L"] == DEFAULTS["dynamics"]["L"] == 2.0
+    assert set(codes.values()) == {0}
+    for command, key, want in (("gap-check", "gap_check", "obstruction"),
+                               ("floquet", "floquet", "pattern_ok"),
+                               ("simulate", "simulate", "superexponential")):
+        assert report(root / "a", command)["verdicts"] == {key: want}
+
+
+class TestReport:
+    def test_matching_report_exits_zero(self, dynamics_runs, capsys):
+        root, _ = dynamics_runs
+        path = str(root / "a" / "gap-check_report.json")
+        assert cli.main(["report", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("command: gap-check  hash: ")
+        assert "  gap_check: obstruction" in lines
+        assert "  L = 2.0" in lines
+        assert "  minus_real_count = 0" in lines and "  plus_real_count = 1" in lines
+
+    def test_violated_expectation_exits_two(self, dynamics_runs, tmp_path, capsys):
+        root, _ = dynamics_runs
+        payload = report(root / "a", "floquet")
+        payload["expected"] = {"floquet": "pattern_broken"}
+        path = write_config(tmp_path / "floquet_report.json", payload)
+        assert cli.main(["report", path]) == 2
+        captured = capsys.readouterr()
+        assert "  floquet: pattern_ok" in captured.out.splitlines()
+        assert ("expectation violated: floquet = pattern_ok, expected pattern_broken"
+                in captured.err)
 
 
 class TestFloquet:
@@ -106,6 +146,9 @@ class TestFloquet:
         got = report(root / "a", "floquet")
         assert got["verdicts"] == {"floquet": "pattern_ok"}
         assert got["constants"]["pattern_ok"] is True
+        # tau = 2 on linear c = 1: every second difference from N = 2 on is 8
+        assert got["constants"]["beta"] == 4.0
+        assert "beta_analytic" not in got["constants"] and "r2" not in got["constants"]
         names = ("floquet_iterates.csv",)
         assert read_bytes(root / "a", names) == read_bytes(root / "b", names)
 
@@ -182,7 +225,7 @@ class TestDimension:
         cfg = write_config(tmp_path / "c.json", {
             "spectrum": {"family": "linear", "n_max": 32, "params": {"c": 1.0}},
             "drive": {"tau": 0.5},
-            "dynamics": {"L": 3.0, "n0": 4, "kick_max_level": 6, "kappa": 0.04},
+            "dynamics": {"n0": 4, "kick_max_level": 6, "kappa": 0.04},
             "geometry": {"cloud": {"kind": "bad_cubes"}},
             "expectations": {"dimension": "diverging"}})
         assert run(cfg, tmp_path / "out", "dimension") == 0
@@ -246,8 +289,8 @@ class TestFailFast:
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("n_max,dynamics,need", [
-        (40, {"L": 3.0, "n_periods": 8}, "n_trunc >= 17"),  # default n_trunc 16
-        (18, {"L": 3.0, "n_periods": 8, "n_trunc": 20}, "n_max >= 19"),
+        (40, {"n_periods": 8}, "n_trunc >= 17"),  # default n_trunc 16
+        (18, {"n_periods": 8, "n_trunc": 20}, "n_max >= 19"),
     ])
     def test_simulate_truncation_names_minimum(self, tmp_path, monkeypatch, capsys,
                                                n_max, dynamics, need):
@@ -263,7 +306,7 @@ class TestFailFast:
 
     def test_kick_levels_name_config_keys(self):
         cfg = resolve_config({"spectrum": LINEAR,
-                              "dynamics": {"L": 3.0, "n0": 5, "kick_max_level": 4}})
+                              "dynamics": {"n0": 5, "kick_max_level": 4}})
         with pytest.raises(sim.SimulationError,
                            match="1 <= n0 <= kick_max_level \\(got n0 5, kick_max_level 4\\)"):
             scenario_from_config(cfg)
@@ -282,6 +325,7 @@ def test_scenario_from_config():
                      "steps_per_period": 512}})
     scen = scenario_from_config(cfg)
     assert scen.spectrum.n_max == 16 and scen.spectrum.family == "linear"
-    assert (scen.lipschitz_budget, scen.half_period, scen.amplitude) == (3.0, 1.5, 2.0)
-    assert (scen.plateau_fraction, scen.n_trunc, scen.steps_per_period) == (0.8, 12, 512)
+    assert scen.drive == periodic_drive(2.0, 1.5, 0.8)
+    assert scen.drive == drive_from_config(cfg)
+    assert (scen.lipschitz_budget, scen.n_trunc, scen.steps_per_period) == (3.0, 12, 512)
     assert (scen.kick_base_level, scen.kick_max_level, scen.kick_window) == (5, 7, 0.04)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from attractorlab import spectral
+from attractorlab.config import DEFAULTS, drive_from_config
+from attractorlab.simulate import Scenario, SimulationError
 from attractorlab.spectral import (SpectrumError, block_eigenvalues,
                                    c1_obstruction_check, cube_width,
-                                   linearization_spectrum, make_spectrum, spectral_gap)
+                                   linearization_spectrum, make_spectrum,
+                                   regime_bound, spectral_gap)
 
 
 def test_cube_width_is_ceil_sqrt():
@@ -45,10 +49,10 @@ class TestSpectralGap:
         assert spectral_gap(make_spectrum("linear", {"c": 1.0}, 6)) == 1.0
 
     def test_quadratic_unbounded(self):
-        assert spectral_gap(make_spectrum("quadratic", {}, 6)) == "unbounded"
+        assert spectral_gap(make_spectrum("quadratic", {}, 6)) == math.inf
 
     def test_power_above_one_unbounded(self):
-        assert spectral_gap(make_spectrum("power", {"kappa": 1.5}, 6)) == "unbounded"
+        assert spectral_gap(make_spectrum("power", {"kappa": 1.5}, 6)) == math.inf
 
     def test_explicit_max_gap(self):
         spec = make_spectrum("explicit", {"values": [1, 2, 4, 5, 7, 8]}, 6)
@@ -115,6 +119,15 @@ class TestLinearizationSpectrum:
         with pytest.raises(SpectrumError, match="orphan"):
             linearization_spectrum(spec, 1.0, "plus")
 
+    def test_repeated_blocks_match_dense_by_nearest_eigenvalue(self):
+        # two equal (b, b) blocks give the double pair -b +- iL; the dense
+        # solver splits their real parts by ulps, and pairing the two sorted
+        # lists in order put -b + iL against -b - iL (mismatch 2L = 41)
+        b = 8.282741228754693
+        spec = make_spectrum("explicit", {"values": [8.28220539561142, b, b, b, b]}, 5)
+        out = linearization_spectrum(spec, 20.66937700818356, "plus")
+        assert out.dense_mismatch <= 1e-12
+
     def test_block_assembly_matches_dense_to_tolerance(self):
         spec = make_spectrum("explicit", {"values": [1.0, 2.5, 2.7, 4.0, 4.1, 6.0]}, 6)
         out = linearization_spectrum(spec, 1.3, "minus")
@@ -149,3 +162,58 @@ class TestObstruction:
         assert verdict.minus_real_count == 0
         assert verdict.plus_real_count == 1
         assert verdict.parity_contradiction
+
+    def test_corrupted_block_eigenvalue_refused(self, monkeypatch):
+        spec = make_spectrum("linear", {"c": 1.0}, 9)
+        assert c1_obstruction_check(spec, 2.0).parity_contradiction
+        exact = spectral.block_eigenvalues
+
+        def corrupted(lam_a, lam_b, coupling):
+            r1, r2 = exact(lam_a, lam_b, coupling)
+            return (r1 + 1e-3, r2) if lam_a == 3.0 else (r1, r2)
+
+        monkeypatch.setattr(spectral, "block_eigenvalues", corrupted)
+        with pytest.raises(SpectrumError, match="dense eigensolver"):
+            c1_obstruction_check(spec, 2.0)
+
+
+def scenario(spec, budget):
+    dyn = DEFAULTS["dynamics"]
+    return Scenario(spec, budget, drive_from_config(DEFAULTS), dyn["n_trunc"], dyn["n0"],
+                    dyn["kick_max_level"], dyn["kappa"], dyn["steps_per_period"])
+
+
+bounded_spectra = st.one_of(
+    st.builds(lambda c, n: make_spectrum("linear", {"c": c}, n),
+              st.floats(min_value=0.05, max_value=20.0), st.integers(3, 24)),
+    st.builds(lambda kappa, n: make_spectrum("power", {"kappa": kappa}, n),
+              st.floats(min_value=0.05, max_value=1.0), st.integers(3, 24)),
+    st.builds(lambda head, steps: make_spectrum(
+        "explicit", {"values": list(np.cumsum([head] + steps))}, len(steps) + 1),
+              st.floats(min_value=0.01, max_value=10.0),
+              st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=12)),
+)
+
+
+class TestRegimeBound:
+    def test_closed_forms(self):
+        assert regime_bound(make_spectrum("linear", {"c": 1.0}, 40)) == 1.0
+        explicit = make_spectrum("explicit", {"values": [1, 2, 6, 7]}, 4)
+        assert regime_bound(explicit) == 2.0  # half the gap 4 beats lambda_1 = 1
+        assert regime_bound(make_spectrum("quadratic", {}, 6)) == math.inf
+
+    @given(bounded_spectra)
+    def test_scenario_and_obstruction_share_the_boundary(self, spec):
+        bound = regime_bound(spec)
+        assert bound == max(0.5 * float(np.max(np.diff(spec.values))), float(spec.values[0]))
+        with pytest.raises(SimulationError, match="must exceed"):
+            scenario(spec, bound)
+        assert not c1_obstruction_check(spec, bound).in_regime
+        above = math.nextafter(bound, math.inf)
+        assert scenario(spec, above).lipschitz_budget == above
+        assert c1_obstruction_check(spec, above).in_regime
+
+    def test_unbounded_gap_refused(self):
+        with pytest.raises(SimulationError, match="unbounded spectral gap"):
+            scenario(make_spectrum("power", {"kappa": 1.5}, 8), 1e9)
+        assert not c1_obstruction_check(make_spectrum("quadratic", {}, 8), 1e9).in_regime

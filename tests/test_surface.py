@@ -1,5 +1,6 @@
 """Guards on the package surface: every exported name exists and is used
-somewhere in the package, every binding the benchmark's layer tracer wraps
+somewhere in the package, as is every public class member, every module
+reads what it imports, every binding the benchmark's layer tracer wraps
 still resolves, so a deletion that would break the traced run fails here
 first, and the smooth-step kernel and the CLI run without the packages only
 the test oracles use."""
@@ -41,30 +42,103 @@ def test_all_names_exist(module):
     assert not missing
 
 
+def package_trees() -> dict:
+    package = os.path.dirname(os.path.abspath(attractorlab.__file__))
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        trees[os.path.basename(path)] = (ast.parse(source, path), source.splitlines())
+    return trees
+
+
+def names_read(tree) -> set:
+    """Every name the tree reads as a name or an attribute; binding a name
+    is no read."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def package_names_read() -> set:
+    """Names read anywhere in the package; the re-exports in __init__ count
+    as no use."""
+    return set().union(*(names_read(tree) for name, (tree, _) in package_trees().items()
+                         if name != "__init__.py"))
+
+
 def test_every_export_is_used():
     """Each name in a module's __all__ is read (as a name or an attribute)
     somewhere in the package, so a public function no command reaches fails
-    here; the re-exports in __init__ count as no use."""
-    package = os.path.dirname(os.path.abspath(attractorlab.__file__))
-    used, exported = set(), {}
-    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-        if os.path.basename(path) == "__init__.py":
+    here."""
+    used, exported = package_names_read(), {}
+    for module, (tree, _) in package_trees().items():
+        if module == "__init__.py":
             continue
         for node in tree.body:
             if (isinstance(node, ast.Assign)
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
                 for name in ast.literal_eval(node.value):
-                    exported[name] = os.path.basename(path)
+                    exported[name] = module
     unused = {name: module for name, module in exported.items() if name not in used}
     assert {name: module for name, module in unused.items() if name not in KEEP} == {}
     assert set(KEEP) <= set(unused), "a KEEP entry is used now; drop it from KEEP"
+
+
+def test_every_class_member_is_used():
+    """Each public method, property and dataclass field of a package class
+    is read somewhere in the package, by the rule the exports follow."""
+    used, members = package_names_read(), {}
+    for module, (tree, _) in package_trees().items():
+        if module == "__init__.py":
+            continue
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members[f"{module}:{cls.name}.{name}"] = name
+    assert {member for member, name in members.items() if name not in used} == set()
+
+
+def imported_names(tree):
+    """(line, bound name) of every import outside `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_every_import_is_read():
+    """Each name a module imports is read in that module, unless its import
+    statement carries `# noqa: F401`; __init__ imports only to re-export."""
+    unread = []
+    for module, (tree, lines) in package_trees().items():
+        if module == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.value.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+        statements = {node.lineno: node.end_lineno for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))}
+        for line, name in imported_names(tree):
+            marked = any("# noqa: F401" in lines[k - 1]
+                         for k in range(line, statements[line] + 1))
+            if name not in read and not marked:
+                unread.append(f"{module}:{line}: {name}")
+    assert unread == []
 
 
 def test_tracer_bindings_resolve():
