@@ -23,9 +23,8 @@ from .integrators import (IntegrationError, lawson_rk4, lawson_rk4_adaptive,
 from .floquet import (DecayCertificate, FloquetError,
                       IterateNorms, NumericPoincare, PeriodicOperator,
                       WeightedShift, calibrate_epsilon, decay_certificate,
-                      equalizers, iterate_norm, make_periodic_operator,
-                      poincare_numeric, poincare_predicted, ratio_bounds_check,
-                      shift_match_report)
+                      iterate_norm, make_periodic_operator, poincare_numeric,
+                      poincare_predicted, ratio_bounds_check, shift_match_report)
 from .geometry import (CoverReport, DimensionScan, GeometryError, PointCloud,
                        covering_number, cube_doubling_report, dimension_vs_s_scan,
                        doubling_factor, fractal_dimension_estimate,

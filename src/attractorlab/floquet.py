@@ -1,18 +1,20 @@
 """Time-periodic rotation operator whose Poincare map is a weighted shift:
 calibration, numeric propagation, exact log-space iterate norms, and the
-decay / ratio / equalizer certificates built on them."""
+decay and ratio certificates built on them."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .cutoffs import BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump, smooth_step
 from .integrators import lawson_rk4
-from .quadrature import adaptive_simpson
+# adaptive_simpson is not called here, but the layer tracer in
+# perfbench/layers.py wraps this module binding; drop it with simulate's.
+from .quadrature import adaptive_simpson  # noqa: F401
 from .spectral import Spectrum, cube_width
 
 __all__ = [
@@ -30,7 +32,6 @@ __all__ = [
     "DecayCertificate",
     "decay_certificate",
     "ratio_bounds_check",
-    "equalizers",
 ]
 
 
@@ -38,18 +39,15 @@ class FloquetError(RuntimeError):
     """Calibration or propagation failure."""
 
 
-def calibrate_epsilon(
-    drive: PeriodicDrive, theta1: BumpFunction, quad_tol: float = 1e-13
-) -> float:
+def calibrate_epsilon(drive: PeriodicDrive, theta1: BumpFunction) -> float:
     """The rotation coupling epsilon = pi / (2 * integral of theta1(-x(t))
     over a half-period), so the phase equation sweeps exactly a quarter turn
     over the active window of each half-period.
 
-    theta1 vanishes outside the drive plateau, so integrating the full
-    half-period equals integrating [T0, T - T0].
+    The integral is `drive.half_period_integral`: an exact plateau term plus
+    a fixed trapezoid rule over the drive's unit transition.
     """
-    T = drive.half_period
-    integral = adaptive_simpson(lambda t: float(theta1.value(-drive.value(t))), 0.0, T, quad_tol)
+    integral = drive.half_period_integral(theta1.value)
     if integral <= 0.0:
         raise FloquetError("rotation window has zero measure; cannot calibrate")
     return math.pi / (2.0 * integral)
@@ -141,24 +139,25 @@ def make_periodic_operator(
     drive: PeriodicDrive,
     n_modes: int | None = None,
     epsilon: float | None = None,
-    quad_tol: float = 1e-13,
 ) -> PeriodicOperator:
     """Assemble the operator with default cut-offs tied to the drive
     amplitude; epsilon defaults to the calibrated quarter-turn value (pass 0
-    for the rotation-free control)."""
+    for the rotation-free control).  The anchor scale is tau over the
+    half-period integral of theta2(-x(t)), taken by
+    `drive.half_period_integral` like epsilon's."""
     amp = drive.amplitude
     theta1 = mollifier_bump(amp / 4.0, 2.0 * amp, amp / 2.0, 1.5 * amp)
     theta2 = smooth_step(0.0, amp / 4.0)
     if epsilon is None:
-        epsilon = calibrate_epsilon(drive, theta1, quad_tol)
-    T = drive.half_period
-    i2 = adaptive_simpson(lambda t: float(theta2.value(-drive.value(t))), 0.0, T, quad_tol)
+        epsilon = calibrate_epsilon(drive, theta1)
+    i2 = drive.half_period_integral(theta2.value)
     if i2 <= 0.0:
         raise FloquetError("diagonal window has zero measure")
     n_modes = spectrum.n_max if n_modes is None else n_modes
     if n_modes > spectrum.n_max:
         raise FloquetError("operator truncation exceeds the stored spectrum")
-    return PeriodicOperator(spectrum, drive, theta1, theta2, epsilon, T / i2, n_modes)
+    return PeriodicOperator(spectrum, drive, theta1, theta2, epsilon,
+                            drive.half_period / i2, n_modes)
 
 
 @dataclass(frozen=True)
@@ -227,16 +226,8 @@ class NumericPoincare:
 def poincare_numeric(op: PeriodicOperator, n_trunc: int, tol: float = 1e-10) -> NumericPoincare:
     guard = 1 if n_trunc % 2 == 0 else 2
     n_int = n_trunc + guard
-    if n_int > op.spectrum.n_max:
-        inner = make_periodic_operator(
-            op.spectrum.truncated(n_int), op.drive, n_int, epsilon=op.epsilon
-        )
-    elif n_int != op.n_modes:
-        inner = PeriodicOperator(
-            op.spectrum, op.drive, op.theta1, op.theta2, op.epsilon, op.anchor_scale, n_int
-        )
-    else:
-        inner = op
+    spectrum = op.spectrum if n_int <= op.spectrum.n_max else op.spectrum.truncated(n_int)
+    inner = replace(op, spectrum=spectrum, n_modes=n_int)
     lam = inner.lam
     period = inner.period
     steps = 512
@@ -379,25 +370,3 @@ def ratio_bounds_check(shift: WeightedShift, n: int) -> dict:
         "band_lognorms": band,
         "passes": beta > 0.0,
     }
-
-
-def equalizers(shift: WeightedShift, n: int) -> dict:
-    """Scale factors A_k(n) <= 1 that equalize the band iterate norms to
-    their minimum B(n); exact in log space."""
-    check = ratio_bounds_check(shift, n)
-    band = check["band_lognorms"]
-    log_b = min(band.values())
-    a_logs = {s - n: log_b - v for s, v in band.items()}
-    gamma = check["gamma"]
-    lower = -2.0 * gamma * n**1.5
-    return {
-        "level": n,
-        "log_B": log_b,
-        "A_logs": a_logs,
-        "gamma": gamma,
-        "a_within_bounds": all(lower - 1e-12 <= v <= 1e-12 for v in a_logs.values()),
-        "equalization_exact": max(
-            abs(a + band[n + kk] - log_b) for kk, a in a_logs.items()
-        ),
-    }
-

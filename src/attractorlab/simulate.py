@@ -13,7 +13,6 @@ from .cutoffs import BumpFunction, PeriodicDrive, mollifier_bump, smooth_step
 from .fits import line_fit, monotone_increase, quadratic_fit
 from .floquet import (
     WeightedShift,
-    equalizers,
     iterate_norm,
     make_periodic_operator,
     poincare_predicted,
@@ -118,8 +117,6 @@ def trajectory_pair_experiment(
     scenario: Scenario,
     n_periods: int = 6,
     rotation_on: bool = True,
-    project_support: bool = True,
-    initial_scale: float = 1.0,
 ) -> dict:
     """Integrate the pair u = (x, y, 0), v = (x, y, w), w(0) = e_1, and fit
     -log ||u - v|| ~ kappa t^2 + b t + c over whole periods.
@@ -141,21 +138,6 @@ def trajectory_pair_experiment(
         raise SimulationError(
             f"{n_periods} periods need n_trunc >= {2 * n_periods + 1} "
             f"(got {scenario.n_trunc}): the orbit of mode 1 exits a smaller truncation")
-    if initial_scale == 0.0:
-        # identical trajectories: the distance is identically zero
-        return {
-            "kappa_fit": float("nan"),
-            "r_squared": float("nan"),
-            "kappa_expected": float("nan"),
-            "consistent_with_shift": False,
-            "exponential_only": False,
-            "degenerate": True,
-            "window": (0.0, 0.0),
-            "projected": False,
-            "epsilon": None,
-            "record": None,
-            "distance_logs": [NEG_INF] * (n_periods + 1),
-        }
     drive = scenario.drive
     op = make_periodic_operator(spec, drive, scenario.n_trunc,
                                 epsilon=None if rotation_on else 0.0)
@@ -163,15 +145,13 @@ def trajectory_pair_experiment(
     rhs = op.tabulated_rhs(0.0, n_periods * period,
                            n_periods * scenario.steps_per_period)
     w0 = np.zeros(scenario.n_trunc)
-    w0[0] = initial_scale
+    w0[0] = 1.0
 
     # one walk of mode 1's shift orbit gives the projection schedule and the
     # predicted curvature
     walk = (iterate_norm(poincare_predicted(spec, drive.half_period), 1, n_periods)
             if rotation_on else None)
-    schedule = None
-    if project_support and rotation_on:
-        schedule = lambda k: {walk.orbit[k] - 1}
+    schedule = (lambda k: {walk.orbit[k] - 1}) if rotation_on else None
     log = propagate_periods(op.lam, rhs, w0, period, n_periods,
                             scenario.steps_per_period, support_schedule=schedule)
 
@@ -200,7 +180,6 @@ def trajectory_pair_experiment(
         "kappa_expected": kappa_expected,
         "consistent_with_shift": consistent,
         "exponential_only": exponential_only,
-        "degenerate": False,
         "window": (float(times[0]), float(times[-1])),
         "projected": log.projection_applied,
         "epsilon": op.epsilon,
@@ -261,23 +240,20 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
     theta = mollifier_bump(0.05 * x_edge, 0.95 * x_edge, 0.4 * x_edge, 0.6 * x_edge)
 
     levels = range(scenario.kick_base_level, scenario.kick_max_level + 1)
-    betas = []
-    eps_logs: dict[int, float] = {}
+    checks = {}
     for n in levels:
-        check = ratio_bounds_check(shift, n)
-        if check["beta"] <= 0:
+        checks[n] = ratio_bounds_check(shift, n)
+        if checks[n]["beta"] <= 0:
             raise SimulationError(f"level {n}: no quadratic separation in the shift")
-        betas.append(check["beta"])
-        eps_logs[n] = equalizers(shift, n)["log_B"]
-    beta = min(betas)
-    for n in levels:
-        eps_logs[n] += -0.5 * beta * n**2
+    beta = min(check["beta"] for check in checks.values())
+    # B(n), the smallest band iterate norm, is the scale the band equalizes to
+    eps_logs = {n: min(check["band_lognorms"].values()) - 0.5 * beta * n**2
+                for n, check in checks.items()}
 
     residuals = {}
     margin = math.log(100.0)
-    for n in levels:
-        k = cube_width(n)
-        leftover = iterate_norm(shift, 1, 2 * n + k).lognorm
+    for n, check in checks.items():
+        leftover = check["first_mode_lognorm"]
         residuals[n] = {
             "leftover_log": leftover,
             "eps_log": eps_logs[n],

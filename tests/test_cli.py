@@ -8,7 +8,8 @@ import os
 
 import pytest
 
-from attractorlab import cli
+from attractorlab import cli, quadrature
+from attractorlab import floquet as fl
 from attractorlab import simulate as sim
 from attractorlab.config import (DEFAULTS, ConfigError, drive_from_config,
                                  resolve_config, scenario_from_config)
@@ -92,14 +93,22 @@ class TestGapCheck:
         assert report(tmp_path / "out", "gap-check")["verdicts"] == {"gap_check": "obstruction"}
 
 
+def refuse_adaptive_simpson(*args, **kwargs):
+    raise AssertionError("adaptive_simpson called")
+
+
 @pytest.fixture(scope="module")
 def dynamics_runs(tmp_path_factory):
     """gap-check, floquet and simulate, each run twice into the output dirs a
-    and b, at the default Lipschitz budget"""
+    and b, at the default Lipschitz budget, with every binding of
+    adaptive_simpson refusing to run"""
     root = tmp_path_factory.mktemp("dynamics")
     cfg = write_config(root / "c.json", SMALL_DYNAMICS)
-    codes = {(out, command): run(cfg, root / out, command)
-             for out in ("a", "b") for command in ("gap-check", "floquet", "simulate")}
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (quadrature, fl, sim):
+            patch.setattr(module, "adaptive_simpson", refuse_adaptive_simpson)
+        codes = {(out, command): run(cfg, root / out, command)
+                 for out in ("a", "b") for command in ("gap-check", "floquet", "simulate")}
     return root, codes
 
 

@@ -1,16 +1,32 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from attractorlab.cutoffs import mollifier_bump, periodic_drive, smooth_step
+from attractorlab import floquet, quadrature
+from attractorlab.cutoffs import _ramp_mean, mollifier_bump, periodic_drive, smooth_step
 from attractorlab.floquet import (FloquetError, PeriodicOperator, WeightedShift,
-                                  calibrate_epsilon, decay_certificate, equalizers,
+                                  calibrate_epsilon, decay_certificate,
                                   iterate_norm, make_periodic_operator,
                                   poincare_numeric, poincare_predicted,
                                   ratio_bounds_check, shift_match_report)
 from attractorlab.spectral import make_spectrum, spectral_gap
+
+# Means of theta1(h(u)) and theta2(h(u)) over the unit transition u in [0, 1]
+# at amplitude 1 (so for every amplitude): the trapezoidal rule in 30-digit
+# mpmath arithmetic, unchanged to 25 digits from 2049 to 8193 nodes.
+C1 = Fraction("0.5629738271134321127454")
+C2 = Fraction("0.7052023392315758304651")
+PI = Fraction("3.14159265358979323846264338327950288")
+# (amplitude, half-period, plateau fraction)
+DRIVES = [(1.0, 2.0, 0.75), (1.0, 0.5, 0.6), (2.0, 4.0, 0.9), (0.7, 1.3, 0.55),
+          (1.5, 3.0, 0.8), (1.2, 0.5, 0.85), (0.8, 1.0, 0.7), (2.0, 0.5, 0.55)]
+
+
+def ulps(got: float, want: Fraction) -> float:
+    return float(abs(Fraction(got) - want) / Fraction(math.ulp(got)))
 
 
 class TestCalibration:
@@ -23,13 +39,60 @@ class TestCalibration:
         assert math.pi / (2.0 * eps) == pytest.approx(oracle, abs=1e-10)
 
     def test_doubling_period_halves_epsilon(self):
+        # tau, the transition width and the plateau all double exactly, so
+        # the half-period integrals double exactly
         spec = make_spectrum("linear", {"c": 1.0}, 8)
-        eps = {}
-        for T in (2.0, 4.0):
-            drive = periodic_drive(1.0, T, 0.75)
-            op = make_periodic_operator(spec, drive, 8)
-            eps[T] = op.epsilon
-        assert eps[4.0] == pytest.approx(eps[2.0] / 2.0, rel=0.02)
+        ops = {T: make_periodic_operator(spec, periodic_drive(1.0, T, 0.75), 8)
+               for T in (2.0, 4.0)}
+        assert ops[4.0].epsilon == ops[2.0].epsilon / 2.0
+        assert ops[4.0].anchor_scale == ops[2.0].anchor_scale
+
+    def test_unit_transition_means(self, operator_t2):
+        # amplitude 1: the cut-offs see the unit step itself
+        assert ulps(_ramp_mean(operator_t2.theta1.value), C1) <= 1.0
+        assert ulps(_ramp_mean(operator_t2.theta2.value), C2) <= 1.0
+
+    @pytest.mark.parametrize("amplitude,tau,p", DRIVES)
+    def test_window_integrals_within_one_ulp(self, amplitude, tau, p):
+        drive = periodic_drive(amplitude, tau, p)
+        op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 4), drive)
+        w, T = Fraction(drive.transition_width), Fraction(tau)
+        assert ulps(op.epsilon, PI / (2 * (T - 2 * w + 2 * w * C1))) <= 1.0
+        assert ulps(op.anchor_scale, T / (T - 2 * w + 2 * w * C2)) <= 1.0
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("amplitude,tau,p", DRIVES)
+    def test_window_integrals_match_split_quad(self, amplitude, tau, p):
+        drive = periodic_drive(amplitude, tau, p)
+        op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 4), drive)
+        w = drive.transition_width
+
+        def oracle(f):
+            g = lambda t: float(f(-drive.value(t)))
+            return sum(quad(g, a, b, epsabs=1e-16, epsrel=1e-14, limit=200)[0]
+                       for a, b in ((0.0, w), (w, tau - w), (tau - w, tau)))
+
+        assert op.epsilon == pytest.approx(math.pi / (2.0 * oracle(op.theta1.value)),
+                                           rel=1e-15, abs=0)
+        assert op.anchor_scale == pytest.approx(tau / oracle(op.theta2.value),
+                                                rel=1e-15, abs=0)
+
+    def test_bench_drive_pinned(self):
+        # the `dynamics` drive: amplitude 1, tau 2, plateau fraction 0.75
+        op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 40),
+                                    periodic_drive(1.0, 2.0, 0.75))
+        assert op.epsilon == float.fromhex("0x1.0147fffcce646p+0")
+        assert op.anchor_scale == float.fromhex("0x1.2c41f389c7942p+0")
+
+    def test_assembly_needs_no_adaptive_quadrature(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("adaptive_simpson called")
+
+        monkeypatch.setattr(quadrature, "adaptive_simpson", refused)
+        monkeypatch.setattr(floquet, "adaptive_simpson", refused)
+        op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 8),
+                                    periodic_drive(1.0, 2.0, 0.75))
+        assert op.epsilon == float.fromhex("0x1.0147fffcce646p+0")
 
     def test_phase_ode_total_angle(self, operator_t2):
         # independent oracle: integrate the phase equation with scipy
@@ -90,6 +153,19 @@ class TestNumericPoincare:
         numeric = poincare_numeric(op, 4, tol=1e-10)
         expected = np.diag(np.exp(-2.0 * 1.0 * spec.values[:4]))
         assert np.allclose(numeric.matrix[:4, :4], expected, rtol=1e-8, atol=1e-14)
+
+    def test_extension_keeps_the_operator(self):
+        # four columns need five internal modes, one past the stored spectrum:
+        # the spectrum extends, and the dead cut-off and zero anchor stay
+        spec = make_spectrum("linear", {"c": 1.0}, 4)
+        op = PeriodicOperator(spec, periodic_drive(1.0, 1.0, 0.75),
+                              mollifier_bump(0.25, 2.0, 0.5, 1.5), smooth_step(50.0, 60.0),
+                              0.0, 0.0, 4)
+        numeric = poincare_numeric(op, 4, tol=1e-10)
+        assert numeric.matrix.shape == (5, 4)
+        expected = np.diag(np.exp(-2.0 * spec.values))
+        assert np.allclose(numeric.matrix[:4], expected, rtol=1e-8, atol=1e-14)
+        assert np.all(numeric.matrix[4] == 0.0)
 
     def test_dense_power_matches_iterate_norms(self, operator_t2):
         spec = operator_t2.spectrum
@@ -221,18 +297,4 @@ class TestRatioBounds:
         shift = poincare_predicted(spec, 1.0)
         with pytest.raises(FloquetError, match="truncation"):
             ratio_bounds_check(shift, 9)
-
-
-class TestEqualizers:
-    def test_exact_equalization(self, shift_t1):
-        out = equalizers(shift_t1, 16)
-        assert out["equalization_exact"] == 0.0
-        assert all(v <= 1e-12 for v in out["A_logs"].values())
-
-    def test_a_factors_within_gamma_bound(self, shift_t1):
-        out = equalizers(shift_t1, 16)
-        gamma = out["gamma"]
-        lower = -2.0 * gamma * 16**1.5
-        assert all(v >= lower - 1e-9 for v in out["A_logs"].values())
-        assert out["a_within_bounds"]
 

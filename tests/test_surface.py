@@ -1,9 +1,9 @@
 """Guards on the package surface: every exported name exists and is used
 somewhere in the package, as is every public class member, every module
-reads what it imports, every binding the benchmark's layer tracer wraps
-still resolves, so a deletion that would break the traced run fails here
-first, and the smooth-step kernel and the CLI run without the packages only
-the test oracles use."""
+reads what it imports unless the benchmark's layer tracer wraps that
+binding, every binding the tracer wraps still resolves, so a deletion that
+would break the traced run fails here first, and the smooth-step kernel and
+the CLI run without the packages only the test oracles use."""
 
 import ast
 import glob
@@ -28,7 +28,26 @@ KEEP = {
     "separated_count_log": "closed-form section-4 counter: reuse or delete",
     "smoothness_criterion": "forcing's C^k-in-H^s verdict beside the dimension: "
                             "reuse or delete",
+    "adaptive_simpson": "tracer-pinned until ROADMAP item 1's benchmark step",
 }
+
+
+def load_layers():
+    """perfbench/layers.py as a module, or None in a checkout without it."""
+    if not os.path.exists(LAYERS):
+        return None
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+def tracer_bindings() -> set:
+    """(module file, attribute) of every binding the layer tracer wraps."""
+    layers = load_layers()
+    if layers is None:
+        return set()
+    return {(f"{module}.py", attr) for module, attr, *_ in layers.WRAPS}
 
 
 def package_modules():
@@ -122,7 +141,9 @@ def imported_names(tree):
 
 def test_every_import_is_read():
     """Each name a module imports is read in that module, unless its import
-    statement carries `# noqa: F401`; __init__ imports only to re-export."""
+    statement carries `# noqa: F401` and the layer tracer wraps that name's
+    binding in that module; __init__ imports only to re-export."""
+    pinned = tracer_bindings()
     unread = []
     for module, (tree, lines) in package_trees().items():
         if module == "__init__.py":
@@ -136,17 +157,15 @@ def test_every_import_is_read():
         for line, name in imported_names(tree):
             marked = any("# noqa: F401" in lines[k - 1]
                          for k in range(line, statements[line] + 1))
-            if name not in read and not marked:
+            if name not in read and not (marked and (module, name) in pinned):
                 unread.append(f"{module}:{line}: {name}")
     assert unread == []
 
 
 def test_tracer_bindings_resolve():
-    if not os.path.exists(LAYERS):
+    layers = load_layers()
+    if layers is None:
         pytest.skip("no layer tracer in this checkout")
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
     original = geometry.box_count
     tracer = layers.Tracer()
     try:
