@@ -137,8 +137,8 @@ def cmd_dimension(cfg, args) -> int:
     started = time.time()
     out = _out_dir(cfg, args)
     report = RunReport(config_hash(cfg), "dimension", expected=_expected(cfg, "dimension"))
-    cloud, meta = _build_cloud(cfg)
     scales = parse_scales(args.scales or cfg["geometry"]["scales"])
+    cloud, meta = _build_cloud(cfg)
     if meta.get("kind") == "bad_cubes":
         cube = geo.cube_doubling_report(cloud, meta["levels"])
         report.verdicts["dimension"] = cube["log_doubling"]["verdict"]

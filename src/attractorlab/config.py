@@ -160,8 +160,21 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
     resolved = _merge(DEFAULTS, raw)
     resolved.setdefault("spectrum", {}).setdefault("params", {})
+    _check_explicit(resolved["spectrum"])
     _check_cloud(resolved)
     return resolved
+
+
+def _check_explicit(sec: dict) -> None:
+    """Refuse an explicit spectrum whose n_max is not its number of values,
+    which would otherwise run on the values alone."""
+    if sec["family"] != "explicit":
+        return
+    count = len(sec["params"].get("values", ()))
+    if count != sec["n_max"]:
+        raise ConfigError(
+            f"explicit spectrum lists {count} values but n_max is {sec['n_max']}; "
+            "set n_max to the number of values")
 
 
 def _bad_cube_min_n_max(kick_max_level: int, family: str) -> int:
@@ -180,8 +193,7 @@ def _check_cloud(resolved: dict) -> None:
     kind = geo["cloud"].get("kind", "section4")
     if kind == "bad_cubes":
         sec = resolved["spectrum"]
-        n_max = (len(sec["params"].get("values", ())) if sec["family"] == "explicit"
-                 else sec["n_max"])
+        n_max = sec["n_max"]
         k = resolved["dynamics"]["kick_max_level"]
         need = _bad_cube_min_n_max(k, sec["family"])
         if n_max < need:
@@ -235,7 +247,8 @@ def scenario_from_config(resolved: dict) -> Scenario:
 
 
 def parse_scales(spec) -> list[float]:
-    """Geometric scale ladder: either an explicit list or "a:b:n"."""
+    """Geometric scale ladder, largest first: either an explicit list or
+    "a:b:n".  Every scale must be positive and distinct."""
     if isinstance(spec, (list, tuple)):
         vals = [float(v) for v in spec]
     else:
@@ -250,4 +263,9 @@ def parse_scales(spec) -> list[float]:
             raise ConfigError(f"bad scales spec {spec!r}; want numbers or 'a:b:n'") from exc
     if any(v <= 0 for v in vals):
         raise ConfigError("scales must be positive")
-    return sorted(vals, reverse=True)
+    vals = sorted(vals, reverse=True)
+    for a, b in zip(vals, vals[1:]):
+        if a == b:
+            raise ConfigError(f"scale {a!r} is repeated in {spec!r}; every scale "
+                              "must be distinct")
+    return vals

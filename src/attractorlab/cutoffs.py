@@ -1,10 +1,8 @@
-"""C-infinity smooth steps and bump functions with derivatives up to order
-12, and the odd smoothed square-wave drive with its half-period window
-integrals."""
+"""C-infinity smooth steps and bump functions, and the odd smoothed
+square-wave drive with its half-period window integrals."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,62 +18,29 @@ __all__ = [
 ]
 
 # Unit-step evaluations outside [GUARD, 1-GUARD] are exact endpoint values;
-# inside the guard band every derivative is below 1e-200 anyway.
+# inside the guard band the step is within exp(-1e8) of them anyway.
 _GUARD = 1e-8
-_MAX_ORDER = 12
 # Trapezoid nodes on the unit transition; 1025 already give the same bits
 # for the bench drive's cut-offs, 513 do not.
 _RAMP_NODES = 2**12 + 1
 
 
 class CutoffError(ValueError):
-    """Degenerate interval, derivative order or drive parameters."""
+    """Degenerate interval or drive parameters."""
 
 
-def _check_order(order: int) -> None:
-    if not 0 <= order <= _MAX_ORDER:
-        raise CutoffError(f"derivative order must lie in 0..{_MAX_ORDER}, got {order}")
-
-
-def _phi_jet(x: np.ndarray, order: int) -> list[np.ndarray]:
-    """Taylor coefficients of phi(x + d) = exp(-1/(x + d)) in d up to d^order:
-    the jet of -1/x is r^(j+1) with r = -1/x, and e = exp(g) obeys
-    e_k = (1/k) sum_j j g_j e_(k-j)."""
-    r = -1.0 / x
-    g = [r ** (j + 1) for j in range(order + 1)]
-    e = [np.exp(r)]
-    for k in range(1, order + 1):
-        e.append(sum(j * g[j] * e[k - j] for j in range(1, k + 1)) / k)
-    return e
-
-
-def _unit_step(u, order: int = 0) -> np.ndarray:
-    """order-th derivative of the normalized mollifier step
-    h(u) = phi(u) / (phi(u) + phi(1-u)), phi(u) = exp(-1/u).
-
-    Order 0 is the closed form 1 / (exp(1/(u-1) + 1/u) + 1); higher orders
-    come from truncated Taylor arithmetic on phi(u) and phi(1-u) and the
-    quotient recurrence, times order!."""
-    _check_order(order)
+def _unit_step(u) -> np.ndarray:
+    """The normalized mollifier step h(u) = phi(u) / (phi(u) + phi(1-u)),
+    phi(u) = exp(-1/u), in the closed form 1 / (exp(1/(u-1) + 1/u) + 1)."""
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
-    if order == 0:
-        out[u >= 1.0 - _GUARD] = 1.0
+    out[u >= 1.0 - _GUARD] = 1.0
     interior = (u > _GUARD) & (u < 1.0 - _GUARD)
     if not np.any(interior):
         return out
     x = u[interior]
-    if order == 0:
-        with np.errstate(over="ignore"):
-            out[interior] = 1.0 / (np.exp(1.0 / (x - 1.0) + 1.0 / x) + 1.0)
-        return out
-    a = _phi_jet(x, order)
-    b = [(-1.0) ** k * c for k, c in enumerate(_phi_jet(1.0 - x, order))]
-    d = [p + q for p, q in zip(a, b)]  # d_0 >= exp(-2): one of u, 1-u is >= 1/2
-    h = [a[0] / d[0]]
-    for k in range(1, order + 1):
-        h.append((a[k] - sum(d[j] * h[k - j] for j in range(1, k + 1))) / d[0])
-    out[interior] = h[order] * math.factorial(order)
+    with np.errstate(over="ignore"):
+        out[interior] = 1.0 / (np.exp(1.0 / (x - 1.0) + 1.0 / x) + 1.0)
     return out
 
 
@@ -96,13 +61,6 @@ class SmoothStep:
 
     def value(self, x):
         return _unit_step((np.asarray(x, dtype=float) - self.lo) / self.width)
-
-    def derivative(self, x, order: int = 1):
-        u = (np.asarray(x, dtype=float) - self.lo) / self.width
-        return _unit_step(u, order) / self.width**order
-
-    def __call__(self, x):
-        return self.value(x)
 
 
 def smooth_step(lo: float, hi: float) -> SmoothStep:
@@ -141,29 +99,10 @@ class BumpFunction:
         x = np.asarray(x, dtype=float)
         return self._up.value(x) * self._down.value(-x)
 
-    def derivative(self, x, order: int = 1):
-        _check_order(order)
-        if order == 0:
-            return self.value(x)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        # Leibniz over the two step factors; the falling factor carries (-1)^j.
-        for j in range(order + 1):
-            a = self._up.derivative(x, j)
-            b = self._down.derivative(-x, order - j)
-            out += math.comb(order, j) * a * ((-1.0) ** (order - j)) * b
-        return out
-
-    def __call__(self, x):
-        return self.value(x)
-
 
 def mollifier_bump(a: float, b: float, plateau_lo: float, plateau_hi: float) -> BumpFunction:
     """Smooth bump on [a, b] with plateau [plateau_lo, plateau_hi], built from
-    normalized-mollifier step transitions; derivatives up to order 12 are
-    evaluable everywhere."""
-    if not (a < plateau_lo <= plateau_hi < b):
-        raise CutoffError("need a < plateau_lo <= plateau_hi < b")
+    normalized-mollifier step transitions."""
     return BumpFunction(a, plateau_lo, plateau_hi, b)
 
 
@@ -200,13 +139,6 @@ class PeriodicDrive:
         # 0 -> 1 -> 0 profile on [0, tau], symmetric about tau/2
         return self._step.value(t) * self._step.value(self.half_period - t)
 
-    def _shape_derivative(self, t):
-        up = self._step.value(t)
-        dn = self._step.value(self.half_period - t)
-        dup = self._step.derivative(t)
-        ddn = self._step.derivative(self.half_period - t)
-        return dup * dn - up * ddn
-
     def value(self, t):
         t = np.asarray(t, dtype=float)
         tau = self.half_period
@@ -214,19 +146,6 @@ class PeriodicDrive:
         neg = tt <= tau
         out = np.where(neg, self._shape(tt), -self._shape(2.0 * tau - tt))
         return -self.amplitude * out
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        tau = self.half_period
-        tt = np.mod(t, 2.0 * tau)
-        neg = tt <= tau
-        out = np.where(
-            neg, self._shape_derivative(tt), self._shape_derivative(2.0 * tau - tt)
-        )
-        return -self.amplitude * out
-
-    def __call__(self, t):
-        return self.value(t)
 
     def half_period_integral(self, f) -> float:
         """Integral of f(-x(t)) over t in [0, tau] for a vectorized f:
@@ -236,14 +155,15 @@ class PeriodicDrive:
         plateau = (self.half_period - 2.0 * w) * float(f(amp))
         return plateau + 2.0 * w * _ramp_mean(lambda h: f(amp * h))
 
-    def plateau_entry_time(self, level_fraction: float = 0.25, tol: float = 1e-12) -> float:
-        """First t > 0 with -x(t) = level_fraction * amplitude (bisection)."""
+    def plateau_entry_time(self, level_fraction: float = 0.25) -> float:
+        """First t > 0 with -x(t) = level_fraction * amplitude, by bisection to
+        1e-12 of the half-period."""
         target = level_fraction * self.amplitude
         lo, hi = 0.0, 0.5 * self.half_period
         f = lambda t: -float(self.value(t)) - target
         if f(hi) < 0:
             raise CutoffError("drive never reaches the requested level")
-        while hi - lo > tol * self.half_period:
+        while hi - lo > 1e-12 * self.half_period:
             mid = 0.5 * (lo + hi)
             if f(mid) < 0:
                 lo = mid

@@ -49,13 +49,14 @@ def local_slopes(x, y) -> np.ndarray:
     return np.diff(y) / np.diff(x)
 
 
-def monotone_increase(values, window_fraction: float = 0.5, rel_tol: float = 1e-9) -> bool:
+def monotone_increase(values, window_fraction: float = 0.5) -> bool:
     """True when the last `window_fraction` of the sequence increases
-    monotonically (a divergence certificate; limsups are not computable)."""
+    monotonically, up to steps of -1e-9 relative (a divergence certificate;
+    limsups are not computable)."""
     v = np.asarray(values, dtype=float)
     if len(v) < 2:
         return False
     start = max(0, int(np.floor(len(v) * (1.0 - window_fraction))) - 1)
     tail = v[start:]
     scale = np.maximum(np.abs(tail[:-1]), 1.0)
-    return bool(np.all(np.diff(tail) > -rel_tol * scale) and tail[-1] > tail[0])
+    return bool(np.all(np.diff(tail) > -1e-9 * scale) and tail[-1] > tail[0])

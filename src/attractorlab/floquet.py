@@ -223,7 +223,11 @@ class NumericPoincare:
     steps: int
 
 
-def poincare_numeric(op: PeriodicOperator, n_trunc: int, tol: float = 1e-10) -> NumericPoincare:
+# Relative change of the propagator under a step doubling that ends the refinement.
+PROPAGATOR_TOL = 1e-10
+
+
+def poincare_numeric(op: PeriodicOperator, n_trunc: int) -> NumericPoincare:
     guard = 1 if n_trunc % 2 == 0 else 2
     n_int = n_trunc + guard
     spectrum = op.spectrum if n_int <= op.spectrum.n_max else op.spectrum.truncated(n_int)
@@ -238,10 +242,10 @@ def poincare_numeric(op: PeriodicOperator, n_trunc: int, tol: float = 1e-10) -> 
         cur = lawson_rk4(lam, inner.tabulated_rhs(0.0, period, steps),
                          np.eye(n_int), 0.0, period, steps)
         scale = max(float(np.max(np.abs(cur))), 1e-300)
-        if float(np.max(np.abs(cur - prev))) <= tol * scale:
+        if float(np.max(np.abs(cur - prev))) <= PROPAGATOR_TOL * scale:
             return NumericPoincare(cur[:, :n_trunc], n_trunc, steps)
         prev = cur
-    raise FloquetError(f"no propagator convergence to tol={tol:g}")
+    raise FloquetError(f"no propagator convergence to tol={PROPAGATOR_TOL:g}")
 
 
 def shift_match_report(numeric: NumericPoincare, predicted: WeightedShift) -> dict:

@@ -96,12 +96,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    @classmethod
-    def from_dense(cls, array, spectrum: Spectrum | None = None, s: float = 0.0,
-                   first_index: int = 1, tags=None) -> "PointCloud":
-        pts = [LogModeVector.from_dense(row, first_index) for row in np.asarray(array, dtype=float)]
-        return cls(pts, spectrum, s, list(tags) if tags else [])
-
     def with_norm(self, s: float) -> "PointCloud":
         """The same points under the H^s norm: a view that shares the points,
         tags and dense sign/log-magnitude matrices with this cloud (no
@@ -110,10 +104,6 @@ class PointCloud:
         view.s = s
         view._cache = {}
         return view
-
-    def scaled(self, log_factor: float) -> "PointCloud":
-        return PointCloud([p.scaled(log_factor) for p in self.points],
-                          self.spectrum, self.s, list(self.tags))
 
     def _weight_logs(self) -> np.ndarray:
         """Per-coordinate log weights s log(lambda_i), zero on the planar
@@ -275,15 +265,14 @@ def box_count(cloud: PointCloud, log_eps: float) -> int:
     return len(set(map(bytes, cells)))
 
 
-def fractal_dimension_estimate(cloud: PointCloud, log_scales,
-                               method: str = "boxes") -> DimensionScan:
+def fractal_dimension_estimate(cloud: PointCloud, log_scales) -> DimensionScan:
     """Least-squares slope of log N_eps against log(1/eps) over the declared
     window of log scales, with per-scale local slopes for divergence
     detection.
 
-    The default counter is lattice box occupancy (clean slopes, same
-    dimension as minimal ball covers); clouds whose magnitudes underflow
-    doubles automatically fall back to greedy ball covering in log space.
+    The counter is lattice box occupancy (clean slopes, same dimension as
+    minimal ball covers); clouds whose magnitudes underflow doubles fall
+    back to greedy ball covering in log space.
     """
     log_scales = sorted(log_scales, reverse=True)  # scales strictly decreasing
     if len(log_scales) < 4:
@@ -291,9 +280,7 @@ def fractal_dimension_estimate(cloud: PointCloud, log_scales,
     if len(cloud) == 1:
         return DimensionScan(cloud.s, tuple(log_scales), (1,) * len(log_scales),
                              0.0, 1.0, (), "degenerate")
-    counter = method
-    if method == "boxes" and cloud.dense_weighted() is None:
-        counter = "greedy"
+    counter = "boxes" if cloud.dense_weighted() is not None else "greedy"
     if counter == "boxes":
         counts = [box_count(cloud, log_eps=le) for le in log_scales]
     else:
@@ -316,27 +303,21 @@ def doubling_factor(cloud: PointCloud, log_eps: float) -> int:
         members = np.nonzero(row <= log_eps + _LOG_SLACK)[0]
         if len(members) <= worst:
             continue
-        method = "exact" if len(members) <= _EXACT_COVER_CAP else "greedy"
-        report = covering_number(cloud, log_eps=log_half, method=method, member_rows=members)
+        report = covering_number(cloud, log_eps=log_half, method="auto", member_rows=members)
         worst = max(worst, report.n_balls)
     return worst
 
 
-def log_doubling_estimate(cloud: PointCloud | None, log_scales,
-                          log_d_values=None) -> dict:
-    """Slope of log D_eps against log log(1/eps) plus a trend verdict:
+def log_doubling_estimate(log_scales, log_d_values) -> dict:
+    """Slope of the log doubling factors log D_eps against log log(1/eps),
+    both listed from the largest scale down, plus a trend verdict:
     "diverging" certifies non-embeddability into any log-Lipschitz manifold,
-    "finite" proves nothing (one-sided test).  Without log_d_values the
-    doubling factors are computed on the cloud."""
+    "finite" proves nothing (one-sided test)."""
     log_scales = sorted(log_scales, reverse=True)
     if len(log_scales) < 3:
         raise GeometryError("need at least three scales")
     if -log_scales[-1] < -log_scales[0] + 2.0 * math.log(10.0) - 1e-9:
         raise GeometryError("scales must span at least two decades")
-    if log_d_values is None:
-        if cloud is None:
-            raise GeometryError("need a cloud or explicit doubling values")
-        log_d_values = [math.log(max(doubling_factor(cloud, le), 1)) for le in log_scales]
     x = np.log(-np.asarray(log_scales, dtype=float))
     y = np.asarray(log_d_values, dtype=float)
     fit = line_fit(x, y)
@@ -450,10 +431,7 @@ def cube_doubling_report(cloud: PointCloud, levels: dict) -> dict:
         })
         log2_d_bounds.append(log2_d)
         log_scales.append(log_eps)
-    estimate = log_doubling_estimate(
-        None, log_scales=log_scales,
-        log_d_values=[v * math.log(2.0) for v in log2_d_bounds],
-    )
+    estimate = log_doubling_estimate(log_scales, [v * math.log(2.0) for v in log2_d_bounds])
     all_ok = all(l["count_bound_ok"] and l["half_sqrt_bound_ok"] and l["all_in_ball"]
                  for l in per_level)
     if not all_ok:

@@ -92,7 +92,10 @@ class PeriodLog:
     times: np.ndarray
     lognorms: np.ndarray
     states: list[np.ndarray]
-    projection_applied: bool
+
+
+# Largest share of the norm a support projection may discard.
+PROJECTION_GUARD = 1e-6
 
 
 def propagate_periods(
@@ -103,7 +106,6 @@ def propagate_periods(
     n_periods: int,
     steps_per_period: int,
     support_schedule=None,
-    projection_guard: float = 1e-6,
 ) -> PeriodLog:
     """Integrate a super-exponentially decaying trajectory period by period,
     renormalizing at each boundary so dense arithmetic never underflows.
@@ -112,7 +114,7 @@ def propagate_periods(
     mode positions (0-based) proven to carry the solution at that boundary;
     coordinates outside it are projected to exact zero, which removes the
     round-off floor that otherwise dominates once relative gaps grow.  The
-    projection refuses to discard more than `projection_guard` of the norm.
+    projection refuses to discard more than PROJECTION_GUARD of the norm.
     """
     w = np.array(w0, dtype=float)
     decay = np.asarray(decay, dtype=float)
@@ -134,7 +136,7 @@ def propagate_periods(
             mask = np.zeros_like(w, dtype=bool)
             mask[list(keep)] = True
             discarded = _safe_norm(w[~mask]) if np.any(~mask) else 0.0
-            if discarded > projection_guard * norm:
+            if discarded > PROJECTION_GUARD * norm:
                 raise IntegrationError(
                     f"support projection at period {k} would discard "
                     f"{discarded / norm:.3e} of the norm; dynamics disagree "
@@ -147,6 +149,4 @@ def propagate_periods(
         times.append(k * period)
         lognorms.append(logscale)
         states.append(w.copy())
-    return PeriodLog(
-        np.asarray(times), np.asarray(lognorms), states, support_schedule is not None
-    )
+    return PeriodLog(np.asarray(times), np.asarray(lognorms), states)

@@ -42,12 +42,13 @@ class LogModeVector:
         object.__setattr__(self, "entries", clean)
 
     @classmethod
-    def from_dense(cls, values, first_index: int = 1) -> "LogModeVector":
+    def from_dense(cls, values) -> "LogModeVector":
+        """The nonzero entries of a dense vector, indexed from 1."""
         entries = {}
-        for k, v in enumerate(np.asarray(values, dtype=float)):
+        for k, v in enumerate(np.asarray(values, dtype=float), start=1):
             if v == 0.0:
                 continue
-            entries[first_index + k] = (1 if v > 0 else -1, math.log(abs(v)))
+            entries[k] = (1 if v > 0 else -1, math.log(abs(v)))
         return cls(entries)
 
     def indices(self) -> list[int]:

@@ -88,7 +88,9 @@ def geometry_rows(scan_rows):
 
 
 def load_cloud_csv(path: str) -> PointCloud:
-    """Inverse of cloud_rows; parse errors carry line numbers."""
+    """Inverse of cloud_rows; parse errors carry line numbers.  A row is a
+    coordinate (sign +-1, finite logmag) or the empty-point placeholder
+    (sign 0, logmag -inf) that cloud_rows writes."""
     points: dict[int, dict[int, tuple[int, float]]] = {}
     tags: dict[int, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -105,6 +107,11 @@ def load_cloud_csv(path: str) -> PointCloud:
                 logmag = float(row[4])
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad cloud row {row!r}") from exc
+            coordinate = sign in (1, -1) and math.isfinite(logmag)
+            if not (coordinate or (sign == 0 and logmag == NEG_INF)):
+                raise ValueError(
+                    f"{path}:{lineno}: want sign +-1 with a finite logmag, or sign 0 "
+                    f"with logmag -inf; got sign {sign}, logmag {logmag}")
             tags[pid] = tag
             entry = points.setdefault(pid, {})
             if sign != 0:

@@ -43,6 +43,9 @@ __all__ = [
 
 # Relative bound on |kappa_fit - kappa_expected| for `consistent_with_shift`.
 KAPPA_REL_TOL = 1e-6
+# Section-4 sample: rings of the planar disk, and points per fibre segment.
+DISK_RINGS = 24
+SEGMENT_POINTS = 64
 
 
 class SimulationError(RuntimeError):
@@ -97,16 +100,15 @@ class TrajectoryRecord:
     logscales: np.ndarray
     spectrum: Spectrum
 
-    def lognorm(self, k: int, s: float = 0.0) -> float:
-        w = self.states[k]
-        lam = self.spectrum.values[: len(w)]
-        val = float(np.linalg.norm(lam ** (0.5 * s) * w))
+    def lognorm(self, k: int) -> float:
+        """log ||u_k||, the H^0 norm of sample k."""
+        val = float(np.linalg.norm(self.states[k]))
         return NEG_INF if val == 0.0 else self.logscales[k] + math.log(val)
 
-    def a_lognorm(self, k: int, s: float = 0.0) -> float:
+    def a_lognorm(self, k: int) -> float:
+        """log ||A u_k||, A = diag(lambda)."""
         w = self.states[k]
-        lam = self.spectrum.values[: len(w)]
-        val = float(np.linalg.norm(lam ** (1.0 + 0.5 * s) * w))
+        val = float(np.linalg.norm(self.spectrum.values[: len(w)] * w))
         return NEG_INF if val == 0.0 else self.logscales[k] + math.log(val)
 
     def mode_point(self, k: int) -> LogModeVector:
@@ -180,11 +182,8 @@ def trajectory_pair_experiment(
         "kappa_expected": kappa_expected,
         "consistent_with_shift": consistent,
         "exponential_only": exponential_only,
-        "window": (float(times[0]), float(times[-1])),
-        "projected": log.projection_applied,
         "epsilon": op.epsilon,
         "record": record,
-        "distance_logs": list(map(float, log.lognorms)),
     }
 
 
@@ -335,23 +334,24 @@ def thm44_laws() -> Section4Laws:
     return Section4Laws("thm44", log_a, log_b, log_lam)
 
 
-def smooth_forcing_laws(n_max: int, kappa: float = 2.0) -> Section4Laws:
-    """B_n = e^{-sqrt n} with A_n = c / n^2 packed to total 2 pi - 0.1: the
-    infinitely smooth variant (criterion holds at every order)."""
+def smooth_forcing_laws(n_max: int) -> Section4Laws:
+    """B_n = e^{-sqrt n} with A_n = c / n^2 packed to total 2 pi - 0.1 and
+    lambda_n = n^2: the infinitely smooth variant (criterion holds at every
+    order)."""
     n = np.arange(2, n_max + 1, dtype=float)
     c = (2.0 * math.pi - 0.1) / float(np.sum(1.0 / n**2))
     log_a = lambda n: math.log(c) - 2.0 * np.log(n)
     log_b = lambda n: -np.sqrt(n)
-    log_lam = lambda n: kappa * np.log(n)
+    log_lam = lambda n: 2.0 * np.log(n)
     return Section4Laws("smooth", log_a, log_b, log_lam)
 
 
 def section4_attractor(laws: Section4Laws, spec: Spectrum, n_max: int,
-                       beta_scale: float = 1.0, disk_rings: int = 24,
-                       segment_points: int = 64) -> tuple[PointCloud, dict]:
-    """Analytic attractor sample: the planar disk, the per-level equilibria
-    (cos phi_n, sin phi_n, B_n / lambda_n e_n), and the connecting segments
-    discretized geometrically toward zero."""
+                       beta_scale: float = 1.0) -> tuple[PointCloud, dict]:
+    """Analytic attractor sample: the planar disk on DISK_RINGS rings, the
+    per-level equilibria (cos phi_n, sin phi_n, B_n / lambda_n e_n), and the
+    connecting segments, SEGMENT_POINTS points each, discretized
+    geometrically toward zero."""
     ns = np.arange(laws.n_min, n_max + 1, dtype=float)
     a_n = np.exp(laws.log_a(ns))
     total = float(np.sum(a_n))
@@ -366,9 +366,9 @@ def section4_attractor(laws: Section4Laws, spec: Spectrum, n_max: int,
     points: list[LogModeVector] = []
     tags: list[str] = []
 
-    for i in range(1, disk_rings + 1):
-        r = i / disk_rings
-        m = max(6, int(round(2.0 * math.pi * r * disk_rings)))
+    for i in range(1, DISK_RINGS + 1):
+        r = i / DISK_RINGS
+        m = max(6, int(round(2.0 * math.pi * r * DISK_RINGS)))
         for j in range(m):
             ang = 2.0 * math.pi * j / m
             points.append(LogModeVector({
@@ -391,7 +391,7 @@ def section4_attractor(laws: Section4Laws, spec: Spectrum, n_max: int,
         py = _signed_log(math.sin(phi))
         points.append(LogModeVector({PLANAR_X: px, PLANAR_Y: py, int(n): (1, top_log)}))
         tags.append(f"equilibrium:n={n}")
-        for j in range(1, segment_points):
+        for j in range(1, SEGMENT_POINTS):
             pt_log = top_log - 0.25 * j  # geometric spacing toward the base
             points.append(LogModeVector({PLANAR_X: px, PLANAR_Y: py, int(n): (1, pt_log)}))
             tags.append(f"segment:n={n}:j={j}")
@@ -416,9 +416,9 @@ def _signed_log(v: float) -> tuple[int, float]:
     return (1 if v > 0 else -1, math.log(abs(v)))
 
 
-def log_lipschitz_modulus(distance_logs, a_distance_logs, gamma: float,
-                          c0_log: float | None = None) -> dict:
-    """Sup over samples of ||A(u1-u2)|| / (d (log(C0/d))^gamma), in log space.
+def log_lipschitz_modulus(distance_logs, a_distance_logs, gamma: float) -> dict:
+    """Sup over samples of ||A(u1-u2)|| / (d (log(C0/d))^gamma), in log space,
+    with log C0 one above the largest log distance.
 
     Zero-distance samples are skipped and flagged; the verdict reports
     whether the running ratio stabilizes (bounded modulus) or trends upward
@@ -433,8 +433,7 @@ def log_lipschitz_modulus(distance_logs, a_distance_logs, gamma: float,
     if len(d) == 0:
         return {"ratios_log": [], "sup_log": None, "verdict": "empty",
                 "skipped_samples": skipped, "gamma": gamma}
-    if c0_log is None:
-        c0_log = float(np.max(d)) + 1.0
+    c0_log = float(np.max(d)) + 1.0
     loglog = np.log(c0_log - d)
     ratios = ad - d - gamma * loglog
     upward = monotone_increase(ratios) and len(ratios) >= 4 and ratios[-1] > ratios[0] + 0.5

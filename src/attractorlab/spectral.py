@@ -229,8 +229,9 @@ class ObstructionVerdict:
     note: str
 
 
-def c1_obstruction_check(spec: Spectrum, coupling: float, n_trunc: int | None = None) -> ObstructionVerdict:
-    """Parity obstruction to a finite-dimensional C^1 invariant manifold.
+def c1_obstruction_check(spec: Spectrum, coupling: float) -> ObstructionVerdict:
+    """Parity obstruction to a finite-dimensional C^1 invariant manifold, at
+    the full stored truncation.
 
     The minus-site equilibrium forces even manifold dimension when its
     linearization has no real eigenvalues; the plus site forces odd when it
@@ -240,9 +241,9 @@ def c1_obstruction_check(spec: Spectrum, coupling: float, n_trunc: int | None = 
     SpectrumError when a site's block-assembled eigenvalues disagree with
     the dense eigensolver by more than DENSE_EIG_TOL * (1 + max |eigenvalue|).
     """
-    n_trunc = spec.n_max if n_trunc is None else n_trunc
-    if n_trunc > spec.n_max or n_trunc < 3:
-        raise SpectrumError("n_trunc must lie within the stored spectrum and be >= 3")
+    n_trunc = spec.n_max
+    if n_trunc < 3:
+        raise SpectrumError("the obstruction needs a spectrum of at least 3 modes")
     n_minus = n_trunc if n_trunc % 2 == 0 else n_trunc - 1
     n_plus = n_trunc if n_trunc % 2 == 1 else n_trunc - 1
 

@@ -5,6 +5,7 @@ checks that refuse a run before any numerics start.  The `floquet` and
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from attractorlab.config import (DEFAULTS, ConfigError, drive_from_config,
 from attractorlab.cutoffs import periodic_drive
 from attractorlab.geometry import PointCloud
 from attractorlab.logspace import LogModeVector
-from attractorlab.reports import cloud_rows, write_csv
+from attractorlab.reports import cloud_rows, load_cloud_csv, write_csv
 
 LINEAR = {"family": "linear", "n_max": 16, "params": {"c": 1.0}}
 SCAN_CSVS = ("dimension_scan.csv", "cloud.csv")
@@ -320,6 +321,29 @@ class TestFailFast:
                            match="1 <= n0 <= kick_max_level \\(got n0 5, kick_max_level 4\\)"):
             scenario_from_config(cfg)
 
+    @pytest.mark.parametrize("scales", ["1e-1:1e-1:5", [0.1, 0.1, 0.05, 0.01]])
+    def test_repeated_scale_refused_before_the_cloud(self, tmp_path, monkeypatch, capsys,
+                                                     scales):
+        def built(*args, **kwargs):
+            raise AssertionError("cloud built before the scale check")
+
+        monkeypatch.setattr(sim, "section4_attractor", built)
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"family": "quadratic", "n_max": 12},
+            "geometry": {"cloud": {"kind": "section4", "n_max": 12}, "scales": scales}})
+        assert run(cfg, tmp_path / "out", "dimension") == 1
+        assert "config error: scale 0.1 is repeated" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_explicit_spectrum_needs_matching_n_max(self, tmp_path, capsys):
+        raw = {"spectrum": {"family": "explicit", "n_max": 40,
+                            "params": {"values": [float(k) for k in range(1, 9)]}}}
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert run(cfg, tmp_path / "out", "gap-check") == 1
+        assert "explicit spectrum lists 8 values but n_max is 40" in capsys.readouterr().err
+        raw["spectrum"]["n_max"] = 8
+        assert resolve_config(raw)["spectrum"]["n_max"] == 8
+
     def test_file_cloud_refuses_nonzero_s(self, cube_cloud_file):
         resolve_config(file_config(cube_cloud_file, [0.0]))
         with pytest.raises(ConfigError, match="s_list"):
@@ -338,3 +362,30 @@ def test_scenario_from_config():
     assert scen.drive == drive_from_config(cfg)
     assert (scen.lipschitz_budget, scen.n_trunc, scen.steps_per_period) == (3.0, 12, 512)
     assert (scen.kick_base_level, scen.kick_max_level, scen.kick_window) == (5, 7, 0.04)
+
+
+class TestCloudFile:
+    GOOD = ("point_id,tag,mode_index,sign,logmag\n"
+            "0,origin,0,0,-inf\n"
+            "1,p,3,1,-2.5\n"
+            "1,p,4,-1,-700.25\n")
+
+    def test_placeholder_and_coordinates_load(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text(self.GOOD)
+        cloud = load_cloud_csv(str(path))
+        assert [p.entries for p in cloud.points] == [{}, {3: (1, -2.5), 4: (-1, -700.25)}]
+        assert cloud.tags == ["origin", "p"]
+
+    @pytest.mark.parametrize("sign,logmag", [
+        ("5", "-1.0"),  # a sign that is no sign
+        ("1", "nan"),  # a missing magnitude
+        ("1", "inf"),  # an infinite magnitude
+        ("-1", "-inf"),  # a zero coordinate stored as a coordinate
+        ("0", "-2.0"),  # a placeholder with a magnitude
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, sign, logmag):
+        path = tmp_path / "cloud.csv"
+        path.write_text(self.GOOD + f"2,q,5,{sign},{logmag}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5: want sign")):
+            load_cloud_csv(str(path))

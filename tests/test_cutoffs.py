@@ -1,48 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
-from attractorlab.cutoffs import (_MAX_ORDER, CutoffError, SmoothStep, _unit_step,
-                                  mollifier_bump, periodic_drive, smooth_step)
+from attractorlab.cutoffs import (CutoffError, SmoothStep, _unit_step, mollifier_bump,
+                                  periodic_drive, smooth_step)
 
-ORDERS = range(1, _MAX_ORDER + 1)
 U = np.linspace(0.01, 0.99, 2001)
 
 
-def scale(k):
-    """max |h^(k)| on the sample grid, the yardstick for order-k errors"""
-    return np.max(np.abs(_unit_step(U, k)))
-
-
 class TestUnitStepKernel:
-    """Oracles for the normalized mollifier step h and its Taylor-jet
-    derivatives: closed forms, symmetry, finite differences, quadrature."""
+    """Oracles for the normalized mollifier step h: its closed-form
+    derivative, its symmetry and pinned values."""
 
     def test_first_derivative_closed_form(self):
+        # h' = h (1 - h) (1/u^2 + 1/(1-u)^2), against a central difference of h
+        dl = 1e-6
         h = _unit_step(U)
         exact = h * (1.0 - h) * (1.0 / U**2 + 1.0 / (1.0 - U) ** 2)
-        assert np.max(np.abs(_unit_step(U, 1) - exact)) <= 1e-12 * scale(1)
+        fd = (_unit_step(U + dl) - _unit_step(U - dl)) / (2.0 * dl)
+        assert np.max(np.abs(fd - exact)) <= 1e-9 * np.max(np.abs(exact))
 
-    @pytest.mark.parametrize("k", ORDERS)
-    def test_reflection(self, k):
-        # h(1 - u) = 1 - h(u), so h^(k)(u) = (-1)^(k+1) h^(k)(1 - u)
-        got = _unit_step(U, k) - (-1.0) ** (k + 1) * _unit_step(1.0 - U, k)
-        assert np.max(np.abs(got)) <= 1e-13 * scale(k)
-
-    @pytest.mark.parametrize("k", range(2, _MAX_ORDER + 1))
-    def test_central_difference_of_previous_order(self, k):
-        v, dl = np.linspace(0.05, 0.95, 181), 1e-5
-        fd = (_unit_step(v + dl, k - 1) - _unit_step(v - dl, k - 1)) / (2.0 * dl)
-        assert np.max(np.abs(fd - _unit_step(v, k))) <= 1e-5 * scale(k)
-
-    @pytest.mark.parametrize("k", range(2, _MAX_ORDER + 1))
-    def test_higher_derivatives_integrate_to_zero(self, k):
-        # h^(k-1) vanishes at both ends of [0, 1]
-        m = scale(k)
-        val, _ = quad(lambda x: float(_unit_step(x, k)), 0.0, 1.0, limit=400,
-                      epsabs=1e-13 * m, epsrel=0.0)
-        assert abs(val) <= 1e-10 * m
+    def test_value_reflection(self):
+        # h(1 - u) = 1 - h(u)
+        assert np.max(np.abs(_unit_step(1.0 - U) - (1.0 - _unit_step(U)))) <= 1e-15
 
     def test_values_bit_identical_to_closed_form(self):
         us = [0.02, 0.1, 0.3, 0.6, 0.9, 0.97]
@@ -53,14 +32,6 @@ class TestUnitStepKernel:
         assert step.value(np.array(us)).tolist() == pinned
         assert [float(step.value(u)) for u in us] == pinned
         assert step.value(0.5).shape == ()
-
-    @pytest.mark.parametrize("order", [-1, _MAX_ORDER + 1])
-    def test_order_out_of_range_rejected(self, order):
-        with pytest.raises(CutoffError, match="derivative order"):
-            smooth_step(0.0, 1.0).derivative(0.5, order)
-        with pytest.raises(CutoffError, match="derivative order"):
-            mollifier_bump(0.0, 1.0, 0.3, 0.7).derivative(0.2, order)
-
 
 
 class TestBump:
@@ -73,21 +44,12 @@ class TestBump:
         bump = mollifier_bump(0.0, 1.0, 0.3, 0.7)
         xs = np.array([-5.0, -1e-9, 0.0, 1.0, 1.0 + 1e-9, 7.0])
         assert np.all(bump.value(xs) == 0.0)
-        for k in range(1, 5):
-            assert np.all(bump.derivative(xs, k) == 0.0)
 
     def test_range_within_unit_interval(self):
         bump = mollifier_bump(-2.0, 3.0, -0.5, 1.0)
         xs = np.linspace(-2.5, 3.5, 4001)
         vals = bump.value(xs)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-
-    def test_transition_derivative_integrates_to_one(self):
-        # rising transition derivative integrates to 1 (quadrature oracle)
-        bump = mollifier_bump(0.0, 2.0, 1.0, 1.5)
-        val, err = quad(lambda x: float(bump.derivative(x, 1)), 0.0, 1.0,
-                        epsabs=1e-12, limit=200)
-        assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(CutoffError):
@@ -137,16 +99,3 @@ class TestPeriodicDrive:
         drive = periodic_drive(1.0, 2.0, 0.75)
         t0 = drive.plateau_entry_time(0.25)
         assert float(-drive.value(t0)) == pytest.approx(0.25, abs=1e-10)
-
-    @given(st.floats(min_value=0.55, max_value=0.95),
-           st.floats(min_value=0.5, max_value=8.0))
-    @settings(max_examples=20, deadline=None)
-    def test_derivative_matches_finite_difference(self, p, tau):
-        drive = periodic_drive(1.0, tau, p)
-        ts = np.linspace(0.1 * tau, 1.9 * tau, 37)
-        h = 1e-6 * tau
-        fd = (drive.value(ts + h) - drive.value(ts - h)) / (2 * h)
-        assert np.max(np.abs(fd - drive.value(ts, ) * 0 - drive.derivative(ts))) <= 1e-4 * (
-            1.0 + np.max(np.abs(drive.derivative(ts)))
-        )
-

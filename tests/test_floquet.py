@@ -137,7 +137,7 @@ class TestPredictedShift:
 class TestNumericPoincare:
     def test_matches_predicted_shift(self, operator_t2):
         spec = operator_t2.spectrum
-        numeric = poincare_numeric(operator_t2, 8, tol=1e-10)
+        numeric = poincare_numeric(operator_t2, 8)
         predicted = poincare_predicted(spec, operator_t2.half_period)
         report = shift_match_report(numeric, predicted)
         assert report["pattern_ok"]
@@ -150,7 +150,7 @@ class TestNumericPoincare:
         dead_step = smooth_step(50.0, 60.0)  # theta2 never activates
         theta1 = mollifier_bump(0.25, 2.0, 0.5, 1.5)
         op = PeriodicOperator(spec, drive, theta1, dead_step, 0.0, 0.0, 6)
-        numeric = poincare_numeric(op, 4, tol=1e-10)
+        numeric = poincare_numeric(op, 4)
         expected = np.diag(np.exp(-2.0 * 1.0 * spec.values[:4]))
         assert np.allclose(numeric.matrix[:4, :4], expected, rtol=1e-8, atol=1e-14)
 
@@ -161,7 +161,7 @@ class TestNumericPoincare:
         op = PeriodicOperator(spec, periodic_drive(1.0, 1.0, 0.75),
                               mollifier_bump(0.25, 2.0, 0.5, 1.5), smooth_step(50.0, 60.0),
                               0.0, 0.0, 4)
-        numeric = poincare_numeric(op, 4, tol=1e-10)
+        numeric = poincare_numeric(op, 4)
         assert numeric.matrix.shape == (5, 4)
         expected = np.diag(np.exp(-2.0 * spec.values))
         assert np.allclose(numeric.matrix[:4], expected, rtol=1e-8, atol=1e-14)
@@ -170,7 +170,7 @@ class TestNumericPoincare:
     def test_dense_power_matches_iterate_norms(self, operator_t2):
         spec = operator_t2.spectrum
         shift = poincare_predicted(spec, operator_t2.half_period)
-        numeric = poincare_numeric(operator_t2, 10, tol=1e-10)
+        numeric = poincare_numeric(operator_t2, 10)
         p = numeric.matrix[:10, :10]
         # orbit of e_4 under 3 periods stays within 10 modes: 4 -> 2 -> 1 -> 3
         vec = np.zeros(10)

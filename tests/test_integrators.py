@@ -56,7 +56,6 @@ def test_propagate_periods_tracks_logs_below_double_range():
     w0 = np.array([1.0, 0.0])
     log = propagate_periods(lam, lambda t, w: np.zeros_like(w), w0, 2.0, 5, 16)
     assert np.allclose(log.lognorms, [-400.0 * k for k in range(6)], rtol=1e-12)
-    assert not log.projection_applied
 
 
 def test_propagate_periods_projection_guard():

@@ -137,7 +137,7 @@ class TestLinearizationSpectrum:
 class TestObstruction:
     def test_contradiction_in_regime(self):
         spec = make_spectrum("linear", {"c": 1.0}, 33)
-        verdict = c1_obstruction_check(spec, 2.0, 33)
+        verdict = c1_obstruction_check(spec, 2.0)
         assert verdict.parity_contradiction
         assert verdict.minus_real_count == 0
         assert verdict.plus_real_count == 1
@@ -146,7 +146,7 @@ class TestObstruction:
 
     def test_gap_condition_regime_no_obstruction(self):
         spec = make_spectrum("linear", {"c": 1.0}, 32)
-        verdict = c1_obstruction_check(spec, 0.4, 32)
+        verdict = c1_obstruction_check(spec, 0.4)
         assert not verdict.parity_contradiction
         assert not verdict.in_regime
 
@@ -158,7 +158,7 @@ class TestObstruction:
         spec = make_spectrum("explicit", {"values": [1.0, 2.0, 4.0, 5.0]}, 4)
         minus = linearization_spectrum(spec, 1.6, "minus")
         assert minus.real_count == 0 and minus.dense_mismatch <= 1e-9
-        verdict = c1_obstruction_check(spec, 1.6, 4)
+        verdict = c1_obstruction_check(spec, 1.6)
         assert verdict.minus_real_count == 0
         assert verdict.plus_real_count == 1
         assert verdict.parity_contradiction

@@ -1,9 +1,10 @@
-"""Guards on the package surface: every exported name exists and is used
-somewhere in the package, as is every public class member, every module
-reads what it imports unless the benchmark's layer tracer wraps that
-binding, every binding the tracer wraps still resolves, so a deletion that
-would break the traced run fails here first, and the smooth-step kernel and
-the CLI run without the packages only the test oracles use."""
+"""Guards on the package surface: every exported name exists; every
+definition is reached from a command and every defaulted parameter is set
+by some call, unless KEEP or OPTION_KEEP says why not; every module reads
+what it imports unless the benchmark's layer tracer wraps that binding;
+every binding the tracer wraps still resolves, so a deletion that would
+break the traced run fails here first; and the smooth-step kernel and the
+CLI run without the packages only the test oracles use."""
 
 import ast
 import glob
@@ -13,6 +14,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -22,13 +24,25 @@ from attractorlab import geometry
 LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "layers.py")
 
-# Exported names that nothing in the package uses yet, with the reason each stays.
+# Definitions that no command reaches yet, with the reason each stays; they
+# are roots of the reachability guard, and their parameters need no caller.
 KEEP = {
     "separated_count_exact": "closed-form section-4 counter: reuse or delete",
     "separated_count_log": "closed-form section-4 counter: reuse or delete",
     "smoothness_criterion": "forcing's C^k-in-H^s verdict beside the dimension: "
                             "reuse or delete",
     "adaptive_simpson": "tracer-pinned until ROADMAP item 1's benchmark step",
+}
+
+# Defaulted parameters that no call in the package sets, with the reason each stays.
+OPTION_KEEP = {
+    "cli.py:main(argv)": "the console entry point passes none; tests and embedding "
+                         "callers pass their argument list",
+    "simulate.py:trajectory_pair_experiment(rotation_on)": "the paper's rotation-free "
+                                                            "control, run by the tests",
+    "integrators.py:lawson_rk4_adaptive(max_steps)": "tracer-pinned until ROADMAP item 1's "
+                                                     "benchmark step",
+    "simulate.py:_window_kernel(tol)": "tracer-pinned until ROADMAP item 1's benchmark step",
 }
 
 
@@ -71,61 +85,165 @@ def package_trees() -> dict:
     return trees
 
 
-def names_read(tree) -> set:
-    """Every name the tree reads as a name or an attribute; binding a name
-    is no read."""
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+def reads(node) -> set:
+    """Every name the code under `node` reads at run time, as a name or an
+    attribute.  Binding or assigning a name is no read, and neither is a type
+    annotation."""
+    used, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id if isinstance(node, ast.Name) else node.attr)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                stack.extend(v for v in (value if isinstance(value, list) else [value])
+                             if isinstance(v, ast.AST))
     return used
 
 
-def package_names_read() -> set:
-    """Names read anywhere in the package; the re-exports in __init__ count
-    as no use."""
-    return set().union(*(names_read(tree) for name, (tree, _) in package_trees().items()
-                         if name != "__init__.py"))
-
-
-def test_every_export_is_used():
-    """Each name in a module's __all__ is read (as a name or an attribute)
-    somewhere in the package, so a public function no command reaches fails
-    here."""
-    used, exported = package_names_read(), {}
-    for module, (tree, _) in package_trees().items():
-        if module == "__init__.py":
-            continue
+def definitions(trees) -> dict:
+    """"module:qualified name" -> (bare name, owning class key or None, node
+    or None for a field) of every module-level function and class, method
+    and dataclass field of the package."""
+    defs = {}
+    for module, (tree, _) in trees.items():
         for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
-                for name in ast.literal_eval(node.value):
-                    exported[name] = module
-    unused = {name: module for name, module in exported.items() if name not in used}
-    assert {name: module for name, module in unused.items() if name not in KEEP} == {}
-    assert set(KEEP) <= set(unused), "a KEEP entry is used now; drop it from KEEP"
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            owner = f"{module}:{node.name}"
+            defs[owner] = (node.name, None, node)
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef):
+                    defs[f"{owner}.{member.name}"] = (member.name, owner, member)
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    defs[f"{owner}.{member.target.id}"] = (member.target.id, owner, None)
+    return defs
 
 
-def test_every_class_member_is_used():
-    """Each public method, property and dataclass field of a package class
-    is read somewhere in the package, by the rule the exports follow."""
-    used, members = package_names_read(), {}
-    for module, (tree, _) in package_trees().items():
-        if module == "__init__.py":
-            continue
+def import_time_reads(tree) -> set:
+    """Names a module reads when it is imported: everything outside function
+    bodies, so decorators, bases, defaults and class-level statements count."""
+    used = set()
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        if isinstance(node, ast.ClassDef):
+            for expr in node.decorator_list + node.bases:
+                used |= reads(expr)
+        for member in members:
+            if isinstance(member, ast.FunctionDef):
+                args = member.args
+                for expr in member.decorator_list + args.defaults + args.kw_defaults:
+                    used |= reads(expr) if expr is not None else set()
+            else:
+                used |= reads(member)
+    return used
+
+
+def live_definitions(trees, roots) -> tuple[dict, set]:
+    """All definitions and the live ones.  `cli.main` and the definitions
+    named in `roots` are live; so is every definition whose name is read at
+    import time or in the body of a live definition, and every dunder method
+    of a live class, which Python calls by protocol."""
+    defs = definitions(trees)
+    live = {"cli.py:main"}
+    names = set(roots).union(reads(defs["cli.py:main"][2]),
+                             *(import_time_reads(tree) for tree, _ in trees.values()))
+    grew = True
+    while grew:
+        grew = False
+        for key, (name, owner, node) in defs.items():
+            dunder = name.startswith("__") and name.endswith("__")
+            if key in live or not (owner in live if dunder else name in names):
+                continue
+            live.add(key)
+            names |= reads(node) if isinstance(node, ast.FunctionDef) else set()
+            grew = True
+    return defs, live
+
+
+def source_trees() -> dict:
+    """package_trees() without __init__, whose re-exports are no use."""
+    return {m: t for m, t in package_trees().items() if m != "__init__.py"}
+
+
+def test_every_definition_is_reachable():
+    """Each function, method, class and dataclass field of the package is
+    reached from a command: its name is read at import time or in a live
+    definition, starting from `cli.main` and the KEEP names.  Code that only
+    calls itself fails here, and so does code only the tests call.
+
+    Names match bare, because `obj.attr` does not say whose `attr` it reads.
+    So a dead definition passes when live code reads its name for something
+    else: another class's member (a test-only `PointCloud.from_dense` beside
+    the live `LogModeVector.from_dense` did) or a local variable.  A dead
+    dunder method of a live class passes too."""
+    trees = source_trees()
+    defs, live = live_definitions(trees, KEEP)
+    assert sorted(set(defs) - live) == []
+    assert set(KEEP) <= {name for name, _, _ in defs.values()}, "a KEEP name is gone"
+    _, reached = live_definitions(trees, ())
+    assert {defs[key][0] for key in reached} & set(KEEP) == set(), \
+        "a command reaches a KEEP name now; drop it from KEEP"
+
+
+def calls_by_name(trees) -> dict:
+    """Bare callee name -> every call of it in the package."""
+    calls = defaultdict(list)
+    for tree, _ in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls[name].append(node)
+    return calls
+
+
+def sets_parameter(call, index, name) -> bool:
+    """Whether `call` passes the parameter `name`, found at argument
+    `index` when passed by position (None for a keyword-only one)."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def defaulted_parameters(trees):
+    """("module:qualified name(parameter)", bare function name, argument
+    index or None, parameter name) of every defaulted parameter of every
+    function and method, nested ones included; a method's index skips its
+    self or cls."""
+    for module, (tree, _) in trees.items():
+        methods = {}
         for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-            for node in cls.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    name = node.name
-                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    name = node.target.id
-                else:
-                    continue
-                if not name.startswith("_"):
-                    members[f"{module}:{cls.name}.{name}"] = name
-    assert {member for member, name in members.items() if name not in used} == set()
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    methods[fn] = (f"{cls.name}.{fn.name}", 0 if static else 1)
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            qual, skip = methods.get(fn, (fn.name, 0))
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield f"{module}:{qual}({arg.arg})", fn.name, i - skip, arg.arg
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{module}:{qual}({arg.arg})", fn.name, None, arg.arg
+
+
+def test_every_option_is_set():
+    """Each defaulted parameter of a package function or method is set, by
+    position or by keyword, at some call in the package.  A default no call
+    changes is a constant, not an option.  The parameters of KEEP functions
+    and the OPTION_KEEP entries are exempt.  Calls match by bare name, as in
+    the reachability guard, and dataclass fields are not checked."""
+    trees = source_trees()
+    calls = calls_by_name(trees)
+    unset = {key for key, fname, index, name in defaulted_parameters(trees)
+             if fname not in KEEP
+             and not any(sets_parameter(call, index, name) for call in calls[fname])}
+    assert sorted(unset - set(OPTION_KEEP)) == []
+    assert set(OPTION_KEEP) <= unset, "an OPTION_KEEP parameter is set now; drop it"
 
 
 def imported_names(tree):
@@ -145,9 +263,7 @@ def test_every_import_is_read():
     binding in that module; __init__ imports only to re-export."""
     pinned = tracer_bindings()
     unread = []
-    for module, (tree, lines) in package_trees().items():
-        if module == "__init__.py":
-            continue
+    for module, (tree, lines) in source_trees().items():
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         read |= {node.value.id for node in ast.walk(tree)
@@ -184,8 +300,7 @@ def test_runs_without(module):
         "import attractorlab.cli\n"
         "from attractorlab.cutoffs import mollifier_bump\n"
         "bump = mollifier_bump(0.0, 1.0, 0.3, 0.7)\n"
-        "for k in range(7):\n"
-        "    bump.derivative([0.1, 0.2, 0.8], k)\n"
+        "assert bump.value(0.5) == 1.0\n"
         f"assert {module!r} not in sys.modules, '{module} was imported'\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(attractorlab.__file__)))
