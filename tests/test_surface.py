@@ -166,24 +166,37 @@ def source_trees() -> dict:
     return {m: t for m, t in package_trees().items() if m != "__init__.py"}
 
 
-def test_every_definition_is_reachable():
-    """Each function, method, class and dataclass field of the package is
-    reached from a command: its name is read at import time or in a live
-    definition, starting from `cli.main` and the KEEP names.  Code that only
-    calls itself fails here, and so does code only the tests call.
+def unreached() -> dict:
+    """Each definition no command reaches -> its owning class key, or None
+    for a module-level one.  A definition is reached when its name is read
+    at import time or in a reached definition, starting from `cli.main` and
+    the KEEP names, so code that only calls itself is not reached, and
+    neither is code only the tests call.
 
     Names match bare, because `obj.attr` does not say whose `attr` it reads.
     So a dead definition passes when live code reads its name for something
     else: another class's member (a test-only `PointCloud.from_dense` beside
     the live `LogModeVector.from_dense` did) or a local variable.  A dead
     dunder method of a live class passes too."""
+    defs, live = live_definitions(source_trees(), KEEP)
+    return {key: owner for key, (_, owner, _) in defs.items() if key not in live}
+
+
+def test_every_export_is_used():
+    """Each module-level function and class of the package is reached from a
+    command (see `unreached`), and KEEP names only what no command reaches."""
+    assert sorted(key for key, owner in unreached().items() if owner is None) == []
     trees = source_trees()
-    defs, live = live_definitions(trees, KEEP)
-    assert sorted(set(defs) - live) == []
+    defs, reached = live_definitions(trees, ())
     assert set(KEEP) <= {name for name, _, _ in defs.values()}, "a KEEP name is gone"
-    _, reached = live_definitions(trees, ())
     assert {defs[key][0] for key in reached} & set(KEEP) == set(), \
         "a command reaches a KEEP name now; drop it from KEEP"
+
+
+def test_every_class_member_is_used():
+    """Each method and dataclass field of the package is reached from a
+    command (see `unreached`)."""
+    assert sorted(key for key, owner in unreached().items() if owner is not None) == []
 
 
 def calls_by_name(trees) -> dict:
