@@ -193,8 +193,8 @@ def cmd_simulate(cfg, args) -> int:
         "r2": result["r_squared"],
         "kappa_expected": result["kappa_expected"],
         "consistent_with_shift": result["consistent_with_shift"],
-        "modulus_half_verdict": mod_half["verdict"],
-        "modulus_zero_verdict": mod_zero["verdict"],
+        "modulus_half_verdict": mod_half,
+        "modulus_zero_verdict": mod_zero,
         "epsilon": result["epsilon"],
     })
     path = write_csv(os.path.join(out, "pair_distance.csv"),
@@ -207,7 +207,7 @@ def cmd_simulate(cfg, args) -> int:
     report.files.append(tpath)
     print(f"kappa_fit {fmt17(result['kappa_fit'])}  R2 {result['r_squared']:.6f}  "
           f"expected {fmt17(result['kappa_expected'])}")
-    print(f"log-Lipschitz gamma=1/2: {mod_half['verdict']}; gamma=0: {mod_zero['verdict']}")
+    print(f"log-Lipschitz gamma=1/2: {mod_half}; gamma=0: {mod_zero}")
     return _finish(report, out, started)
 
 

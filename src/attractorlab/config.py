@@ -25,6 +25,8 @@ class ConfigError(ValueError):
 
 
 _NUM = {"type": "number"}
+# Fewest scales the dimension fit takes (`geometry.fractal_dimension_estimate`).
+MIN_SCALES = 4
 
 SCHEMA = {
     "type": "object",
@@ -80,7 +82,7 @@ SCHEMA = {
                 "scales": {
                     "anyOf": [
                         {"type": "string"},
-                        {"type": "array", "items": _NUM, "minItems": 3},
+                        {"type": "array", "items": _NUM, "minItems": MIN_SCALES},
                     ]
                 },
                 "s_list": {"type": "array", "items": _NUM, "minItems": 1},
@@ -157,7 +159,8 @@ def resolve_config(raw: dict) -> dict:
         jsonschema.validate(raw, SCHEMA)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+        need = f" (at least {exc.validator_value})" if exc.validator == "minItems" else ""
+        raise ConfigError(f"config invalid at {path}: {exc.message}{need}") from exc
     resolved = _merge(DEFAULTS, raw)
     resolved.setdefault("spectrum", {}).setdefault("params", {})
     _check_explicit(resolved["spectrum"])
@@ -248,19 +251,21 @@ def scenario_from_config(resolved: dict) -> Scenario:
 
 def parse_scales(spec) -> list[float]:
     """Geometric scale ladder, largest first: either an explicit list or
-    "a:b:n".  Every scale must be positive and distinct."""
+    "a:b:n" with n >= MIN_SCALES (the schema holds a list to as many).  Every
+    scale must be positive and distinct."""
     if isinstance(spec, (list, tuple)):
         vals = [float(v) for v in spec]
     else:
         try:
             a, b, n = spec.split(":")
             a, b, n = float(a), float(b), int(n)
-            if a <= 0 or b <= 0 or n < 3:
+            if a <= 0 or b <= 0 or n < MIN_SCALES:
                 raise ValueError
             ratio = (b / a) ** (1.0 / (n - 1))
             vals = [a * ratio**k for k in range(n)]
         except (ValueError, AttributeError) as exc:
-            raise ConfigError(f"bad scales spec {spec!r}; want numbers or 'a:b:n'") from exc
+            raise ConfigError(f"bad scales spec {spec!r}; want numbers or 'a:b:n' with "
+                              f"a, b > 0 and n >= {MIN_SCALES}") from exc
     if any(v <= 0 for v in vals):
         raise ConfigError("scales must be positive")
     vals = sorted(vals, reverse=True)

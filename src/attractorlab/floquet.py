@@ -253,15 +253,14 @@ def shift_match_report(numeric: NumericPoincare, predicted: WeightedShift) -> di
     closed-form shift: relative log-multiplier error and off-pattern mass."""
     max_log_rel = 0.0
     max_off = 0.0
-    signs = []
+    positive = True
     for mode in range(1, numeric.n_columns + 1):
         col = numeric.matrix[:, mode - 1]
         target = predicted.image(mode)
         expected = predicted.log_mult(mode)
         got = col[target - 1]
         if got == 0.0:
-            return {"pattern_ok": False, "max_log_rel_err": math.inf, "max_off_pattern": math.inf,
-                    "signs": [], "failed_column": mode}
+            return {"pattern_ok": False, "max_log_rel_err": math.inf, "max_off_pattern": math.inf}
         log_rel = abs(math.log(abs(got)) - expected) / abs(expected) if expected else abs(
             math.log(abs(got))
         )
@@ -270,13 +269,11 @@ def shift_match_report(numeric: NumericPoincare, predicted: WeightedShift) -> di
         off = float(np.max(np.abs(rest))) / float(np.linalg.norm(col))
         max_log_rel = max(max_log_rel, log_rel)
         max_off = max(max_off, off)
-        signs.append(1 if got > 0 else -1)
+        positive = positive and bool(got > 0)
     return {
-        "pattern_ok": all(s == 1 for s in signs),
+        "pattern_ok": positive,
         "max_log_rel_err": max_log_rel,
         "max_off_pattern": max_off,
-        "signs": signs,
-        "steps": numeric.steps,
     }
 
 
@@ -365,9 +362,6 @@ def ratio_bounds_check(shift: WeightedShift, n: int) -> dict:
     beta = -max(gaps) / n**2
     gamma = spread / n**1.5 if spread > 0 else 0.0
     return {
-        "level": n,
-        "band_width": k,
-        "iterates": count,
         "beta": beta,
         "gamma": gamma,
         "first_mode_lognorm": base,

@@ -50,29 +50,36 @@ def lawson_rk4(decay, rhs, state, t0: float, t1: float, steps: int):
     return state
 
 
+# Largest step count `lawson_rk4_adaptive` doubles to before giving up.
+ADAPTIVE_MAX_STEPS = 1 << 22
+
+
 def lawson_rk4_adaptive(
     decay,
-    rhs,
+    rhs_for,
     state,
     t0: float,
     t1: float,
     tol: float = 1e-10,
     initial_steps: int = 256,
-    max_steps: int = 1 << 22,
 ):
     """Double the step count until the end state stabilizes to `tol`
-    (relative to its largest magnitude); deterministic for fixed inputs."""
+    (relative to its largest magnitude); deterministic for fixed inputs.
+
+    `rhs_for(steps)` returns the rhs for one step count, so a caller can
+    tabulate its coefficients once per doubling on that count's stage grid
+    t0 + k h/2, as `PeriodicOperator.tabulated_rhs` does."""
     steps = initial_steps
-    prev = lawson_rk4(decay, rhs, state, t0, t1, steps)
-    while steps <= max_steps:
+    prev = lawson_rk4(decay, rhs_for(steps), state, t0, t1, steps)
+    while steps <= ADAPTIVE_MAX_STEPS:
         steps *= 2
-        cur = lawson_rk4(decay, rhs, state, t0, t1, steps)
+        cur = lawson_rk4(decay, rhs_for(steps), state, t0, t1, steps)
         scale = max(float(np.max(np.abs(cur))), 1e-300)
         if float(np.max(np.abs(cur - prev))) <= tol * scale:
             return cur, steps
         prev = cur
     raise IntegrationError(
-        f"no convergence to tol={tol:g} within {max_steps} steps over [{t0}, {t1}]"
+        f"no convergence to tol={tol:g} within {ADAPTIVE_MAX_STEPS} steps over [{t0}, {t1}]"
     )
 
 

@@ -43,9 +43,13 @@ __all__ = [
 
 # Relative bound on |kappa_fit - kappa_expected| for `consistent_with_shift`.
 KAPPA_REL_TOL = 1e-6
+# First level of the section-4 laws; thm44's log(log lambda_n) is -inf at n = 1.
+FIRST_LEVEL = 2
 # Section-4 sample: rings of the planar disk, and points per fibre segment.
 DISK_RINGS = 24
 SEGMENT_POINTS = 64
+# Relative tolerance of the step doubling in `_window_kernel`.
+KERNEL_TOL = 1e-12
 
 
 class SimulationError(RuntimeError):
@@ -205,20 +209,29 @@ class KickOperator:
 
 
 def _window_kernel(spec: Spectrum, mode: int, theta2, theta: BumpFunction,
-                   drive: PeriodicDrive, kappa: float, tol: float = 1e-12) -> float:
+                   drive: PeriodicDrive, kappa: float) -> float:
     """Deposit kernel of an even mode over the pre-period window: the unit
     response of w' = (-lambda_a + pair-mean correction) w + theta(x(t)),
     w(-kappa) = 0, evaluated at t = 0 by the same exponential stepper used
-    in the simulations."""
+    in the simulations.  Each step doubling evaluates the cut-offs once, on
+    its own stage grid -kappa + k h/2."""
     lam_a = spec.lam(mode)
-    lam_b = spec.lam(mode + 1)
+    coupling = 0.5 * (lam_a - spec.lam(mode + 1))
 
-    def rhs(t, w):
-        x = float(drive.value(t))
-        return 0.5 * (lam_a - lam_b) * float(theta2.value(x)) * w + float(theta.value(x))
+    def rhs_for(steps):
+        x = drive.value(np.linspace(-kappa, 0.0, 2 * steps + 1))
+        a = coupling * theta2.value(x)
+        b = theta.value(x)
+        half = kappa / (2 * steps)
 
-    out, _ = lawson_rk4_adaptive(np.array([lam_a]), rhs, np.zeros(1),
-                                 -kappa, 0.0, tol=tol, initial_steps=128)
+        def rhs(t, w):
+            k = int(round((t + kappa) / half))
+            return a[k] * w + b[k]
+
+        return rhs
+
+    out, _ = lawson_rk4_adaptive(np.array([lam_a]), rhs_for, np.zeros(1),
+                                 -kappa, 0.0, tol=KERNEL_TOL, initial_steps=128)
     return float(out[0])
 
 
@@ -321,7 +334,6 @@ class Section4Laws:
     log_a: object
     log_b: object
     log_lam: object
-    n_min: int = 2
 
 
 def thm44_laws() -> Section4Laws:
@@ -338,7 +350,7 @@ def smooth_forcing_laws(n_max: int) -> Section4Laws:
     """B_n = e^{-sqrt n} with A_n = c / n^2 packed to total 2 pi - 0.1 and
     lambda_n = n^2: the infinitely smooth variant (criterion holds at every
     order)."""
-    n = np.arange(2, n_max + 1, dtype=float)
+    n = np.arange(FIRST_LEVEL, n_max + 1, dtype=float)
     c = (2.0 * math.pi - 0.1) / float(np.sum(1.0 / n**2))
     log_a = lambda n: math.log(c) - 2.0 * np.log(n)
     log_b = lambda n: -np.sqrt(n)
@@ -352,7 +364,7 @@ def section4_attractor(laws: Section4Laws, spec: Spectrum, n_max: int,
     per-level equilibria (cos phi_n, sin phi_n, B_n / lambda_n e_n), and the
     connecting segments, SEGMENT_POINTS points each, discretized
     geometrically toward zero."""
-    ns = np.arange(laws.n_min, n_max + 1, dtype=float)
+    ns = np.arange(FIRST_LEVEL, n_max + 1, dtype=float)
     a_n = np.exp(laws.log_a(ns))
     total = float(np.sum(a_n))
     if total >= 2.0 * math.pi:
@@ -416,32 +428,23 @@ def _signed_log(v: float) -> tuple[int, float]:
     return (1 if v > 0 else -1, math.log(abs(v)))
 
 
-def log_lipschitz_modulus(distance_logs, a_distance_logs, gamma: float) -> dict:
-    """Sup over samples of ||A(u1-u2)|| / (d (log(C0/d))^gamma), in log space,
-    with log C0 one above the largest log distance.
+def log_lipschitz_modulus(distance_logs, a_distance_logs, gamma: float) -> str:
+    """Verdict on the ratio ||A(u1-u2)|| / (d (log(C0/d))^gamma) over the
+    samples, in log space, with log C0 one above the largest log distance.
 
-    Zero-distance samples are skipped and flagged; the verdict reports
-    whether the running ratio stabilizes (bounded modulus) or trends upward
-    (modulus violated, e.g. plain Lipschitz against super-exponential
-    closing).
+    Zero-distance samples are skipped.  "divergent" means the running ratio
+    trends upward (modulus violated, e.g. plain Lipschitz against
+    super-exponential closing), "bounded" that it does not, and "empty" that
+    no sample is left.
     """
     d = np.asarray(distance_logs, dtype=float)
     ad = np.asarray(a_distance_logs, dtype=float)
     keep = np.isfinite(d) & np.isfinite(ad)
-    skipped = int(np.sum(~keep))
     d, ad = d[keep], ad[keep]
     if len(d) == 0:
-        return {"ratios_log": [], "sup_log": None, "verdict": "empty",
-                "skipped_samples": skipped, "gamma": gamma}
+        return "empty"
     c0_log = float(np.max(d)) + 1.0
     loglog = np.log(c0_log - d)
     ratios = ad - d - gamma * loglog
     upward = monotone_increase(ratios) and len(ratios) >= 4 and ratios[-1] > ratios[0] + 0.5
-    return {
-        "ratios_log": list(map(float, ratios)),
-        "sup_log": float(np.max(ratios)),
-        "verdict": "divergent" if upward else "bounded",
-        "skipped_samples": skipped,
-        "gamma": gamma,
-        "c0_log": c0_log,
-    }
+    return "divergent" if upward else "bounded"

@@ -321,9 +321,10 @@ class TestFailFast:
                            match="1 <= n0 <= kick_max_level \\(got n0 5, kick_max_level 4\\)"):
             scenario_from_config(cfg)
 
-    @pytest.mark.parametrize("scales", ["1e-1:1e-1:5", [0.1, 0.1, 0.05, 0.01]])
-    def test_repeated_scale_refused_before_the_cloud(self, tmp_path, monkeypatch, capsys,
-                                                     scales):
+    @staticmethod
+    def refused_scales(tmp_path, monkeypatch, capsys, scales) -> str:
+        """stderr of a section-4 `dimension` run refused for its scales
+        before the cloud is built or the output directory made."""
         def built(*args, **kwargs):
             raise AssertionError("cloud built before the scale check")
 
@@ -332,8 +333,21 @@ class TestFailFast:
             "spectrum": {"family": "quadratic", "n_max": 12},
             "geometry": {"cloud": {"kind": "section4", "n_max": 12}, "scales": scales}})
         assert run(cfg, tmp_path / "out", "dimension") == 1
-        assert "config error: scale 0.1 is repeated" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("scales", ["1e-1:1e-1:5", [0.1, 0.1, 0.05, 0.01]])
+    def test_repeated_scale_refused_before_the_cloud(self, tmp_path, monkeypatch, capsys,
+                                                     scales):
+        err = self.refused_scales(tmp_path, monkeypatch, capsys, scales)
+        assert "config error: scale 0.1 is repeated" in err
+
+    @pytest.mark.parametrize("scales,need", [("1e-1:1e-3:3", "n >= 4"),
+                                             ([0.1, 0.01, 0.001], "(at least 4)")])
+    def test_three_scale_ladder_refused_before_the_cloud(self, tmp_path, monkeypatch, capsys,
+                                                         scales, need):
+        err = self.refused_scales(tmp_path, monkeypatch, capsys, scales)
+        assert "config error" in err and need in err
 
     def test_explicit_spectrum_needs_matching_n_max(self, tmp_path, capsys):
         raw = {"spectrum": {"family": "explicit", "n_max": 40,

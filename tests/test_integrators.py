@@ -30,7 +30,8 @@ def test_fourth_order_convergence():
 def test_adaptive_reaches_tolerance():
     lam = np.array([2.0])
     rhs = lambda t, w: np.sin(3.0 * t) * w
-    out, steps = lawson_rk4_adaptive(lam, rhs, np.array([1.0]), 0.0, 1.0, tol=1e-12)
+    out, steps = lawson_rk4_adaptive(lam, lambda steps: rhs, np.array([1.0]), 0.0, 1.0,
+                                     tol=1e-12)
     # closed form: exp(-2 t + (1 - cos 3t)/3)
     exact = math.exp(-2.0 + (1.0 - math.cos(3.0)) / 3.0)
     assert out[0] == pytest.approx(exact, rel=1e-10)

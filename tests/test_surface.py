@@ -40,9 +40,6 @@ OPTION_KEEP = {
                          "callers pass their argument list",
     "simulate.py:trajectory_pair_experiment(rotation_on)": "the paper's rotation-free "
                                                             "control, run by the tests",
-    "integrators.py:lawson_rk4_adaptive(max_steps)": "tracer-pinned until ROADMAP item 1's "
-                                                     "benchmark step",
-    "simulate.py:_window_kernel(tol)": "tracer-pinned until ROADMAP item 1's benchmark step",
 }
 
 
