@@ -196,6 +196,7 @@ def cmd_simulate(cfg, args) -> int:
         "modulus_half_verdict": mod_half,
         "modulus_zero_verdict": mod_zero,
         "epsilon": result["epsilon"],
+        "projection_discard_max": result["projection_discard_max"],
     })
     path = write_csv(os.path.join(out, "pair_distance.csv"),
                      ["t", "log_distance"],

@@ -119,19 +119,40 @@ class PeriodicOperator:
         r1p = self.epsilon * self.theta1.value(x)
         return tm, r1m, tp, r1p
 
-    def tabulated_rhs(self, t0: float, t1: float, steps: int):
+    def tabulated_rhs(self, t0: float, t1: float, steps: int, columns: int = 1):
         """rhs(t, u) = Phi(t) u with the drive coefficients pre-evaluated on
-        the Lawson stage grid (t0 + k h/2); evaluation off the grid raises."""
-        dm, rm, dp, rp = self._templates
-        grid = np.linspace(t0, t1, 2 * steps + 1)
-        tm, r1m, tp, r1p = self._coefficients(grid)
-        half = (t1 - t0) / (2 * steps)
+        the Lawson stage grid (t0 + k h/2); evaluation off the grid raises.
 
-        def rhs(t, u):
-            k = int(round((t - t0) / half))
+        With `columns` > 1, [t0, t1] is cut into that many equal windows of
+        `steps` steps each, and rhs(t, U) steps column j of U through window
+        j: t is the array of column times, and each stage applies one
+        coefficient row with an entry per column.  The rows are strided
+        views of one table on the whole grid, np.linspace(t0, t1, 2 columns
+        steps + 1), so column j reads the very coefficients that a
+        one-column rhs on [t0, t1] with columns * steps steps reads in
+        window j."""
+        dm, rm, dp, rp = self._templates
+        stages = 2 * steps
+        grid = np.linspace(t0, t1, columns * stages + 1)
+        coeffs = self._coefficients(grid)
+        half = (t1 - t0) / (columns * stages)
+        if columns == 1:
+            tm, r1m, tp, r1p = coeffs
+
+            def rhs(t, u):
+                k = int(round((t - t0) / half))
+                return tm[k] * (dm @ u) + r1m[k] * (rm @ u) + tp[k] * (dp @ u) + r1p[k] * (rp @ u)
+
+            return rhs
+        # row k, column j is entry j * stages + k of the table: a view, no copy
+        tm, r1m, tp, r1p = (np.lib.stride_tricks.sliding_window_view(c, stages + 1)[::stages].T
+                            for c in coeffs)
+
+        def column_rhs(t, u):
+            k = int(round((t[0] - t0) / half))
             return tm[k] * (dm @ u) + r1m[k] * (rm @ u) + tp[k] * (dp @ u) + r1p[k] * (rp @ u)
 
-        return rhs
+        return column_rhs
 
 
 def make_periodic_operator(

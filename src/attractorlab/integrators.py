@@ -22,23 +22,24 @@ class IntegrationError(RuntimeError):
     """Step refinement failed to reach the requested tolerance."""
 
 
-def _stage_shapes(decay: np.ndarray, state: np.ndarray):
-    # broadcast the diagonal over matrix columns when propagating a basis
-    if state.ndim == 2:
-        return decay[:, None]
-    return decay
-
-
-def lawson_rk4(decay, rhs, state, t0: float, t1: float, steps: int):
+def lawson_rk4(decay, rhs, state, t0, t1, steps: int):
     """Integrate u' = -diag(decay) u + rhs(t, u) with `steps` fixed Lawson-RK4
-    steps.  With rhs == 0 every step is exact to machine precision."""
+    steps.  With rhs == 0 every step is exact to machine precision.
+
+    For a matrix state, t0 and t1 may be arrays with one entry per column:
+    each column then runs over its own interval with its own step width
+    (t1[j] - t0[j]) / steps, and rhs receives the array of column times.
+    If rhs acts on each column as it would on a vector, column j is bitwise
+    the result of a vector call on that interval."""
     state = np.array(state, dtype=float)
     decay = np.asarray(decay, dtype=float)
     h = (t1 - t0) / steps
-    e_full = np.exp(-decay * h)
-    e_half = np.exp(-decay * 0.5 * h)
-    ef = _stage_shapes(e_full, state)
-    eh = _stage_shapes(e_half, state)
+    if state.ndim == 2:
+        # broadcast the diagonal over the columns; per-column widths give
+        # each column its own factors
+        decay = decay[:, None]
+    ef = np.exp(-decay * h)
+    eh = np.exp(-decay * 0.5 * h)
     t = t0
     for _ in range(steps):
         k1 = rhs(t, state)
@@ -46,7 +47,7 @@ def lawson_rk4(decay, rhs, state, t0: float, t1: float, steps: int):
         k3 = rhs(t + 0.5 * h, eh * state + 0.5 * h * k2)
         k4 = rhs(t + h, ef * state + h * eh * k3)
         state = ef * state + (h / 6.0) * (ef * k1 + 2.0 * eh * k2 + 2.0 * eh * k3 + k4)
-        t += h
+        t = t + h
     return state
 
 
@@ -94,11 +95,13 @@ def _safe_norm(w: np.ndarray) -> float:
 @dataclass(frozen=True)
 class PeriodLog:
     """Per-period record of a renormalized trajectory: the running log of the
-    norm plus the unit-scale dense remainder."""
+    norm plus the unit-scale dense remainder, and the largest share of the
+    norm that any support projection discarded."""
 
     times: np.ndarray
     lognorms: np.ndarray
     states: list[np.ndarray]
+    discard_max: float
 
 
 # Largest share of the norm a support projection may discard.
@@ -110,50 +113,66 @@ def propagate_periods(
     rhs,
     w0,
     period: float,
-    n_periods: int,
     steps_per_period: int,
-    support_schedule=None,
+    modes,
 ) -> PeriodLog:
     """Integrate a super-exponentially decaying trajectory period by period,
     renormalizing at each boundary so dense arithmetic never underflows.
 
-    support_schedule optionally maps period index k (1-based) to the set of
-    mode positions (0-based) proven to carry the solution at that boundary;
-    coordinates outside it are projected to exact zero, which removes the
-    round-off floor that otherwise dominates once relative gaps grow.  The
-    projection refuses to discard more than PROJECTION_GUARD of the norm.
+    modes[k - 1] is the mode position (0-based) proven to carry the solution
+    at the end of period k; the other coordinates are projected to exact
+    zero, which removes the round-off floor that otherwise dominates once
+    relative gaps grow.  The projection refuses to discard more than
+    PROJECTION_GUARD of the norm.
+
+    After each projection the state is exactly +-1 at its mode, so the
+    periods couple only through that sign and the log ledger: period 1
+    starts from w0 / ||w0||, period k > 1 from e_{modes[k - 2]}, and all of
+    them run at once as the columns of one `lawson_rk4` pass over
+    [(k - 1) period, k period].  `rhs(t, U)` therefore takes the array of
+    column times and applies period k's coefficients to column k - 1, as
+    `PeriodicOperator.tabulated_rhs` does with one column per period.  The
+    books are then kept in period order, so an error names the first period
+    that fails.  Negating a start negates every rounded step, so each period
+    is bitwise what a sequential run would give.
     """
     w = np.array(w0, dtype=float)
-    decay = np.asarray(decay, dtype=float)
+    norm = _safe_norm(w)
+    w = w / norm
+    n_periods = len(modes)
+    starts = np.zeros((w.size, n_periods))
+    starts[:, 0] = w
+    starts[list(modes[:-1]), np.arange(1, n_periods)] = 1.0
+    bounds = np.arange(n_periods + 1) * period
+    ends = lawson_rk4(decay, rhs, starts, bounds[:-1], bounds[1:], steps_per_period)
     logscale = 0.0
-    times = [0.0]
-    lognorms = [float(logscale + math.log(_safe_norm(w)))]
-    states = [w / _safe_norm(w)]
-    w = states[0].copy()
-    for k in range(1, n_periods + 1):
-        w = lawson_rk4(decay, rhs, w, (k - 1) * period, k * period, steps_per_period)
+    lognorms = [math.log(norm)]
+    states = [w]
+    discard_max = 0.0
+    sign = 1.0
+    for k, mode in enumerate(modes, start=1):
+        w = sign * ends[:, k - 1]
         norm = _safe_norm(w)
         if norm == 0.0:
             raise IntegrationError(
                 f"trajectory vanished exactly at period {k}; per-period decay "
                 "exceeds the double range, use shorter periods"
             )
-        if support_schedule is not None:
-            keep = support_schedule(k)
-            mask = np.zeros_like(w, dtype=bool)
-            mask[list(keep)] = True
-            discarded = _safe_norm(w[~mask]) if np.any(~mask) else 0.0
-            if discarded > PROJECTION_GUARD * norm:
-                raise IntegrationError(
-                    f"support projection at period {k} would discard "
-                    f"{discarded / norm:.3e} of the norm; dynamics disagree "
-                    "with the predicted support"
-                )
-            w[~mask] = 0.0
-            norm = _safe_norm(w)
+        mask = np.ones(w.size, dtype=bool)
+        mask[mode] = False
+        discarded = _safe_norm(w[mask]) if w.size > 1 else 0.0
+        if discarded > PROJECTION_GUARD * norm:
+            raise IntegrationError(
+                f"support projection at period {k} would discard "
+                f"{discarded / norm:.3e} of the norm; dynamics disagree "
+                "with the predicted support"
+            )
+        discard_max = max(discard_max, discarded / norm)
+        w[mask] = 0.0
+        norm = _safe_norm(w)
         logscale += math.log(norm)
         w = w / norm
-        times.append(k * period)
+        sign = w[mode]
         lognorms.append(logscale)
-        states.append(w.copy())
-    return PeriodLog(np.asarray(times), np.asarray(lognorms), states)
+        states.append(w)
+    return PeriodLog(bounds, np.asarray(lognorms), states, discard_max)

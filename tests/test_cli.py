@@ -3,6 +3,7 @@ checks that refuse a run before any numerics start.  The `floquet` and
 `simulate` runs share one small linear c=1 spectrum and run twice each."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from attractorlab.config import (DEFAULTS, ConfigError, drive_from_config,
                                  resolve_config, scenario_from_config)
 from attractorlab.cutoffs import periodic_drive
 from attractorlab.geometry import PointCloud
+from attractorlab.integrators import PROJECTION_GUARD
 from attractorlab.logspace import LogModeVector
 from attractorlab.reports import cloud_rows, load_cloud_csv, write_csv
 
@@ -171,6 +173,49 @@ class TestSimulate:
         assert codes["a", "simulate"] == 0 and codes["b", "simulate"] == 0
         assert report(root / "a", "simulate")["verdicts"] == {"simulate": "superexponential"}
         assert read_bytes(root / "a", self.CSVS) == read_bytes(root / "b", self.CSVS)
+
+    def test_outputs_pinned(self, dynamics_runs):
+        # the CSVs and constants as SMALL_DYNAMICS wrote them at commit
+        # dd93f97, when each period was its own `lawson_rk4` call
+        root, _ = dynamics_runs
+        for name, digest in (
+                ("pair_distance.csv",
+                 "57a62661602df52a337d798519714bf7809e341271a654f7716e535df6fa1792"),
+                ("pair_trajectory.csv",
+                 "ed7cad97bf3d2d16fc4714142d4be59bfa80586a1e9d0e956fbc0c65fdf7693f")):
+            with open(root / "a" / name, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest
+        got = report(root / "a", "simulate")["constants"]
+        assert 0.0 < got.pop("projection_discard_max") <= PROJECTION_GUARD
+        assert got == {
+            "consistent_with_shift": True,
+            "epsilon": 1.00500488206889,
+            "kappa_expected": 0.25,
+            "kappa_fit": 0.25000000000000006,
+            "modulus_half_verdict": "bounded",
+            "modulus_zero_verdict": "divergent",
+            "r2": 1.0,
+        }
+
+    def test_periods_take_one_lawson_pass(self, tmp_path):
+        # perfbench's layer tracer counts the steps of every `lawson_rk4`
+        # call and the calls of every tabulated rhs
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "perfbench", "layers.py")
+        spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        cfg = write_config(tmp_path / "c.json", SMALL_DYNAMICS)
+        tracer = layers.Tracer()
+        tracer.install()
+        try:
+            assert run(cfg, tmp_path / "out", "simulate") == 0
+        finally:
+            tracer.uninstall()
+        steps = SMALL_DYNAMICS["dynamics"]["steps_per_period"]
+        assert tracer.calls["integrators.lawson"] == 1
+        assert tracer.counters["integrators.steps"] == steps
+        assert tracer.counters["floquet.tab_rhs_evals"] == 4 * steps
 
     def test_kappa_fit_matches_shift(self, dynamics_runs):
         root, _ = dynamics_runs

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from attractorlab.config import resolve_config, scenario_from_config
+from attractorlab.floquet import iterate_norm, make_periodic_operator, poincare_predicted
 from attractorlab.integrators import (IntegrationError, lawson_rk4,
                                       lawson_rk4_adaptive, propagate_periods)
 
@@ -50,13 +52,29 @@ def test_matrix_propagation_matches_columns():
         assert np.allclose(col, full[:, k], rtol=1e-12, atol=1e-15)
 
 
+def test_per_column_times_match_vector_calls():
+    lam = np.array([1.0, 2.0, 3.0])
+    m = np.array([[0.0, 0.3, 0.0], [-0.3, 0.0, 0.1], [0.0, -0.1, 0.0]])
+
+    def rhs(t, u):
+        return (1.0 + np.sin(t)) * (m @ u)
+
+    t0, t1 = np.array([0.0, 0.3, 0.7]), np.array([0.3, 0.7, 1.3])
+    starts = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.5], [0.0, 0.0, 2.0]])
+    full = lawson_rk4(lam, rhs, starts, t0, t1, 64)
+    for j in range(3):
+        col = lawson_rk4(lam, rhs, starts[:, j], float(t0[j]), float(t1[j]), 64)
+        assert col.tobytes() == full[:, j].tobytes()
+
+
 def test_propagate_periods_tracks_logs_below_double_range():
     # pure decay at rate 200 per unit time: after 5 periods the norm is
     # e^-2000, far below doubles, but the log ledger stays exact
     lam = np.array([200.0, 400.0])
     w0 = np.array([1.0, 0.0])
-    log = propagate_periods(lam, lambda t, w: np.zeros_like(w), w0, 2.0, 5, 16)
+    log = propagate_periods(lam, lambda t, w: np.zeros_like(w), w0, 2.0, 16, [0] * 5)
     assert np.allclose(log.lognorms, [-400.0 * k for k in range(6)], rtol=1e-12)
+    assert log.discard_max == 0.0
 
 
 def test_propagate_periods_projection_guard():
@@ -64,8 +82,31 @@ def test_propagate_periods_projection_guard():
     w0 = np.array([1.0, 1.0])
     # projecting out half the mass must be refused
     with pytest.raises(IntegrationError, match="projection"):
-        propagate_periods(lam, lambda t, w: np.zeros_like(w), w0, 1.0, 2, 8,
-                          support_schedule=lambda k: {0})
+        propagate_periods(lam, lambda t, w: np.zeros_like(w), w0, 1.0, 8, [0, 0])
+
+
+def test_projection_guard_names_first_failing_period():
+    # period 1 keeps all of e_1; periods 2 and 3 would each project out
+    # their whole state
+    lam = np.array([1.0, 1.0])
+    with pytest.raises(IntegrationError, match="projection at period 2 would discard 1.000e"):
+        propagate_periods(lam, lambda t, w: np.zeros_like(w), np.array([1.0, 0.0]), 1.0, 8,
+                          [0, 1, 0])
+
+
+def test_vanish_names_first_failing_period():
+    # a strong one-way feed from mode 1 holds the fast mode 2 far above it,
+    # so period 1 ends on mode 2; periods 2 and 3 start from e_2 alone,
+    # which decays by e^-2000 and underflows to exact zero in each
+    lam = np.array([1.0, 2000.0])
+
+    def rhs(t, w):
+        out = np.zeros_like(w)
+        out[1] = 1e12 * w[0]
+        return out
+
+    with pytest.raises(IntegrationError, match="vanished exactly at period 2;"):
+        propagate_periods(lam, rhs, np.array([1.0, 0.0]), 1.0, 64, [1, 1, 1])
 
 
 def test_propagate_periods_projection_removes_noise_floor():
@@ -77,8 +118,69 @@ def test_propagate_periods_projection_removes_noise_floor():
         out[0] = 1e-14 * w[1]  # tiny spurious leak into the slow mode
         return out
 
-    raw = propagate_periods(lam, rhs, w0, 1.0, 8, 64)
-    clean = propagate_periods(lam, rhs, w0, 1.0, 8, 64,
-                              support_schedule=lambda k: {1})
+    raw = lawson_rk4(lam, rhs, w0, 0.0, 8.0, 8 * 64)
+    clean = propagate_periods(lam, rhs, w0, 1.0, 64, [1] * 8)
     assert clean.lognorms[-1] == pytest.approx(-80.0, rel=1e-6)
-    assert raw.lognorms[-1] > clean.lognorms[-1] + 30.0  # leak dominates raw run
+    assert math.log(np.linalg.norm(raw)) > clean.lognorms[-1] + 30.0  # leak dominates raw run
+    assert 0.0 < clean.discard_max <= 1e-6
+
+
+def sequential_periods(op, w0, period, n_periods, steps, modes):
+    """The period loop as `propagate_periods` ran before its periods were
+    batched: one `lawson_rk4` call per period on one table over all periods,
+    starting from the previous period's projected, renormalized state."""
+
+    def safe_norm(w):
+        m = float(np.max(np.abs(w)))
+        return m * float(np.linalg.norm(w / m))
+
+    rhs = op.tabulated_rhs(0.0, n_periods * period, n_periods * steps)
+    w = np.array(w0, dtype=float)
+    logscale = 0.0
+    lognorms = [logscale + math.log(safe_norm(w))]
+    states = [w / safe_norm(w)]
+    w = states[0].copy()
+    for k in range(1, n_periods + 1):
+        w = lawson_rk4(op.lam, rhs, w, (k - 1) * period, k * period, steps)
+        keep = np.zeros(w.size, dtype=bool)
+        keep[modes[k - 1]] = True
+        w[~keep] = 0.0
+        norm = safe_norm(w)
+        logscale += math.log(norm)
+        w = w / norm
+        lognorms.append(logscale)
+        states.append(w.copy())
+    return np.asarray(lognorms), states
+
+
+# (tau, n_max, n_trunc, n_periods, steps, w0 entries).  At the last two, the
+# ledger moves in its last bits if all columns share one step width, and at
+# the last one also if each column gets its own linspace; the states hold
+# either way, since every projection rounds them back to exact +-1.
+ORACLE_CASES = {
+    "dyadic-period": (2.0, 14, 8, 3, 2048, {0: 1.0}),
+    "tau-0.3": (0.3, 20, 13, 6, 1024, {0: 1.0}),
+    "non-unit-w0": (0.7, 20, 13, 6, 2048, {0: 2.5, 3: 1e-9}),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_batched_periods_match_sequential_bitwise(case):
+    tau, n_max, n_trunc, n_periods, steps, start = case
+    scen = scenario_from_config(resolve_config({
+        "spectrum": {"family": "linear", "n_max": n_max, "params": {"c": 1.0}},
+        "drive": {"tau": tau},
+        "dynamics": {"n_trunc": n_trunc, "n_periods": n_periods, "steps_per_period": steps},
+    }))
+    op = make_periodic_operator(scen.spectrum, scen.drive, scen.n_trunc)
+    walk = iterate_norm(poincare_predicted(scen.spectrum, scen.drive.half_period), 1, n_periods)
+    modes = [walk.orbit[k] - 1 for k in range(1, n_periods + 1)]
+    w0 = np.zeros(scen.n_trunc)
+    w0[list(start)] = list(start.values())
+    widths = {k * op.period - (k - 1) * op.period for k in range(1, n_periods + 1)}
+    assert (len(widths) == 1) == (tau == 2.0)
+    want_logs, want_states = sequential_periods(op, w0, op.period, n_periods, steps, modes)
+    rhs = op.tabulated_rhs(0.0, n_periods * op.period, steps, columns=n_periods)
+    log = propagate_periods(op.lam, rhs, w0, op.period, steps, modes)
+    assert log.lognorms.tobytes() == want_logs.tobytes()
+    assert [w.tobytes() for w in log.states] == [w.tobytes() for w in want_states]
