@@ -20,9 +20,9 @@ from .cutoffs import (BumpFunction, CutoffError, PeriodicDrive, SmoothStep,
 from .quadrature import adaptive_simpson
 from .integrators import (IntegrationError, lawson_rk4, lawson_rk4_adaptive,
                           propagate_periods)
-from .floquet import (DecayCertificate, FloquetError,
+from .floquet import (ClosingLaw, FloquetError,
                       IterateNorms, NumericPoincare, PeriodicOperator,
-                      WeightedShift, calibrate_epsilon, decay_certificate,
+                      WeightedShift, calibrate_epsilon, closing_law,
                       iterate_norm, make_periodic_operator, poincare_numeric,
                       poincare_predicted, ratio_bounds_check, shift_match_report)
 from .geometry import (CoverReport, DimensionScan, GeometryError, PointCloud,
@@ -32,8 +32,8 @@ from .geometry import (CoverReport, DimensionScan, GeometryError, PointCloud,
                        separated_count_log, smoothness_criterion)
 from .simulate import (KickOperator, Scenario, Section4Laws, SimulationError,
                        TrajectoryRecord, bad_cube_cloud, build_kick_operator,
-                       log_lipschitz_modulus, section4_attractor,
-                       smooth_forcing_laws, thm44_laws, trajectory_pair_experiment)
+                       section4_attractor, smooth_forcing_laws, thm44_laws,
+                       trajectory_pair_experiment)
 from .config import (ConfigError, config_hash, drive_from_config, load_config,
                      parse_scales, resolve_config, scenario_from_config,
                      spectrum_from_config)

@@ -83,27 +83,29 @@ def cmd_floquet(cfg, args) -> int:
     predicted = fl.poincare_predicted(spec, drive.half_period)
     numeric = fl.poincare_numeric(op, n_trunc)
     match = fl.shift_match_report(numeric, predicted)
-    n_iter = max(4, min(12, (spec.n_max - 3) // 2))
-    cert = fl.decay_certificate(predicted, 2, n_iter)
+    law = fl.closing_law(spec, drive.half_period)
     report = RunReport(config_hash(cfg), "floquet", expected=_expected(cfg, "floquet"))
     report.verdicts["floquet"] = "pattern_ok" if (
-        match["pattern_ok"] and cert.passes
+        match["pattern_ok"] and law.superexponential
     ) else "pattern_broken"
     report.constants.update({
         "pattern_ok": match["pattern_ok"],
         "max_log_rel_err": match["max_log_rel_err"],
         "max_off_pattern": match["max_off_pattern"],
-        "beta": cert.beta,
+        "closing_exponent": law.p,
+        "beta": law.beta,
         "epsilon": op.epsilon,
     })
+    # the iterate norms of e_2, whose orbit turns at mode 1 after one period
+    n_iter = max(4, min(12, (spec.n_max - 3) // 2))
+    walk = fl.iterate_norm(predicted, 2, n_iter)
     path = write_csv(os.path.join(out, "floquet_iterates.csv"),
-                     ["N", "lognorm"],
-                     [(k, -cert.lognorms[k]) for k in range(len(cert.lognorms))])
+                     ["N", "lognorm"], enumerate(walk.lognorms))
     report.files.append(path)
     print(f"shift pattern ok: {match['pattern_ok']}  "
           f"max log rel err: {fmt17(match['max_log_rel_err'])}  "
           f"off-pattern: {fmt17(match['max_off_pattern'])}")
-    print(f"decay beta: {fmt17(cert.beta)}, certified: {cert.passes}")
+    print(f"closing exponent p: {fmt17(law.p)}  beta: {fmt17(law.beta)}")
     return _finish(report, out, started)
 
 
@@ -181,18 +183,19 @@ def cmd_simulate(cfg, args) -> int:
     scen = scenario_from_config(cfg)
     result = sim.trajectory_pair_experiment(scen, n_periods=cfg["dynamics"]["n_periods"])
     report = RunReport(config_hash(cfg), "simulate", expected=_expected(cfg, "simulate"))
+    law = result["law"]
     report.verdicts["simulate"] = (
-        "exponential_only" if result["exponential_only"] else "superexponential")
+        "superexponential" if result["superexponential"] else "exponential_only")
     record = result["record"]
     d_logs = [record.lognorm(k) for k in range(len(record.times))]
-    a_logs = [record.a_lognorm(k) for k in range(len(record.times))]
-    mod_half = sim.log_lipschitz_modulus(d_logs, a_logs, 0.5)
-    mod_zero = sim.log_lipschitz_modulus(d_logs, a_logs, 0.0)
+    # ||A d|| / ||d|| = lambda(orbit_k) grows like (-log d)^gamma_star, so the
+    # log-Lipschitz modulus of exponent gamma holds exactly when gamma >= gamma_star
+    mod_half, mod_zero = ("bounded" if gamma >= law.gamma_star else "divergent"
+                          for gamma in (0.5, 0.0))
     report.constants.update({
-        "kappa_fit": result["kappa_fit"],
-        "r2": result["r_squared"],
-        "kappa_expected": result["kappa_expected"],
-        "consistent_with_shift": result["consistent_with_shift"],
+        "closing_exponent": law.p,
+        "gamma_star": law.gamma_star,
+        "walk_rel_err": result["walk_rel_err"],
         "modulus_half_verdict": mod_half,
         "modulus_zero_verdict": mod_zero,
         "epsilon": result["epsilon"],
@@ -206,8 +209,8 @@ def cmd_simulate(cfg, args) -> int:
                       ["t", "mode_index", "sign", "logmag"],
                       trajectory_rows(record))
     report.files.append(tpath)
-    print(f"kappa_fit {fmt17(result['kappa_fit'])}  R2 {result['r_squared']:.6f}  "
-          f"expected {fmt17(result['kappa_expected'])}")
+    print(f"closing exponent p: {fmt17(law.p)}  gamma*: {fmt17(law.gamma_star)}  "
+          f"walk rel err: {fmt17(result['walk_rel_err'])}")
     print(f"log-Lipschitz gamma=1/2: {mod_half}; gamma=0: {mod_zero}")
     return _finish(report, out, started)
 

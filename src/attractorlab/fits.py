@@ -1,4 +1,4 @@
-"""Shared least-squares and trend-test helpers used by the certificates."""
+"""Shared least-squares and trend-test helpers used by the geometry estimators."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LineFit", "line_fit", "quadratic_fit", "local_slopes", "monotone_increase"]
+__all__ = ["LineFit", "line_fit", "local_slopes", "monotone_increase"]
 
 
 @dataclass(frozen=True)
@@ -26,20 +26,6 @@ def line_fit(x, y) -> LineFit:
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return LineFit(float(coef[0]), r2)
-
-
-def quadratic_fit(x, y) -> tuple[float, float, float, float]:
-    """Least-squares y ~ a*x^2 + b*x + c; returns (a, b, c, R^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 3:
-        raise ValueError("need at least three points for a quadratic fit")
-    a = np.vstack([x**2, x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - a @ coef
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return float(coef[0]), float(coef[1]), float(coef[2]), r2
 
 
 def local_slopes(x, y) -> np.ndarray:

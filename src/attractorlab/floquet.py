@@ -1,6 +1,6 @@
 """Time-periodic rotation operator whose Poincare map is a weighted shift:
 calibration, numeric propagation, exact log-space iterate norms, and the
-decay and ratio certificates built on them."""
+closing law and ratio certificate built on them."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .cutoffs import BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump, smooth_step
-from .integrators import lawson_rk4
+from .integrators import _safe_norm, lawson_rk4
 # adaptive_simpson is not called here, but the layer tracer in
 # perfbench/layers.py wraps this module binding; drop it with simulate's.
 from .quadrature import adaptive_simpson  # noqa: F401
@@ -29,8 +29,8 @@ __all__ = [
     "shift_match_report",
     "IterateNorms",
     "iterate_norm",
-    "DecayCertificate",
-    "decay_certificate",
+    "ClosingLaw",
+    "closing_law",
     "ratio_bounds_check",
 ]
 
@@ -287,7 +287,7 @@ def shift_match_report(numeric: NumericPoincare, predicted: WeightedShift) -> di
         )
         rest = col.copy()
         rest[target - 1] = 0.0
-        off = float(np.max(np.abs(rest))) / float(np.linalg.norm(col))
+        off = float(np.max(np.abs(rest))) / _safe_norm(col)
         max_log_rel = max(max_log_rel, log_rel)
         max_off = max(max_off, off)
         positive = positive and bool(got > 0)
@@ -334,37 +334,54 @@ def iterate_norm(shift: WeightedShift, mode: int, count: int) -> IterateNorms:
     return IterateNorms(mode, count, tuple(totals), tuple(orbit))
 
 
+# Periods of mode 1's shift orbit that `closing_law` walks.
+WALK_PERIODS = 1000
+
+
 @dataclass(frozen=True)
-class DecayCertificate:
+class ClosingLaw:
+    """How y_k = -log ||P^k e_1|| grows along mode 1's shift orbit, read at
+    the tail of the walk: y_k ~ k^p, lambda(orbit_k) ~ y_k^gamma_star, and
+    beta is half the tail second difference of y.  For lambda_n ~ c n^kappa,
+    p = 1 + kappa and gamma_star = kappa / (1 + kappa)."""
+
+    p: float
+    gamma_star: float
     beta: float
-    passes: bool
-    exponential_only: bool
-    lognorms: tuple[float, ...]
+
+    @property
+    def superexponential(self) -> bool:
+        """The regime predicate: the distance closes faster than any
+        exponential, y_k growing faster than linearly in k."""
+        return self.p > 1.0
 
 
-# Relative agreement required of every second difference with the tail one.
-DECAY_REL_TOL = 1e-9
+def closing_law(spec: Spectrum, half_period: float) -> ClosingLaw:
+    """The closing law from one walk of mode 1's predicted shift orbit.
 
-
-def decay_certificate(shift: WeightedShift, mode: int, n_max: int) -> DecayCertificate:
-    """Exact quadratic decay of y_N = -log ||P^N e_mode|| in N = 0..n_max,
-    from one orbit walk.
-
-    beta is half the tail second difference y_n - 2 y_{n-1} + y_{n-2}.  The
-    certificate passes when beta > 1e-12 and every second difference
-    centred at N = 2..n-1 equals 2 beta to DECAY_REL_TOL relative, so each
-    is positive.  N = 1 is exempt: the orbit of e_2 turns at mode 1 there.
-    exponential_only marks beta <= 1e-12.
+    A family spectrum extends to 2 WALK_PERIODS + 3 modes, so the walk runs
+    WALK_PERIODS periods.  An explicit spectrum cannot extend: mode 2k - 1
+    maps to 2k + 1 only while 2k + 1 <= n_max, so its walk stops there.
+    p is the log-log slope of y between the walk's last two periods, and
+    gamma_star the slope of log lambda(orbit_k) against log y_k over the
+    same step: the least gamma for which ||A d|| <= C d (log(C0 / d))^gamma
+    holds along the orbit.
     """
-    if n_max < 4:
-        raise FloquetError("need at least four iterates to certify decay")
-    y = -np.asarray(iterate_norm(shift, mode, n_max).lognorms)
-    second = y[2:] - 2.0 * y[1:-1] + y[:-2]  # centred at N = 1..n_max-1
-    beta = 0.5 * float(second[-1])
-    exponential_only = beta <= 1e-12
-    passes = not exponential_only and bool(
-        np.all(np.abs(second[1:] - 2.0 * beta) <= DECAY_REL_TOL * 2.0 * beta))
-    return DecayCertificate(beta, passes, exponential_only, tuple(y))
+    if spec.family != "explicit":
+        spec = spec.truncated(2 * WALK_PERIODS + 3)
+    periods = min(WALK_PERIODS, (spec.n_max - 1) // 2)
+    if periods < 2:
+        raise FloquetError(f"the closing law needs two periods of mode 1's orbit; "
+                           f"the truncation holds {periods}")
+    walk = iterate_norm(poincare_predicted(spec, half_period), 1, periods)
+    y0, y1, y2 = (-v for v in walk.lognorms[-3:])
+    lam0, lam1 = (spec.lam(m) for m in walk.orbit[-2:])
+    # at the tail both differences are exact (Sterbenz: the values lie within
+    # a factor 2), so log1p keeps the small logs accurate
+    growth = math.log1p((y2 - y1) / y1)
+    return ClosingLaw(growth / math.log1p(1.0 / (periods - 1)),
+                      math.log1p((lam1 - lam0) / lam0) / growth,
+                      0.5 * (y2 - 2.0 * y1 + y0))
 
 
 def ratio_bounds_check(shift: WeightedShift, n: int) -> dict:

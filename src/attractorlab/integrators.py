@@ -164,8 +164,10 @@ def propagate_periods(
         if discarded > PROJECTION_GUARD * norm:
             raise IntegrationError(
                 f"support projection at period {k} would discard "
-                f"{discarded / norm:.3e} of the norm; dynamics disagree "
-                "with the predicted support"
+                f"{discarded / norm:.3e} of the norm, above PROJECTION_GUARD "
+                f"{PROJECTION_GUARD:g}, at {steps_per_period} steps per period; the "
+                "discard is step error when it falls as the steps grow, so raise "
+                "dynamics.steps_per_period"
             )
         discard_max = max(discard_max, discarded / norm)
         w[mask] = 0.0

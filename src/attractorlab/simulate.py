@@ -1,6 +1,7 @@
 """Coupled planar/parabolic systems: the super-exponential trajectory-pair
-experiment, the high-mode kick perturbation with its almost-cube point
-clouds, the projected-attractor sample, and the log-Lipschitz modulus."""
+experiment checked against the shift walk's closing law, the high-mode kick
+perturbation with its almost-cube point clouds, and the projected-attractor
+sample."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoffs import BumpFunction, PeriodicDrive, mollifier_bump, smooth_step
-from .fits import line_fit, monotone_increase, quadratic_fit
 from .floquet import (
     WeightedShift,
+    closing_law,
     iterate_norm,
     make_periodic_operator,
     poincare_predicted,
@@ -38,11 +39,10 @@ __all__ = [
     "thm44_laws",
     "smooth_forcing_laws",
     "section4_attractor",
-    "log_lipschitz_modulus",
 ]
 
-# Relative bound on |kappa_fit - kappa_expected| for `consistent_with_shift`.
-KAPPA_REL_TOL = 1e-6
+# Relative bound on the pair's log distance against the shift walk's, per period.
+WALK_REL_TOL = 1e-9
 # First level of the section-4 laws; thm44's log(log lambda_n) is -inf at n = 1.
 FIRST_LEVEL = 2
 # Section-4 sample: rings of the planar disk, and points per fibre segment.
@@ -102,17 +102,10 @@ class TrajectoryRecord:
     times: np.ndarray
     states: list[np.ndarray]
     logscales: np.ndarray
-    spectrum: Spectrum
 
     def lognorm(self, k: int) -> float:
         """log ||u_k||, the H^0 norm of sample k."""
         val = float(np.linalg.norm(self.states[k]))
-        return NEG_INF if val == 0.0 else self.logscales[k] + math.log(val)
-
-    def a_lognorm(self, k: int) -> float:
-        """log ||A u_k||, A = diag(lambda)."""
-        w = self.states[k]
-        val = float(np.linalg.norm(self.spectrum.values[: len(w)] * w))
         return NEG_INF if val == 0.0 else self.logscales[k] + math.log(val)
 
     def mode_point(self, k: int) -> LogModeVector:
@@ -124,15 +117,19 @@ def trajectory_pair_experiment(
     n_periods: int = 6,
     rotation_on: bool = True,
 ) -> dict:
-    """Integrate the pair u = (x, y, 0), v = (x, y, w), w(0) = e_1, and fit
-    -log ||u - v|| ~ kappa t^2 + b t + c over whole periods.
+    """Integrate the pair u = (x, y, 0), v = (x, y, w), w(0) = e_1, over
+    whole periods, and read the regime from the shift walk's closing law.
 
-    With the calibrated rotation the distance closes super-exponentially;
-    projecting onto the proven support pattern at period boundaries removes
-    the double-precision round-off floor that would otherwise dominate once
-    the relative decay gaps grow (the continuous solution is exactly zero on
-    the projected coordinates).  The rotation-free control keeps mode 1,
-    where its solution stays, and reports an exponential-only verdict.
+    With the calibrated rotation the distance closes super-exponentially
+    when the law's p exceeds 1.  Projecting onto the proven support pattern
+    at period boundaries removes the double-precision round-off floor that
+    would otherwise dominate once the relative decay gaps grow (the
+    continuous solution is exactly zero on the projected coordinates).  The
+    pair is then an oracle for the walk: its log distance must match the
+    walk's at every period to WALK_REL_TOL relative, or SimulationError
+    names the first period that fails.  The rotation-free control keeps
+    mode 1, where its solution stays; it is never super-exponential and is
+    not compared with the walk.
     """
     spec = scenario.spectrum
     if spec.n_max < 2 * n_periods + 3:
@@ -154,8 +151,8 @@ def trajectory_pair_experiment(
     w0[0] = 1.0
 
     # one walk of mode 1's shift orbit gives the projected mode of each
-    # period and the predicted curvature; without the rotation mode 1 only
-    # decays, its other coordinates stay exact zeros and the projection
+    # period and the log distance it predicts; without the rotation mode 1
+    # only decays, its other coordinates stay exact zeros and the projection
     # discards nothing
     walk = (iterate_norm(poincare_predicted(spec, drive.half_period), 1, n_periods)
             if rotation_on else None)
@@ -163,34 +160,24 @@ def trajectory_pair_experiment(
              else [0] * n_periods)
     log = propagate_periods(op.lam, rhs, w0, period, scenario.steps_per_period, modes)
 
-    times = log.times
-    y = -log.lognorms
-    kappa, _, _, r_squared = quadratic_fit(times, y)
+    law = closing_law(spec, drive.half_period)
+    walk_rel_err = None
     if rotation_on:
-        sums = walk.lognorms
-        beta_pred = -(sums[n_periods] - 2.0 * sums[n_periods - 1] + sums[n_periods - 2]) / 2.0
-    else:
-        beta_pred = 0.0
-    kappa_expected = beta_pred / period**2
-    # the regime verdict compares the two pure-power line fits
-    fit_t2 = line_fit(times**2, y)
-    fit_t = line_fit(times, y)
-    exponential_only = (not rotation_on) or fit_t2.slope <= 1e-12 or fit_t.r_squared > fit_t2.r_squared
-    consistent = (
-        not exponential_only
-        and kappa_expected > 0
-        and abs(kappa - kappa_expected) <= KAPPA_REL_TOL * kappa_expected
-    )
-    record = TrajectoryRecord(times, log.states, log.lognorms, spec)
+        errs = [abs(got - want) / -want for got, want in zip(log.lognorms[1:], walk.lognorms[1:])]
+        for k, err in enumerate(errs, start=1):
+            if not err <= WALK_REL_TOL:
+                raise SimulationError(
+                    f"period {k}: the pair's log distance {log.lognorms[k]:.17g} is off "
+                    f"the shift walk's {walk.lognorms[k]:.17g} by {err:.3e} relative "
+                    f"(WALK_REL_TOL {WALK_REL_TOL:g})")
+        walk_rel_err = max(errs)
     return {
-        "kappa_fit": kappa,
-        "r_squared": r_squared,
-        "kappa_expected": kappa_expected,
-        "consistent_with_shift": consistent,
-        "exponential_only": exponential_only,
+        "law": law,
+        "superexponential": rotation_on and law.superexponential,
+        "walk_rel_err": walk_rel_err,
         "epsilon": op.epsilon,
         "projection_discard_max": log.discard_max,
-        "record": record,
+        "record": TrajectoryRecord(log.times, log.states, log.lognorms),
     }
 
 
@@ -429,25 +416,3 @@ def _signed_log(v: float) -> tuple[int, float]:
     if v == 0.0:
         return (0, NEG_INF)
     return (1 if v > 0 else -1, math.log(abs(v)))
-
-
-def log_lipschitz_modulus(distance_logs, a_distance_logs, gamma: float) -> str:
-    """Verdict on the ratio ||A(u1-u2)|| / (d (log(C0/d))^gamma) over the
-    samples, in log space, with log C0 one above the largest log distance.
-
-    Zero-distance samples are skipped.  "divergent" means the running ratio
-    trends upward (modulus violated, e.g. plain Lipschitz against
-    super-exponential closing), "bounded" that it does not, and "empty" that
-    no sample is left.
-    """
-    d = np.asarray(distance_logs, dtype=float)
-    ad = np.asarray(a_distance_logs, dtype=float)
-    keep = np.isfinite(d) & np.isfinite(ad)
-    d, ad = d[keep], ad[keep]
-    if len(d) == 0:
-        return "empty"
-    c0_log = float(np.max(d)) + 1.0
-    loglog = np.log(c0_log - d)
-    ratios = ad - d - gamma * loglog
-    upward = monotone_increase(ratios) and len(ratios) >= 4 and ratios[-1] > ratios[0] + 0.5
-    return "divergent" if upward else "bounded"

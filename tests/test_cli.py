@@ -164,6 +164,55 @@ class TestFloquet:
         names = ("floquet_iterates.csv",)
         assert read_bytes(root / "a", names) == read_bytes(root / "b", names)
 
+    def test_outputs_pinned(self, dynamics_runs):
+        # the CSV and constants as SMALL_DYNAMICS wrote them at commit
+        # 82ef4b6, when the verdict came from the decay certificate
+        root, _ = dynamics_runs
+        with open(root / "a" / "floquet_iterates.csv", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == (
+                "5f8730ed2cee4af5eb6a5a3ca109ab6a502b7f282808fc46fee94ef5e7f2be69")
+        got = report(root / "a", "floquet")["constants"]
+        assert abs(got.pop("closing_exponent") - 2.0) <= 1.5e-3
+        assert got == {
+            "beta": 4.0,
+            "epsilon": 1.00500488206889,
+            "max_log_rel_err": 5.484501741648273e-14,
+            "max_off_pattern": 1.8766797303784207e-12,
+            "pattern_ok": True,
+        }
+
+    def test_underflowing_column_reports_off_pattern(self, tmp_path, capsys):
+        # at tau = 12 column 15's largest entry is 1.7e-167, whose square
+        # underflows to zero: the unscaled column norm divided by zero
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"family": "linear", "n_max": 40, "params": {"c": 1.0}},
+            "drive": {"tau": 12.0}})
+        assert run(cfg, tmp_path / "out", "floquet") == 0
+        got = report(tmp_path / "out", "floquet")
+        # reported, not gated on: the dense propagator's off-pattern mass
+        assert got["verdicts"] == {"floquet": "pattern_ok"}
+        assert got["constants"]["max_off_pattern"] == pytest.approx(0.0375, rel=1e-3)
+
+
+def test_power_spectrum_closes_superexponentially(tmp_path, capsys):
+    # lambda_n = n^(1/2): p = 3/2 and gamma_star = 1/3, and the pair matches
+    # the walk at every period
+    cfg = write_config(tmp_path / "c.json", {
+        "spectrum": {"family": "power", "n_max": 40, "params": {"kappa": 0.5}},
+        "expectations": {"floquet": "pattern_ok", "simulate": "superexponential"}})
+    assert run(cfg, tmp_path / "out", "floquet") == 0
+    assert run(cfg, tmp_path / "out", "simulate") == 0
+    floquet = report(tmp_path / "out", "floquet")
+    simulate = report(tmp_path / "out", "simulate")
+    assert floquet["verdicts"] == {"floquet": "pattern_ok"}
+    assert simulate["verdicts"] == {"simulate": "superexponential"}
+    got = simulate["constants"]
+    assert abs(got["closing_exponent"] - 1.5) <= 1.5e-3
+    assert floquet["constants"]["closing_exponent"] == got["closing_exponent"]
+    assert abs(got["gamma_star"] - 1.0 / 3.0) <= 2e-5
+    assert got["walk_rel_err"] <= sim.WALK_REL_TOL
+    assert (got["modulus_half_verdict"], got["modulus_zero_verdict"]) == ("bounded", "divergent")
+
 
 class TestSimulate:
     CSVS = ("pair_distance.csv", "pair_trajectory.csv")
@@ -187,14 +236,13 @@ class TestSimulate:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest
         got = report(root / "a", "simulate")["constants"]
         assert 0.0 < got.pop("projection_discard_max") <= PROJECTION_GUARD
+        assert abs(got.pop("closing_exponent") - 2.0) <= 1.5e-3
+        assert abs(got.pop("gamma_star") - 0.5) <= 2e-5
+        assert 0.0 < got.pop("walk_rel_err") <= sim.WALK_REL_TOL
         assert got == {
-            "consistent_with_shift": True,
             "epsilon": 1.00500488206889,
-            "kappa_expected": 0.25,
-            "kappa_fit": 0.25000000000000006,
             "modulus_half_verdict": "bounded",
             "modulus_zero_verdict": "divergent",
-            "r2": 1.0,
         }
 
     def test_periods_take_one_lawson_pass(self, tmp_path):
@@ -217,19 +265,56 @@ class TestSimulate:
         assert tracer.counters["integrators.steps"] == steps
         assert tracer.counters["floquet.tab_rhs_evals"] == 4 * steps
 
-    def test_kappa_fit_matches_shift(self, dynamics_runs):
-        root, _ = dynamics_runs
-        got = report(root / "a", "simulate")["constants"]
-        assert got["kappa_expected"] > 0.0
-        assert abs(got["kappa_fit"] - got["kappa_expected"]) <= (
-            sim.KAPPA_REL_TOL * got["kappa_expected"])
-        assert got["consistent_with_shift"] is True
+    def test_pair_matches_walk(self, monkeypatch):
+        # the pair is an oracle for the shift walk: 3.8e-11 relative at
+        # 1,024 steps per period; moving the walk's second multiplier by
+        # 1e-8 relative moves its log distance by 6.7e-9 from period 2 on,
+        # and the error names period 2
+        scen = scenario_from_config(resolve_config(SMALL_DYNAMICS))
+        result = sim.trajectory_pair_experiment(scen, n_periods=3)
+        assert result["superexponential"] is True
+        assert 0.0 < result["walk_rel_err"] <= sim.WALK_REL_TOL
+        predicted = sim.poincare_predicted
+
+        def moved(spec, half_period):
+            shift = predicted(spec, half_period)
+            logmult = {**shift.log_multiplier, 3: shift.log_multiplier[3] * (1 + 1e-8)}
+            return fl.WeightedShift(spec, half_period, shift.image_index, logmult)
+
+        monkeypatch.setattr(sim, "poincare_predicted", moved)
+        with pytest.raises(sim.SimulationError, match="^period 2: "):
+            sim.trajectory_pair_experiment(scen, n_periods=3)
 
     def test_rotation_free_control_is_exponential_only(self):
         scen = scenario_from_config(resolve_config(SMALL_DYNAMICS))
         result = sim.trajectory_pair_experiment(scen, n_periods=3, rotation_on=False)
-        assert result["exponential_only"] is True
-        assert result["consistent_with_shift"] is False
+        assert result["superexponential"] is False
+        assert result["walk_rel_err"] is None
+
+    def test_constant_spectrum_is_exponential_only(self, tmp_path, capsys):
+        # equal eigenvalues: mode 1's orbit closes with p = 1, so neither
+        # command certifies super-exponential closing
+        raw = dict(SMALL_DYNAMICS, expectations={},
+                   spectrum={"family": "explicit", "n_max": 14,
+                             "params": {"values": [1.0] * 14}})
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert run(cfg, tmp_path / "out", "floquet") == 0
+        assert run(cfg, tmp_path / "out", "simulate") == 0
+        assert report(tmp_path / "out", "floquet")["verdicts"] == {"floquet": "pattern_broken"}
+        got = report(tmp_path / "out", "simulate")
+        assert got["verdicts"] == {"simulate": "exponential_only"}
+        assert got["constants"]["closing_exponent"] == 1.0
+        assert got["constants"]["walk_rel_err"] <= sim.WALK_REL_TOL
+
+    def test_coarse_steps_name_the_step_count(self, tmp_path, capsys):
+        # at 512 steps per period the first projection would discard 5.2e-5
+        # of the norm: step error, not a wrong support
+        raw = dict(SMALL_DYNAMICS, dynamics=dict(SMALL_DYNAMICS["dynamics"],
+                                                 steps_per_period=512))
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert run(cfg, tmp_path / "out", "simulate") == 1
+        err = capsys.readouterr().err
+        assert "at 512 steps per period" in err and "dynamics.steps_per_period" in err
 
 
 class TestDimension:

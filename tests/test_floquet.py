@@ -7,11 +7,11 @@ from scipy.integrate import quad, solve_ivp
 
 from attractorlab import floquet, quadrature
 from attractorlab.cutoffs import _ramp_mean, mollifier_bump, periodic_drive, smooth_step
-from attractorlab.floquet import (FloquetError, PeriodicOperator, WeightedShift,
-                                  calibrate_epsilon, decay_certificate,
-                                  iterate_norm, make_periodic_operator,
-                                  poincare_numeric, poincare_predicted,
-                                  ratio_bounds_check, shift_match_report)
+from attractorlab.floquet import (WALK_PERIODS, FloquetError, PeriodicOperator,
+                                  calibrate_epsilon, closing_law, iterate_norm,
+                                  make_periodic_operator, poincare_numeric,
+                                  poincare_predicted, ratio_bounds_check,
+                                  shift_match_report)
 from attractorlab.spectral import make_spectrum, spectral_gap
 
 # Means of theta1(h(u)) and theta2(h(u)) over the unit transition u in [0, 1]
@@ -231,48 +231,80 @@ class TestIterateNorms:
             iterate_norm(shift, 3, 2)  # 3 -> 5 -> (7) exits the truncation
 
 
+def second_differences(lognorms) -> list:
+    y = -np.asarray(lognorms)
+    return list(y[2:] - 2.0 * y[1:-1] + y[:-2])
+
+
 class TestDecayCertificate:
-    def test_quadratic_certificate(self, shift_t1):
-        cert = decay_certificate(shift_t1, 2, 12)
-        assert cert.passes and not cert.exponential_only
-        # arithmetic-series closed form for lambda_n = n, T = 1: every second
-        # difference of the log-sums from N = 2 on is 4
-        assert cert.beta == 2.0
-        assert cert.lognorms == tuple(-v for v in iterate_norm(shift_t1, 2, 12).lognorms)
+    """The closing law read from mode 1's shift walk certifies how the
+    iterate norms decay."""
+
+    def test_quadratic_certificate(self, linear_spectrum_big):
+        # lambda_n = n, T = 1: y_k = -log ||P^k e_1|| = 2 k (k + 1), whose
+        # second differences are all 4; the walk runs WALK_PERIODS periods
+        law = closing_law(linear_spectrum_big, 1.0)
+        assert law.beta == 2.0
+        k = WALK_PERIODS
+        assert law.p == pytest.approx(math.log((k + 1) / (k - 1)) / math.log(k / (k - 1)),
+                                      rel=1e-12)
+        assert law.superexponential
 
     def test_explicit_spectrum_second_differences(self):
         spec = make_spectrum("explicit", {"values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
                                                      8.0, 9.0, 10.0, 11.0, 12.0]}, 12)
         shift = poincare_predicted(spec, 1.5)
-        cert = decay_certificate(shift, 2, 5)
-        y = np.asarray(cert.lognorms)
-        assert list(y[2:] - 2.0 * y[1:-1] + y[:-2]) == [3.0, 6.0, 6.0, 6.0]
-        assert cert.passes and cert.beta == 3.0
+        # floquet's iterate table walks e_2, which turns at mode 1 first
+        assert second_differences(iterate_norm(shift, 2, 5).lognorms) == [3.0, 6.0, 6.0, 6.0]
+        # mode 1's orbit 1 -> 3 -> ... -> 11 ends at the truncation: y_k = 3 k (k + 1)
+        assert second_differences(iterate_norm(shift, 1, 5).lognorms) == [6.0] * 4
+        with pytest.raises(FloquetError, match="step 6"):
+            iterate_norm(shift, 1, 6)
+        law = closing_law(spec, 1.5)
+        assert law.beta == 3.0
+        assert law.p == math.log1p(30.0 / 60.0) / math.log1p(1.0 / 4.0)
+        assert law.gamma_star == math.log1p(2.0 / 9.0) / math.log1p(30.0 / 60.0)
 
-    def test_decaying_curvature_fails(self):
-        # lambda_n = sqrt(n): the second differences shrink with N, so the
-        # decay is not quadratic
-        spec = make_spectrum("power", {"kappa": 0.5}, 40)
-        cert = decay_certificate(poincare_predicted(spec, 2.0), 2, 12)
-        y = np.asarray(cert.lognorms)
-        second = y[2:] - 2.0 * y[1:-1] + y[:-2]
-        assert np.all(np.diff(second[1:]) < 0)
-        assert not cert.passes and not cert.exponential_only
+    def test_too_short_orbit_rejected(self):
+        spec = make_spectrum("explicit", {"values": [1.0, 2.0, 3.0, 4.0]}, 4)
+        with pytest.raises(FloquetError, match="holds 1"):
+            closing_law(spec, 1.0)
 
     def test_constant_multiplier_shift_fails(self):
-        spec = make_spectrum("linear", {"c": 1.0}, 40)
-        image = {m: m + 2 for m in range(1, 36, 2)}
-        logmult = {m: -1.0 for m in image}
-        fake = WeightedShift(spec, 1.0, image, logmult)
-        cert = decay_certificate(fake, 1, 10)
-        assert cert.exponential_only
-        assert not cert.passes
-        assert cert.beta == 0.0
+        # equal eigenvalues give every step of mode 1's orbit the multiplier
+        # e^{-2T}: y_k = 2 k closes exponentially, and A is a multiple of
+        # the identity
+        spec = make_spectrum("explicit", {"values": [1.0] * 40}, 40)
+        law = closing_law(spec, 1.0)
+        assert second_differences(iterate_norm(poincare_predicted(spec, 1.0), 1, 19).lognorms) \
+            == [0.0] * 18
+        assert (law.p, law.gamma_star, law.beta) == (1.0, 0.0, 0.0)
+        assert not law.superexponential
 
     def test_doubling_period_doubles_beta(self, linear_spectrum_big):
-        c1 = decay_certificate(poincare_predicted(linear_spectrum_big, 1.0), 2, 12)
-        c2 = decay_certificate(poincare_predicted(linear_spectrum_big, 2.0), 2, 12)
+        c1 = closing_law(linear_spectrum_big, 1.0)
+        c2 = closing_law(linear_spectrum_big, 2.0)
         assert c2.beta == 2.0 * c1.beta
+        # y doubles exactly, so the exponents stay bit for bit
+        assert (c2.p, c2.gamma_star) == (c1.p, c1.gamma_star)
+
+    @pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0])
+    def test_power_family_law(self, kappa):
+        # lambda_n = n^kappa: y_k ~ k^(1 + kappa) and lambda(orbit_k) ~
+        # y_k^(kappa / (1 + kappa)); the errors at 1000 periods are -1.0e-3,
+        # -7.3e-4, -5.3e-4 in p and -1.3e-7, -4.0e-6, -1.5e-5 in gamma_star
+        spec = make_spectrum("power", {"kappa": kappa}, 40)
+        law = closing_law(spec, 2.0)
+        assert abs(law.p - (1.0 + kappa)) <= 1.5e-3
+        assert abs(law.gamma_star - kappa / (1.0 + kappa)) <= 2e-5
+        assert law.superexponential
+
+    def test_linear_threshold_is_one_half(self):
+        # the `dynamics` spectrum and drive: gamma = 0.40 and 0.45 lie below
+        # the log-Lipschitz threshold
+        law = closing_law(make_spectrum("linear", {"c": 1.0}, 40), 2.0)
+        assert abs(law.gamma_star - 0.5) <= 2e-5
+        assert 0.45 < law.gamma_star < 0.5
 
 
 class TestRatioBounds:
