@@ -1,6 +1,13 @@
 """Time-periodic rotation operator whose Poincare map is a weighted shift:
 calibration, numeric propagation, exact log-space iterate norms, and the
-closing law and ratio certificate built on them."""
+closing law and ratio certificate built on them.
+
+The numeric map is the product of two half-period maps.  Only one coupling
+acts in each half-period, so each half's map is block-diagonal in 2x2
+blocks; two colour columns recover every step's blocks in one batched
+Lawson step, and the blocks multiply in a pairwise tree.  A guard checks on
+the coefficient table that the other half's coefficients are exactly zero,
+since overlapping cut-offs would otherwise mix the colours silently."""
 
 from __future__ import annotations
 
@@ -119,31 +126,23 @@ class PeriodicOperator:
         r1p = self.epsilon * self.theta1.value(x)
         return tm, r1m, tp, r1p
 
-    def tabulated_rhs(self, t0: float, t1: float, steps: int, columns: int = 1):
-        """rhs(t, u) = Phi(t) u with the drive coefficients pre-evaluated on
-        the Lawson stage grid (t0 + k h/2); evaluation off the grid raises.
+    def tabulated_rhs(self, t0: float, t1: float, steps: int, columns: int):
+        """rhs(t, U) = Phi(t) U for a matrix state whose columns run through
+        consecutive windows, with the drive coefficients pre-evaluated on the
+        Lawson stage grid.
 
-        With `columns` > 1, [t0, t1] is cut into that many equal windows of
-        `steps` steps each, and rhs(t, U) steps column j of U through window
-        j: t is the array of column times, and each stage applies one
-        coefficient row with an entry per column.  The rows are strided
-        views of one table on the whole grid, np.linspace(t0, t1, 2 columns
-        steps + 1), so column j reads the very coefficients that a
-        one-column rhs on [t0, t1] with columns * steps steps reads in
-        window j."""
+        [t0, t1] is cut into `columns` equal windows of `steps` steps each,
+        and rhs(t, U) steps column j of U through window j.  t is the array
+        of column times; column 0's gives the stage, round((t[0] - t0) /
+        (h / 2)), and each stage applies one coefficient row with an entry
+        per column.  The rows are strided views of one table on the whole
+        grid, np.linspace(t0, t1, 2 columns steps + 1), so column j reads
+        stages 2 j steps .. 2 (j + 1) steps of that grid."""
         dm, rm, dp, rp = self._templates
         stages = 2 * steps
         grid = np.linspace(t0, t1, columns * stages + 1)
         coeffs = self._coefficients(grid)
         half = (t1 - t0) / (columns * stages)
-        if columns == 1:
-            tm, r1m, tp, r1p = coeffs
-
-            def rhs(t, u):
-                k = int(round((t - t0) / half))
-                return tm[k] * (dm @ u) + r1m[k] * (rm @ u) + tp[k] * (dp @ u) + r1p[k] * (rp @ u)
-
-            return rhs
         # row k, column j is entry j * stages + k of the table: a view, no copy
         tm, r1m, tp, r1p = (np.lib.stride_tricks.sliding_window_view(c, stages + 1)[::stages].T
                             for c in coeffs)
@@ -237,7 +236,11 @@ def poincare_predicted(spec: Spectrum, half_period: float) -> WeightedShift:
 class NumericPoincare:
     """One-period propagator columns U(2T, 0) e_m for m = 1..n_columns,
     integrated over an internally extended truncation so no requested column
-    is clipped by an orphaned rotation partner."""
+    is clipped by an orphaned rotation partner.
+
+    The matrix is P M, the plus half-period map after the minus one, each
+    the ordered product of its steps' 2x2 blocks; `steps` counts the Lawson
+    steps of the whole period, half of them in each half-period."""
 
     matrix: np.ndarray
     n_columns: int
@@ -246,22 +249,121 @@ class NumericPoincare:
 
 # Relative change of the propagator under a step doubling that ends the refinement.
 PROPAGATOR_TOL = 1e-10
+# Most steps of one half-period whose 2x2 blocks are held at once.
+BLOCK_CHUNK = 2048
+
+
+def _ordered_product(g: np.ndarray) -> np.ndarray:
+    """g[-1] @ ... @ g[1] @ g[0] over stacked 2x2 blocks, by pairwise
+    products: a tree of depth log2 len(g).  Every step count and chunk
+    count of `poincare_numeric` is a power of two, so each level pairs all
+    its entries.
+
+    While every block lies within 1/2 of the identity, the tree multiplies
+    deviations, (I + a)(I + b) = I + (a + b + a b), so a step's small
+    deviation keeps its own relative precision instead of rounding against
+    the identity's 1; from the first level past that it multiplies blocks.
+    """
+    eye = np.eye(2)
+    e = g - eye
+    levels = 0
+    while len(e) > 1 and float(np.max(np.abs(e))) <= 0.5:
+        a, b = e[1::2], e[0::2]
+        e = a + b + np.matmul(a, b)
+        levels += 1
+    if levels:
+        g = e + eye
+    while len(g) > 1:
+        g = np.matmul(g[1::2], g[0::2])
+    return g[0]
+
+
+def _half_period_map(op: PeriodicOperator, plus: bool, steps: int) -> np.ndarray:
+    """The dense n x n map of one half-period at `steps` Lawson steps:
+    [0, T] (minus, pairs (2j-1, 2j)) or [T, 2T] (plus, pairs (2j, 2j+1),
+    mode 1 alone with its anchor diagonal).
+
+    Every step's map is block-diagonal in the half's pairs, so two colour
+    vectors recover all its blocks: colour 0 sums e_a over the first mode a
+    of each block, colour 1 e_b over the second mode b, and a block's
+    column a (b) is the colour-0 (colour-1) image read on rows a and b.  A
+    mode that stands alone goes into colour 0 with position n as its
+    partner, a dummy mode every step holds fixed.  Each colour runs as one
+    `lawson_rk4` step of a state with one column per step, each column on
+    its own window, in chunks of at most BLOCK_CHUNK steps.  The colours are
+    only valid when the other half's coefficients are exactly zero at every
+    stage, so that is checked on the same coefficient table first.
+    """
+    n = op.n_modes
+    first = np.arange(1 if plus else 0, n, 2)
+    second = np.minimum(first + 1, n)
+    if plus:
+        first, second = np.r_[0, first], np.r_[n, second]
+    colours = np.zeros((2, n + 1))
+    colours[0, first] = 1.0
+    colours[1, second] = 1.0
+    pairs = np.stack([first, second])
+    start = op.half_period if plus else 0.0
+    half, other = ("plus", "minus") if plus else ("minus", "plus")
+    chunks = []
+    for i0 in range(0, steps, BLOCK_CHUNK):
+        i1 = min(i0 + BLOCK_CHUNK, steps)
+        c0 = start + op.half_period * i0 / steps
+        c1 = start + op.half_period * i1 / steps
+        m = i1 - i0
+        # (tm, r1m, tp, r1p): the other half's pair must vanish on this one
+        coeffs = op._coefficients(np.linspace(c0, c1, 2 * m + 1))
+        live = np.flatnonzero(np.any(np.array(coeffs[:2] if plus else coeffs[2:]) != 0.0,
+                                     axis=0))
+        if live.size:
+            k = live[0]
+            raise FloquetError(
+                f"{half} half-period: the {other} coupling's coefficients are nonzero at "
+                f"stage {2 * i0 + k} (t = {c0 + (c1 - c0) * k / (2 * m):.6g}), so its map "
+                "is not block-diagonal; the cut-offs of the two halves overlap")
+        rhs = op.tabulated_rhs(c0, c1, 1, columns=m)
+        bounds = np.linspace(c0, c1, m + 1)
+        images = np.empty((2, n + 1, m))
+        images[:, n] = colours[:, n, None]
+        for k in range(2):
+            images[k, :n] = lawson_rk4(op.lam, rhs, np.broadcast_to(colours[k, :n, None], (n, m)),
+                                       bounds[:-1], bounds[1:], 1)
+        # step j's block b is images[c, pairs[r, b], j] at row r, column c
+        chunks.append(_ordered_product(images[:, pairs].transpose(3, 2, 1, 0)))
+    blocks = _ordered_product(np.stack(chunks))
+    mat = np.zeros((n + 1, n + 1))
+    mat[pairs[:, None, :], pairs[None, :, :]] = blocks.transpose(1, 2, 0)
+    return mat[:n, :n]
 
 
 def poincare_numeric(op: PeriodicOperator, n_trunc: int) -> NumericPoincare:
+    """The numeric one-period map P M, refined by step doubling from 512
+    steps until a doubling moves it by at most PROPAGATOR_TOL of its
+    largest entry.
+
+    The two couplings never act together: on [0, T] only the minus pairs
+    (2j-1, 2j) rotate, on [T, 2T] only the plus pairs (2j, 2j+1) and mode
+    1's anchor diagonal act.  So each half-period map M, P is
+    block-diagonal in 2x2 blocks, and `_half_period_map` reads every step's
+    blocks from two colour columns (Curtis, Powell & Reid, J. Inst. Math.
+    Appl. 1974) and multiplies them in a pairwise tree.  It raises
+    FloquetError, naming the half-period and the stage, when the other
+    half's coefficients are not exactly zero on it.
+    """
     guard = 1 if n_trunc % 2 == 0 else 2
     n_int = n_trunc + guard
     spectrum = op.spectrum if n_int <= op.spectrum.n_max else op.spectrum.truncated(n_int)
     inner = replace(op, spectrum=spectrum, n_modes=n_int)
-    lam = inner.lam
-    period = inner.period
+
+    def period_map(steps):
+        minus = _half_period_map(inner, False, steps // 2)
+        return _half_period_map(inner, True, steps // 2) @ minus
+
     steps = 512
-    prev = lawson_rk4(lam, inner.tabulated_rhs(0.0, period, steps),
-                      np.eye(n_int), 0.0, period, steps)
+    prev = period_map(steps)
     while steps <= (1 << 20):
         steps *= 2
-        cur = lawson_rk4(lam, inner.tabulated_rhs(0.0, period, steps),
-                         np.eye(n_int), 0.0, period, steps)
+        cur = period_map(steps)
         scale = max(float(np.max(np.abs(cur))), 1e-300)
         if float(np.max(np.abs(cur - prev))) <= PROPAGATOR_TOL * scale:
             return NumericPoincare(cur[:, :n_trunc], n_trunc, steps)

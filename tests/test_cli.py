@@ -31,6 +31,16 @@ SMALL_DYNAMICS = {
 }
 
 
+def load_layers():
+    """perfbench/layers.py, the benchmark's layer tracer, as a module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "layers.py")
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
 def write_config(path, cfg) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cfg, fh)
@@ -165,8 +175,11 @@ class TestFloquet:
         assert read_bytes(root / "a", names) == read_bytes(root / "b", names)
 
     def test_outputs_pinned(self, dynamics_runs):
-        # the CSV and constants as SMALL_DYNAMICS wrote them at commit
-        # 82ef4b6, when the verdict came from the decay certificate
+        # the CSV as SMALL_DYNAMICS wrote it at commit 82ef4b6, when the
+        # verdict came from the decay certificate; the two error constants
+        # are round-off of the propagator, so they moved when the dense
+        # period pass (5.48e-14 and 1.88e-12) became half-period block
+        # products, by less than 1e-12
         root, _ = dynamics_runs
         with open(root / "a" / "floquet_iterates.csv", "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == (
@@ -176,10 +189,28 @@ class TestFloquet:
         assert got == {
             "beta": 4.0,
             "epsilon": 1.00500488206889,
-            "max_log_rel_err": 5.484501741648273e-14,
-            "max_off_pattern": 1.8766797303784207e-12,
+            "max_log_rel_err": 6.150635556423367e-14,
+            "max_off_pattern": 2.0561660923294083e-12,
             "pattern_ok": True,
         }
+        assert abs(got["max_log_rel_err"] - 5.484501741648273e-14) <= 1e-12
+        assert abs(got["max_off_pattern"] - 1.8766797303784207e-12) <= 1e-12
+
+    def test_propagator_steps_are_one_lawson_step_each(self, tmp_path):
+        # every step of every doubling is one column of a one-step
+        # `lawson_rk4` call: 2 colours x 2 half-periods x 4 doublings
+        cfg = write_config(tmp_path / "c.json", SMALL_DYNAMICS)
+        tracer = load_layers().Tracer()
+        tracer.install()
+        try:
+            assert run(cfg, tmp_path / "out", "floquet") == 0
+        finally:
+            tracer.uninstall()
+        calls = tracer.calls["integrators.lawson"]
+        assert calls == 16
+        assert tracer.counters["integrators.steps"] == calls
+        assert tracer.counters["floquet.tab_rhs_evals"] == 4 * calls
+        assert tracer.counters["floquet.propagator_steps"] == 4096
 
     def test_underflowing_column_reports_off_pattern(self, tmp_path, capsys):
         # at tau = 12 column 15's largest entry is 1.7e-167, whose square
@@ -189,9 +220,11 @@ class TestFloquet:
             "drive": {"tau": 12.0}})
         assert run(cfg, tmp_path / "out", "floquet") == 0
         got = report(tmp_path / "out", "floquet")
-        # reported, not gated on: the dense propagator's off-pattern mass
+        # reported, not gated on: the propagator's off-pattern mass, step
+        # error that falls as the steps double (0.49, 0.0375, 0.0114 on the
+        # dense pass at 4,096, 8,192 and 16,384 steps)
         assert got["verdicts"] == {"floquet": "pattern_ok"}
-        assert got["constants"]["max_off_pattern"] == pytest.approx(0.0375, rel=1e-3)
+        assert got["constants"]["max_off_pattern"] == pytest.approx(0.0449, rel=1e-3)
 
 
 def test_power_spectrum_closes_superexponentially(tmp_path, capsys):
@@ -248,13 +281,8 @@ class TestSimulate:
     def test_periods_take_one_lawson_pass(self, tmp_path):
         # perfbench's layer tracer counts the steps of every `lawson_rk4`
         # call and the calls of every tabulated rhs
-        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                            "perfbench", "layers.py")
-        spec = importlib.util.spec_from_file_location("perfbench_layers", path)
-        layers = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(layers)
         cfg = write_config(tmp_path / "c.json", SMALL_DYNAMICS)
-        tracer = layers.Tracer()
+        tracer = load_layers().Tracer()
         tracer.install()
         try:
             assert run(cfg, tmp_path / "out", "simulate") == 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from attractorlab.floquet import (WALK_PERIODS, FloquetError, PeriodicOperator,
                                   make_periodic_operator, poincare_numeric,
                                   poincare_predicted, ratio_bounds_check,
                                   shift_match_report)
+from attractorlab.integrators import lawson_rk4
 from attractorlab.spectral import make_spectrum, spectral_gap
 
 # Means of theta1(h(u)) and theta2(h(u)) over the unit transition u in [0, 1]
@@ -166,6 +168,14 @@ class TestNumericPoincare:
         expected = np.diag(np.exp(-2.0 * spec.values))
         assert np.allclose(numeric.matrix[:4], expected, rtol=1e-8, atol=1e-14)
         assert np.all(numeric.matrix[4] == 0.0)
+
+    def test_overlapping_cutoffs_rejected(self, operator_t2):
+        # theta2(x) and theta2(-x) are both nonzero near x = 0, so the plus
+        # coupling's diagonal acts on the minus half-period too, and two
+        # colours no longer separate the blocks
+        op = replace(operator_t2, theta2=smooth_step(-0.25, 0.25))
+        with pytest.raises(FloquetError, match="^minus half-period: .* stage 0 "):
+            poincare_numeric(op, 8)
 
     def test_dense_power_matches_iterate_norms(self, operator_t2):
         spec = operator_t2.spectrum
@@ -330,3 +340,48 @@ class TestRatioBounds:
         with pytest.raises(FloquetError, match="truncation"):
             ratio_bounds_check(shift, 9)
 
+
+def dense_doubling(op, n_trunc, one_column_rhs):
+    """The propagator before its half-period blocks: the identity stepped
+    through the whole period as one dense `lawson_rk4` pass per step count,
+    under the same doubling rule.  Returns the matrix and its step count."""
+    n_int = n_trunc + (1 if n_trunc % 2 == 0 else 2)
+    inner = replace(op, spectrum=op.spectrum.truncated(n_int), n_modes=n_int)
+
+    def dense(steps):
+        rhs = one_column_rhs(inner, 0.0, inner.period, steps)
+        return lawson_rk4(inner.lam, rhs, np.eye(n_int), 0.0, inner.period, steps)
+
+    steps, prev = 512, dense(512)
+    while steps < 1 << 14:
+        steps *= 2
+        cur = dense(steps)
+        if np.max(np.abs(cur - prev)) <= floquet.PROPAGATOR_TOL * np.max(np.abs(cur)):
+            return cur[:, :n_trunc], steps
+        prev = cur
+    raise AssertionError("the dense oracle did not converge")
+
+
+@pytest.fixture(scope="module")
+def dynamics_operator():
+    """The operator of the benchmark's `dynamics` floquet run."""
+    return make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 40),
+                                  periodic_drive(1.0, 2.0, 0.75))
+
+
+@pytest.mark.parametrize("name,n_trunc", [("operator_t2", 8), ("dynamics_operator", 16)])
+def test_blocks_match_dense_oracle(name, n_trunc, request, one_column_rhs):
+    # the dense oracle differs from the block product by round-off alone:
+    # 1.6e-13 relative on the pattern, 1.5e-12 of the column's largest
+    # entry off it
+    op = request.getfixturevalue(name)
+    want, want_steps = dense_doubling(op, n_trunc, one_column_rhs)
+    got = poincare_numeric(op, n_trunc)
+    assert got.steps == want_steps == 4096
+    assert np.array_equal(got.matrix == 0.0, want == 0.0)
+    shift = poincare_predicted(op.spectrum, op.half_period)
+    on = np.zeros(want.shape, dtype=bool)
+    on[[shift.image(m) - 1 for m in range(1, n_trunc + 1)], np.arange(n_trunc)] = True
+    assert np.all(np.abs(got.matrix[on] - want[on]) <= 1e-12 * np.abs(want[on]))
+    off = np.abs(np.where(on, 0.0, got.matrix - want))
+    assert np.all(off <= 1e-11 * np.max(np.abs(want), axis=0))

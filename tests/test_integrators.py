@@ -125,16 +125,16 @@ def test_propagate_periods_projection_removes_noise_floor():
     assert 0.0 < clean.discard_max <= 1e-6
 
 
-def sequential_periods(op, w0, period, n_periods, steps, modes):
+def sequential_periods(rhs, op, w0, period, n_periods, steps, modes):
     """The period loop as `propagate_periods` ran before its periods were
-    batched: one `lawson_rk4` call per period on one table over all periods,
-    starting from the previous period's projected, renormalized state."""
+    batched: one `lawson_rk4` call per period with `rhs`, a one-column rhs on
+    one table over all periods, starting from the previous period's
+    projected, renormalized state."""
 
     def safe_norm(w):
         m = float(np.max(np.abs(w)))
         return m * float(np.linalg.norm(w / m))
 
-    rhs = op.tabulated_rhs(0.0, n_periods * period, n_periods * steps)
     w = np.array(w0, dtype=float)
     logscale = 0.0
     lognorms = [logscale + math.log(safe_norm(w))]
@@ -165,7 +165,7 @@ ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
-def test_batched_periods_match_sequential_bitwise(case):
+def test_batched_periods_match_sequential_bitwise(case, one_column_rhs):
     tau, n_max, n_trunc, n_periods, steps, start = case
     scen = scenario_from_config(resolve_config({
         "spectrum": {"family": "linear", "n_max": n_max, "params": {"c": 1.0}},
@@ -179,7 +179,9 @@ def test_batched_periods_match_sequential_bitwise(case):
     w0[list(start)] = list(start.values())
     widths = {k * op.period - (k - 1) * op.period for k in range(1, n_periods + 1)}
     assert (len(widths) == 1) == (tau == 2.0)
-    want_logs, want_states = sequential_periods(op, w0, op.period, n_periods, steps, modes)
+    oracle_rhs = one_column_rhs(op, 0.0, n_periods * op.period, n_periods * steps)
+    want_logs, want_states = sequential_periods(oracle_rhs, op, w0, op.period, n_periods, steps,
+                                                modes)
     rhs = op.tabulated_rhs(0.0, n_periods * op.period, steps, columns=n_periods)
     log = propagate_periods(op.lam, rhs, w0, op.period, steps, modes)
     assert log.lognorms.tobytes() == want_logs.tobytes()
