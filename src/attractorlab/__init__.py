@@ -31,7 +31,7 @@ from .geometry import (CoverReport, DimensionScan, GeometryError, PointCloud,
                        log_doubling_estimate, separated_count_exact,
                        separated_count_log, smoothness_criterion)
 from .simulate import (KickOperator, Scenario, Section4Laws, SimulationError,
-                       TrajectoryRecord, bad_cube_cloud, build_kick_operator,
+                       bad_cube_cloud, build_kick_operator,
                        section4_attractor, smooth_forcing_laws, thm44_laws,
                        trajectory_pair_experiment)
 from .config import (ConfigError, config_hash, drive_from_config, load_config,

@@ -110,13 +110,13 @@ def cmd_floquet(cfg, args) -> int:
 
 
 def _expected(cfg, key):
-    want = cfg.get("expectations", {}).get(key)
+    want = cfg["expectations"].get(key)
     return {key: want} if want else {}
 
 
 def _build_cloud(cfg):
     gcfg = cfg["geometry"]["cloud"]
-    kind = gcfg.get("kind", "section4")
+    kind = gcfg["kind"]
     if kind == "file":
         return load_cloud_csv(gcfg["path"]), {"kind": "file"}
     if kind == "bad_cubes":
@@ -126,10 +126,9 @@ def _build_cloud(cfg):
         meta["kind"] = "bad_cubes"
         return cloud, meta
     spec = spectrum_from_config(cfg)
-    laws = sim.thm44_laws() if gcfg.get("laws", "thm44") == "thm44" else sim.smooth_forcing_laws(
-        gcfg.get("n_max", 48)
-    )
-    cloud, meta = sim.section4_attractor(laws, spec, gcfg.get("n_max", 48),
+    laws = (sim.thm44_laws() if gcfg["laws"] == "thm44"
+            else sim.smooth_forcing_laws(gcfg["n_max"]))
+    cloud, meta = sim.section4_attractor(laws, spec, gcfg["n_max"],
                                          beta_scale=cfg["dynamics"]["beta_scale"])
     meta["kind"] = "section4"
     return cloud, meta
@@ -186,8 +185,7 @@ def cmd_simulate(cfg, args) -> int:
     law = result["law"]
     report.verdicts["simulate"] = (
         "superexponential" if result["superexponential"] else "exponential_only")
-    record = result["record"]
-    d_logs = [record.lognorm(k) for k in range(len(record.times))]
+    log = result["log"]
     # ||A d|| / ||d|| = lambda(orbit_k) grows like (-log d)^gamma_star, so the
     # log-Lipschitz modulus of exponent gamma holds exactly when gamma >= gamma_star
     mod_half, mod_zero = ("bounded" if gamma >= law.gamma_star else "divergent"
@@ -203,11 +201,11 @@ def cmd_simulate(cfg, args) -> int:
     })
     path = write_csv(os.path.join(out, "pair_distance.csv"),
                      ["t", "log_distance"],
-                     zip(record.times, d_logs))
+                     zip(log.times, log.lognorms))
     report.files.append(path)
     tpath = write_csv(os.path.join(out, "pair_trajectory.csv"),
                       ["t", "mode_index", "sign", "logmag"],
-                      trajectory_rows(record))
+                      trajectory_rows(log))
     report.files.append(tpath)
     print(f"closing exponent p: {fmt17(law.p)}  gamma*: {fmt17(law.gamma_star)}  "
           f"walk rel err: {fmt17(result['walk_rel_err'])}")

@@ -1,5 +1,6 @@
-"""Schema-validated JSON experiment configuration with materialized defaults
-and a content hash for byte-reproducible runs.  No environment variables are
+"""JSON experiment configuration: one table declares each key with its
+default and its check, and a resolved config carries every default plus a
+content hash for byte-reproducible runs.  No environment variables are
 consulted: all state lives in the config."""
 
 from __future__ import annotations
@@ -7,162 +8,155 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-
-import jsonschema
+import math
 
 from .cutoffs import PeriodicDrive, periodic_drive
 from .simulate import Scenario
 from .spectral import Spectrum, cube_width, make_spectrum
 
-__all__ = ["ConfigError", "SCHEMA", "DEFAULTS", "load_config", "resolve_config",
+__all__ = ["ConfigError", "KEYS", "DEFAULTS", "load_config", "resolve_config",
            "config_hash", "spectrum_from_config", "drive_from_config",
            "scenario_from_config",
            "parse_scales"]
 
 
 class ConfigError(ValueError):
-    """Schema violation or unusable configuration."""
+    """Invalid or unusable configuration."""
 
 
-_NUM = {"type": "number"}
 # Fewest scales the dimension fit takes (`geometry.fractal_dimension_estimate`).
 MIN_SCALES = 4
+# The default of a key the config must give.
+REQUIRED = "required"
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "spectrum": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family", "n_max"],
-            "properties": {
-                "family": {"enum": ["linear", "power", "quadratic", "explicit"]},
-                "n_max": {"type": "integer", "minimum": 2},
-                "params": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "c": _NUM,
-                        "kappa": _NUM,
-                        "values": {"type": "array", "items": _NUM, "minItems": 2},
-                    },
-                },
-            },
-        },
-        "drive": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-                "plateau_fraction": {"type": "number", "exclusiveMinimum": 0.5,
-                                     "exclusiveMaximum": 1.0},
-                "T_scale": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "dynamics": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "L": _NUM,
-                "n0": {"type": "integer", "minimum": 1},
-                "kappa": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "beta_scale": {"type": "number", "exclusiveMinimum": 0},
-                "n_trunc": {"type": "integer", "minimum": 4},
-                "kick_max_level": {"type": "integer", "minimum": 1},
-                "n_periods": {"type": "integer", "minimum": 3},
-                "steps_per_period": {"type": "integer", "minimum": 64},
-            },
-        },
-        "geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "scales": {
-                    "anyOf": [
-                        {"type": "string"},
-                        {"type": "array", "items": _NUM, "minItems": MIN_SCALES},
-                    ]
-                },
-                "s_list": {"type": "array", "items": _NUM, "minItems": 1},
-                "cloud": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["bad_cubes", "section4", "file"]},
-                        "path": {"type": "string"},
-                        "n_max": {"type": "integer", "minimum": 3},
-                        "laws": {"enum": ["thm44", "smooth"]},
-                    },
-                },
-                "include_doubling": {"type": "boolean"},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string"},
-            },
-        },
-        "expectations": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "gap_check": {"enum": ["obstruction", "no_obstruction", "unbounded_gap"]},
-                "floquet": {"enum": ["pattern_ok", "pattern_broken"]},
-                "dimension": {"enum": ["diverging", "finite"]},
-                "simulate": {"enum": ["superexponential", "exponential_only"]},
-            },
-        },
-    },
-    "required": ["spectrum"],
-}
 
-DEFAULTS = {
-    "drive": {"amplitude": 1.0, "tau": 2.0, "plateau_fraction": 0.75, "T_scale": 1.0},
-    "dynamics": {
-        "L": 2.0,
-        "n0": 4,
-        "kappa": 0.05,
-        "beta_scale": 1.0,
-        "n_trunc": 16,
-        "kick_max_level": 16,
-        "n_periods": 6,
-        "steps_per_period": 4096,
-    },
-    "geometry": {
-        "scales": "1e-1:1e-3:8",
-        "s_list": [0.0, 1.0, 2.0],
-        "cloud": {"kind": "section4", "n_max": 48, "laws": "thm44"},
-        "include_doubling": False,
-    },
-    "output": {"dir": "runs"},
-    "expectations": {},
+def _is_number(v) -> bool:
+    """A finite JSON number: no bool, NaN or Infinity."""
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
+
+
+def _number(lo=None, hi=None):
+    """A finite number strictly between the bounds that are given."""
+    want = "a finite number" + (f" > {lo}" if lo is not None else "") + (
+        f" and < {hi}" if hi is not None else "")
+    return lambda v: None if (_is_number(v) and (lo is None or v > lo)
+                              and (hi is None or v < hi)) else want
+
+
+def _integer(least: int):
+    """A JSON integer, so neither 40.0 nor true, of at least `least`."""
+    return lambda v: None if (isinstance(v, int) and not isinstance(v, bool)
+                              and v >= least) else f"an integer >= {least}"
+
+
+def _numbers(least: int):
+    """A list of finite numbers, at least `least` of them."""
+    return lambda v: None if (isinstance(v, list) and len(v) >= least
+                              and all(map(_is_number, v))) else (
+        f"a list of finite numbers (at least {least})")
+
+
+def _scales(v) -> None:
+    parse_scales(v)
+
+
+# Every config key: its path -> (default, check).  A default is a value,
+# REQUIRED, or None for an optional key that stays out when not given; a
+# section (check `dict`) takes its children's defaults.  A check is a type,
+# a tuple of the allowed strings, or a function that returns what it wants
+# when the value fails.
+KEYS = {
+    "spectrum": (REQUIRED, dict),
+    "spectrum.family": (REQUIRED, ("linear", "power", "quadratic", "explicit")),
+    "spectrum.n_max": (REQUIRED, _integer(2)),
+    "spectrum.params": ({}, dict),
+    "spectrum.params.c": (None, _number()),
+    "spectrum.params.kappa": (None, _number()),
+    "spectrum.params.values": (None, _numbers(2)),
+    "drive": ({}, dict),
+    "drive.amplitude": (1.0, _number(0)),
+    "drive.tau": (2.0, _number(0)),
+    "drive.plateau_fraction": (0.75, _number(0.5, 1.0)),
+    "drive.T_scale": (1.0, _number(0)),
+    "dynamics": ({}, dict),
+    "dynamics.L": (2.0, _number()),
+    "dynamics.n0": (4, _integer(1)),
+    "dynamics.kappa": (0.05, _number(0, 1)),
+    "dynamics.beta_scale": (1.0, _number(0)),
+    "dynamics.n_trunc": (16, _integer(4)),
+    "dynamics.kick_max_level": (16, _integer(1)),
+    "dynamics.n_periods": (6, _integer(3)),
+    "dynamics.steps_per_period": (4096, _integer(64)),
+    "geometry": ({}, dict),
+    "geometry.scales": ("1e-1:1e-3:8", _scales),
+    "geometry.s_list": ([0.0, 1.0, 2.0], _numbers(1)),
+    "geometry.cloud": ({}, dict),
+    "geometry.cloud.kind": ("section4", ("bad_cubes", "section4", "file")),
+    "geometry.cloud.path": (None, str),
+    "geometry.cloud.n_max": (48, _integer(3)),
+    "geometry.cloud.laws": ("thm44", ("thm44", "smooth")),
+    "geometry.include_doubling": (False, bool),
+    "output": ({}, dict),
+    "output.dir": ("runs", str),
+    "expectations": ({}, dict),
+    "expectations.gap_check": (None, ("obstruction", "no_obstruction", "unbounded_gap")),
+    "expectations.floquet": (None, ("pattern_ok", "pattern_broken")),
+    "expectations.dimension": (None, ("diverging", "finite")),
+    "expectations.simulate": (None, ("superexponential", "exponential_only")),
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
+def _children(path: str) -> dict:
+    """name -> (key path, default, check) of each key of the section at `path`."""
+    return {key.rpartition(".")[2]: (key, default, check)
+            for key, (default, check) in KEYS.items() if key.rpartition(".")[0] == path}
+
+
+def _defaults(path: str = "") -> dict:
+    return {name: _defaults(key) if check is dict else copy.deepcopy(default)
+            for name, (key, default, check) in _children(path).items()
+            if default is not None and default != REQUIRED}
+
+
+DEFAULTS = _defaults()
+
+
+def _resolve(raw, path: str) -> dict:
+    """The section at `path`: each key of `raw` checked, each missing one
+    given its default.  Raises ConfigError naming the first key that fails."""
+    keys = _children(path)
+    for name in raw:
+        if name not in keys:
+            raise ConfigError(f"config invalid at {path + '.' if path else ''}{name}: "
+                              "unknown key (Additional properties are not allowed)")
+    out = {}
+    for name, (key, default, check) in keys.items():
+        if name in raw:
+            value = raw[name]
+        elif default == REQUIRED:
+            raise ConfigError(f"config invalid at {key}: the key is required")
+        elif default is None:
+            continue
         else:
-            out[k] = copy.deepcopy(v)
+            value = default
+        if isinstance(check, type):
+            want = None if isinstance(value, check) else f"a {check.__name__}"
+        elif isinstance(check, tuple):
+            want = None if isinstance(value, str) and value in check else f"one of {check}"
+        else:
+            want = check(value)
+        if want:
+            raise ConfigError(f"config invalid at {key}: want {want}, got {value!r}")
+        out[name] = _resolve(value, key) if check is dict else copy.deepcopy(value)
     return out
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate against the schema, then materialize defaults."""
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        need = f" (at least {exc.validator_value})" if exc.validator == "minItems" else ""
-        raise ConfigError(f"config invalid at {path}: {exc.message}{need}") from exc
-    resolved = _merge(DEFAULTS, raw)
-    resolved.setdefault("spectrum", {}).setdefault("params", {})
+    """Check `raw` against KEYS, then materialize defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config invalid at <root>: want a dict, got {raw!r}")
+    resolved = _resolve(raw, "")
     _check_explicit(resolved["spectrum"])
     _check_cloud(resolved)
     return resolved
@@ -193,7 +187,7 @@ def _bad_cube_min_n_max(kick_max_level: int, family: str) -> int:
 def _check_cloud(resolved: dict) -> None:
     """Refuse cloud configs that would fail late or mean nothing."""
     geo = resolved["geometry"]
-    kind = geo["cloud"].get("kind", "section4")
+    kind = geo["cloud"]["kind"]
     if kind == "bad_cubes":
         sec = resolved["spectrum"]
         n_max = sec["n_max"]
@@ -225,7 +219,7 @@ def config_hash(resolved: dict) -> str:
 
 def spectrum_from_config(resolved: dict) -> Spectrum:
     sec = resolved["spectrum"]
-    return make_spectrum(sec["family"], sec.get("params", {}), sec["n_max"])
+    return make_spectrum(sec["family"], sec["params"], sec["n_max"])
 
 
 def drive_from_config(resolved: dict) -> PeriodicDrive:
@@ -250,22 +244,25 @@ def scenario_from_config(resolved: dict) -> Scenario:
 
 
 def parse_scales(spec) -> list[float]:
-    """Geometric scale ladder, largest first: either an explicit list or
-    "a:b:n" with n >= MIN_SCALES (the schema holds a list to as many).  Every
-    scale must be positive and distinct."""
-    if isinstance(spec, (list, tuple)):
+    """Geometric scale ladder, largest first: either a list of at least
+    MIN_SCALES finite numbers or "a:b:n" with finite a, b and n >= MIN_SCALES.
+    Every scale must be positive and distinct."""
+    if isinstance(spec, list):
+        want = _numbers(MIN_SCALES)(spec)
+        if want:
+            raise ConfigError(f"bad scales {spec!r}; want {want}")
         vals = [float(v) for v in spec]
     else:
         try:
             a, b, n = spec.split(":")
             a, b, n = float(a), float(b), int(n)
-            if a <= 0 or b <= 0 or n < MIN_SCALES:
+            if not (0 < a < math.inf and 0 < b < math.inf) or n < MIN_SCALES:
                 raise ValueError
             ratio = (b / a) ** (1.0 / (n - 1))
             vals = [a * ratio**k for k in range(n)]
         except (ValueError, AttributeError) as exc:
             raise ConfigError(f"bad scales spec {spec!r}; want numbers or 'a:b:n' with "
-                              f"a, b > 0 and n >= {MIN_SCALES}") from exc
+                              f"finite a, b > 0 and n >= {MIN_SCALES}") from exc
     if any(v <= 0 for v in vals):
         raise ConfigError("scales must be positive")
     vals = sorted(vals, reverse=True)

@@ -96,7 +96,9 @@ def _safe_norm(w: np.ndarray) -> float:
 class PeriodLog:
     """Per-period record of a renormalized trajectory: the running log of the
     norm plus the unit-scale dense remainder, and the largest share of the
-    norm that any support projection discarded."""
+    norm that any support projection discarded.  After a projection the
+    remainder is a single +-1 entry, so `lognorms[k]` is the log norm of
+    sample k exactly; at k = 0 it is exact when w0 lies on one mode."""
 
     times: np.ndarray
     lognorms: np.ndarray

@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import PointCloud
 from .logspace import LogModeVector, NEG_INF
-from .simulate import TrajectoryRecord
+from .integrators import PeriodLog
 
 __all__ = ["fmt17", "RunReport", "write_csv", "trajectory_rows", "cloud_rows",
            "geometry_rows", "load_cloud_csv", "write_json"]
@@ -58,10 +58,10 @@ def _jsonable(obj):
     return str(obj)
 
 
-def trajectory_rows(record: TrajectoryRecord):
+def trajectory_rows(log: PeriodLog):
     """Long-form rows (t, mode_index, sign, logmag) of the sampled states."""
-    for k, t in enumerate(record.times):
-        point = record.mode_point(k)
+    for t, logscale, state in zip(log.times, log.lognorms, log.states):
+        point = LogModeVector.from_dense(state).scaled(logscale)
         if not point.entries:
             yield (t, 0, 0, NEG_INF)
         for idx in point.indices():

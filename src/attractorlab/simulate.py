@@ -30,7 +30,6 @@ from .spectral import Spectrum, cube_width, regime_bound
 __all__ = [
     "SimulationError",
     "Scenario",
-    "TrajectoryRecord",
     "trajectory_pair_experiment",
     "KickOperator",
     "build_kick_operator",
@@ -92,24 +91,6 @@ class Scenario:
             raise SimulationError(
                 f"kick levels must satisfy 1 <= n0 <= kick_max_level (got n0 "
                 f"{self.kick_base_level}, kick_max_level {self.kick_max_level})")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Sampled trajectory: unit-scale dense mode states plus the running log
-    factor, so norms stay exact far below double range."""
-
-    times: np.ndarray
-    states: list[np.ndarray]
-    logscales: np.ndarray
-
-    def lognorm(self, k: int) -> float:
-        """log ||u_k||, the H^0 norm of sample k."""
-        val = float(np.linalg.norm(self.states[k]))
-        return NEG_INF if val == 0.0 else self.logscales[k] + math.log(val)
-
-    def mode_point(self, k: int) -> LogModeVector:
-        return LogModeVector.from_dense(self.states[k]).scaled(self.logscales[k])
 
 
 def trajectory_pair_experiment(
@@ -177,7 +158,7 @@ def trajectory_pair_experiment(
         "walk_rel_err": walk_rel_err,
         "epsilon": op.epsilon,
         "projection_discard_max": log.discard_max,
-        "record": TrajectoryRecord(log.times, log.states, log.lognorms),
+        "log": log,
     }
 
 

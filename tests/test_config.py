@@ -1,0 +1,115 @@
+"""The config table's checks: each bounded key at its bound and just past
+it, a bool where a number goes, unknown and missing keys, and the
+non-finite and non-integral numbers a config once let through."""
+
+import copy
+import math
+
+import pytest
+
+from attractorlab import cli
+from attractorlab.config import ConfigError, resolve_config
+
+BASE = {"spectrum": {"family": "linear", "n_max": 16, "params": {"c": 1.0}}}
+EXPLICIT = {"family": "explicit", "n_max": 2, "params": {"values": [1.0, 2.0]}}
+
+# (key path, value, whether resolve_config takes it)
+EDGES = [
+    # exclusive bounds of numbers: the bound is refused, the next double taken
+    *((key, bound, False) for key, bound in (
+        ("drive.amplitude", 0.0), ("drive.tau", 0.0), ("drive.T_scale", 0.0),
+        ("drive.plateau_fraction", 0.5), ("drive.plateau_fraction", 1.0),
+        ("dynamics.kappa", 0.0), ("dynamics.kappa", 1.0), ("dynamics.beta_scale", 0.0))),
+    *((key, math.nextafter(bound, mid), True) for key, bound, mid in (
+        ("drive.amplitude", 0.0, 1.0), ("drive.tau", 0.0, 1.0), ("drive.T_scale", 0.0, 1.0),
+        ("drive.plateau_fraction", 0.5, 0.75), ("drive.plateau_fraction", 1.0, 0.75),
+        ("dynamics.kappa", 0.0, 0.5), ("dynamics.kappa", 1.0, 0.5),
+        ("dynamics.beta_scale", 0.0, 1.0))),
+    # integer minimums: the minimum is taken, one below refused
+    *((key, least + step, step == 0)
+      for key, least in (("spectrum.n_max", 2), ("dynamics.n0", 1), ("dynamics.n_trunc", 4),
+                         ("dynamics.kick_max_level", 1), ("dynamics.n_periods", 3),
+                         ("dynamics.steps_per_period", 64), ("geometry.cloud.n_max", 3))
+      for step in (0, -1)),
+    # list lengths: the shortest list is taken, one shorter refused
+    ("geometry.s_list", [0.0], True), ("geometry.s_list", [], False),
+    ("geometry.scales", [1.0, 0.1, 0.01, 0.001], True),
+    ("geometry.scales", [1.0, 0.1, 0.01], False),
+    # a bool is no number, and neither is a float an integer
+    ("drive.tau", True, False), ("dynamics.L", False, False),
+    ("spectrum.params.c", True, False), ("geometry.s_list", [True], False),
+    ("spectrum.n_max", True, False), ("dynamics.n_trunc", 16.0, False),
+    # unknown keys at every level
+    ("bogus", 1, False), ("drive.bogus", 1, False), ("spectrum.params.bogus", 1.0, False),
+    ("geometry.cloud.bogus", "x", False),
+]
+
+
+def with_key(raw, key, value):
+    raw = copy.deepcopy(raw)
+    *sections, name = key.split(".")
+    node = raw
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = value
+    return raw
+
+
+def read_key(cfg, key):
+    for name in key.split("."):
+        cfg = cfg[name]
+    return cfg
+
+
+@pytest.mark.parametrize("key,value,taken", EDGES,
+                         ids=[f"{key}={value!r}" for key, value, _ in EDGES])
+def test_edges(key, value, taken):
+    raw = with_key(BASE, key, value)
+    if taken:
+        assert read_key(resolve_config(raw), key) == value
+    else:
+        # parse_scales words its own refusals, which `--scales` shares
+        want = "scales" if key == "geometry.scales" else f"config invalid at {key}: "
+        with pytest.raises(ConfigError, match=want):
+            resolve_config(raw)
+
+
+def test_shortest_explicit_spectrum():
+    assert resolve_config({"spectrum": EXPLICIT})["spectrum"] == EXPLICIT
+    short = with_key({"spectrum": EXPLICIT}, "spectrum.params.values", [1.0])
+    with pytest.raises(ConfigError, match=r"at spectrum\.params\.values: .*\(at least 2\)"):
+        resolve_config(short)
+
+
+@pytest.mark.parametrize("missing", ["spectrum", "spectrum.family", "spectrum.n_max"])
+def test_missing_required_key(missing):
+    raw = copy.deepcopy(BASE)
+    *sections, name = missing.split(".")
+    del (read_key(raw, ".".join(sections)) if sections else raw)[name]
+    with pytest.raises(ConfigError, match=f"config invalid at {missing}: the key is required"):
+        resolve_config(raw)
+
+
+def test_defaults_fill_every_section():
+    cfg = resolve_config(BASE)
+    assert cfg["spectrum"] == BASE["spectrum"]
+    assert cfg["geometry"]["cloud"] == {"kind": "section4", "n_max": 48, "laws": "thm44"}
+    assert cfg["expectations"] == {}
+    assert resolve_config({"spectrum": {"family": "power", "n_max": 8}})["spectrum"] == {
+        "family": "power", "n_max": 8, "params": {}}
+
+
+@pytest.mark.parametrize("section,text,key", [
+    ("drive", '{"tau": NaN}', "drive.tau"),
+    ("dynamics", '{"L": Infinity}', "dynamics.L"),
+    ("spectrum", '{"family": "linear", "n_max": 40.0}', "spectrum.n_max"),
+])
+def test_refused_before_any_command(tmp_path, capsys, section, text, key):
+    # each of these once passed the config check and failed later in the
+    # numerics, or with a TypeError
+    body = {"spectrum": '{"family": "linear", "n_max": 40}', section: text}
+    path = tmp_path / "c.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in body.items()) + "}")
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "gap-check"]) == 1
+    assert f"config error: config invalid at {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -186,3 +186,5 @@ def test_batched_periods_match_sequential_bitwise(case, one_column_rhs):
     log = propagate_periods(op.lam, rhs, w0, op.period, steps, modes)
     assert log.lognorms.tobytes() == want_logs.tobytes()
     assert [w.tobytes() for w in log.states] == [w.tobytes() for w in want_states]
+    # so each log norm after a projection is the ledger's, with no remainder term
+    assert all(np.linalg.norm(w) == 1.0 for w in log.states[1:])

@@ -302,7 +302,7 @@ def test_tracer_bindings_resolve():
     assert geometry.box_count is original
 
 
-@pytest.mark.parametrize("module", ["sympy", "scipy"])
+@pytest.mark.parametrize("module", ["sympy", "scipy", "jsonschema"])
 def test_runs_without(module):
     # a fresh interpreter, so no earlier import in this session can mask it
     code = (
