@@ -197,6 +197,9 @@ def _check_cloud(resolved: dict) -> None:
             raise ConfigError(
                 f"bad_cubes with kick_max_level {k} needs spectrum n_max >= {need} "
                 f"(got {n_max}): the cube orbits exit a smaller truncation")
+    if kind == "file" and "path" not in geo["cloud"]:
+        raise ConfigError("config invalid at geometry.cloud.path: the key is required "
+                          "when geometry.cloud.kind is \"file\"")
     if kind == "file" and any(s != 0 for s in geo["s_list"]):
         raise ConfigError(
             "file clouds carry no spectrum, so every Sobolev index s gives the s=0 "

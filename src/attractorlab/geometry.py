@@ -4,7 +4,8 @@ smoothness criterion for the forcing laws.
 
 Every scale is passed as its log (log_eps, log_scales), since the scales of
 interest underflow doubles; every ball cover reads one cached log-distance
-matrix per norm view."""
+matrix per norm view, and every box count reads only the few coordinates
+each point stores (a padded column table), never an n x m cell matrix."""
 
 from __future__ import annotations
 
@@ -73,6 +74,9 @@ class PointCloud:
     _indices: list[int] = field(init=False, repr=False)
     _signs: np.ndarray = field(init=False, repr=False)
     _logmags: np.ndarray = field(init=False, repr=False)
+    # row r's stored columns, in any order, padded with the sentinel m
+    # to K = max(1, most coordinates a point stores)
+    _cols: np.ndarray = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -86,20 +90,27 @@ class PointCloud:
         self._indices = idx
         pos = {i: k for k, i in enumerate(idx)}
         n, m = len(self.points), len(idx)
+        stored = [len(p.entries) for p in self.points]
+        cols = np.array([pos[i] for p in self.points for i in p.entries], dtype=np.intp)
+        sign_log = np.array([e for p in self.points for e in p.entries.values()],
+                            dtype=float).reshape(-1, 2)
+        rows = np.repeat(np.arange(n), stored)
+        slots = np.arange(len(cols)) - np.repeat(np.cumsum(stored) - stored, stored)
         self._signs = np.zeros((n, m))
         self._logmags = np.full((n, m), NEG_INF)
-        for r, p in enumerate(self.points):
-            for i, (sg, lg) in p.entries.items():
-                self._signs[r, pos[i]] = sg
-                self._logmags[r, pos[i]] = lg
+        self._signs[rows, cols] = sign_log[:, 0]
+        self._logmags[rows, cols] = sign_log[:, 1]
+        self._cols = np.full((n, max(1, *stored)), m, dtype=np.intp)
+        self._cols[rows, slots] = cols
 
     def __len__(self) -> int:
         return len(self.points)
 
     def with_norm(self, s: float) -> "PointCloud":
         """The same points under the H^s norm: a view that shares the points,
-        tags and dense sign/log-magnitude matrices with this cloud (no
-        rebuild) and starts an empty cache of its own, so cache keys need no s."""
+        tags, dense sign/log-magnitude matrices and column table with this
+        cloud (no rebuild) and starts an empty cache of its own, so cache
+        keys need no s."""
         view = copy.copy(self)
         view.s = s
         view._cache = {}
@@ -143,19 +154,34 @@ class PointCloud:
             D = self._cache["matrix"] = np.stack([self.distance_log_row(i) for i in range(n)])
         return D
 
-    def dense_weighted(self) -> np.ndarray | None:
-        """Norm-weighted dense coordinates (distances become plain Euclidean),
-        or None when some magnitude underflows doubles.  Computed once per
-        view and cached, the None verdict included; callers must not write to it."""
-        if "dense" in self._cache:
-            return self._cache["dense"]
-        logs = self._logmags + 0.5 * self._weight_logs()[None, :]
-        present = self._signs != 0
+    def weighted_slots(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Norm-weighted coordinates (distances become plain Euclidean) at the
+        column table's slots, shifted by the min corner lo, and each column's
+        value 0.0 - lo_j at a point that does not store it, one more 0.0
+        standing for the padding column m; or None when some magnitude
+        underflows doubles.  lo_j counts the implicit zeros of column j, and
+        every value is the same IEEE operation on the same numbers as in a
+        dense n x m weighting.  Padding slots hold 0.0.  Computed once per
+        view and cached, the None verdict included; callers must not write
+        to it."""
+        if "slots" in self._cache:
+            return self._cache["slots"]
+        cols = self._cols
+        n, m = len(self.points), len(self._indices)
+        stored = cols < m
+        rows, at = np.nonzero(stored)[0], cols[stored]
+        logs = self._logmags[rows, at] + 0.5 * self._weight_logs()[at]
         out = None
-        if not np.any(logs[present] < math.log(2.0**-1000)):
-            with np.errstate(under="ignore"):
-                out = self._signs * np.exp(np.where(present, logs, NEG_INF))
-        self._cache["dense"] = out
+        if not np.any(logs < math.log(2.0**-1000)):
+            vals = np.zeros(cols.shape)
+            vals[stored] = self._signs[rows, at] * np.exp(logs)
+            lo = np.full(m + 1, np.inf)
+            np.minimum.at(lo, at, vals[stored])
+            # columns some point leaves out, and the padding column, hold 0.0
+            gaps = np.append(np.bincount(at, minlength=m) < n, True)
+            lo[gaps] = np.minimum(lo[gaps], 0.0)
+            out = (vals - lo[cols], 0.0 - lo)
+        self._cache["slots"] = out
         return out
 
 
@@ -252,17 +278,28 @@ def box_count(cloud: PointCloud, log_eps: float) -> int:
     """Occupied-lattice-box count at side exp(log_eps) in the norm-weighted
     coordinates (anchored at the cloud's min corner).
 
-    Exact: the integer cell rows are counted as distinct byte strings in a
-    hash set, which compares whole rows, so the count equals the number of
-    distinct rows without the lexicographic sort a row-unique pass needs."""
-    coords = cloud.dense_weighted()
-    if coords is None:
+    Exact, from each point's stored slots only: a slot whose cell equals its
+    column's zero-cell (the cell of a point that does not store the column)
+    is dropped, the rest are compacted in column order, and the distinct
+    n x 2K (columns, cells) keys are counted by a sort.  Two points share a
+    box exactly when their keys are equal, so no n x m cell matrix is built."""
+    form = cloud.weighted_slots()
+    if form is None:
         raise GeometryError("cloud magnitudes underflow doubles; box counting "
                             "needs representable coordinates")
+    shifted, absent = form
+    cols, m = cloud._cols, len(absent) - 1
     eps = math.exp(log_eps)
-    shifted = coords - np.min(coords, axis=0)
-    cells = np.floor(shifted / eps + 1e-12).astype(np.int64)  # C-contiguous rows
-    return len(set(map(bytes, cells)))
+    cells = np.floor(shifted / eps + 1e-12).astype(np.int64)
+    zero = np.floor(absent / eps + 1e-12).astype(np.int64)
+    dropped = cells == zero[cols]  # padding slots always are
+    key_cols = np.where(dropped, m, cols)
+    order = np.argsort(key_cols, axis=1, kind="stable")
+    keys = np.concatenate([np.take_along_axis(key_cols, order, axis=1),
+                           np.take_along_axis(np.where(dropped, 0, cells), order, axis=1)],
+                          axis=1)
+    keys = keys[np.lexsort(keys.T)]
+    return 1 + int(np.count_nonzero(np.any(keys[1:] != keys[:-1], axis=1)))
 
 
 def fractal_dimension_estimate(cloud: PointCloud, log_scales) -> DimensionScan:
@@ -271,8 +308,9 @@ def fractal_dimension_estimate(cloud: PointCloud, log_scales) -> DimensionScan:
     detection.
 
     The counter is lattice box occupancy (clean slopes, same dimension as
-    minimal ball covers); clouds whose magnitudes underflow doubles fall
-    back to greedy ball covering in log space.
+    minimal ball covers); when the view's weighted slots are None, because
+    some magnitude underflows doubles, it falls back to greedy ball
+    covering in log space.
     """
     log_scales = sorted(log_scales, reverse=True)  # scales strictly decreasing
     if len(log_scales) < 4:
@@ -280,7 +318,7 @@ def fractal_dimension_estimate(cloud: PointCloud, log_scales) -> DimensionScan:
     if len(cloud) == 1:
         return DimensionScan(cloud.s, tuple(log_scales), (1,) * len(log_scales),
                              0.0, 1.0, (), "degenerate")
-    counter = "boxes" if cloud.dense_weighted() is not None else "greedy"
+    counter = "boxes" if cloud.weighted_slots() is not None else "greedy"
     if counter == "boxes":
         counts = [box_count(cloud, log_eps=le) for le in log_scales]
     else:

@@ -24,10 +24,7 @@ def fmt17(x) -> str:
         return ""
     if isinstance(x, str):
         return x
-    xf = float(x)
-    if math.isinf(xf):
-        return "-inf" if xf < 0 else "inf"
-    return f"{xf:.17g}"
+    return f"{float(x):.17g}"
 
 
 def write_csv(path: str, header: list[str], rows) -> str:

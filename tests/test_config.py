@@ -99,6 +99,15 @@ def test_defaults_fill_every_section():
         "family": "power", "n_max": 8, "params": {}}
 
 
+def test_file_cloud_needs_path():
+    raw = with_key(with_key(BASE, "geometry.s_list", [0]), "geometry.cloud", {"kind": "file"})
+    with pytest.raises(ConfigError, match=r"config invalid at geometry\.cloud\.path: "
+                                          r"the key is required"):
+        resolve_config(raw)
+    raw["geometry"]["cloud"]["path"] = "cloud.csv"
+    assert resolve_config(raw)["geometry"]["cloud"]["path"] == "cloud.csv"
+
+
 @pytest.mark.parametrize("section,text,key", [
     ("drive", '{"tau": NaN}', "drive.tau"),
     ("dynamics", '{"L": Infinity}', "dynamics.L"),

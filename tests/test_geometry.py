@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,9 +237,24 @@ class TestCoverOracle:
             doubling_factor(cloud, 0.0)
 
 
+def reference_coords(cloud):
+    """Reference coordinates: the norm-weighted points as one dense n x m
+    matrix, built straight from cloud.points and the spectrum's weights."""
+    idx = sorted({i for p in cloud.points for i in p.entries})
+    signs = np.zeros((len(cloud), len(idx)))
+    logmags = np.full((len(cloud), len(idx)), -np.inf)
+    for r, p in enumerate(cloud.points):
+        for k, i in enumerate(idx):
+            if i in p.entries:
+                signs[r, k], logmags[r, k] = p.entries[i]
+    w = np.array([0.0 if cloud.spectrum is None or i in (PLANAR_X, PLANAR_Y)
+                  else cloud.s * math.log(cloud.spectrum.lam(i)) for i in idx])
+    return signs * np.exp(logmags + 0.5 * w)
+
+
 def sorted_box_count(cloud, log_eps):
     """Reference count: the same lattice cells, distinct rows by a sort."""
-    coords = cloud.dense_weighted()
+    coords = reference_coords(cloud)
     shifted = coords - np.min(coords, axis=0)
     cells = np.floor(shifted / math.exp(log_eps) + 1e-12).astype(np.int64)
     return len(np.unique(cells, axis=0))
@@ -251,6 +267,27 @@ def coarse_arrays(draw):
     n, m = draw(st.integers(1, 30)), draw(st.integers(1, 4))
     flat = draw(st.lists(st.integers(-4, 4), min_size=n * m, max_size=n * m))
     return 0.25 * np.array(flat, dtype=float).reshape(n, m)
+
+
+SPARSE_SPECTRUM = make_spectrum("quadratic", {}, 12)
+
+
+def sparse_cloud(rows, s):
+    """One point per {index: value} dict, under the H^s norm of a quadratic
+    spectrum."""
+    return PointCloud([LogModeVector({i: (1 if v > 0 else -1, math.log(abs(v)))
+                                      for i, v in row.items()}) for row in rows],
+                      SPARSE_SPECTRUM, s)
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to 30 points over 12 columns (the planar pair and 10 modes), each
+    storing at most 3 signed values from a coarse grid; the values near
+    zero often land in their column's zero-cell."""
+    index = st.sampled_from([PLANAR_Y, PLANAR_X, *range(1, 11)])
+    value = st.sampled_from([-1.0, -0.75, -0.5, -0.25, -0.01, 0.01, 0.25, 0.5, 0.75, 1.0, 1.5])
+    return draw(st.lists(st.dictionaries(index, value, max_size=3), min_size=1, max_size=30))
 
 
 # Box counts of the n_max 24 section-4 cloud (3382 points) at scales
@@ -276,6 +313,41 @@ class TestBoxCount:
         got = box_count(cloud, log_eps=log_eps)
         assert type(got) is int
         assert got == sorted_box_count(cloud, log_eps)
+
+    @given(sparse_rows(), st.sampled_from([0.0, 1.0, 2.5]),
+           st.sampled_from([-3.0, -1.2, -0.3, 0.0, 0.9]))
+    # equal cells, but the second point's index-2 entry lands in the zero-cell
+    # of its column from the middle slot: only the compaction makes them equal
+    @example([{1: 0.5, 3: 0.75}, {1: 0.5, 2: 0.01, 3: 0.75}], 0.0, 0.0)
+    # index 1 is stored by every point, so its minimum counts no implicit zero
+    @example([{1: 0.5, 2: 0.25}, {1: 1.4}], 0.0, 0.0)
+    @example([{}, {PLANAR_X: -0.5, 4: 1.0}, {}], 1.0, -1.2)  # empty points
+    @example([{}, {}], 0.0, 0.0)  # only empty points
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_matches_dense_distinct_rows(self, rows, s, log_eps):
+        cloud = sparse_cloud(rows, s)
+        got = box_count(cloud, log_eps=log_eps)
+        assert type(got) is int
+        assert got == sorted_box_count(cloud, log_eps)
+
+    def test_memory_below_one_dense_matrix(self):
+        n, m = 2000, 400
+        rng = np.random.default_rng(5)
+        pts = []
+        for r in range(n):  # every column stored by some point
+            modes = {r % m + 1, *rng.integers(1, m + 1, size=int(rng.integers(0, 3))).tolist()}
+            pts.append(LogModeVector({i: (int(rng.choice([-1, 1])), float(rng.normal(-1, 2)))
+                                      for i in modes}))
+        view = PointCloud(pts, make_spectrum("quadratic", {}, m)).with_norm(2.0)
+        tracemalloc.start()
+        try:
+            assert view.weighted_slots() is not None
+            for le in np.linspace(0.0, -8.0, 9):
+                box_count(view, log_eps=le)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8  # one dense float64 n x m matrix, 6.4 MB
 
     def test_section4_box_counts_pinned(self):
         spec = make_spectrum("quadratic", {}, 24)
@@ -306,16 +378,18 @@ class TestNormView:
         tags = [f"p{k}" for k in range(len(pts))]
         base = PointCloud(pts, spec, 0.0, tags)
         base.distance_log_row(0)
-        base.dense_weighted()
+        base.weighted_slots()
         before = dict(base._cache)
         for s in (0.0, 1.5, 4.0):
             view = base.with_norm(s)
             fresh = PointCloud(pts, spec, s, tags)
             assert view.s == s and view.tags == fresh.tags
             assert view._signs is base._signs and view._logmags is base._logmags
+            assert view._cols is base._cols
             for i in range(len(pts)):
                 assert view.distance_log_row(i).tobytes() == fresh.distance_log_row(i).tobytes()
-            assert view.dense_weighted().tobytes() == fresh.dense_weighted().tobytes()
+            for got, want in zip(view.weighted_slots(), fresh.weighted_slots()):
+                assert got.tobytes() == want.tobytes()
         assert base.s == 0.0
         assert base._cache.keys() == before.keys()
         assert all(base._cache[k] is v for k, v in before.items())
