@@ -196,16 +196,20 @@ class CoverReport:
 def _greedy_cover(ball: np.ndarray) -> list[int]:
     """Max-coverage greedy set cover over a boolean ball matrix (row a is the
     ball around member a): each round picks the member whose ball covers the
-    most uncovered members (lowest index on ties)."""
+    most uncovered members (lowest index on ties).  The gains are kept up to
+    date between rounds: each pick subtracts the columns it newly covers, so
+    every column is summed twice in all, not once per round."""
     uncovered = np.ones(len(ball), dtype=bool)
+    gains = ball.sum(axis=1)
     centers: list[int] = []
     while np.any(uncovered):
-        gains = ball[:, uncovered].sum(axis=1)
         best = int(np.argmax(gains))
         if gains[best] == 0:
             raise GeometryError("cover stalled; a point covers nothing, not even itself")
         centers.append(best)
-        uncovered &= ~ball[best]
+        newly = ball[best] & uncovered
+        uncovered &= ~newly
+        gains -= ball[:, newly].sum(axis=1)
     return centers
 
 
@@ -333,14 +337,23 @@ def fractal_dimension_estimate(cloud: PointCloud, log_scales) -> DimensionScan:
 
 def doubling_factor(cloud: PointCloud, log_eps: float) -> int:
     """Worst case over data-point centers of the number of eps/2-balls needed
-    to cover the eps-ball (eps = exp(log_eps)); brute force over the rows of
-    the view's log-distance matrix."""
+    to cover the eps-ball (eps = exp(log_eps)).
+
+    One cover per distinct eps-ball: centres whose balls hold the same
+    members share one cover, so a repeated ball is skipped, and so is a ball
+    with no more members than the worst cover so far (its cover cannot be
+    larger).  Neither skip can change the max."""
     log_half = log_eps - math.log(2.0)
     worst = 1
-    for row in cloud.distance_log_matrix():
-        members = np.nonzero(row <= log_eps + _LOG_SLACK)[0]
+    seen: set[bytes] = set()
+    for ball in cloud.distance_log_matrix() <= log_eps + _LOG_SLACK:
+        members = np.flatnonzero(ball)
         if len(members) <= worst:
             continue
+        key = np.packbits(ball).tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
         report = covering_number(cloud, log_eps=log_half, method="auto", member_rows=members)
         worst = max(worst, report.n_balls)
     return worst
@@ -408,7 +421,14 @@ def smoothness_criterion(log_b_law, log_a_law, spec: Spectrum | None, s: float, 
 def dimension_vs_s_scan(cloud: PointCloud, s_list, log_scales,
                         include_doubling: bool = False) -> dict:
     """Re-norm the same cloud under each Sobolev index and re-run the
-    box-counting estimate; emits plot-ready rows (s, log_eps, N, D, slope)."""
+    box-counting estimate; emits plot-ready rows (s, log_eps, N, D, slope).
+    A cloud too large for the doubling factors' log-distance matrix is
+    refused before any scan."""
+    if include_doubling and len(cloud) > _MATRIX_CAP:
+        raise GeometryError(
+            f"geometry.include_doubling needs the n x n log-distance matrix, capped at "
+            f"{_MATRIX_CAP} points ({_MATRIX_CAP**2 * 8 // 10**6} MB of doubles); the cloud "
+            f"has {len(cloud)} points")
     results = {}
     rows = []
     for s in s_list:

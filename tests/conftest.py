@@ -1,14 +1,43 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
 from attractorlab.cutoffs import periodic_drive
 from attractorlab.floquet import make_periodic_operator, poincare_predicted
+from attractorlab.geometry import PointCloud
+from attractorlab.logspace import LogModeVector
 from attractorlab.spectral import make_spectrum
 
 
 @pytest.fixture(scope="session")
 def linear_spectrum_big():
     return make_spectrum("linear", {"c": 1.0}, 300)
+
+
+@pytest.fixture(scope="session")
+def cube_vertex_cloud():
+    """Seeded almost-cube cloud (93 points), after perfbench/gen_cover.py at
+    fewer levels: level n (4..12) gives all 2^k vertices, k = ceil(sqrt(n)),
+    of a cube on modes 2(n+1)..2(n+k) at log scale -0.35 n, each coordinate
+    jittered in log magnitude by up to 0.05.  One more point sits far below
+    double range (log magnitude near -800), so box counting cannot represent
+    the cloud.  At eps from 0.3 down to 0.02 some eps-balls hold more than
+    24 members (up to all 93), so doubling covers take the greedy branch,
+    and the cube symmetry repeats balls and ties the greedy gains."""
+    rng = random.Random(16)
+    points, tags = [], []
+    for n in range(4, 13):
+        k = math.ceil(math.sqrt(n))
+        for p in range(2**k):
+            bits = [j for j in range(1, k + 1) if (p >> (j - 1)) & 1]
+            points.append(LogModeVector({2 * (n + j): (1, -0.35 * n + rng.uniform(-0.05, 0.05))
+                                         for j in bits}))
+            tags.append(f"cube:n={n}:p={p}")
+    points.append(LogModeVector({34: (1, -800.0 + rng.uniform(-0.05, 0.05))}))
+    tags.append("deep")
+    return PointCloud(points, tags=tags)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import pytest
 
 from attractorlab import cli, quadrature
 from attractorlab import floquet as fl
+from attractorlab import geometry as geo
 from attractorlab import simulate as sim
 from attractorlab.config import (DEFAULTS, ConfigError, drive_from_config,
                                  resolve_config, scenario_from_config)
@@ -370,6 +371,23 @@ class TestDimension:
         assert [int(r[3]) for r in rows] == [1, 4, 4, 7, 10]
         assert [int(r[4]) for r in rows] == [1, 2, 3, 4, 1]
 
+    def test_file_cloud_doubling_above_exact_cap_pinned(self, tmp_path, cube_vertex_cloud,
+                                                         capsys):
+        path = str(tmp_path / "vertices.csv")
+        write_csv(path, ["point_id", "tag", "mode_index", "sign", "logmag"],
+                  cloud_rows(cube_vertex_cloud))
+        raw = file_config(path)
+        raw["geometry"]["scales"] = "3e-1:1e-2:5"
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert run(cfg, tmp_path / "out", "dimension") == 0
+        with open(tmp_path / "out" / "dimension_scan.csv", encoding="utf-8") as fh:
+            rows = [r.split(",") for r in fh.read().splitlines()[1:]]
+        # n_eps and d_eps as this config wrote them at commit 72a8bd6, before
+        # doubling covered each distinct ball once; the first four scales
+        # have balls of more than 24 members, so their covers are greedy
+        assert [int(r[3]) for r in rows] == [1, 10, 25, 47, 76]
+        assert [int(r[4]) for r in rows] == [9, 8, 15, 12, 3]
+
     @staticmethod
     def count_builds(monkeypatch) -> list:
         builds = []
@@ -515,6 +533,21 @@ class TestFailFast:
         assert "explicit spectrum lists 8 values but n_max is 40" in capsys.readouterr().err
         raw["spectrum"]["n_max"] = 8
         assert resolve_config(raw)["spectrum"]["n_max"] == 8
+
+    def test_doubling_over_matrix_cap_refused_before_the_scan(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def scanned(*args, **kwargs):
+            raise AssertionError("box scan ran before the matrix cap check")
+
+        monkeypatch.setattr(geo, "fractal_dimension_estimate", scanned)
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"family": "quadratic", "n_max": 48},
+            "geometry": {"cloud": {"kind": "section4", "n_max": 48},
+                         "include_doubling": True}})
+        assert run(cfg, tmp_path / "out", "dimension") == 1
+        err = capsys.readouterr().err
+        assert "geometry.include_doubling" in err
+        assert "capped at 4800 points" in err and "the cloud has 4942 points" in err
 
     def test_file_cloud_refuses_nonzero_s(self, cube_cloud_file):
         resolve_config(file_config(cube_cloud_file, [0.0]))

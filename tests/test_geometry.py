@@ -1,12 +1,14 @@
+import functools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from attractorlab.geometry import (GeometryError, PointCloud, box_count, covering_number,
-                                   cube_doubling_report, doubling_factor,
+from attractorlab.geometry import (GeometryError, PointCloud, _greedy_cover, box_count,
+                                   covering_number, cube_doubling_report, doubling_factor,
                                    fractal_dimension_estimate,
                                    log_doubling_estimate, separated_count_exact,
                                    separated_count_log, smoothness_criterion)
@@ -178,6 +180,20 @@ def row_cover(cloud, log_eps, method, member_rows=None):
     return [id_list[i] for i in best]
 
 
+def row_by_row_doubling(cloud, log_eps):
+    """Reference doubling factor: the max over every row's eps-ball of its
+    row_cover at eps/2, exact up to 24 members and greedy above.  The
+    covers ask for the same distance rows many times, so each is computed
+    once."""
+    rows = SimpleNamespace(distance_log_row=functools.cache(cloud.distance_log_row))
+    worst = 1
+    for i in range(len(cloud)):
+        members = np.flatnonzero(rows.distance_log_row(i) <= log_eps + 1e-12)
+        method = "exact" if len(members) <= 24 else "greedy"
+        worst = max(worst, len(row_cover(rows, log_eps - math.log(2.0), method, members)))
+    return worst
+
+
 @st.composite
 def clouds_with_members(draw):
     """Small dense clouds on a coarse grid (duplicate points and ties at the
@@ -205,12 +221,30 @@ class TestCoverOracle:
     @settings(max_examples=30, deadline=None)
     def test_doubling_matches_row_by_row_covers(self, drawn, log_eps):
         cloud, _ = drawn
-        worst = 1
-        for i in range(len(cloud)):
-            members = np.flatnonzero(cloud.distance_log_row(i) <= log_eps + 1e-12)
-            method = "exact" if len(members) <= 24 else "greedy"
-            worst = max(worst, len(row_cover(cloud, log_eps - math.log(2.0), method, members)))
-        assert doubling_factor(cloud, log_eps) == worst
+        assert doubling_factor(cloud, log_eps) == row_by_row_doubling(cloud, log_eps)
+
+    def test_doubling_matches_row_by_row_covers_above_exact_cap(self, cube_vertex_cloud):
+        cloud = cube_vertex_cloud
+        greedy_scales = 0
+        for log_eps in logs(np.geomspace(0.3, 0.01, 5)):
+            balls = np.stack([cloud.distance_log_row(i) <= log_eps + 1e-12
+                              for i in range(len(cloud))])
+            # some ball takes the greedy branch, and some ball repeats
+            greedy_scales += (balls.sum(axis=1).max() > 24
+                              and len(np.unique(balls, axis=0)) < len(cloud))
+            assert doubling_factor(cloud, log_eps) == row_by_row_doubling(cloud, log_eps)
+        assert greedy_scales >= 4
+
+    def test_greedy_matches_row_cover_on_tied_ball(self, cube_vertex_cloud):
+        cloud = cube_vertex_cloud
+        log_half = math.log(0.3) - math.log(2.0)
+        members = np.flatnonzero(cloud.distance_log_row(0) <= math.log(0.3) + 1e-12)
+        ball = np.stack([cloud.distance_log_row(i)[members] <= log_half + 1e-12
+                         for i in members])
+        gains = ball.sum(axis=1)
+        assert len(members) >= 60 and np.count_nonzero(gains == gains.max()) > 1
+        got = members[_greedy_cover(ball)].tolist()
+        assert got == row_cover(cloud, log_half, "greedy", members)
 
     def test_matrix_is_stacked_rows_per_view(self):
         spec = make_spectrum("quadratic", {}, 10)
