@@ -10,7 +10,6 @@ clouds with diverging log-doubling factor, and projected attractors whose
 box-counting dimension depends on the Sobolev index.
 """
 
-from .logspace import LogModeVector, NEG_INF, PLANAR_X, PLANAR_Y
 from .spectral import (LinearizationSpectrum, ObstructionVerdict,
                        Spectrum, SpectrumError, block_eigenvalues,
                        c1_obstruction_check, cube_width, linearization_spectrum,
@@ -25,7 +24,8 @@ from .floquet import (ClosingLaw, FloquetError,
                       WeightedShift, calibrate_epsilon, closing_law,
                       iterate_norm, make_periodic_operator, poincare_numeric,
                       poincare_predicted, ratio_bounds_check, shift_match_report)
-from .geometry import (CoverReport, DimensionScan, GeometryError, PointCloud,
+from .geometry import (NEG_INF, PLANAR_X, PLANAR_Y, CoordTable, CoverReport,
+                       DimensionScan, GeometryError, PointCloud,
                        covering_number, cube_doubling_report, dimension_vs_s_scan,
                        doubling_factor, fractal_dimension_estimate,
                        log_doubling_estimate, separated_count_exact,

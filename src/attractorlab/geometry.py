@@ -2,10 +2,13 @@
 factors over point clouds kept in sign/log-magnitude coordinates, plus the
 smoothness criterion for the forcing laws.
 
-Every scale is passed as its log (log_eps, log_scales), since the scales of
-interest underflow doubles; every ball cover reads one cached log-distance
-matrix per norm view, and every box count reads only the few coordinates
-each point stores (a padded column table), never an n x m cell matrix."""
+A cloud's points are one coordinate table: flat, aligned (point, mode,
+sign, log magnitude) arrays sorted by (point, mode), since the coordinates
+of interest sit far below the double range.  Every scale is passed as its
+log (log_eps, log_scales), for the same reason; every ball cover reads one
+cached log-distance matrix per norm view, and every box count reads only
+the few coordinates each point stores (a padded column table), never an
+n x m cell matrix."""
 
 from __future__ import annotations
 
@@ -16,11 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fits import line_fit, local_slopes, monotone_increase
-from .logspace import NEG_INF, PLANAR_X, PLANAR_Y, LogModeVector
 from .spectral import Spectrum, cube_width
 
 __all__ = [
+    "NEG_INF",
+    "PLANAR_X",
+    "PLANAR_Y",
     "GeometryError",
+    "CoordTable",
     "PointCloud",
     "CoverReport",
     "covering_number",
@@ -35,6 +41,12 @@ __all__ = [
     "separated_count_exact",
     "separated_count_log",
 ]
+
+NEG_INF = float("-inf")
+# Reserved mode indices of the planar (x, y) block that rides along with the
+# eigenmode coordinates; Sobolev weights treat them as weight-one directions.
+PLANAR_X = -1
+PLANAR_Y = -2
 
 # closed-ball membership in log coordinates allows this additive slack
 _LOG_SLACK = 1e-12
@@ -59,58 +71,92 @@ def _logsumexp_rows(terms: np.ndarray) -> np.ndarray:
 
 
 @dataclass
+class CoordTable:
+    """The stored coordinates of n points as four aligned arrays: entry e
+    puts sign[e] * exp(log[e]) on mode mode[e] of point point[e].  Entries
+    are sorted by (point, mode) with no pair twice, signs are +-1 and logs
+    finite; every other coordinate is zero, and a point may store none (the
+    origin).  Mode 0 is unused; PLANAR_X and PLANAR_Y carry the planar
+    block."""
+
+    n: int
+    point: np.ndarray
+    mode: np.ndarray
+    sign: np.ndarray
+    log: np.ndarray
+
+    def __post_init__(self):
+        for name in ("point", "mode", "sign"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.intp))
+        self.log = np.asarray(self.log, dtype=float)
+
+    @classmethod
+    def from_entries(cls, n: int, entries) -> "CoordTable":
+        """The table of n points from (point, mode, sign, log) entries in any
+        order."""
+        entries = sorted(entries)
+        return cls(n, *(zip(*entries) if entries else ((),) * 4))
+
+    def select(self, rows) -> "CoordTable":
+        """The entries of the listed points, ascending ids, renumbered 0, 1, ..."""
+        new = np.full(self.n, -1)
+        new[rows] = np.arange(len(rows))
+        at = new[self.point] >= 0
+        return CoordTable(len(rows), new[self.point[at]], self.mode[at], self.sign[at],
+                          self.log[at])
+
+
+@dataclass
 class PointCloud:
-    """Finite point set with a Sobolev-index norm selector.
+    """Finite point set, stored as one coordinate table, with a
+    Sobolev-index norm selector.
 
     Distances are computed entirely in log space: the dominant coordinate is
     factored out per pair, so magnitudes like exp(-beta n^2) never underflow.
     The planar block (reserved indices) carries weight one at every s.
     """
 
-    points: list[LogModeVector]
+    points: CoordTable
     spectrum: Spectrum | None = None
     s: float = 0.0
     tags: list[str] = field(default_factory=list)
+    # the distinct stored modes, ascending: column j of the matrices below
     _indices: list[int] = field(init=False, repr=False)
     _signs: np.ndarray = field(init=False, repr=False)
     _logmags: np.ndarray = field(init=False, repr=False)
-    # row r's stored columns, in any order, padded with the sentinel m
+    # row r's stored columns, in mode order, padded with the sentinel m
     # to K = max(1, most coordinates a point stores)
     _cols: np.ndarray = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if not self.points:
+        t = self.points
+        if t.n == 0:
             raise GeometryError("empty point cloud")
         if not self.tags:
-            self.tags = ["" for _ in self.points]
-        if len(self.tags) != len(self.points):
+            self.tags = [""] * t.n
+        if len(self.tags) != t.n:
             raise GeometryError("one tag per point required")
-        idx = sorted({i for p in self.points for i in p.entries})
-        self._indices = idx
-        pos = {i: k for k, i in enumerate(idx)}
-        n, m = len(self.points), len(idx)
-        stored = [len(p.entries) for p in self.points]
-        cols = np.array([pos[i] for p in self.points for i in p.entries], dtype=np.intp)
-        sign_log = np.array([e for p in self.points for e in p.entries.values()],
-                            dtype=float).reshape(-1, 2)
-        rows = np.repeat(np.arange(n), stored)
+        self._indices = sorted(set(t.mode.tolist()))
+        cols = np.searchsorted(np.array(self._indices, dtype=np.intp), t.mode)
+        n, m = t.n, len(self._indices)
+        stored = np.bincount(t.point, minlength=n)
         slots = np.arange(len(cols)) - np.repeat(np.cumsum(stored) - stored, stored)
         self._signs = np.zeros((n, m))
         self._logmags = np.full((n, m), NEG_INF)
-        self._signs[rows, cols] = sign_log[:, 0]
-        self._logmags[rows, cols] = sign_log[:, 1]
-        self._cols = np.full((n, max(1, *stored)), m, dtype=np.intp)
-        self._cols[rows, slots] = cols
+        self._signs[t.point, cols] = t.sign
+        self._logmags[t.point, cols] = t.log
+        self._cols = np.full((n, max(1, int(stored.max()))), m, dtype=np.intp)
+        self._cols[t.point, slots] = cols
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.points.n
 
     def with_norm(self, s: float) -> "PointCloud":
-        """The same points under the H^s norm: a view that shares the points,
-        tags, dense sign/log-magnitude matrices and column table with this
-        cloud (no rebuild) and starts an empty cache of its own, so cache
-        keys need no s."""
+        """The same points under the H^s norm: a view that shares the
+        coordinate table, tags, dense sign/log-magnitude matrices and column
+        table with this cloud (no rebuild) and starts an empty cache of its
+        own, so cache keys need no s."""
         view = copy.copy(self)
         view.s = s
         view._cache = {}
@@ -147,7 +193,7 @@ class PointCloud:
         rows stacked once per view and cached; callers must not write to it."""
         D = self._cache.get("matrix")
         if D is None:
-            n = len(self.points)
+            n = len(self)
             if n > _MATRIX_CAP:
                 raise GeometryError(f"log-distance matrix capped at {_MATRIX_CAP} points; "
                                     f"the cloud has {n}")
@@ -167,7 +213,7 @@ class PointCloud:
         if "slots" in self._cache:
             return self._cache["slots"]
         cols = self._cols
-        n, m = len(self.points), len(self._indices)
+        n, m = len(self), len(self._indices)
         stored = cols < m
         rows, at = np.nonzero(stored)[0], cols[stored]
         logs = self._logmags[rows, at] + 0.5 * self._weight_logs()[at]
@@ -464,15 +510,17 @@ def cube_doubling_report(cloud: PointCloud, levels: dict) -> dict:
         rows = info["point_ids"]
         r_n = math.sqrt(k) / 2.0
         log_ball = log_eps + math.log(r_n)
-        center = LogModeVector(
-            {idx: (1, log_eps - math.log(2.0)) for idx in info["cube_indices"]}
-        )
-        aug = PointCloud(
-            [cloud.points[i] for i in rows] + [center], cloud.spectrum, cloud.s
-        )
-        center_row = aug.distance_log_row(len(rows))
+        level = cloud.points.select(rows)
+        modes = sorted(info["cube_indices"])
+        ones = np.ones(len(modes))
+        # the level's vertices and, as the last point, the cube centre
+        aug = PointCloud(CoordTable(level.n + 1, np.append(level.point, level.n * ones),
+                                    np.append(level.mode, modes), np.append(level.sign, ones),
+                                    np.append(level.log, (log_eps - math.log(2.0)) * ones)),
+                         cloud.spectrum, cloud.s)
+        center_row = aug.distance_log_row(level.n)
         in_ball = bool(np.all(center_row[:-1] <= log_ball + _LOG_SLACK))
-        sub = PointCloud([cloud.points[i] for i in rows], cloud.spectrum, cloud.s)
+        sub = PointCloud(level, cloud.spectrum, cloud.s)
         cover = covering_number(sub, log_eps=log_eps - math.log(2.0), method="greedy")
         chain = max(1, math.ceil(math.log2(r_n)))
         log2_d = math.log2(cover.n_balls) / chain

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointCloud
-from .logspace import LogModeVector, NEG_INF
+from .geometry import NEG_INF, CoordTable, PointCloud
 from .integrators import PeriodLog
 
 __all__ = ["fmt17", "RunReport", "write_csv", "trajectory_rows", "cloud_rows",
@@ -56,24 +55,31 @@ def _jsonable(obj):
 
 
 def trajectory_rows(log: PeriodLog):
-    """Long-form rows (t, mode_index, sign, logmag) of the sampled states."""
+    """Long-form rows (t, mode_index, sign, logmag) of the sampled states,
+    mode k + 1 for state entry k."""
     for t, logscale, state in zip(log.times, log.lognorms, log.states):
-        point = LogModeVector.from_dense(state).scaled(logscale)
-        if not point.entries:
+        nonzero = np.flatnonzero(state).tolist()
+        if not nonzero:
             yield (t, 0, 0, NEG_INF)
-        for idx in point.indices():
-            s, l = point.entries[idx]
-            yield (t, idx, s, l)
+        for k in nonzero:
+            v = float(state[k])
+            yield (t, k + 1, 1 if v > 0 else -1, math.log(abs(v)) + logscale)
 
 
 def cloud_rows(cloud: PointCloud):
-    """Long-form rows (point_id, tag, mode_index, sign, logmag)."""
-    for pid, (point, tag) in enumerate(zip(cloud.points, cloud.tags)):
-        if not point.entries:
+    """Long-form rows (point_id, tag, mode_index, sign, logmag): the
+    coordinate table in its (point, mode) order, with a (0, 0, -inf)
+    placeholder row for each point that stores nothing."""
+    t = cloud.points
+    ends = np.cumsum(np.bincount(t.point, minlength=t.n)).tolist()
+    mode, sign, log = t.mode.tolist(), t.sign.tolist(), t.log.tolist()
+    start = 0
+    for pid, (end, tag) in enumerate(zip(ends, cloud.tags)):
+        if start == end:
             yield (pid, tag, 0, 0, NEG_INF)
-        for idx in point.indices():
-            s, l = point.entries[idx]
-            yield (pid, tag, idx, s, l)
+        for e in range(start, end):
+            yield (pid, tag, mode[e], sign[e], log[e])
+        start = end
 
 
 def geometry_rows(scan_rows):
@@ -87,9 +93,11 @@ def geometry_rows(scan_rows):
 def load_cloud_csv(path: str) -> PointCloud:
     """Inverse of cloud_rows; parse errors carry line numbers.  A row is a
     coordinate (sign +-1, finite logmag) or the empty-point placeholder
-    (sign 0, logmag -inf) that cloud_rows writes."""
-    points: dict[int, dict[int, tuple[int, float]]] = {}
+    (sign 0, logmag -inf) that cloud_rows writes; no (point_id, mode_index)
+    pair may repeat.  Points are numbered by ascending point_id."""
+    lines: dict[tuple[int, int], int] = {}
     tags: dict[int, str] = {}
+    entries = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -109,13 +117,16 @@ def load_cloud_csv(path: str) -> PointCloud:
                 raise ValueError(
                     f"{path}:{lineno}: want sign +-1 with a finite logmag, or sign 0 "
                     f"with logmag -inf; got sign {sign}, logmag {logmag}")
+            first = lines.setdefault((pid, idx), lineno)
+            if first != lineno:
+                raise ValueError(f"{path}:{lineno}: point {pid} mode {idx} repeats line {first}")
             tags[pid] = tag
-            entry = points.setdefault(pid, {})
             if sign != 0:
-                entry[idx] = (sign, logmag)
-    ordered = sorted(points)
-    return PointCloud([LogModeVector(points[i]) for i in ordered],
-                      None, 0.0, [tags[i] for i in ordered])
+                entries.append((pid, idx, sign, logmag))
+    ids = sorted(tags)
+    rank = {pid: r for r, pid in enumerate(ids)}
+    return PointCloud(CoordTable.from_entries(len(ids), [(rank[e[0]], *e[1:]) for e in entries]),
+                      None, 0.0, [tags[i] for i in ids])
 
 
 @dataclass

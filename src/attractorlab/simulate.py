@@ -22,8 +22,7 @@ from .floquet import (
 # lawson_rk4 and adaptive_simpson are not called here, but the layer tracer
 # in perfbench/layers.py wraps these module bindings; drop them together.
 from .integrators import lawson_rk4, lawson_rk4_adaptive, propagate_periods  # noqa: F401
-from .logspace import NEG_INF, PLANAR_X, PLANAR_Y, LogModeVector
-from .geometry import PointCloud
+from .geometry import NEG_INF, PLANAR_X, PLANAR_Y, CoordTable, PointCloud
 from .quadrature import adaptive_simpson  # noqa: F401
 from .spectral import Spectrum, cube_width, regime_bound
 
@@ -272,26 +271,21 @@ def bad_cube_cloud(scenario: Scenario, shift: WeightedShift) -> tuple[PointCloud
     at scale eps_n = e^{-beta n^2/2} B(n) on modes 2(n+1)..2(n+sqrt(n)),
     generated analytically in log coordinates."""
     kick = build_kick_operator(scenario, shift)
-    points: list[LogModeVector] = []
+    entries: list[tuple] = []  # (point, mode, sign, log) of the coordinate table
     tags: list[str] = []
     levels_meta: dict[int, dict] = {}
     for n in range(scenario.kick_base_level, scenario.kick_max_level + 1):
         k = cube_width(n)
         modes = kick.cube_modes(n)
         eps_log = kick.eps_logs[n]
-        ids = []
+        ids = list(range(len(tags), len(tags) + 2**k))
         for p in range(2**k):
-            entries = {}
-            for j in range(1, k + 1):
-                if (p >> (j - 1)) & 1:
-                    entries[modes[j - 1]] = (1, eps_log)
-            ids.append(len(points))
-            points.append(LogModeVector(entries))
+            entries += [(len(tags), modes[j], 1, eps_log) for j in range(k) if (p >> j) & 1]
             tags.append(f"cube:n={n}:p={p}")
         levels_meta[n] = {"log_eps": eps_log, "point_ids": ids, "cube_indices": modes}
     max_mode = max(levels_meta[max(levels_meta)]["cube_indices"])
     spec = scenario.spectrum if scenario.spectrum.n_max >= max_mode else scenario.spectrum.truncated(max_mode)
-    cloud = PointCloud(points, spec, 0.0, tags)
+    cloud = PointCloud(CoordTable.from_entries(len(tags), entries), spec, 0.0, tags)
     return cloud, {"levels": levels_meta, "beta": kick.beta,
                    "residuals": kick.residual_report}
 
@@ -346,21 +340,23 @@ def section4_attractor(laws: Section4Laws, spec: Spectrum, n_max: int,
     edges = np.concatenate([[0.0], np.cumsum(a_n)])
     phis = 0.5 * (edges[:-1] + edges[1:])
 
-    points: list[LogModeVector] = []
+    entries: list[tuple] = []  # (point, mode, sign, log) of the coordinate table
     tags: list[str] = []
+
+    def add(coords, tag):
+        """One point from its (mode, (sign, log)) coordinates; a sign 0 one
+        is zero and is not stored."""
+        entries.extend((len(tags), i, sign, log) for i, (sign, log) in coords if sign)
+        tags.append(tag)
 
     for i in range(1, DISK_RINGS + 1):
         r = i / DISK_RINGS
         m = max(6, int(round(2.0 * math.pi * r * DISK_RINGS)))
         for j in range(m):
             ang = 2.0 * math.pi * j / m
-            points.append(LogModeVector({
-                PLANAR_X: _signed_log(r * math.cos(ang)),
-                PLANAR_Y: _signed_log(r * math.sin(ang)),
-            }))
-            tags.append("cone")
-    points.append(LogModeVector({}))
-    tags.append("cone")
+            add([(PLANAR_X, _signed_log(r * math.cos(ang))),
+                 (PLANAR_Y, _signed_log(r * math.sin(ang)))], "cone")
+    add([], "cone")
 
     log_beta = math.log(beta_scale)
     fiber_logs = {}
@@ -370,19 +366,15 @@ def section4_attractor(laws: Section4Laws, spec: Spectrum, n_max: int,
             laws.log_lam(np.array([float(n)]))[0]
         ) + log_beta
         fiber_logs[n] = top_log
-        px = _signed_log(math.cos(phi))
-        py = _signed_log(math.sin(phi))
-        points.append(LogModeVector({PLANAR_X: px, PLANAR_Y: py, int(n): (1, top_log)}))
-        tags.append(f"equilibrium:n={n}")
+        planar = [(PLANAR_X, _signed_log(math.cos(phi))), (PLANAR_Y, _signed_log(math.sin(phi)))]
+        add(planar + [(int(n), (1, top_log))], f"equilibrium:n={n}")
         for j in range(1, SEGMENT_POINTS):
-            pt_log = top_log - 0.25 * j  # geometric spacing toward the base
-            points.append(LogModeVector({PLANAR_X: px, PLANAR_Y: py, int(n): (1, pt_log)}))
-            tags.append(f"segment:n={n}:j={j}")
-        points.append(LogModeVector({PLANAR_X: px, PLANAR_Y: py}))
-        tags.append(f"segment:n={n}:base")
+            # geometric spacing toward the base
+            add(planar + [(int(n), (1, top_log - 0.25 * j))], f"segment:n={n}:j={j}")
+        add(planar, f"segment:n={n}:base")
 
     full_spec = spec if spec.n_max >= n_max else spec.truncated(n_max)
-    cloud = PointCloud(points, full_spec, 0.0, tags)
+    cloud = PointCloud(CoordTable.from_entries(len(tags), entries), full_spec, 0.0, tags)
     report = {
         "interval_sum": total,
         "levels": list(map(int, ns)),

@@ -6,9 +6,27 @@ import pytest
 
 from attractorlab.cutoffs import periodic_drive
 from attractorlab.floquet import make_periodic_operator, poincare_predicted
-from attractorlab.geometry import PointCloud
-from attractorlab.logspace import LogModeVector
+from attractorlab.geometry import CoordTable, PointCloud
 from attractorlab.spectral import make_spectrum
+
+
+def dict_cloud(points, spectrum=None, s=0.0, tags=None) -> PointCloud:
+    """A cloud from one {mode: (sign, log magnitude)} dict per point, each
+    entry a stored coordinate."""
+    entries = [(p, i, sign, log) for p, point in enumerate(points)
+               for i, (sign, log) in point.items()]
+    return PointCloud(CoordTable.from_entries(len(points), entries), spectrum, s, tags or [])
+
+
+def point_dicts(cloud) -> list[dict]:
+    """Inverse of dict_cloud: one {mode: (sign, log magnitude)} dict per
+    point of the cloud's coordinate table, with Python numbers."""
+    t = cloud.points
+    dicts = [{} for _ in range(t.n)]
+    for p, i, sign, log in zip(t.point.tolist(), t.mode.tolist(), t.sign.tolist(),
+                               t.log.tolist()):
+        dicts[p][i] = (sign, log)
+    return dicts
 
 
 @pytest.fixture(scope="session")
@@ -32,12 +50,12 @@ def cube_vertex_cloud():
         k = math.ceil(math.sqrt(n))
         for p in range(2**k):
             bits = [j for j in range(1, k + 1) if (p >> (j - 1)) & 1]
-            points.append(LogModeVector({2 * (n + j): (1, -0.35 * n + rng.uniform(-0.05, 0.05))
-                                         for j in bits}))
+            points.append({2 * (n + j): (1, -0.35 * n + rng.uniform(-0.05, 0.05))
+                           for j in bits})
             tags.append(f"cube:n={n}:p={p}")
-    points.append(LogModeVector({34: (1, -800.0 + rng.uniform(-0.05, 0.05))}))
+    points.append({34: (1, -800.0 + rng.uniform(-0.05, 0.05))})
     tags.append("deep")
-    return PointCloud(points, tags=tags)
+    return dict_cloud(points, tags=tags)
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,14 @@ checks that refuse a run before any numerics start.  The `floquet` and
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from attractorlab import cli, quadrature
 from attractorlab import floquet as fl
@@ -17,10 +21,11 @@ from attractorlab import simulate as sim
 from attractorlab.config import (DEFAULTS, ConfigError, drive_from_config,
                                  resolve_config, scenario_from_config)
 from attractorlab.cutoffs import periodic_drive
-from attractorlab.geometry import PointCloud
+from attractorlab.geometry import PLANAR_X, PLANAR_Y, PointCloud
 from attractorlab.integrators import PROJECTION_GUARD
-from attractorlab.logspace import LogModeVector
-from attractorlab.reports import cloud_rows, load_cloud_csv, write_csv
+from attractorlab.reports import cloud_rows, load_cloud_csv, trajectory_rows, write_csv
+from attractorlab.spectral import make_spectrum
+from conftest import dict_cloud, point_dicts
 
 LINEAR = {"family": "linear", "n_max": 16, "params": {"c": 1.0}}
 SCAN_CSVS = ("dimension_scan.csv", "cloud.csv")
@@ -72,12 +77,11 @@ def cube_cloud_file(tmp_path):
     for level, log_eps in ((2, -1.0), (3, -2.5), (4, -4.0)):
         modes = [2 * (level + j) for j in range(1, 3)]
         for p in range(4):
-            points.append(LogModeVector({m: (1, log_eps) for b, m in enumerate(modes)
-                                         if (p >> b) & 1}))
+            points.append({m: (1, log_eps) for b, m in enumerate(modes) if (p >> b) & 1})
             tags.append(f"cube:n={level}:p={p}")
     path = str(tmp_path / "cubes.csv")
     write_csv(path, ["point_id", "tag", "mode_index", "sign", "logmag"],
-              cloud_rows(PointCloud(points, tags=tags)))
+              cloud_rows(dict_cloud(points, tags=tags)))
     return path
 
 
@@ -387,6 +391,12 @@ class TestDimension:
         # have balls of more than 24 members, so their covers are greedy
         assert [int(r[3]) for r in rows] == [1, 10, 25, 47, 76]
         assert [int(r[4]) for r in rows] == [9, 8, 15, 12, 3]
+        # the cloud as written, and as loaded and written again, at commit
+        # 33becc3, before clouds became one coordinate table
+        for written in (path, tmp_path / "out" / "cloud.csv"):
+            with open(written, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == (
+                    "8ce8d9b0ad8299ff95888d2e38db5f10900c65b9d3b3077c6973c641c374aa84")
 
     @staticmethod
     def count_builds(monkeypatch) -> list:
@@ -439,6 +449,14 @@ class TestDimension:
                          "s_list": [0, 2], "scales": "1e-1:1e-3:4"}})
         assert run(cfg, tmp_path / "out", "dimension") == 0
         assert len(builds) == 1  # both s views share the section-4 cloud's matrices
+        # both CSVs as this config wrote them at commit 33becc3, before clouds
+        # became one coordinate table
+        for name, digest in (
+                ("cloud.csv", "03af517c4a0d6b82f2ed9846b864255b8a632088eb3f9bc9c6881f9e5f783b40"),
+                ("dimension_scan.csv",
+                 "ede5e708f4a7f0b2e69b151fa027e392ab047ba4c68f8196613e0817c9cc2b4f")):
+            with open(tmp_path / "out" / name, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 class TestRemovedSurface:
@@ -579,8 +597,16 @@ class TestCloudFile:
         path = tmp_path / "cloud.csv"
         path.write_text(self.GOOD)
         cloud = load_cloud_csv(str(path))
-        assert [p.entries for p in cloud.points] == [{}, {3: (1, -2.5), 4: (-1, -700.25)}]
+        assert point_dicts(cloud) == [{}, {3: (1, -2.5), 4: (-1, -700.25)}]
         assert cloud.tags == ["origin", "p"]
+
+    def test_repeated_coordinate_names_both_lines(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("point_id,tag,mode_index,sign,logmag\n"
+                        "0,a,3,1,-2.5\n"
+                        "0,b,3,-1,-9.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: point 0 mode 3 repeats line 2")):
+            load_cloud_csv(str(path))
 
     @pytest.mark.parametrize("sign,logmag", [
         ("5", "-1.0"),  # a sign that is no sign
@@ -594,3 +620,89 @@ class TestCloudFile:
         path.write_text(self.GOOD + f"2,q,5,{sign},{logmag}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:5: want sign")):
             load_cloud_csv(str(path))
+
+
+def assert_table_invariants(cloud):
+    """The coordinate table's invariants: aligned columns, sorted by (point,
+    mode) with no pair twice, every point id in range, signs +-1 and finite
+    logs."""
+    t = cloud.points
+    assert len(t.point) == len(t.mode) == len(t.sign) == len(t.log)
+    assert len(cloud) == t.n == len(cloud.tags)
+    assert np.all((t.point >= 0) & (t.point < t.n))
+    dp, dm = np.diff(t.point), np.diff(t.mode)
+    assert np.all((dp > 0) | ((dp == 0) & (dm > 0)))
+    assert set(t.sign.tolist()) <= {-1, 1}
+    assert np.all(np.isfinite(t.log))
+
+
+@st.composite
+def coordinate_dicts(draw):
+    """Up to 12 points over the planar pair and modes 1..20, empty points
+    included, with mixed signs and logs from -5000 to 50; tags that need
+    CSV quoting."""
+    entry = st.tuples(st.sampled_from([-1, 1]),
+                      st.floats(-5000.0, 50.0, allow_nan=False, allow_infinity=False))
+    points = draw(st.lists(st.dictionaries(
+        st.sampled_from([PLANAR_Y, PLANAR_X, *range(1, 21)]), entry, max_size=4),
+        min_size=1, max_size=12))
+    tags = draw(st.lists(st.text(alphabet='ab:=," ', max_size=6),
+                         min_size=len(points), max_size=len(points)))
+    return points, tags
+
+
+class TestCoordTable:
+    @given(coordinate_dicts())
+    @example(([{}], [""]))  # one empty point
+    @example(([{PLANAR_Y: (-1, -5000.0), PLANAR_X: (1, 0.0), 7: (-1, -0.0)}, {}],
+              ["p,1", '"q"']))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_written_and_loaded_are_bit_identical(self, tmp_path_factory, drawn):
+        points, tags = drawn
+        cloud = dict_cloud(points, tags=tags)
+        path = str(tmp_path_factory.mktemp("cloud") / "cloud.csv")
+        rows = list(cloud_rows(cloud))
+        assert all(type(v) is int for r in rows for v in (r[0], r[2], r[3]))  # written as ints
+        write_csv(path, ["point_id", "tag", "mode_index", "sign", "logmag"], rows)
+        got = load_cloud_csv(path)
+        assert_table_invariants(got)
+        assert got.points.n == cloud.points.n and got.tags == cloud.tags
+        for name in ("point", "mode", "sign", "log"):
+            want = getattr(cloud.points, name)
+            assert getattr(got.points, name).tobytes() == want.tobytes(), name
+
+    def test_section4_table(self):
+        cloud, _ = sim.section4_attractor(sim.thm44_laws(), make_spectrum("quadratic", {}, 12), 12)
+        assert_table_invariants(cloud)
+        dicts = point_dicts(cloud)
+        # the first disk point stores no y, sin(0) being 0; the origin, the
+        # last cone point, stores nothing
+        assert dicts[0] == {PLANAR_X: (1, math.log(1 / sim.DISK_RINGS))}
+        assert dicts[cloud.tags.count("cone") - 1] == {}
+
+    def test_bad_cube_table(self):
+        cfg = resolve_config({"spectrum": {"family": "linear", "n_max": 32, "params": {"c": 1.0}},
+                              "drive": {"tau": 0.5},
+                              "dynamics": {"n0": 4, "kick_max_level": 6, "kappa": 0.04}})
+        scen = scenario_from_config(cfg)
+        cloud, meta = sim.bad_cube_cloud(scen, fl.poincare_predicted(scen.spectrum,
+                                                                     scen.drive.half_period))
+        assert_table_invariants(cloud)
+        assert sum(len(lvl["point_ids"]) for lvl in meta["levels"].values()) == len(cloud)
+
+
+finite_vals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                        allow_infinity=False).filter(lambda v: v == 0.0 or abs(v) > 1e-12)
+
+
+@given(st.lists(finite_vals, min_size=1, max_size=12),
+       st.sampled_from([0.0, math.log(2.0), -5000.0]))
+@example([1.0, -2.0, 0.0], math.log(2.0))
+@example([0.0, 0.0], -5000.0)  # a zero state writes the placeholder row
+def test_trajectory_rows_log_each_nonzero_entry(values, logscale):
+    log = SimpleNamespace(times=[0.5], lognorms=[logscale], states=[np.array(values)])
+    want = [(0.5, k + 1, 1 if v > 0 else -1, math.log(abs(v)) + logscale)
+            for k, v in enumerate(values) if v != 0.0]
+    rows = list(trajectory_rows(log))
+    assert rows == (want or [(0.5, 0, 0, -math.inf)])
+    assert all(type(r[1]) is int and type(r[2]) is int for r in rows)  # written as ints

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from attractorlab.geometry import (GeometryError, PointCloud, _greedy_cover, box_count,
-                                   covering_number, cube_doubling_report, doubling_factor,
+from attractorlab.geometry import (PLANAR_X, PLANAR_Y, GeometryError,
+                                   _greedy_cover, box_count, covering_number,
+                                   cube_doubling_report, doubling_factor,
                                    fractal_dimension_estimate,
                                    log_doubling_estimate, separated_count_exact,
                                    separated_count_log, smoothness_criterion)
-from attractorlab.logspace import LogModeVector, PLANAR_X, PLANAR_Y
 from attractorlab.spectral import cube_width, make_spectrum
 from attractorlab.simulate import section4_attractor, thm44_laws
+from conftest import dict_cloud, point_dicts
 
 
 def logs(scales):
@@ -25,14 +26,15 @@ def logs(scales):
 def dense_cloud(array, first_index=1):
     """The rows of a dense array as a cloud, column j stored at index
     first_index + j."""
-    return PointCloud([LogModeVector({first_index + j: (1 if v > 0 else -1, math.log(abs(v)))
-                                      for j, v in enumerate(row) if v != 0.0})
+    return dict_cloud([{first_index + j: (1 if v > 0 else -1, math.log(abs(v)))
+                        for j, v in enumerate(row) if v != 0.0}
                        for row in np.asarray(array, dtype=float)])
 
 
 def shifted(cloud, log_factor):
     """The cloud scaled by exp(log_factor), in log coordinates."""
-    return PointCloud([p.scaled(log_factor) for p in cloud.points], cloud.spectrum, cloud.s)
+    return dict_cloud([{i: (sign, log + log_factor) for i, (sign, log) in p.items()}
+                       for p in point_dicts(cloud)], cloud.spectrum, cloud.s)
 
 
 def segment_cloud(n=64, length=1.0):
@@ -58,25 +60,21 @@ class TestDistances:
             assert np.allclose(row, want, rtol=1e-12, atol=1e-300)
 
     def test_handles_sub_double_magnitudes(self):
-        a = LogModeVector({3: (1, -5000.0)})
-        b = LogModeVector({4: (1, -5000.0)})
-        cloud = PointCloud([a, b, LogModeVector({})])
+        cloud = dict_cloud([{3: (1, -5000.0)}, {4: (1, -5000.0)}, {}])
         row = cloud.distance_log_row(0)
         assert row[1] == pytest.approx(-5000.0 + 0.5 * math.log(2.0))
         assert row[2] == pytest.approx(-5000.0)
 
     def test_sobolev_weighting(self):
         spec = make_spectrum("quadratic", {}, 4)
-        cloud = PointCloud([LogModeVector({3: (1, 0.0)}), LogModeVector({})],
-                           spectrum=spec, s=2.0)
+        cloud = dict_cloud([{3: (1, 0.0)}, {}], spectrum=spec, s=2.0)
         # |e_3|_{H^2} = lambda_3 = 9
         assert cloud.distance_log_row(0)[1] == pytest.approx(math.log(9.0))
 
     def test_planar_block_weight_one_at_every_s(self):
         spec = make_spectrum("quadratic", {}, 4)
-        p = LogModeVector({PLANAR_X: (1, 0.0)})
         for s in (0.0, 1.0, 3.0):
-            cloud = PointCloud([p, LogModeVector({})], spectrum=spec, s=s)
+            cloud = dict_cloud([{PLANAR_X: (1, 0.0)}, {}], spectrum=spec, s=s)
             assert cloud.distance_log_row(0)[1] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -249,8 +247,8 @@ class TestCoverOracle:
     def test_matrix_is_stacked_rows_per_view(self):
         spec = make_spectrum("quadratic", {}, 10)
         rng = np.random.default_rng(5)
-        base = PointCloud([LogModeVector({int(i): (1, float(rng.normal(-3, 2)))
-                                          for i in rng.choice(10, size=2, replace=False) + 1})
+        base = dict_cloud([{int(i): (1, float(rng.normal(-3, 2)))
+                            for i in rng.choice(10, size=2, replace=False) + 1}
                            for _ in range(20)], spec, 0.0)
         matrices = []
         for s in (0.0, 2.0):
@@ -273,14 +271,16 @@ class TestCoverOracle:
 
 def reference_coords(cloud):
     """Reference coordinates: the norm-weighted points as one dense n x m
-    matrix, built straight from cloud.points and the spectrum's weights."""
-    idx = sorted({i for p in cloud.points for i in p.entries})
+    matrix, built straight from the cloud's coordinates and the spectrum's
+    weights."""
+    points = point_dicts(cloud)
+    idx = sorted({i for p in points for i in p})
     signs = np.zeros((len(cloud), len(idx)))
     logmags = np.full((len(cloud), len(idx)), -np.inf)
-    for r, p in enumerate(cloud.points):
+    for r, p in enumerate(points):
         for k, i in enumerate(idx):
-            if i in p.entries:
-                signs[r, k], logmags[r, k] = p.entries[i]
+            if i in p:
+                signs[r, k], logmags[r, k] = p[i]
     w = np.array([0.0 if cloud.spectrum is None or i in (PLANAR_X, PLANAR_Y)
                   else cloud.s * math.log(cloud.spectrum.lam(i)) for i in idx])
     return signs * np.exp(logmags + 0.5 * w)
@@ -309,9 +309,8 @@ SPARSE_SPECTRUM = make_spectrum("quadratic", {}, 12)
 def sparse_cloud(rows, s):
     """One point per {index: value} dict, under the H^s norm of a quadratic
     spectrum."""
-    return PointCloud([LogModeVector({i: (1 if v > 0 else -1, math.log(abs(v)))
-                                      for i, v in row.items()}) for row in rows],
-                      SPARSE_SPECTRUM, s)
+    return dict_cloud([{i: (1 if v > 0 else -1, math.log(abs(v))) for i, v in row.items()}
+                       for row in rows], SPARSE_SPECTRUM, s)
 
 
 @st.composite
@@ -370,9 +369,8 @@ class TestBoxCount:
         pts = []
         for r in range(n):  # every column stored by some point
             modes = {r % m + 1, *rng.integers(1, m + 1, size=int(rng.integers(0, 3))).tolist()}
-            pts.append(LogModeVector({i: (int(rng.choice([-1, 1])), float(rng.normal(-1, 2)))
-                                      for i in modes}))
-        view = PointCloud(pts, make_spectrum("quadratic", {}, m)).with_norm(2.0)
+            pts.append({i: (int(rng.choice([-1, 1])), float(rng.normal(-1, 2))) for i in modes})
+        view = dict_cloud(pts, make_spectrum("quadratic", {}, m)).with_norm(2.0)
         tracemalloc.start()
         try:
             assert view.weighted_slots() is not None
@@ -393,7 +391,7 @@ class TestBoxCount:
             assert tuple(sorted_box_count(view, le) for le in log_scales) == want
 
     def test_underflow_refused(self):
-        cloud = PointCloud([LogModeVector({3: (1, -5000.0)}), LogModeVector({})])
+        cloud = dict_cloud([{3: (1, -5000.0)}, {}])
         for _ in range(2):  # the cached None verdict refuses as the first did
             with pytest.raises(GeometryError, match="underflow"):
                 box_count(cloud, math.log(0.1))
@@ -406,18 +404,19 @@ class TestNormView:
         pts = []
         for _ in range(25):
             modes = rng.choice([PLANAR_X, PLANAR_Y, *range(1, 13)], size=3, replace=False)
-            pts.append(LogModeVector({int(i): (int(rng.choice([-1, 1])), float(rng.normal(-2, 3)))
-                                      for i in modes}))
-        pts += [pts[3], LogModeVector({})]  # a duplicate point and the origin
+            pts.append({int(i): (int(rng.choice([-1, 1])), float(rng.normal(-2, 3)))
+                        for i in modes})
+        pts += [pts[3], {}]  # a duplicate point and the origin
         tags = [f"p{k}" for k in range(len(pts))]
-        base = PointCloud(pts, spec, 0.0, tags)
+        base = dict_cloud(pts, spec, 0.0, tags)
         base.distance_log_row(0)
         base.weighted_slots()
         before = dict(base._cache)
         for s in (0.0, 1.5, 4.0):
             view = base.with_norm(s)
-            fresh = PointCloud(pts, spec, s, tags)
+            fresh = dict_cloud(pts, spec, s, tags)
             assert view.s == s and view.tags == fresh.tags
+            assert view.points is base.points
             assert view._signs is base._signs and view._logmags is base._logmags
             assert view._cols is base._cols
             for i in range(len(pts)):
@@ -443,7 +442,7 @@ class TestDimension:
         assert scan.slope == pytest.approx(2.0, abs=0.15)
 
     def test_single_point_dimension_zero(self):
-        cloud = PointCloud([LogModeVector({1: (1, 0.0)})])
+        cloud = dict_cloud([{1: (1, 0.0)}])
         scan = fractal_dimension_estimate(cloud, log_scales=logs([0.1, 0.05, 0.02, 0.01]))
         assert scan.slope == 0.0
 
@@ -453,13 +452,9 @@ class TestDimension:
 
     def test_projection_monotonicity(self):
         rng = np.random.default_rng(3)
-        pts = [LogModeVector.from_dense(rng.normal(size=4)) for _ in range(18)]
-        full = PointCloud(pts)
+        full = dense_cloud(rng.normal(size=(18, 4)))
         # dropping coordinates 3, 4 is a coordinate-restriction projection
-        proj = PointCloud([
-            LogModeVector({i: v for i, v in p.entries.items() if i <= 2})
-            for p in pts
-        ])
+        proj = dict_cloud([{i: v for i, v in p.items() if i <= 2} for p in point_dicts(full)])
         for eps in (0.5, 1.0, 2.0):
             assert (covering_number(proj, math.log(eps), method="exact").n_balls
                     <= covering_number(full, math.log(eps), method="exact").n_balls)
@@ -467,7 +462,7 @@ class TestDimension:
 
 class TestDoubling:
     def test_single_point(self):
-        cloud = PointCloud([LogModeVector({1: (1, 0.0)})])
+        cloud = dict_cloud([{1: (1, 0.0)}])
         assert doubling_factor(cloud, 0.0) == 1
 
     def test_segment_doubling_bounded(self):
@@ -501,12 +496,11 @@ def cube_levels(drop_from=None):
         ids = []
         for p in range(2 ** len(modes)):
             ids.append(len(points))
-            points.append(LogModeVector({m: (1, log_eps) for b, m in enumerate(modes)
-                                         if (p >> b) & 1}))
+            points.append({m: (1, log_eps) for b, m in enumerate(modes) if (p >> b) & 1})
         levels[n] = {"log_eps": log_eps, "point_ids": ids, "cube_indices": modes}
     if drop_from is not None:
         levels[drop_from]["point_ids"].pop()
-    return PointCloud(points), levels
+    return dict_cloud(points), levels
 
 
 class TestCubeDoubling:

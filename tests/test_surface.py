@@ -172,8 +172,8 @@ def unreached() -> dict:
 
     Names match bare, because `obj.attr` does not say whose `attr` it reads.
     So a dead definition passes when live code reads its name for something
-    else: another class's member (a test-only `PointCloud.from_dense` beside
-    the live `LogModeVector.from_dense` did) or a local variable.  A dead
+    else: another class's member (a test-only `PointCloud.select` would pass
+    beside the live `CoordTable.select`) or a local variable.  A dead
     dunder method of a live class passes too."""
     defs, live = live_definitions(source_trees(), KEEP)
     return {key: owner for key, (_, owner, _) in defs.items() if key not in live}
