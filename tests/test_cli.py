@@ -8,7 +8,6 @@ import json
 import math
 import os
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from attractorlab.config import (DEFAULTS, ConfigError, drive_from_config,
 from attractorlab.cutoffs import periodic_drive
 from attractorlab.geometry import PLANAR_X, PLANAR_Y, PointCloud
 from attractorlab.integrators import PROJECTION_GUARD
-from attractorlab.reports import cloud_rows, load_cloud_csv, trajectory_rows, write_csv
+from attractorlab.reports import cloud_rows, load_cloud_csv, write_csv
 from attractorlab.spectral import make_spectrum
 from conftest import dict_cloud, point_dicts
 
@@ -689,20 +688,3 @@ class TestCoordTable:
                                                                      scen.drive.half_period))
         assert_table_invariants(cloud)
         assert sum(len(lvl["point_ids"]) for lvl in meta["levels"].values()) == len(cloud)
-
-
-finite_vals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
-                        allow_infinity=False).filter(lambda v: v == 0.0 or abs(v) > 1e-12)
-
-
-@given(st.lists(finite_vals, min_size=1, max_size=12),
-       st.sampled_from([0.0, math.log(2.0), -5000.0]))
-@example([1.0, -2.0, 0.0], math.log(2.0))
-@example([0.0, 0.0], -5000.0)  # a zero state writes the placeholder row
-def test_trajectory_rows_log_each_nonzero_entry(values, logscale):
-    log = SimpleNamespace(times=[0.5], lognorms=[logscale], states=[np.array(values)])
-    want = [(0.5, k + 1, 1 if v > 0 else -1, math.log(abs(v)) + logscale)
-            for k, v in enumerate(values) if v != 0.0]
-    rows = list(trajectory_rows(log))
-    assert rows == (want or [(0.5, 0, 0, -math.inf)])
-    assert all(type(r[1]) is int and type(r[2]) is int for r in rows)  # written as ints
