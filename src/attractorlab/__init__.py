@@ -13,9 +13,9 @@ box-counting dimension depends on the Sobolev index.
 from .spectral import (LinearizationSpectrum, ObstructionVerdict,
                        Spectrum, SpectrumError, block_eigenvalues,
                        c1_obstruction_check, cube_width, linearization_spectrum,
-                       make_spectrum, regime_bound, spectral_gap)
+                       make_spectrum, regime_bound, site_pairs, spectral_gap)
 from .cutoffs import (BumpFunction, CutoffError, PeriodicDrive, SmoothStep,
-                      mollifier_bump, periodic_drive, smooth_step)
+                      mollifier_bump)
 from .quadrature import adaptive_simpson
 from .integrators import (IntegrationError, lawson_rk4, lawson_rk4_adaptive,
                           propagate_periods)
@@ -24,7 +24,7 @@ from .floquet import (ClosingLaw, FloquetError,
                       WeightedShift, calibrate_epsilon, closing_law,
                       iterate_norm, make_periodic_operator, poincare_numeric,
                       poincare_predicted, ratio_bounds_check, shift_match_report)
-from .geometry import (NEG_INF, PLANAR_X, PLANAR_Y, CoordTable, CoverReport,
+from .geometry import (NEG_INF, PLANAR_X, PLANAR_Y, CoordTable,
                        DimensionScan, GeometryError, PointCloud,
                        covering_number, cube_doubling_report, dimension_vs_s_scan,
                        doubling_factor, fractal_dimension_estimate,

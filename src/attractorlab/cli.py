@@ -65,6 +65,7 @@ def cmd_gap_check(cfg, args) -> int:
         "L": coupling,
         "minus_real_count": verdict.minus_real_count,
         "plus_real_count": verdict.plus_real_count,
+        "in_regime": verdict.in_regime,
     })
     print(f"{'site':>8} {'truncation':>10} {'real eigs':>9}")
     print(f"{'minus':>8} {verdict.minus_truncation:>10} {verdict.minus_real_count:>9}")

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 
-from .cutoffs import PeriodicDrive, periodic_drive
+from .cutoffs import PeriodicDrive
 from .simulate import Scenario
 from .spectral import Spectrum, cube_width, make_spectrum
 
@@ -78,7 +78,6 @@ KEYS = {
     "drive.amplitude": (1.0, _number(0)),
     "drive.tau": (2.0, _number(0)),
     "drive.plateau_fraction": (0.75, _number(0.5, 1.0)),
-    "drive.T_scale": (1.0, _number(0)),
     "dynamics": ({}, dict),
     "dynamics.L": (2.0, _number()),
     "dynamics.n0": (4, _integer(1)),
@@ -226,10 +225,9 @@ def spectrum_from_config(resolved: dict) -> Spectrum:
 
 
 def drive_from_config(resolved: dict) -> PeriodicDrive:
-    """The drive of half-period tau * T_scale."""
+    """The drive of half-period tau."""
     drv = resolved["drive"]
-    return periodic_drive(drv["amplitude"], drv["tau"] * drv["T_scale"],
-                          drv["plateau_fraction"])
+    return PeriodicDrive(drv["amplitude"], drv["tau"], drv["plateau_fraction"])
 
 
 def scenario_from_config(resolved: dict) -> Scenario:

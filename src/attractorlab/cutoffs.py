@@ -10,11 +10,9 @@ import numpy as np
 __all__ = [
     "CutoffError",
     "SmoothStep",
-    "smooth_step",
     "BumpFunction",
     "mollifier_bump",
     "PeriodicDrive",
-    "periodic_drive",
 ]
 
 # Unit-step evaluations outside [GUARD, 1-GUARD] are exact endpoint values;
@@ -61,10 +59,6 @@ class SmoothStep:
 
     def value(self, x):
         return _unit_step((np.asarray(x, dtype=float) - self.lo) / self.width)
-
-
-def smooth_step(lo: float, hi: float) -> SmoothStep:
-    return SmoothStep(lo, hi)
 
 
 def _ramp_mean(g) -> float:
@@ -170,7 +164,3 @@ class PeriodicDrive:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
-
-
-def periodic_drive(amplitude: float, tau: float, plateau_fraction: float = 0.75) -> PeriodicDrive:
-    return PeriodicDrive(amplitude, tau, plateau_fraction)

@@ -17,12 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .cutoffs import BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump, smooth_step
+from .cutoffs import BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump
 from .integrators import _safe_norm, lawson_rk4
 # adaptive_simpson is not called here, but the layer tracer in
 # perfbench/layers.py wraps this module binding; drop it with simulate's.
 from .quadrature import adaptive_simpson  # noqa: F401
-from .spectral import Spectrum, cube_width
+from .spectral import Spectrum, cube_width, site_pairs
 
 __all__ = [
     "FloquetError",
@@ -97,25 +97,15 @@ class PeriodicOperator:
         Phi = theta2(-x) Dm + eps theta1(-x) Rm + theta2(x) Dp + eps theta1(x) Rp."""
         lam = self.lam
         n = self.n_modes
-        dm = np.zeros((n, n))
-        rm = np.zeros((n, n))
-        dp = np.zeros((n, n))
-        rp = np.zeros((n, n))
-        for j in range(n // 2):
-            a, b = 2 * j, 2 * j + 1
-            d = 0.5 * (lam[a] - lam[b])
-            dm[a, a] += d
-            dm[b, b] -= d
-            rm[a, b] += 1.0
-            rm[b, a] -= 1.0
-        dp[0, 0] += 0.5 * lam[0] * self.anchor_scale
-        for j in range((n - 1) // 2):
-            a, b = 2 * j + 1, 2 * j + 2
-            d = 0.5 * (lam[a] - lam[b])
-            dp[a, a] += d
-            dp[b, b] -= d
-            rp[a, b] += 1.0
-            rp[b, a] -= 1.0
+        dm, rm, dp, rp = (np.zeros((n, n)) for _ in range(4))
+        dp[0, 0] = 0.5 * lam[0] * self.anchor_scale
+        for d, r, site in ((dm, rm, "minus"), (dp, rp, "plus")):
+            a, b = site_pairs(n, site)
+            half_gap = 0.5 * (lam[a] - lam[b])
+            d[a, a] += half_gap
+            d[b, b] -= half_gap
+            r[a, b] = 1.0
+            r[b, a] = -1.0
         return dm, rm, dp, rp
 
     def _coefficients(self, t):
@@ -167,7 +157,7 @@ def make_periodic_operator(
     `drive.half_period_integral` like epsilon's."""
     amp = drive.amplitude
     theta1 = mollifier_bump(amp / 4.0, 2.0 * amp, amp / 2.0, 1.5 * amp)
-    theta2 = smooth_step(0.0, amp / 4.0)
+    theta2 = SmoothStep(0.0, amp / 4.0)
     if epsilon is None:
         epsilon = calibrate_epsilon(drive, theta1)
     i2 = drive.half_period_integral(theta2.value)
@@ -182,26 +172,16 @@ def make_periodic_operator(
 
 @dataclass(frozen=True)
 class WeightedShift:
-    """Exact Poincare map: an index permutation plus natural-log multipliers.
+    """Exact Poincare map: an index permutation plus natural-log multipliers,
+    as arrays indexed by mode 1..n_max (entry 0 is unused).
 
     Pattern: e_{2n-1} -> e_{2n+1}, e_{2n} -> e_{2n-2} (n > 1), e_2 -> e_1,
-    all with positive coefficients.
+    all with positive coefficients.  `image` is 0 where the truncation
+    holds no image, and may name a mode past n_max.
     """
 
-    spectrum: Spectrum
-    half_period: float
-    image_index: dict[int, int]
-    log_multiplier: dict[int, float]
-
-    @property
-    def modes(self) -> list[int]:
-        return sorted(self.image_index)
-
-    def image(self, mode: int) -> int:
-        return self.image_index[mode]
-
-    def log_mult(self, mode: int) -> float:
-        return self.log_multiplier[mode]
+    image: np.ndarray
+    log_multiplier: np.ndarray
 
 
 def poincare_predicted(spec: Spectrum, half_period: float) -> WeightedShift:
@@ -210,26 +190,27 @@ def poincare_predicted(spec: Spectrum, half_period: float) -> WeightedShift:
     Multipliers: mode (2n-1) carries exp(-T (lam_{2n-1} + 2 lam_{2n} +
     lam_{2n+1}) / 2); mode 2 carries exp(-T (2 lam_1 + lam_2) / 2); mode 2n
     (n > 1) carries exp(-T (lam_{2n-2} + 2 lam_{2n-1} + lam_{2n}) / 2).
+    A family spectrum extends two modes past n_max for the last odd modes;
+    an explicit one cannot, so those get no image.
     """
-    if spec.n_max < 3:
+    n = spec.n_max
+    if n < 3:
         raise FloquetError("need at least three modes for the shift pattern")
     T = half_period
-    image: dict[int, int] = {}
-    logmult: dict[int, float] = {}
-    for mode in range(1, spec.n_max + 1):
-        if mode % 2 == 1:
-            if mode + 2 > spec.n_max and spec.family == "explicit":
-                continue
-            image[mode] = mode + 2
-            logmult[mode] = -T * (spec.lam(mode) + 2.0 * spec.lam(mode + 1)
-                                  + spec.lam(mode + 2)) / 2.0
-        elif mode == 2:
-            image[mode] = 1
-            logmult[mode] = -T * (2.0 * spec.lam(1) + spec.lam(2)) / 2.0
-        else:
-            image[mode] = mode - 2
-            logmult[mode] = -T * (spec.lam(mode - 2) + 2.0 * spec.lam(mode - 1) + spec.lam(mode)) / 2.0
-    return WeightedShift(spec, T, image, logmult)
+    explicit = spec.family == "explicit"
+    # lam[k] is lambda_k
+    lam = np.concatenate(([0.0], spec.values if explicit else spec.truncated(n + 2).values))
+    image = np.zeros(n + 1, dtype=np.intp)
+    logmult = np.zeros(n + 1)
+    odd = np.arange(1, n - 1 if explicit else n + 1, 2)
+    image[odd] = odd + 2
+    logmult[odd] = -T * (lam[odd] + 2.0 * lam[odd + 1] + lam[odd + 2]) / 2.0
+    image[2] = 1
+    logmult[2] = -T * (2.0 * lam[1] + lam[2]) / 2.0
+    even = np.arange(4, n + 1, 2)
+    image[even] = even - 2
+    logmult[even] = -T * (lam[even - 2] + 2.0 * lam[even - 1] + lam[even]) / 2.0
+    return WeightedShift(image, logmult)
 
 
 @dataclass(frozen=True)
@@ -295,16 +276,15 @@ def _half_period_map(op: PeriodicOperator, plus: bool, steps: int) -> np.ndarray
     stage, so that is checked on the same coefficient table first.
     """
     n = op.n_modes
-    first = np.arange(1 if plus else 0, n, 2)
-    second = np.minimum(first + 1, n)
-    if plus:
-        first, second = np.r_[0, first], np.r_[n, second]
-    colours = np.zeros((2, n + 1))
-    colours[0, first] = 1.0
-    colours[1, second] = 1.0
-    pairs = np.stack([first, second])
-    start = op.half_period if plus else 0.0
     half, other = ("plus", "minus") if plus else ("minus", "plus")
+    first, second = site_pairs(n, half)
+    lone = np.flatnonzero(np.bincount(np.concatenate((first, second)), minlength=n) == 0)
+    pairs = np.stack([np.concatenate((first, lone)),
+                      np.concatenate((second, np.full_like(lone, n)))])
+    colours = np.zeros((2, n + 1))
+    colours[0, pairs[0]] = 1.0
+    colours[1, pairs[1]] = 1.0
+    start = op.half_period if plus else 0.0
     chunks = []
     for i0 in range(0, steps, BLOCK_CHUNK):
         i1 = min(i0 + BLOCK_CHUNK, steps)
@@ -377,11 +357,12 @@ def shift_match_report(numeric: NumericPoincare, predicted: WeightedShift) -> di
     max_log_rel = 0.0
     max_off = 0.0
     positive = True
+    images, logmults = predicted.image.tolist(), predicted.log_multiplier.tolist()
     for mode in range(1, numeric.n_columns + 1):
         col = numeric.matrix[:, mode - 1]
-        target = predicted.image(mode)
-        expected = predicted.log_mult(mode)
-        got = col[target - 1]
+        target = images[mode]
+        expected = logmults[mode]
+        got = col[target - 1] if target else 0.0
         if got == 0.0:
             return {"pattern_ok": False, "max_log_rel_err": math.inf, "max_off_pattern": math.inf}
         log_rel = abs(math.log(abs(got)) - expected) / abs(expected) if expected else abs(
@@ -403,10 +384,8 @@ def shift_match_report(numeric: NumericPoincare, predicted: WeightedShift) -> di
 @dataclass(frozen=True)
 class IterateNorms:
     """Exact logs of the iterate norms along the shift orbit (no underflow):
-    lognorms[k] is log ||P^k e_mode|| for k = 0..count."""
+    lognorms[k] is log ||P^k e_mode|| at orbit[k], for k = 0..count."""
 
-    mode: int
-    count: int
     lognorms: tuple[float, ...]
     orbit: tuple[int, ...]
 
@@ -420,20 +399,18 @@ def iterate_norm(shift: WeightedShift, mode: int, count: int) -> IterateNorms:
     to e_mode, recorded as the running totals of one orbit walk."""
     if count < 0:
         raise FloquetError("iterate count must be nonnegative")
-    total = 0.0
-    totals = [total]
+    image = shift.image.tolist()
     orbit = [mode]
-    cur = mode
     for step in range(count):
-        if cur not in shift.image_index:
+        cur = orbit[-1]
+        nxt = image[cur] if 0 < cur < len(image) else 0
+        if nxt == 0:
             raise FloquetError(
                 f"orbit exits the stored truncation at step {step + 1} (mode {cur})"
             )
-        total += shift.log_multiplier[cur]
-        totals.append(total)
-        cur = shift.image_index[cur]
-        orbit.append(cur)
-    return IterateNorms(mode, count, tuple(totals), tuple(orbit))
+        orbit.append(nxt)
+    totals = np.cumsum(np.concatenate(([0.0], shift.log_multiplier[orbit[:-1]])))
+    return IterateNorms(tuple(totals.tolist()), tuple(orbit))
 
 
 # Periods of mode 1's shift orbit that `closing_law` walks.

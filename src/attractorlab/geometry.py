@@ -28,7 +28,6 @@ __all__ = [
     "GeometryError",
     "CoordTable",
     "PointCloud",
-    "CoverReport",
     "covering_number",
     "box_count",
     "DimensionScan",
@@ -231,14 +230,6 @@ class PointCloud:
         return out
 
 
-@dataclass(frozen=True)
-class CoverReport:
-    log_eps: float
-    n_balls: int
-    method: str
-    centers: tuple[int, ...]
-
-
 def _greedy_cover(ball: np.ndarray) -> list[int]:
     """Max-coverage greedy set cover over a boolean ball matrix (row a is the
     ball around member a): each round picks the member whose ball covers the
@@ -293,9 +284,10 @@ _COVERS = {"greedy": _greedy_cover, "exact": _exact_cover}
 
 
 def covering_number(cloud: PointCloud, log_eps: float, method: str = "greedy",
-                    member_rows=None) -> CoverReport:
-    """Number of closed balls of log radius log_eps (centers at data points)
-    covering the cloud, or the members listed in member_rows.
+                    member_rows=None) -> tuple[int, ...]:
+    """Centres (point indices) of closed balls of log radius log_eps that
+    cover the cloud, or the members listed in member_rows; their count is
+    the covering number.
 
     "greedy" is the deterministic max-coverage heuristic, "exact"
     branch-and-bound for <= 24 points, "auto" picks between them by size.
@@ -310,7 +302,7 @@ def covering_number(cloud: PointCloud, log_eps: float, method: str = "greedy",
     local = _COVERS[method](ball)
     if not np.all(np.any(ball[local], axis=0)):
         raise GeometryError("cover validity re-check failed")
-    return CoverReport(log_eps, len(local), method, tuple(ids[local].tolist()))
+    return tuple(ids[local].tolist())
 
 
 @dataclass(frozen=True)
@@ -372,7 +364,7 @@ def fractal_dimension_estimate(cloud: PointCloud, log_scales) -> DimensionScan:
     if counter == "boxes":
         counts = [box_count(cloud, log_eps=le) for le in log_scales]
     else:
-        counts = [covering_number(cloud, log_eps=le, method=counter).n_balls
+        counts = [len(covering_number(cloud, log_eps=le, method=counter))
                   for le in log_scales]
     x = -np.asarray(log_scales)
     y = np.log(counts)
@@ -400,8 +392,8 @@ def doubling_factor(cloud: PointCloud, log_eps: float) -> int:
         if key in seen:
             continue
         seen.add(key)
-        report = covering_number(cloud, log_eps=log_half, method="auto", member_rows=members)
-        worst = max(worst, report.n_balls)
+        worst = max(worst, len(covering_number(cloud, log_eps=log_half, method="auto",
+                                               member_rows=members)))
     return worst
 
 
@@ -521,16 +513,16 @@ def cube_doubling_report(cloud: PointCloud, levels: dict) -> dict:
         center_row = aug.distance_log_row(level.n)
         in_ball = bool(np.all(center_row[:-1] <= log_ball + _LOG_SLACK))
         sub = PointCloud(level, cloud.spectrum, cloud.s)
-        cover = covering_number(sub, log_eps=log_eps - math.log(2.0), method="greedy")
+        n_half = len(covering_number(sub, log_eps=log_eps - math.log(2.0), method="greedy"))
         chain = max(1, math.ceil(math.log2(r_n)))
-        log2_d = math.log2(cover.n_balls) / chain
+        log2_d = math.log2(n_half) / chain
         per_level.append({
             "level": n,
             "vertices": len(rows),
             "log_eps": log_eps,
             "all_in_ball": in_ball,
-            "n_half_cover": cover.n_balls,
-            "count_bound_ok": cover.n_balls >= 2**k,
+            "n_half_cover": n_half,
+            "count_bound_ok": n_half >= 2**k,
             "chain_length": chain,
             "log2_doubling_bound": log2_d,
             "half_sqrt_bound_ok": log2_d >= 0.5 * math.sqrt(n) - 1e-9,

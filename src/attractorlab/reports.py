@@ -94,7 +94,8 @@ def load_cloud_csv(path: str) -> PointCloud:
     """Inverse of cloud_rows; parse errors carry line numbers.  A row is a
     coordinate (sign +-1, finite logmag) or the empty-point placeholder
     (sign 0, logmag -inf) that cloud_rows writes; no (point_id, mode_index)
-    pair may repeat.  Points are numbered by ascending point_id."""
+    pair may repeat, and every row of a point carries the same tag.  Points
+    are numbered by ascending point_id."""
     lines: dict[tuple[int, int], int] = {}
     tags: dict[int, str] = {}
     entries = []
@@ -120,7 +121,11 @@ def load_cloud_csv(path: str) -> PointCloud:
             first = lines.setdefault((pid, idx), lineno)
             if first != lineno:
                 raise ValueError(f"{path}:{lineno}: point {pid} mode {idx} repeats line {first}")
-            tags[pid] = tag
+            first_tag = tags.setdefault(pid, tag)
+            if tag != first_tag:
+                first = min(line for (p, _), line in lines.items() if p == pid)
+                raise ValueError(f"{path}:{lineno}: point {pid} tag {tag!r} differs from "
+                                 f"{first_tag!r} on line {first}")
             if sign != 0:
                 entries.append((pid, idx, sign, logmag))
     ids = sorted(tags)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import BumpFunction, PeriodicDrive, mollifier_bump, smooth_step
+from .cutoffs import BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump
 from .floquet import (
     WeightedShift,
     closing_law,
@@ -211,7 +211,7 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
     that the base level is large enough (first-mode leftovers must stay well
     below the deposited scale)."""
     drive = scenario.drive
-    theta2 = smooth_step(0.0, drive.amplitude / 4.0)
+    theta2 = SmoothStep(0.0, drive.amplitude / 4.0)
     t0 = drive.plateau_entry_time(0.25)
     if scenario.kick_window > t0:
         raise SimulationError(

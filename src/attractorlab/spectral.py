@@ -23,6 +23,7 @@ __all__ = [
     "spectral_gap",
     "regime_bound",
     "block_eigenvalues",
+    "site_pairs",
     "LinearizationSpectrum",
     "linearization_spectrum",
     "ObstructionVerdict",
@@ -153,18 +154,22 @@ def block_eigenvalues(lam_a: float, lam_b: float, coupling: float) -> tuple[comp
     return complex(-mean, w), complex(-mean, -w)
 
 
+def site_pairs(n: int, site: str) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (first, second) modes of the 2x2 rotation blocks over n
+    modes: the minus site pairs modes (2j-1, 2j), the plus site (2j, 2j+1).
+    Mode 1 at the plus site, and a trailing mode with no partner, stay
+    alone and appear in neither array."""
+    start = 0 if site == "minus" else 1
+    return np.arange(start, n - 1, 2), np.arange(start + 1, n, 2)
+
+
 def _site_matrix(spec: Spectrum, coupling: float, n_trunc: int, site: str) -> np.ndarray:
-    lam = spec.values[:n_trunc]
-    m = np.zeros((n_trunc, n_trunc))
-    np.fill_diagonal(m, -lam)
-    if site == "minus":
-        pairs = [(2 * j, 2 * j + 1) for j in range(n_trunc // 2)]
-    else:
-        m[0, 0] = coupling - lam[0]
-        pairs = [(2 * j + 1, 2 * j + 2) for j in range((n_trunc - 1) // 2)]
-    for a, b in pairs:
-        m[a, b] = coupling
-        m[b, a] = -coupling
+    m = np.diag(-spec.values[:n_trunc])
+    if site == "plus":
+        m[0, 0] = coupling - spec.values[0]
+    first, second = site_pairs(n_trunc, site)
+    m[first, second] = coupling
+    m[second, first] = -coupling
     return m
 
 
@@ -199,14 +204,9 @@ def linearization_spectrum(spec: Spectrum, coupling: float, site: str) -> Linear
     if site == "plus" and n % 2 != 1:
         raise SpectrumError(f"plus site would orphan trailing mode {n}; odd truncation required")
 
-    eigs: list[complex] = []
-    if site == "minus":
-        pairs = [(2 * j + 1, 2 * j + 2) for j in range(n // 2)]
-    else:
-        eigs.append(complex(coupling - spec.values[0]))
-        pairs = [(2 * j + 2, 2 * j + 3) for j in range((n - 1) // 2)]
-    for a, b in pairs:
-        eigs.extend(block_eigenvalues(spec.values[a - 1], spec.values[b - 1], coupling))
+    eigs: list[complex] = [] if site == "minus" else [complex(coupling - spec.values[0])]
+    for a, b in zip(*site_pairs(n, site)):
+        eigs.extend(block_eigenvalues(spec.values[a], spec.values[b], coupling))
 
     # nearest-neighbour distance both ways: sorting both lists and pairing
     # them in order mismatches conjugate pairs whose real parts differ by an ulp

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from attractorlab.cutoffs import periodic_drive
+from attractorlab.cutoffs import PeriodicDrive
 from attractorlab.floquet import make_periodic_operator, poincare_predicted
 from attractorlab.geometry import CoordTable, PointCloud
 from attractorlab.spectral import make_spectrum
@@ -66,7 +66,7 @@ def shift_t1(linear_spectrum_big):
 @pytest.fixture(scope="session")
 def operator_t2():
     spec = make_spectrum("linear", {"c": 1.0}, 12)
-    drive = periodic_drive(1.0, 2.0, 0.75)
+    drive = PeriodicDrive(1.0, 2.0, 0.75)
     return make_periodic_operator(spec, drive, 12)
 
 

@@ -19,7 +19,7 @@ from attractorlab import geometry as geo
 from attractorlab import simulate as sim
 from attractorlab.config import (DEFAULTS, ConfigError, drive_from_config,
                                  resolve_config, scenario_from_config)
-from attractorlab.cutoffs import periodic_drive
+from attractorlab.cutoffs import PeriodicDrive
 from attractorlab.geometry import PLANAR_X, PLANAR_Y, PointCloud
 from attractorlab.integrators import PROJECTION_GUARD
 from attractorlab.reports import cloud_rows, load_cloud_csv, write_csv
@@ -107,7 +107,18 @@ class TestGapCheck:
         cfg = write_config(tmp_path / "c.json", {"spectrum": LINEAR, "dynamics": {"L": 3.0},
                                                  "expectations": {"gap_check": "obstruction"}})
         assert run(cfg, tmp_path / "out", "gap-check") == 0
-        assert report(tmp_path / "out", "gap-check")["verdicts"] == {"gap_check": "obstruction"}
+        got = report(tmp_path / "out", "gap-check")
+        assert got["verdicts"] == {"gap_check": "obstruction"}
+        assert got["constants"]["in_regime"] is True
+
+    def test_outside_regime_says_so(self, tmp_path):
+        # L = 0.9 < lambda_1 = 1: the plus site has no unstable mode, and the
+        # report names the regime as the reason no obstruction is certified
+        cfg = write_config(tmp_path / "c.json", {"spectrum": LINEAR, "dynamics": {"L": 0.9}})
+        assert run(cfg, tmp_path / "out", "gap-check") == 0
+        got = report(tmp_path / "out", "gap-check")
+        assert got["verdicts"] == {"gap_check": "no_obstruction"}
+        assert got["constants"]["in_regime"] is False
 
 
 def refuse_adaptive_simpson(*args, **kwargs):
@@ -152,6 +163,7 @@ class TestReport:
         assert "  gap_check: obstruction" in lines
         assert "  L = 2.0" in lines
         assert "  minus_real_count = 0" in lines and "  plus_real_count = 1" in lines
+        assert "  in_regime = True" in lines
 
     def test_violated_expectation_exits_two(self, dynamics_runs, tmp_path, capsys):
         root, _ = dynamics_runs
@@ -310,8 +322,9 @@ class TestSimulate:
 
         def moved(spec, half_period):
             shift = predicted(spec, half_period)
-            logmult = {**shift.log_multiplier, 3: shift.log_multiplier[3] * (1 + 1e-8)}
-            return fl.WeightedShift(spec, half_period, shift.image_index, logmult)
+            logmult = shift.log_multiplier.copy()
+            logmult[3] *= 1 + 1e-8
+            return fl.WeightedShift(shift.image, logmult)
 
         monkeypatch.setattr(sim, "poincare_predicted", moved)
         with pytest.raises(sim.SimulationError, match="^period 2: "):
@@ -575,12 +588,12 @@ class TestFailFast:
 def test_scenario_from_config():
     cfg = resolve_config({
         "spectrum": LINEAR,
-        "drive": {"amplitude": 2.0, "tau": 0.5, "T_scale": 3.0, "plateau_fraction": 0.8},
+        "drive": {"amplitude": 2.0, "tau": 1.5, "plateau_fraction": 0.8},
         "dynamics": {"L": 3.0, "n0": 5, "kappa": 0.04, "kick_max_level": 7, "n_trunc": 12,
                      "steps_per_period": 512}})
     scen = scenario_from_config(cfg)
     assert scen.spectrum.n_max == 16 and scen.spectrum.family == "linear"
-    assert scen.drive == periodic_drive(2.0, 1.5, 0.8)
+    assert scen.drive == PeriodicDrive(2.0, 1.5, 0.8)
     assert scen.drive == drive_from_config(cfg)
     assert (scen.lipschitz_budget, scen.n_trunc, scen.steps_per_period) == (3.0, 12, 512)
     assert (scen.kick_base_level, scen.kick_max_level, scen.kick_window) == (5, 7, 0.04)
@@ -605,6 +618,16 @@ class TestCloudFile:
                         "0,a,3,1,-2.5\n"
                         "0,b,3,-1,-9.0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: point 0 mode 3 repeats line 2")):
+            load_cloud_csv(str(path))
+
+    def test_mixed_tags_name_both_lines(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("point_id,tag,mode_index,sign,logmag\n"
+                        "0,a,3,1,-2.5\n"
+                        "1,b,3,1,-2.5\n"
+                        "0,c,4,-1,-9.0\n")
+        want = f"{path}:4: point 0 tag 'c' differs from 'a' on line 2"
+        with pytest.raises(ValueError, match=re.escape(want)):
             load_cloud_csv(str(path))
 
     @pytest.mark.parametrize("sign,logmag", [

@@ -17,11 +17,11 @@ EXPLICIT = {"family": "explicit", "n_max": 2, "params": {"values": [1.0, 2.0]}}
 EDGES = [
     # exclusive bounds of numbers: the bound is refused, the next double taken
     *((key, bound, False) for key, bound in (
-        ("drive.amplitude", 0.0), ("drive.tau", 0.0), ("drive.T_scale", 0.0),
+        ("drive.amplitude", 0.0), ("drive.tau", 0.0),
         ("drive.plateau_fraction", 0.5), ("drive.plateau_fraction", 1.0),
         ("dynamics.kappa", 0.0), ("dynamics.kappa", 1.0), ("dynamics.beta_scale", 0.0))),
     *((key, math.nextafter(bound, mid), True) for key, bound, mid in (
-        ("drive.amplitude", 0.0, 1.0), ("drive.tau", 0.0, 1.0), ("drive.T_scale", 0.0, 1.0),
+        ("drive.amplitude", 0.0, 1.0), ("drive.tau", 0.0, 1.0),
         ("drive.plateau_fraction", 0.5, 0.75), ("drive.plateau_fraction", 1.0, 0.75),
         ("dynamics.kappa", 0.0, 0.5), ("dynamics.kappa", 1.0, 0.5),
         ("dynamics.beta_scale", 0.0, 1.0))),

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from attractorlab.cutoffs import (CutoffError, SmoothStep, _unit_step, mollifier_bump,
-                                  periodic_drive, smooth_step)
+from attractorlab.cutoffs import (CutoffError, PeriodicDrive, SmoothStep, _unit_step,
+                                  mollifier_bump)
 
 U = np.linspace(0.01, 0.99, 2001)
 
@@ -96,45 +96,45 @@ class TestBump:
             mollifier_bump(1.0, 1.0, 1.0, 1.0)
 
     def test_smooth_step_endpoints(self):
-        step = smooth_step(0.0, 1.0)
+        step = SmoothStep(0.0, 1.0)
         assert step.value(0.0) == 0.0 and step.value(1.0) == 1.0
         assert step.value(0.5) == pytest.approx(0.5)  # symmetric construction
 
 
 class TestPeriodicDrive:
     def test_oddness_at_origin(self):
-        drive = periodic_drive(1.0, 2.0, 0.75)
+        drive = PeriodicDrive(1.0, 2.0, 0.75)
         assert drive.value(0.0) == 0.0
 
     def test_extremes(self):
-        drive = periodic_drive(3.0, 2.0, 0.75)
+        drive = PeriodicDrive(3.0, 2.0, 0.75)
         assert float(drive.value(1.0)) == pytest.approx(-3.0, abs=1e-15)
         assert float(drive.value(-1.0)) == pytest.approx(3.0, abs=1e-15)
 
     def test_odd_symmetry_dense_sample(self):
-        drive = periodic_drive(1.0, 2.0, 0.8)
+        drive = PeriodicDrive(1.0, 2.0, 0.8)
         ts = np.linspace(-4.0, 4.0, 2001)
         assert np.max(np.abs(drive.value(-ts) + drive.value(ts))) <= 1e-12
 
     def test_half_period_reflection(self):
         # reflection about the extremum: x(tau - t) = x(t)
-        drive = periodic_drive(1.0, 2.0, 0.8)
+        drive = PeriodicDrive(1.0, 2.0, 0.8)
         ts = np.linspace(0.0, 2.0, 1001)
         assert np.max(np.abs(drive.value(2.0 - ts) - drive.value(ts))) <= 1e-12
 
     def test_plateau_occupancy_fraction(self):
         p = 0.75
-        drive = periodic_drive(1.0, 2.0, p)
+        drive = PeriodicDrive(1.0, 2.0, p)
         ts = np.linspace(0.0, 2.0, 200001)
         frac = np.mean(np.abs(drive.value(ts)) >= 0.5)
         assert frac >= p - 1e-3
 
     def test_plateau_fraction_validation(self):
         with pytest.raises(CutoffError):
-            periodic_drive(1.0, 2.0, 0.4)
+            PeriodicDrive(1.0, 2.0, 0.4)
 
     def test_plateau_entry_time(self):
-        drive = periodic_drive(1.0, 2.0, 0.75)
+        drive = PeriodicDrive(1.0, 2.0, 0.75)
         t0 = drive.plateau_entry_time(0.25)
         assert float(-drive.value(t0)) == pytest.approx(0.25, abs=1e-10)
 
@@ -143,7 +143,7 @@ class TestPeriodicDrive:
     @settings(max_examples=20, deadline=None)
     def test_derivative_matches_finite_difference(self, p, tau):
         # on [0, tau], x = -h(t/w) h((tau - t)/w), and x(2 tau - t) = -x(t)
-        drive = periodic_drive(1.0, tau, p)
+        drive = PeriodicDrive(1.0, tau, p)
         w = drive.transition_width
         ts = np.linspace(0.1 * tau, 1.9 * tau, 37)
         s = np.where(ts <= tau, ts, 2.0 * tau - ts)

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from attractorlab import floquet, quadrature
-from attractorlab.cutoffs import _ramp_mean, mollifier_bump, periodic_drive, smooth_step
+from attractorlab.cutoffs import PeriodicDrive, SmoothStep, _ramp_mean, mollifier_bump
 from attractorlab.floquet import (WALK_PERIODS, FloquetError, PeriodicOperator,
                                   calibrate_epsilon, closing_law, iterate_norm,
                                   make_periodic_operator, poincare_numeric,
@@ -44,7 +44,7 @@ class TestCalibration:
         # tau, the transition width and the plateau all double exactly, so
         # the half-period integrals double exactly
         spec = make_spectrum("linear", {"c": 1.0}, 8)
-        ops = {T: make_periodic_operator(spec, periodic_drive(1.0, T, 0.75), 8)
+        ops = {T: make_periodic_operator(spec, PeriodicDrive(1.0, T, 0.75), 8)
                for T in (2.0, 4.0)}
         assert ops[4.0].epsilon == ops[2.0].epsilon / 2.0
         assert ops[4.0].anchor_scale == ops[2.0].anchor_scale
@@ -56,7 +56,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("amplitude,tau,p", DRIVES)
     def test_window_integrals_within_one_ulp(self, amplitude, tau, p):
-        drive = periodic_drive(amplitude, tau, p)
+        drive = PeriodicDrive(amplitude, tau, p)
         op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 4), drive)
         w, T = Fraction(drive.transition_width), Fraction(tau)
         assert ulps(op.epsilon, PI / (2 * (T - 2 * w + 2 * w * C1))) <= 1.0
@@ -65,7 +65,7 @@ class TestCalibration:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("amplitude,tau,p", DRIVES)
     def test_window_integrals_match_split_quad(self, amplitude, tau, p):
-        drive = periodic_drive(amplitude, tau, p)
+        drive = PeriodicDrive(amplitude, tau, p)
         op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 4), drive)
         w = drive.transition_width
 
@@ -82,7 +82,7 @@ class TestCalibration:
     def test_bench_drive_pinned(self):
         # the `dynamics` drive: amplitude 1, tau 2, plateau fraction 0.75
         op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 40),
-                                    periodic_drive(1.0, 2.0, 0.75))
+                                    PeriodicDrive(1.0, 2.0, 0.75))
         assert op.epsilon == float.fromhex("0x1.0147fffcce646p+0")
         assert op.anchor_scale == float.fromhex("0x1.2c41f389c7942p+0")
 
@@ -93,7 +93,7 @@ class TestCalibration:
         monkeypatch.setattr(quadrature, "adaptive_simpson", refused)
         monkeypatch.setattr(floquet, "adaptive_simpson", refused)
         op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 8),
-                                    periodic_drive(1.0, 2.0, 0.75))
+                                    PeriodicDrive(1.0, 2.0, 0.75))
         assert op.epsilon == float.fromhex("0x1.0147fffcce646p+0")
 
     def test_phase_ode_total_angle(self, operator_t2):
@@ -108,32 +108,82 @@ class TestCalibration:
         assert sol.y[0, -1] == pytest.approx(math.pi / 2.0, abs=1e-8)
 
     def test_empty_window_rejected(self):
-        drive = periodic_drive(1.0, 2.0, 0.75)
+        drive = PeriodicDrive(1.0, 2.0, 0.75)
         dead = mollifier_bump(50.0, 60.0, 52.0, 58.0)  # never reached by the drive
         with pytest.raises(FloquetError, match="zero measure"):
             calibrate_epsilon(drive, dead)
+
+
+def per_mode_shift(spec, half_period):
+    """The shift's arrays built one mode at a time, each multiplier from
+    `Spectrum.lam` in the closed form's order of operations."""
+    T = half_period
+    image = np.zeros(spec.n_max + 1, dtype=np.intp)
+    logmult = np.zeros(spec.n_max + 1)
+    for mode in range(1, spec.n_max + 1):
+        if mode % 2 == 1:
+            if mode + 2 > spec.n_max and spec.family == "explicit":
+                continue
+            image[mode] = mode + 2
+            logmult[mode] = -T * (spec.lam(mode) + 2.0 * spec.lam(mode + 1)
+                                  + spec.lam(mode + 2)) / 2.0
+        elif mode == 2:
+            image[mode] = 1
+            logmult[mode] = -T * (2.0 * spec.lam(1) + spec.lam(2)) / 2.0
+        else:
+            image[mode] = mode - 2
+            logmult[mode] = -T * (spec.lam(mode - 2) + 2.0 * spec.lam(mode - 1)
+                                  + spec.lam(mode)) / 2.0
+    return image, logmult
 
 
 class TestPredictedShift:
     def test_multiplier_closed_forms(self):
         spec = make_spectrum("linear", {"c": 1.0}, 3)
         shift = poincare_predicted(spec, 1.0)
-        assert shift.log_mult(2) == pytest.approx(-2.0)  # exp(-2) = 0.13533...
-        assert shift.image(2) == 1
-        assert shift.image(1) == 3
-        assert shift.log_mult(1) == pytest.approx(-4.0)
+        assert shift.log_multiplier[2] == pytest.approx(-2.0)  # exp(-2) = 0.13533...
+        assert shift.image[2] == 1
+        assert shift.image[1] == 3
+        assert shift.log_multiplier[1] == pytest.approx(-4.0)
 
     def test_zero_time_identity_magnitudes(self):
         spec = make_spectrum("linear", {"c": 1.0}, 6)
         shift = poincare_predicted(spec, 0.0)
-        assert all(v == 0.0 for v in shift.log_multiplier.values())
+        assert np.all(shift.log_multiplier == 0.0)
 
     def test_time_scaling_covariance(self):
         spec = make_spectrum("linear", {"c": 1.0}, 10)
         s1 = poincare_predicted(spec, 1.0)
         s3 = poincare_predicted(spec, 3.0)
-        for mode in s1.modes:
-            assert s3.log_mult(mode) == pytest.approx(3.0 * s1.log_mult(mode), rel=1e-15)
+        assert len(s1.log_multiplier) == 11
+        for mode in range(1, 11):
+            assert s3.log_multiplier[mode] == pytest.approx(3.0 * s1.log_multiplier[mode],
+                                                            rel=1e-15)
+
+    @pytest.mark.parametrize("family,params,n_max", [
+        ("linear", {"c": 1.0}, 40), ("linear", {"c": 1.0}, 41),
+        ("power", {"kappa": 0.5}, 40), ("power", {"kappa": 0.5}, 33),
+        ("quadratic", {}, 21),
+        ("explicit", {"values": [0.3 * k + 0.1 * math.sqrt(k) for k in range(1, 14)]}, 13),
+        ("explicit", {"values": [1.0, 1.0, 2.5, 2.5, 7.0 / 3.0 + 1.0, 4.0]}, 6)])
+    @pytest.mark.parametrize("half_period", [2.0, 0.7, 1.0 / 3.0])
+    def test_arrays_match_per_mode_oracle(self, family, params, n_max, half_period):
+        # bitwise: the same values of lambda, the same operations in the same order
+        spec = make_spectrum(family, params, n_max)
+        shift = poincare_predicted(spec, half_period)
+        image, logmult = per_mode_shift(spec, half_period)
+        assert shift.image.dtype == image.dtype
+        assert np.array_equal(shift.image, image)
+        assert shift.log_multiplier.tobytes() == logmult.tobytes()
+
+    def test_images_past_the_truncation(self):
+        # a family extends two modes past n_max; an explicit list cannot
+        odd = poincare_predicted(make_spectrum("linear", {"c": 1.0}, 7), 1.0)
+        assert odd.image.tolist() == [0, 3, 1, 5, 2, 7, 4, 9]
+        explicit = poincare_predicted(
+            make_spectrum("explicit", {"values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, 6), 1.0)
+        assert explicit.image.tolist() == [0, 3, 1, 5, 2, 0, 4]
+        assert explicit.log_multiplier[5] == 0.0
 
 
 class TestNumericPoincare:
@@ -148,8 +198,8 @@ class TestNumericPoincare:
 
     def test_rotation_free_operator_is_pure_heat(self):
         spec = make_spectrum("linear", {"c": 1.0}, 6)
-        drive = periodic_drive(1.0, 1.0, 0.75)
-        dead_step = smooth_step(50.0, 60.0)  # theta2 never activates
+        drive = PeriodicDrive(1.0, 1.0, 0.75)
+        dead_step = SmoothStep(50.0, 60.0)  # theta2 never activates
         theta1 = mollifier_bump(0.25, 2.0, 0.5, 1.5)
         op = PeriodicOperator(spec, drive, theta1, dead_step, 0.0, 0.0, 6)
         numeric = poincare_numeric(op, 4)
@@ -160,8 +210,8 @@ class TestNumericPoincare:
         # four columns need five internal modes, one past the stored spectrum:
         # the spectrum extends, and the dead cut-off and zero anchor stay
         spec = make_spectrum("linear", {"c": 1.0}, 4)
-        op = PeriodicOperator(spec, periodic_drive(1.0, 1.0, 0.75),
-                              mollifier_bump(0.25, 2.0, 0.5, 1.5), smooth_step(50.0, 60.0),
+        op = PeriodicOperator(spec, PeriodicDrive(1.0, 1.0, 0.75),
+                              mollifier_bump(0.25, 2.0, 0.5, 1.5), SmoothStep(50.0, 60.0),
                               0.0, 0.0, 4)
         numeric = poincare_numeric(op, 4)
         assert numeric.matrix.shape == (5, 4)
@@ -173,7 +223,7 @@ class TestNumericPoincare:
         # theta2(x) and theta2(-x) are both nonzero near x = 0, so the plus
         # coupling's diagonal acts on the minus half-period too, and two
         # colours no longer separate the blocks
-        op = replace(operator_t2, theta2=smooth_step(-0.25, 0.25))
+        op = replace(operator_t2, theta2=SmoothStep(-0.25, 0.25))
         with pytest.raises(FloquetError, match="^minus half-period: .* stage 0 "):
             poincare_numeric(op, 8)
 
@@ -237,8 +287,21 @@ class TestIterateNorms:
         # explicit spectra cannot extend beyond their stored values
         spec = make_spectrum("explicit", {"values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, 6)
         shift = poincare_predicted(spec, 1.0)
-        with pytest.raises(FloquetError, match="step 2"):
+        with pytest.raises(FloquetError, match=r"step 2 \(mode 5\)"):
             iterate_norm(shift, 3, 2)  # 3 -> 5 -> (7) exits the truncation
+
+    @pytest.mark.parametrize("n_max", [7, 8])
+    def test_orbit_past_the_family_truncation(self, n_max):
+        # mode 7's image is mode 9, past the stored arrays for both n_max
+        shift = poincare_predicted(make_spectrum("linear", {"c": 1.0}, n_max), 1.0)
+        assert iterate_norm(shift, 1, 4).orbit == (1, 3, 5, 7, 9)
+        with pytest.raises(FloquetError, match=r"step 5 \(mode 9\)"):
+            iterate_norm(shift, 1, 5)
+
+    @pytest.mark.parametrize("mode", [0, -1, 10_000])
+    def test_mode_outside_the_arrays(self, shift_t1, mode):
+        with pytest.raises(FloquetError, match=f"step 1 \\(mode {mode}\\)"):
+            iterate_norm(shift_t1, mode, 1)
 
 
 def second_differences(lognorms) -> list:
@@ -366,7 +429,7 @@ def dense_doubling(op, n_trunc, one_column_rhs):
 def dynamics_operator():
     """The operator of the benchmark's `dynamics` floquet run."""
     return make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 40),
-                                  periodic_drive(1.0, 2.0, 0.75))
+                                  PeriodicDrive(1.0, 2.0, 0.75))
 
 
 @pytest.mark.parametrize("name,n_trunc", [("operator_t2", 8), ("dynamics_operator", 16)])
@@ -381,7 +444,7 @@ def test_blocks_match_dense_oracle(name, n_trunc, request, one_column_rhs):
     assert np.array_equal(got.matrix == 0.0, want == 0.0)
     shift = poincare_predicted(op.spectrum, op.half_period)
     on = np.zeros(want.shape, dtype=bool)
-    on[[shift.image(m) - 1 for m in range(1, n_trunc + 1)], np.arange(n_trunc)] = True
+    on[shift.image[1:n_trunc + 1] - 1, np.arange(n_trunc)] = True
     assert np.all(np.abs(got.matrix[on] - want[on]) <= 1e-12 * np.abs(want[on]))
     off = np.abs(np.where(on, 0.0, got.matrix - want))
     assert np.all(off <= 1e-11 * np.max(np.abs(want), axis=0))

@@ -81,11 +81,11 @@ class TestDistances:
 class TestCovering:
     def test_separated_collinear_points(self):
         cloud = dense_cloud([[0.0], [1.0], [2.0], [3.0], [4.0]])
-        assert covering_number(cloud, math.log(0.5)).n_balls == 5
+        assert len(covering_number(cloud, math.log(0.5))) == 5
 
     def test_orthonormal_basis(self):
         cloud = dense_cloud(np.eye(6))
-        assert covering_number(cloud, math.log(0.5)).n_balls == 6
+        assert len(covering_number(cloud, math.log(0.5))) == 6
 
     def test_grid_exact_vs_auto(self):
         # the estimator used on small fixtures (auto) takes the exact branch
@@ -93,14 +93,14 @@ class TestCovering:
         exact = covering_number(cloud, math.log(1.1), method="exact")
         auto = covering_number(cloud, math.log(1.1), method="auto")
         greedy = covering_number(cloud, math.log(1.1), method="greedy")
-        assert exact.n_balls == 4  # pinwheel of four edge-centered balls
-        assert auto.n_balls - exact.n_balls <= 1
-        assert greedy.n_balls >= exact.n_balls
+        assert len(exact) == 4  # pinwheel of four edge-centered balls
+        assert len(auto) - len(exact) <= 1
+        assert len(greedy) >= len(exact)
 
     def test_monotone_in_scale(self):
         cloud = grid_cloud(4, 1.0)
         scales = [0.6, 0.9, 1.4, 2.1, 3.0, 4.5]
-        counts = [covering_number(cloud, math.log(e), method="exact").n_balls for e in scales]
+        counts = [len(covering_number(cloud, math.log(e), method="exact")) for e in scales]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_exact_cap(self):
@@ -115,23 +115,22 @@ class TestCovering:
             listed = covering_number(cloud, math.log(eps), method=method, member_rows=rows)
             arrayed = covering_number(cloud, math.log(eps), method=method,
                                       member_rows=np.array(rows))
-            assert (listed.n_balls, listed.centers) == (arrayed.n_balls, arrayed.centers)
-            assert all(type(c) is int for c in listed.centers + arrayed.centers)
-            assert set(listed.centers) <= set(rows)
+            assert listed == arrayed
+            assert all(type(c) is int for c in listed + arrayed)
+            assert set(listed) <= set(rows)
 
     def test_greedy_ties_go_to_first_member(self):
         # every point covers the whole segment, so the first member listed wins
         cloud = segment_cloud(6)
         assert covering_number(cloud, math.log(10.0),
-                               member_rows=np.array([4, 2, 5])).centers == (4,)
+                               member_rows=np.array([4, 2, 5])) == (4,)
 
     @given(st.floats(min_value=-200.0, max_value=200.0))
     @settings(max_examples=12, deadline=None)
     def test_scale_invariance_under_log_shift(self, shift):
         cloud = grid_cloud(5, 1.0)
-        base = covering_number(cloud, log_eps=math.log(1.3)).n_balls
-        moved = covering_number(shifted(cloud, shift),
-                                log_eps=math.log(1.3) + shift).n_balls
+        base = len(covering_number(cloud, log_eps=math.log(1.3)))
+        moved = len(covering_number(shifted(cloud, shift), log_eps=math.log(1.3) + shift))
         assert moved == base
 
 
@@ -212,8 +211,8 @@ class TestCoverOracle:
         cloud, members = drawn
         got = covering_number(cloud, log_eps, method=method, member_rows=members)
         want = row_cover(cloud, log_eps, method, members)
-        assert (got.n_balls, got.centers) == (len(want), tuple(want))
-        assert all(type(c) is int for c in got.centers)
+        assert got == tuple(want)
+        assert all(type(c) is int for c in got)
 
     @given(clouds_with_members(), st.sampled_from([-0.7, 0.0, 1.1, 2.5]))
     @settings(max_examples=30, deadline=None)
@@ -456,8 +455,8 @@ class TestDimension:
         # dropping coordinates 3, 4 is a coordinate-restriction projection
         proj = dict_cloud([{i: v for i, v in p.items() if i <= 2} for p in point_dicts(full)])
         for eps in (0.5, 1.0, 2.0):
-            assert (covering_number(proj, math.log(eps), method="exact").n_balls
-                    <= covering_number(full, math.log(eps), method="exact").n_balls)
+            assert (len(covering_number(proj, math.log(eps), method="exact"))
+                    <= len(covering_number(full, math.log(eps), method="exact")))
 
 
 class TestDoubling:

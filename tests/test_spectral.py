@@ -10,7 +10,7 @@ from attractorlab.simulate import Scenario, SimulationError
 from attractorlab.spectral import (SpectrumError, block_eigenvalues,
                                    c1_obstruction_check, cube_width,
                                    linearization_spectrum, make_spectrum,
-                                   regime_bound, spectral_gap)
+                                   regime_bound, site_pairs, spectral_gap)
 
 
 def test_cube_width_is_ceil_sqrt():
@@ -91,6 +91,24 @@ class TestBlockEigenvalues:
     def test_non_real_iff_coupling_beats_gap(self):
         assert block_eigenvalues(1.0, 2.0, 0.6)[0].imag != 0.0
         assert block_eigenvalues(1.0, 2.0, 0.4)[0].imag == 0.0
+
+
+# 0-based (first, second) block modes; the minus site leaves an odd
+# truncation's last mode alone, the plus site mode 1 and an even one's last
+SITE_PAIRS = {
+    (4, "minus"): ([0, 2], [1, 3]), (4, "plus"): ([1], [2]),
+    (5, "minus"): ([0, 2], [1, 3]), (5, "plus"): ([1, 3], [2, 4]),
+    (6, "minus"): ([0, 2, 4], [1, 3, 5]), (6, "plus"): ([1, 3], [2, 4]),
+    (7, "minus"): ([0, 2, 4], [1, 3, 5]), (7, "plus"): ([1, 3, 5], [2, 4, 6]),
+}
+
+
+@pytest.mark.parametrize("n,site", sorted(SITE_PAIRS))
+def test_site_pairs(n, site):
+    first, second = site_pairs(n, site)
+    assert (first.tolist(), second.tolist()) == SITE_PAIRS[n, site]
+    lone = sorted(set(range(n)) - set(first.tolist()) - set(second.tolist()))
+    assert lone == [0] * (site == "plus") + [n - 1] * ((n % 2 == 1) == (site == "minus"))
 
 
 class TestLinearizationSpectrum:

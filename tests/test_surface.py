@@ -84,13 +84,19 @@ def package_trees() -> dict:
 
 def reads(node) -> set:
     """Every name the code under `node` reads at run time, as a name or an
-    attribute.  Binding or assigning a name is no read, and neither is a type
-    annotation."""
+    attribute; a name read as an attribute, `x.name` or `getattr(x, "name")`,
+    is also there as ".name".  Binding or assigning a name is no read, and
+    neither is a type annotation."""
     used, stack = set(), [node]
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id if isinstance(node, ast.Name) else node.attr)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            used |= {node.attr, "." + node.attr}
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and isinstance(getattr(node.args[1], "value", None), str)):
+            used |= {node.args[1].value, "." + node.args[1].value}
         for field, value in ast.iter_fields(node):
             if field not in ("annotation", "returns"):
                 stack.extend(v for v in (value if isinstance(value, list) else [value])
@@ -136,21 +142,40 @@ def import_time_reads(tree) -> set:
     return used
 
 
+def tracer_hook_reads() -> set:
+    """Every ".name" that a before or after hook of the layer tracer reads
+    as an attribute, such as `result.steps`."""
+    layers = load_layers()
+    if layers is None:
+        return set()
+    hooks = {hook.__name__ for *_, before, after in layers.WRAPS
+             for hook in (before, after) if hook is not None}
+    with open(LAYERS, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), LAYERS)
+    return {name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in hooks
+            for name in reads(node) if name.startswith(".")}
+
+
 def live_definitions(trees, roots) -> tuple[dict, set]:
     """All definitions and the live ones.  `cli.main` and the definitions
-    named in `roots` are live; so is every definition whose name is read at
-    import time or in the body of a live definition, and every dunder method
-    of a live class, which Python calls by protocol."""
+    named in `roots` are live; so is every module-level definition whose
+    name is read at import time or in the body of a live definition, every
+    class member read there as an attribute or by a layer tracer hook, and
+    every dunder method of a live class, which Python calls by protocol."""
     defs = definitions(trees)
     live = {"cli.py:main"}
-    names = set(roots).union(reads(defs["cli.py:main"][2]),
+    names = set(roots).union(reads(defs["cli.py:main"][2]), tracer_hook_reads(),
                              *(import_time_reads(tree) for tree, _ in trees.values()))
     grew = True
     while grew:
         grew = False
         for key, (name, owner, node) in defs.items():
-            dunder = name.startswith("__") and name.endswith("__")
-            if key in live or not (owner in live if dunder else name in names):
+            if name.startswith("__") and name.endswith("__"):
+                reached = owner in live
+            else:
+                reached = ("." + name if owner else name) in names
+            if key in live or not reached:
                 continue
             live.add(key)
             names |= reads(node) if isinstance(node, ast.FunctionDef) else set()
@@ -168,13 +193,15 @@ def unreached() -> dict:
     for a module-level one.  A definition is reached when its name is read
     at import time or in a reached definition, starting from `cli.main` and
     the KEEP names, so code that only calls itself is not reached, and
-    neither is code only the tests call.
+    neither is code only the tests call.  A class member must be read as an
+    attribute there, or by a layer tracer hook.
 
     Names match bare, because `obj.attr` does not say whose `attr` it reads.
-    So a dead definition passes when live code reads its name for something
-    else: another class's member (a test-only `PointCloud.select` would pass
-    beside the live `CoordTable.select`) or a local variable.  A dead
-    dunder method of a live class passes too."""
+    So a dead member passes when live code reads another class's member of
+    the same name (a test-only `PointCloud.select` would pass beside the
+    live `CoordTable.select`), and a dead module-level definition passes
+    when live code reads its name for something else, such as a local
+    variable.  A dead dunder method of a live class passes too."""
     defs, live = live_definitions(source_trees(), KEEP)
     return {key: owner for key, (_, owner, _) in defs.items() if key not in live}
 
@@ -191,8 +218,9 @@ def test_every_export_is_used():
 
 
 def test_every_class_member_is_used():
-    """Each method and dataclass field of the package is reached from a
-    command (see `unreached`)."""
+    """Each method, property and dataclass field of the package is read as
+    an attribute by code a command reaches, or by a layer tracer hook (see
+    `unreached`)."""
     assert sorted(key for key, owner in unreached().items() if owner is not None) == []
 
 
