@@ -10,10 +10,9 @@ clouds with diverging log-doubling factor, and projected attractors whose
 box-counting dimension depends on the Sobolev index.
 """
 
-from .spectral import (LinearizationSpectrum, ObstructionVerdict,
-                       Spectrum, SpectrumError, block_eigenvalues,
-                       c1_obstruction_check, cube_width, linearization_spectrum,
-                       make_spectrum, regime_bound, site_pairs, spectral_gap)
+from .spectral import (ObstructionVerdict, Spectrum, SpectrumError,
+                       c1_obstruction_check, cube_width, make_spectrum,
+                       regime_bound, site_pairs, spectral_gap)
 from .cutoffs import (BumpFunction, CutoffError, PeriodicDrive, SmoothStep,
                       mollifier_bump)
 from .quadrature import adaptive_simpson

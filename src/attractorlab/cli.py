@@ -66,6 +66,10 @@ def cmd_gap_check(cfg, args) -> int:
         "minus_real_count": verdict.minus_real_count,
         "plus_real_count": verdict.plus_real_count,
         "in_regime": verdict.in_regime,
+        "block_margin": verdict.block_margin,
+        "plus_margin": verdict.plus_margin,
+        # Theorem 0.1's hypothesis (0.10) is L > max(L0/2, lambda_2)
+        "theorem_margin": coupling - max(0.5 * gap, float(spec.values[1])),
     })
     print(f"{'site':>8} {'truncation':>10} {'real eigs':>9}")
     print(f"{'minus':>8} {verdict.minus_truncation:>10} {verdict.minus_real_count:>9}")

@@ -1,5 +1,22 @@
 """Eigenvalue sequences of the sectorial operator, spectral-gap quantities,
-and the two-equilibria linearization spectra with the parity obstruction."""
+and the parity obstruction at the two equilibria.
+
+Each equilibrium's linearization is block diagonal: 2x2 rotation blocks
+[[-lambda_a, L], [-L, -lambda_b]] over the pairs of `site_pairs`, plus the
+plus site's lone mode 1 with eigenvalue L - lambda_1.  A block's
+characteristic polynomial x^2 + (lambda_a + lambda_b) x + lambda_a lambda_b
++ L^2 has discriminant (lambda_b - lambda_a)^2 - 4L^2, so the block has two
+real eigenvalues (a double one at equality) exactly when its gap
+lambda_b - lambda_a is at least 2L, and none otherwise.  No eigenvalue is
+computed.
+
+The sign is decided exactly for the stored doubles.  2L is a double, and
+rounding is monotone, so a rounded gap above (below) 2L means an exact gap
+above (below) it; only a rounded gap equal to 2L is decided again on the
+exact difference, with `fractions.Fraction`.  By the same argument every
+block is complex as soon as L > regime_bound(spec): each in-block gap is
+a consecutive gap, rounded as in L0, so no rounded gap exceeds L0 < 2L.
+"""
 
 from __future__ import annotations
 
@@ -8,24 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# An eigenvalue counts as real when its imaginary part is at noise level.
-REAL_EIG_TOL = 1e-9
-# Relative bound on the block-versus-dense eigenvalue distance.  A dense
-# eigensolver resolves a coalescing (defective) rotation block, as at
-# L = L0/2, only to about sqrt(machine eps): 1.8e-8 relative was the worst
-# seen there on random spectra, against 7e-15 away from it.
-DENSE_EIG_TOL = 1e-6
-
 __all__ = [
     "Spectrum",
     "SpectrumError",
     "make_spectrum",
     "spectral_gap",
     "regime_bound",
-    "block_eigenvalues",
     "site_pairs",
-    "LinearizationSpectrum",
-    "linearization_spectrum",
     "ObstructionVerdict",
     "c1_obstruction_check",
     "cube_width",
@@ -84,9 +90,11 @@ class Spectrum:
         )
 
     def truncated(self, n: int) -> "Spectrum":
+        """The first n eigenvalues: past the stored truncation, the stored
+        values followed by lam(k) for each new mode k."""
         if n > self.n_max:
-            vals = [self.lam(k) for k in range(1, n + 1)]
-            return Spectrum(self.family, n, np.asarray(vals), self.params)
+            tail = [self.lam(k) for k in range(self.n_max + 1, n + 1)]
+            return Spectrum(self.family, n, np.concatenate((self.values, tail)), self.params)
         return Spectrum(self.family, n, self.values[:n], self.params)
 
 
@@ -139,21 +147,6 @@ def regime_bound(spec: Spectrum) -> float:
     return max(0.5 * spectral_gap(spec), float(spec.values[0]))
 
 
-def block_eigenvalues(lam_a: float, lam_b: float, coupling: float) -> tuple[complex, complex]:
-    """Roots of x^2 + (lam_a+lam_b) x + lam_a*lam_b + L^2 = 0, the
-    characteristic polynomial of the rotation-coupled 2x2 block.  Non-real
-    exactly when 2L exceeds the in-block gap."""
-    if not (0 < lam_a <= lam_b):
-        raise SpectrumError("need 0 < lam_a <= lam_b")
-    mean = 0.5 * (lam_a + lam_b)
-    disc = (lam_b - lam_a) ** 2 - 4.0 * coupling**2
-    if disc >= 0.0:
-        r = 0.5 * math.sqrt(disc)
-        return complex(-mean + r), complex(-mean - r)
-    w = 0.5 * math.sqrt(-disc)
-    return complex(-mean, w), complex(-mean, -w)
-
-
 def site_pairs(n: int, site: str) -> tuple[np.ndarray, np.ndarray]:
     """0-based (first, second) modes of the 2x2 rotation blocks over n
     modes: the minus site pairs modes (2j-1, 2j), the plus site (2j, 2j+1).
@@ -161,61 +154,6 @@ def site_pairs(n: int, site: str) -> tuple[np.ndarray, np.ndarray]:
     alone and appear in neither array."""
     start = 0 if site == "minus" else 1
     return np.arange(start, n - 1, 2), np.arange(start + 1, n, 2)
-
-
-def _site_matrix(spec: Spectrum, coupling: float, n_trunc: int, site: str) -> np.ndarray:
-    m = np.diag(-spec.values[:n_trunc])
-    if site == "plus":
-        m[0, 0] = coupling - spec.values[0]
-    first, second = site_pairs(n_trunc, site)
-    m[first, second] = coupling
-    m[second, first] = -coupling
-    return m
-
-
-def _is_real(ev: complex) -> bool:
-    return abs(ev.imag) <= REAL_EIG_TOL * (1.0 + abs(ev.real))
-
-
-@dataclass(frozen=True)
-class LinearizationSpectrum:
-    site: str
-    eigenvalues: tuple[complex, ...]
-    real_count: int
-    real_eigenvalues: tuple[float, ...]
-    dense_mismatch: float
-
-
-def linearization_spectrum(spec: Spectrum, coupling: float, site: str) -> LinearizationSpectrum:
-    """Block-assembled spectrum of the linearization at one of the two
-    equilibria, cross-checked against a dense eigensolver on the truncated
-    matrix: dense_mismatch is the largest distance from an eigenvalue of
-    either set to the nearest one of the other.
-
-    site "minus" pairs modes (2n-1, 2n) and needs an even truncation; site
-    "plus" isolates mode 1 (eigenvalue L - lambda_1) and pairs (2n, 2n+1),
-    needing an odd truncation.
-    """
-    n = spec.n_max
-    if site not in ("minus", "plus"):
-        raise SpectrumError(f"unknown linearization site {site!r}")
-    if site == "minus" and n % 2 != 0:
-        raise SpectrumError(f"minus site would orphan trailing mode {n}; even truncation required")
-    if site == "plus" and n % 2 != 1:
-        raise SpectrumError(f"plus site would orphan trailing mode {n}; odd truncation required")
-
-    eigs: list[complex] = [] if site == "minus" else [complex(coupling - spec.values[0])]
-    for a, b in zip(*site_pairs(n, site)):
-        eigs.extend(block_eigenvalues(spec.values[a], spec.values[b], coupling))
-
-    # nearest-neighbour distance both ways: sorting both lists and pairing
-    # them in order mismatches conjugate pairs whose real parts differ by an ulp
-    dense = np.linalg.eigvals(_site_matrix(spec, coupling, n, site))
-    dist = np.abs(np.asarray(eigs, dtype=complex)[:, None] - dense[None, :])
-    mismatch = float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
-
-    reals = tuple(sorted(ev.real for ev in eigs if _is_real(ev)))
-    return LinearizationSpectrum(site, tuple(eigs), len(reals), reals, mismatch)
 
 
 @dataclass(frozen=True)
@@ -227,19 +165,43 @@ class ObstructionVerdict:
     minus_truncation: int
     plus_truncation: int
     note: str
+    block_margin: float
+    plus_margin: float
+
+
+def _site_blocks(values: np.ndarray, n: int, site: str, twice: float) -> tuple[int, float]:
+    """(real eigenvalue count, least twice - gap) over the 2x2 blocks of one
+    site's n modes, twice = 2L.  A block counts 2 when its exact gap
+    values[second] - values[first] is at least 2L, else 0.  The rounded gap
+    decides every block it does not tie with 2L; a tie is decided on the
+    exact difference of the stored doubles."""
+    first, second = site_pairs(n, site)
+    gaps = values[second] - values[first]
+    real = int(np.count_nonzero(gaps > twice))
+    ties = np.flatnonzero(gaps == twice)
+    if ties.size:
+        from fractions import Fraction
+
+        real += sum(Fraction(values[second[k]]) - Fraction(values[first[k]]) >= Fraction(twice)
+                    for k in ties)
+    return 2 * real, float(np.min(twice - gaps))
 
 
 def c1_obstruction_check(spec: Spectrum, coupling: float) -> ObstructionVerdict:
     """Parity obstruction to a finite-dimensional C^1 invariant manifold, at
-    the full stored truncation.
+    the full stored truncation: the minus site's even truncation n_minus
+    and the plus site's odd one n_plus.
 
     The minus-site equilibrium forces even manifold dimension when its
     linearization has no real eigenvalues; the plus site forces odd when it
-    has exactly one (positive) real eigenvalue.  The contradiction is only
-    asserted in the regime L > regime_bound(spec) = max(L0/2, lambda_1);
-    outside it the verdict reads "no obstruction certified".  Raises
-    SpectrumError when a site's block-assembled eigenvalues disagree with
-    the dense eigensolver by more than DENSE_EIG_TOL * (1 + max |eigenvalue|).
+    has exactly one, the positive L - lambda_1 of its lone mode 1.  Each
+    block's real count is 2 when its gap is at least 2L (a gap of exactly
+    2L is a double real root) and 0 otherwise, decided exactly as in the
+    module docstring.  So the counts are 0 and 1 exactly when
+    L > regime_bound(spec) = max(L0/2, lambda_1), and parity_contradiction
+    is in_regime.  Outside the regime the verdict reads "no obstruction
+    certified".  block_margin is the least 2L - gap over both sites'
+    blocks and plus_margin is L - lambda_1, both in double arithmetic.
     """
     n_trunc = spec.n_max
     if n_trunc < 3:
@@ -247,27 +209,18 @@ def c1_obstruction_check(spec: Spectrum, coupling: float) -> ObstructionVerdict:
     n_minus = n_trunc if n_trunc % 2 == 0 else n_trunc - 1
     n_plus = n_trunc if n_trunc % 2 == 1 else n_trunc - 1
 
-    minus = linearization_spectrum(spec.truncated(n_minus), coupling, "minus")
-    plus = linearization_spectrum(spec.truncated(n_plus), coupling, "plus")
-    for site in (minus, plus):
-        limit = DENSE_EIG_TOL * (1.0 + max(abs(ev) for ev in site.eigenvalues))
-        if not site.dense_mismatch <= limit:
-            raise SpectrumError(
-                f"{site.site} site: block eigenvalues differ from the dense eigensolver "
-                f"by {site.dense_mismatch:.3g} (limit {limit:.3g})")
+    twice = 2.0 * coupling
+    minus_real, minus_least = _site_blocks(spec.values, n_minus, "minus", twice)
+    plus_real, plus_least = _site_blocks(spec.values, n_plus, "plus", twice)
 
     in_regime = coupling > regime_bound(spec)
-    plus_unstable = plus.real_count == 1 and plus.real_eigenvalues[0] > 0.0
-    contradiction = in_regime and minus.real_count == 0 and plus_unstable
-    if not in_regime:
-        note = "no obstruction certified: L outside the regime L > max(L0/2, lambda_1)"
-    elif contradiction:
+    if in_regime:
         note = (
             "parity contradiction: minus site forces even manifold dimension, "
             "plus site forces odd"
         )
     else:
-        note = "no obstruction certified: eigenvalue pattern does not force a parity clash"
-    return ObstructionVerdict(
-        minus.real_count, plus.real_count, contradiction, in_regime, n_minus, n_plus, note
-    )
+        note = "no obstruction certified: L outside the regime L > max(L0/2, lambda_1)"
+    return ObstructionVerdict(minus_real, 1 + plus_real, in_regime, in_regime, n_minus, n_plus,
+                              note, min(minus_least, plus_least),
+                              coupling - float(spec.values[0]))

@@ -36,10 +36,12 @@ SMALL_DYNAMICS = {
 }
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def load_layers():
     """perfbench/layers.py, the benchmark's layer tracer, as a module."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "layers.py")
+    path = os.path.join(REPO, "perfbench", "layers.py")
     spec = importlib.util.spec_from_file_location("perfbench_layers", path)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
@@ -102,6 +104,72 @@ def bad_cube_config(family, n_max, kick_max_level):
             "geometry": {"cloud": {"kind": "bad_cubes"}}}
 
 
+def gap_check_config(case) -> dict:
+    """The config of a GAP_CHECK_GOLDEN case: the `dynamics` benchmark
+    config, or (family, n_max, L).  The explicit spectrum starts at 1 and
+    steps by 0.5, 1.5, 0.25 and 2.0 in turn."""
+    if case == "dynamics":
+        with open(os.path.join(REPO, "perfbench", "configs", "dynamics.json"),
+                  encoding="utf-8") as fh:
+            return json.load(fh)
+    family, n_max, coupling = case
+    params = {"linear": {"c": 1.0}, "power": {"kappa": 0.5},
+              "explicit": {"values": [1.0 + sum((0.5, 1.5, 0.25, 2.0)[j % 4] for j in range(k))
+                                      for k in range(n_max)]}}[family]
+    return {"spectrum": {"family": family, "n_max": n_max, "params": params},
+            "dynamics": {"L": coupling}}
+
+
+# gap-check as the dense-eigensolver count wrote it at commit 59037f5: the
+# report constants (L0, L, minus and plus real counts, in_regime), and the
+# sha256 of stdout with the output directory written as "<out>"
+GAP_CHECK_CONSTANTS = ("L0", "L", "minus_real_count", "plus_real_count", "in_regime")
+GAP_CHECK_GOLDEN = {
+    "dynamics": (1.0, 0, 1, True,
+        "35e7ba6aa48424e29e1fc3ede38018add2562d5b82bef22d4e84b35eab52b090"),
+    ("explicit", 40, 0.25): (2.0, 20, 39, False,
+        "e40ecea7cd29e3d29bb45cc199661c888f47ef0db3baed51b11403cd2f9d09bf"),
+    ("explicit", 40, 0.6): (2.0, 0, 39, False,
+        "ff1d769c2a2a76f1b76f148634a238610d9b957f9b9a743f15803c7825936511"),
+    ("explicit", 40, 1.5): (2.0, 0, 1, True,
+        "81a3c8a89983bbdfb721d8dc4c91d1692e598423c7e2b6cfa1fbe0e4279f48de"),
+    ("explicit", 41, 0.25): (2.0, 20, 41, False,
+        "55f8858a50624f97251eb83cd8b49a399e5e3898cc2f7502dcc75f7ccc169196"),
+    ("explicit", 41, 0.6): (2.0, 0, 41, False,
+        "7c340ea8223d5801c89f5b0f9c1d94b79949759bc1625f2745d5af134485a997"),
+    ("explicit", 41, 1.5): (2.0, 0, 1, True,
+        "088aa6b1f34018cca73405c33e0690c73baf192113f272f0bd5b94fb3c69dbf9"),
+    ("linear", 40, 0.4): (1.0, 40, 39, False,
+        "cc3c81080a6a864a680ba08e45c76a2745fe6a11780ae1837742f8610eb5faa5"),
+    ("linear", 40, 0.5): (1.0, 40, 39, False,
+        "cc3c81080a6a864a680ba08e45c76a2745fe6a11780ae1837742f8610eb5faa5"),
+    ("linear", 40, 1.0): (1.0, 0, 1, False,
+        "439c9180aa0ebf59ad213a7c74122bf477063ca32d3b9b46510c3090f4e40de5"),
+    ("linear", 40, 3.0): (1.0, 0, 1, True,
+        "35e7ba6aa48424e29e1fc3ede38018add2562d5b82bef22d4e84b35eab52b090"),
+    ("linear", 41, 0.4): (1.0, 40, 41, False,
+        "de887c50d135761bd60b55ae6e2a5c9f26dfb3d1532d74fe7d1099606eb24180"),
+    ("linear", 41, 0.5): (1.0, 40, 41, False,
+        "de887c50d135761bd60b55ae6e2a5c9f26dfb3d1532d74fe7d1099606eb24180"),
+    ("linear", 41, 1.0): (1.0, 0, 1, False,
+        "bbe47dbf9de45213744c01dc0ad5c188ca6bdda78240ce53a7f3e7f4267eafae"),
+    ("linear", 41, 3.0): (1.0, 0, 1, True,
+        "605a1de171e3ca18f3d36d3807890dd3015f909776fb05355e5ff1b597d55746"),
+    ("power", 40, 0.1): (0.41421356237309515, 6, 5, False,
+        "fcb2bdf8ac40472a76d44269d1e48283f41261a3a6f69558ac464b494567f19f"),
+    ("power", 40, 1.0): (0.41421356237309515, 0, 1, False,
+        "2b46d4345be9ca2e25fb5745ffb71b10c0a03b33d106f78921e1f306cee2a1a0"),
+    ("power", 40, 2.0): (0.41421356237309515, 0, 1, True,
+        "f2505f8397cb194a59cb9defee23d663490cd83fe096456a8e20ad21b07bcad9"),
+    ("power", 41, 0.1): (0.41421356237309515, 6, 5, False,
+        "47a84da8d4631436e1c6b90d4c861c41d7d3207f831b99e0762edef9653c2271"),
+    ("power", 41, 1.0): (0.41421356237309515, 0, 1, False,
+        "7510d8244cf8998f2b046d8ee72d86ca9c8868e57e953892f7dc05a6e3a49943"),
+    ("power", 41, 2.0): (0.41421356237309515, 0, 1, True,
+        "0c8f4d8fe731faed0ef7d55f4a04829f5cc36f88b83c665ad8e3f0dfaabed504"),
+}
+
+
 class TestGapCheck:
     def test_linear_obstruction(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"spectrum": LINEAR, "dynamics": {"L": 3.0},
@@ -119,6 +187,41 @@ class TestGapCheck:
         got = report(tmp_path / "out", "gap-check")
         assert got["verdicts"] == {"gap_check": "no_obstruction"}
         assert got["constants"]["in_regime"] is False
+
+    @pytest.mark.parametrize("case", sorted(GAP_CHECK_GOLDEN, key=str), ids=str)
+    def test_matches_eigensolver_golden(self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path / "c.json", gap_check_config(case)), out,
+                   "gap-check") == 0
+        l0, minus, plus, in_regime, digest = GAP_CHECK_GOLDEN[case]
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+        got = report(out, "gap-check")
+        want = "obstruction" if in_regime else "no_obstruction"
+        assert got["verdicts"] == {"gap_check": want}
+        assert {k: got["constants"][k] for k in GAP_CHECK_CONSTANTS} == {
+            "L0": l0, "L": gap_check_config(case)["dynamics"]["L"],
+            "minus_real_count": minus, "plus_real_count": plus, "in_regime": in_regime}
+
+    def test_margins_reported(self, tmp_path):
+        # lambda_1 < L = 1.5 <= lambda_2: the parity clash holds, but
+        # Theorem 0.1's hypothesis L > max(L0/2, lambda_2) does not
+        cfg = write_config(tmp_path / "c.json", gap_check_config(("linear", 40, 1.5)))
+        assert run(cfg, tmp_path / "out", "gap-check") == 0
+        got = report(tmp_path / "out", "gap-check")
+        assert got["verdicts"] == {"gap_check": "obstruction"}
+        assert {k: got["constants"][k] for k in
+                ("block_margin", "plus_margin", "theorem_margin")} == {
+            "block_margin": 2.0, "plus_margin": 0.5, "theorem_margin": -0.5}
+
+    def test_deep_truncation(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"family": "linear", "n_max": 100_000, "params": {"c": 1.0}},
+            "dynamics": {"L": 3.0}})
+        assert run(cfg, tmp_path / "out", "gap-check") == 0
+        got = report(tmp_path / "out", "gap-check")
+        assert got["verdicts"] == {"gap_check": "obstruction"}
+        assert (got["constants"]["minus_real_count"], got["constants"]["plus_real_count"]) == (0, 1)
 
 
 def refuse_adaptive_simpson(*args, **kwargs):

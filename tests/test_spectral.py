@@ -1,16 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from attractorlab import spectral
 from attractorlab.config import DEFAULTS, drive_from_config
 from attractorlab.simulate import Scenario, SimulationError
-from attractorlab.spectral import (SpectrumError, block_eigenvalues,
-                                   c1_obstruction_check, cube_width,
-                                   linearization_spectrum, make_spectrum,
-                                   regime_bound, site_pairs, spectral_gap)
+from attractorlab.spectral import (SpectrumError, c1_obstruction_check, cube_width,
+                                   make_spectrum, regime_bound, site_pairs,
+                                   spectral_gap)
 
 
 def test_cube_width_is_ceil_sqrt():
@@ -43,6 +42,16 @@ class TestMakeSpectrum:
         with pytest.raises(SpectrumError):
             explicit.lam(3)
 
+    @pytest.mark.parametrize("family,params", [("linear", {"c": 1.0}),
+                                               ("power", {"kappa": 0.5}),
+                                               ("quadratic", {})])
+    def test_extension_keeps_stored_values(self, family, params):
+        spec = make_spectrum(family, params, 40)
+        longer = spec.truncated(47)
+        assert longer.n_max == 47 and longer.values.dtype == np.float64
+        assert np.array_equal(longer.values[:40], spec.values)
+        assert longer.values[40:].tolist() == [spec.lam(k) for k in range(41, 48)]
+
 
 class TestSpectralGap:
     def test_linear_constant_gaps(self):
@@ -67,30 +76,65 @@ class TestSpectralGap:
             assert spectral_gap(prefix) <= spectral_gap(spec) + 1e-12
 
 
+def _site_matrix(spec, coupling, n_trunc, site):
+    """The dense n_trunc x n_trunc linearization at one site: -lambda_k on
+    the diagonal, L - lambda_1 for the plus site's lone mode 1, and the
+    rotation coupling +-L on each block of `site_pairs`."""
+    m = np.diag(-spec.values[:n_trunc])
+    if site == "plus":
+        m[0, 0] = coupling - spec.values[0]
+    first, second = site_pairs(n_trunc, site)
+    m[first, second] = coupling
+    m[second, first] = -coupling
+    return m
+
+
+def dense_real_counts(spec, coupling, verdict):
+    """(minus, plus) counts of real eigenvalues from the dense eigensolver,
+    at the verdict's truncations.  LAPACK returns a real eigenvalue of a
+    real matrix with imaginary part exactly 0."""
+    return tuple(
+        int(np.count_nonzero(np.linalg.eigvals(_site_matrix(spec, coupling, n, site)).imag == 0))
+        for n, site in ((verdict.minus_truncation, "minus"), (verdict.plus_truncation, "plus")))
+
+
+def counts(values, coupling):
+    verdict = c1_obstruction_check(make_spectrum("explicit", {"values": values}), coupling)
+    return verdict.minus_real_count, verdict.plus_real_count
+
+
 class TestBlockEigenvalues:
-    def test_known_complex_pairs(self):
-        r1, r2 = block_eigenvalues(1.0, 2.0, 1.0)
-        assert r1 == pytest.approx(complex(-1.5, math.sqrt(3) / 2), abs=1e-12)
-        r1, r2 = block_eigenvalues(2.0, 3.0, 2.0)
-        assert r1 == pytest.approx(complex(-2.5, 0.5 * math.sqrt(15)), abs=1e-12)
+    """Each 2x2 rotation block has two real eigenvalues when its gap is at
+    least 2L, and none otherwise."""
 
     def test_discriminant_boundary_double_root(self):
-        r1, r2 = block_eigenvalues(1.0, 2.0, 0.5)
-        assert r1 == r2 == pytest.approx(-1.5)
-
-    @given(st.floats(min_value=0.1, max_value=50.0),
-           st.floats(min_value=0.0, max_value=50.0),
-           st.floats(min_value=0.0, max_value=30.0))
-    def test_roots_satisfy_characteristic_polynomial(self, lam_a, gap, coupling):
-        lam_b = lam_a + gap
-        for root in block_eigenvalues(lam_a, lam_b, coupling):
-            residual = root**2 + (lam_a + lam_b) * root + lam_a * lam_b + coupling**2
-            scale = max(abs(root) ** 2, lam_a * lam_b + coupling**2)
-            assert abs(residual) <= 1e-12 * scale
+        # every gap is 1 = 2L: a double real root per block, counted twice
+        assert counts([1.0, 2.0, 3.0], 0.5) == (2, 3)
+        assert counts([1.0, 2.0, 3.0, 4.0, 5.0], 0.5) == (4, 5)
 
     def test_non_real_iff_coupling_beats_gap(self):
-        assert block_eigenvalues(1.0, 2.0, 0.6)[0].imag != 0.0
-        assert block_eigenvalues(1.0, 2.0, 0.4)[0].imag == 0.0
+        assert counts([1.0, 2.0, 3.0], 0.6) == (0, 1)
+        assert counts([1.0, 2.0, 3.0], 0.4) == (2, 3)
+        assert counts([1.0, 2.0, 3.0], math.nextafter(0.5, 1.0)) == (0, 1)
+        assert counts([1.0, 2.0, 3.0], math.nextafter(0.5, 0.0)) == (2, 3)
+
+    @given(st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=1e-3, max_value=1e3),
+           st.integers(-3, 3))
+    # the rounded gap ties with 2L in each example; the exact gap is equal
+    # (a double root), below it (complex) and above it (two real roots)
+    @example(0.1, 0.2, 0)
+    @example(0.1, 1.0, 0)
+    @example(0.3, 1.0, 0)
+    def test_count_follows_exact_discriminant_sign(self, lam_a, lam_b, ulps):
+        # L within a few ulps of half the rounded gap, so the tie branch runs
+        lam_a, lam_b = min(lam_a, lam_b), max(lam_a, lam_b)
+        coupling = 0.5 * (lam_b - lam_a)
+        for _ in range(abs(ulps)):
+            coupling = math.nextafter(coupling, math.copysign(math.inf, ulps))
+        assume(coupling > 0.0)
+        exact = (Fraction(lam_b) - Fraction(lam_a)) ** 2 - 4 * Fraction(coupling) ** 2
+        # the plus block (lam_b, lam_b) has gap 0 and is always complex
+        assert counts([lam_a, lam_b, lam_b], coupling) == (2 if exact >= 0 else 0, 1)
 
 
 # 0-based (first, second) block modes; the minus site leaves an odd
@@ -112,44 +156,37 @@ def test_site_pairs(n, site):
 
 
 class TestLinearizationSpectrum:
+    """The real-eigenvalue count at each site, against the dense oracle."""
+
     def test_minus_site_no_real_eigenvalues(self):
         spec = make_spectrum("linear", {"c": 1.0}, 8)
-        out = linearization_spectrum(spec, 1.0, "minus")
-        assert out.real_count == 0
-        assert out.dense_mismatch <= 1e-9
+        verdict = c1_obstruction_check(spec, 1.0)
+        assert verdict.minus_truncation == 8 and verdict.minus_real_count == 0
+        assert dense_real_counts(spec, 1.0, verdict)[0] == 0
 
     def test_plus_site_single_unstable_real(self):
         spec = make_spectrum("linear", {"c": 1.0}, 9)
-        out = linearization_spectrum(spec, 2.0, "plus")
-        assert out.real_count == 1
-        assert out.real_eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
+        verdict = c1_obstruction_check(spec, 2.0)
+        assert verdict.plus_truncation == 9 and verdict.plus_real_count == 1
+        assert verdict.plus_margin == 1.0
+        dense = np.linalg.eigvals(_site_matrix(spec, 2.0, 9, "plus"))
+        assert dense[dense.imag == 0].real.tolist() == [1.0]
 
     def test_small_coupling_all_real(self):
         spec = make_spectrum("linear", {"c": 1.0}, 8)
-        out = linearization_spectrum(spec, 0.4, "minus")
-        assert out.real_count == 8
-
-    def test_orphaned_mode_rejected(self):
-        spec = make_spectrum("linear", {"c": 1.0}, 7)
-        with pytest.raises(SpectrumError, match="orphan"):
-            linearization_spectrum(spec, 1.0, "minus")
-        spec = make_spectrum("linear", {"c": 1.0}, 8)
-        with pytest.raises(SpectrumError, match="orphan"):
-            linearization_spectrum(spec, 1.0, "plus")
-
-    def test_repeated_blocks_match_dense_by_nearest_eigenvalue(self):
-        # two equal (b, b) blocks give the double pair -b +- iL; the dense
-        # solver splits their real parts by ulps, and pairing the two sorted
-        # lists in order put -b + iL against -b - iL (mismatch 2L = 41)
-        b = 8.282741228754693
-        spec = make_spectrum("explicit", {"values": [8.28220539561142, b, b, b, b]}, 5)
-        out = linearization_spectrum(spec, 20.66937700818356, "plus")
-        assert out.dense_mismatch <= 1e-12
+        verdict = c1_obstruction_check(spec, 0.4)
+        assert (verdict.minus_real_count, verdict.plus_real_count) == (8, 7)
+        assert dense_real_counts(spec, 0.4, verdict) == (8, 7)
 
     def test_block_assembly_matches_dense_to_tolerance(self):
-        spec = make_spectrum("explicit", {"values": [1.0, 2.5, 2.7, 4.0, 4.1, 6.0]}, 6)
-        out = linearization_spectrum(spec, 1.3, "minus")
-        assert out.dense_mismatch <= 1e-9
+        # in-block gaps 1.5, 1.3 and 1.9 at the minus site, 0.2 and 0.1 at the
+        # plus site: 2L = 2.6 beats them all, 1.4 only 1.3 and those of the
+        # plus site, 0.14 only the plus site's 0.1
+        spec = make_spectrum("explicit", {"values": [1.0, 2.5, 2.7, 4.0, 4.1, 6.0]})
+        for coupling, want in ((1.3, (0, 1)), (0.7, (4, 1)), (0.07, (6, 3))):
+            verdict = c1_obstruction_check(spec, coupling)
+            assert (verdict.minus_real_count, verdict.plus_real_count) == want
+            assert dense_real_counts(spec, coupling, verdict) == want
 
 
 class TestObstruction:
@@ -174,25 +211,20 @@ class TestObstruction:
         # plus site has exactly one unstable real mode, so the parity clash
         # is certified here.
         spec = make_spectrum("explicit", {"values": [1.0, 2.0, 4.0, 5.0]}, 4)
-        minus = linearization_spectrum(spec, 1.6, "minus")
-        assert minus.real_count == 0 and minus.dense_mismatch <= 1e-9
         verdict = c1_obstruction_check(spec, 1.6)
+        assert dense_real_counts(spec, 1.6, verdict) == (0, 1)
         assert verdict.minus_real_count == 0
         assert verdict.plus_real_count == 1
         assert verdict.parity_contradiction
 
-    def test_corrupted_block_eigenvalue_refused(self, monkeypatch):
-        spec = make_spectrum("linear", {"c": 1.0}, 9)
-        assert c1_obstruction_check(spec, 2.0).parity_contradiction
-        exact = spectral.block_eigenvalues
-
-        def corrupted(lam_a, lam_b, coupling):
-            r1, r2 = exact(lam_a, lam_b, coupling)
-            return (r1 + 1e-3, r2) if lam_a == 3.0 else (r1, r2)
-
-        monkeypatch.setattr(spectral, "block_eigenvalues", corrupted)
-        with pytest.raises(SpectrumError, match="dense eigensolver"):
-            c1_obstruction_check(spec, 2.0)
+    @pytest.mark.parametrize("n_max,excess", [(1000, 1e-13), (1000, 1e-12), (2000, 1e-12)])
+    def test_just_inside_the_regime_reads_obstruction(self, n_max, excess):
+        # lambda_k = k - 0.75: every gap is 1, the regime bound is 0.5, and
+        # every block is complex for L = 0.5 + excess
+        spec = make_spectrum("explicit", {"values": [k - 0.75 for k in range(1, n_max + 1)]})
+        verdict = c1_obstruction_check(spec, 0.5 + excess)
+        assert verdict.parity_contradiction and verdict.in_regime
+        assert (verdict.minus_real_count, verdict.plus_real_count) == (0, 1)
 
 
 def scenario(spec, budget):
@@ -203,13 +235,13 @@ def scenario(spec, budget):
 
 bounded_spectra = st.one_of(
     st.builds(lambda c, n: make_spectrum("linear", {"c": c}, n),
-              st.floats(min_value=0.05, max_value=20.0), st.integers(3, 24)),
+              st.floats(min_value=0.05, max_value=20.0), st.integers(3, 200)),
     st.builds(lambda kappa, n: make_spectrum("power", {"kappa": kappa}, n),
-              st.floats(min_value=0.05, max_value=1.0), st.integers(3, 24)),
+              st.floats(min_value=0.05, max_value=1.0), st.integers(3, 200)),
     st.builds(lambda head, steps: make_spectrum(
         "explicit", {"values": list(np.cumsum([head] + steps))}, len(steps) + 1),
               st.floats(min_value=0.01, max_value=10.0),
-              st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=12)),
+              st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=199)),
 )
 
 
@@ -231,7 +263,68 @@ class TestRegimeBound:
         assert scenario(spec, above).lipschitz_budget == above
         assert c1_obstruction_check(spec, above).in_regime
 
+    @pytest.mark.parametrize("n_max", [40, 41])
+    @pytest.mark.parametrize("offset", [0.0, 0.75])
+    def test_boundary_against_closed_form(self, n_max, offset):
+        # lambda_k = k - offset, every gap 1.  With offset 0 the bound is
+        # lambda_1 = 1, and at L = 1 every block is complex but the plus
+        # site's L - lambda_1 is 0.  With offset 0.75 the bound is L0/2 = 0.5,
+        # and at L = 0.5 every gap ties with 2L: all roots are real.
+        spec = make_spectrum("explicit", {"values": [k - offset for k in range(1, n_max + 1)]})
+        bound = regime_bound(spec)
+        n_minus, n_plus = n_max - n_max % 2, n_max - 1 + n_max % 2
+        at = c1_obstruction_check(spec, bound)
+        assert not at.in_regime and not at.parity_contradiction
+        if offset == 0.0:
+            assert bound == 1.0 and at.plus_margin == 0.0
+            assert (at.minus_real_count, at.plus_real_count) == (0, 1)
+        else:
+            assert bound == 0.5 and at.block_margin == 0.0
+            assert (at.minus_real_count, at.plus_real_count) == (n_minus, n_plus)
+        above = c1_obstruction_check(spec, math.nextafter(bound, math.inf))
+        assert above.in_regime and above.parity_contradiction
+        assert (above.minus_real_count, above.plus_real_count) == (0, 1)
+
     def test_unbounded_gap_refused(self):
         with pytest.raises(SimulationError, match="unbounded spectral gap"):
             scenario(make_spectrum("power", {"kappa": 1.5}, 8), 1e9)
         assert not c1_obstruction_check(make_spectrum("quadratic", {}, 8), 1e9).in_regime
+
+
+def boundary_distance(spec, coupling, verdict):
+    """Least |L - gap/2| / (1 + lambda_b) over both sites' blocks."""
+    return min(float(np.min(np.abs(coupling - 0.5 * (spec.values[b] - spec.values[a]))
+                            / (1.0 + spec.values[b])))
+               for n, site in ((verdict.minus_truncation, "minus"),
+                               (verdict.plus_truncation, "plus"))
+               for a, b in (site_pairs(n, site),))
+
+
+couplings = st.floats(min_value=0.05, max_value=2.0)
+
+
+@settings(deadline=None)
+@given(bounded_spectra, couplings)
+# two equal (b, b) plus-site blocks: the repeated pair -b +- iL, at L = 20.67
+@example(make_spectrum("explicit", {"values": [8.28220539561142] + [8.282741228754693] * 4}),
+         20.66937700818356 / 8.28220539561142)
+def test_counts_match_dense_oracle(spec, ratio):
+    # L = ratio * regime_bound, kept 1e-6 (1 + lambda_b) away from every
+    # block's boundary gap/2, where the dense solver's rounding decides
+    coupling = ratio * regime_bound(spec)
+    verdict = c1_obstruction_check(spec, coupling)
+    assume(boundary_distance(spec, coupling, verdict) > 1e-6)
+    assert dense_real_counts(spec, coupling, verdict) == (verdict.minus_real_count,
+                                                          verdict.plus_real_count)
+
+
+@given(bounded_spectra, couplings)
+def test_margins_decide_the_regime(spec, ratio):
+    coupling = ratio * regime_bound(spec)
+    verdict = c1_obstruction_check(spec, coupling)
+    assert verdict.in_regime == (verdict.block_margin > 0 and verdict.plus_margin > 0)
+    assert verdict.block_margin == 2 * coupling - spectral_gap(spec)
+    # the parity clash needs counts 0 and 1 and an unstable plus mode
+    clash = (verdict.minus_real_count, verdict.plus_real_count) == (0, 1) \
+        and verdict.plus_margin > 0
+    assert clash == verdict.in_regime == verdict.parity_contradiction

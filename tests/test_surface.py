@@ -4,7 +4,8 @@ by some call, unless KEEP or OPTION_KEEP says why not; every module reads
 what it imports unless the benchmark's layer tracer wraps that binding;
 every binding the tracer wraps still resolves, so a deletion that would
 break the traced run fails here first; and the smooth-step kernel and the
-CLI run without the packages only the test oracles use."""
+CLI run without the packages only the test oracles use, and without
+`fractions`, which only an exact tie in the parity count imports."""
 
 import ast
 import glob
@@ -330,7 +331,7 @@ def test_tracer_bindings_resolve():
     assert geometry.box_count is original
 
 
-@pytest.mark.parametrize("module", ["sympy", "scipy", "jsonschema"])
+@pytest.mark.parametrize("module", ["sympy", "scipy", "jsonschema", "fractions"])
 def test_runs_without(module):
     # a fresh interpreter, so no earlier import in this session can mask it
     code = (
