@@ -57,9 +57,7 @@ def cmd_gap_check(cfg, args) -> int:
               "budget, inertial-manifold regime at every L beyond the gap")
         return _finish(report, out, started)
     verdict = c1_obstruction_check(spec, coupling)
-    report.verdicts["gap_check"] = (
-        "obstruction" if verdict.parity_contradiction else "no_obstruction"
-    )
+    report.verdicts["gap_check"] = "obstruction" if verdict.in_regime else "no_obstruction"
     report.constants.update({
         "L0": gap,
         "L": coupling,

@@ -5,10 +5,12 @@ smoothness criterion for the forcing laws.
 A cloud's points are one coordinate table: flat, aligned (point, mode,
 sign, log magnitude) arrays sorted by (point, mode), since the coordinates
 of interest sit far below the double range.  Every scale is passed as its
-log (log_eps, log_scales), for the same reason; every ball cover reads one
-cached log-distance matrix per norm view, and every box count reads only
-the few coordinates each point stores (a padded column table), never an
-n x m cell matrix."""
+log (log_eps, log_scales), for the same reason.  A cloud keeps only the
+few coordinates each point stores, as n x K slot arrays (K the most any
+point stores), never an n x m matrix over all stored modes: every log
+distance sums over the union of a pair's stored columns, every ball cover
+reads one cached log-distance matrix per norm view, and every box count
+reads only the stored slots."""
 
 from __future__ import annotations
 
@@ -52,21 +54,21 @@ _LOG_SLACK = 1e-12
 _EXACT_COVER_CAP = 24
 # one float64 log-distance matrix per norm view: 4800^2 doubles is 184 MB
 _MATRIX_CAP = 4800
+# terms per block of distance rows (rows x points x 2K), 64 KB of doubles
+_BLOCK_TERMS = 2**13
 
 
 class GeometryError(ValueError):
     """Invalid scale, window, or cloud for the requested estimator."""
 
 
-def _logsumexp_rows(terms: np.ndarray) -> np.ndarray:
-    m = np.max(terms, axis=1, initial=NEG_INF)  # a cloud may store no coordinate
-    out = np.full(terms.shape[0], NEG_INF)
-    finite = m > NEG_INF
-    if np.any(finite):
-        t = terms[finite] - m[finite][:, None]
-        t[np.isnan(t)] = NEG_INF
-        out[finite] = m[finite] + np.log(np.sum(np.exp(t), axis=1))
-    return out
+def _slot_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of x, left to right, so a row's sum does not depend on the
+    rows around it."""
+    total = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        total += x[:, j]
+    return total
 
 
 @dataclass
@@ -119,13 +121,14 @@ class PointCloud:
     spectrum: Spectrum | None = None
     s: float = 0.0
     tags: list[str] = field(default_factory=list)
-    # the distinct stored modes, ascending: column j of the matrices below
+    # the distinct stored modes, ascending: column j of the column table
     _indices: list[int] = field(init=False, repr=False)
-    _signs: np.ndarray = field(init=False, repr=False)
-    _logmags: np.ndarray = field(init=False, repr=False)
     # row r's stored columns, in mode order, padded with the sentinel m
     # to K = max(1, most coordinates a point stores)
     _cols: np.ndarray = field(init=False, repr=False)
+    # the sign and log magnitude at each slot of _cols; padding holds 0, -inf
+    _signs: np.ndarray = field(init=False, repr=False)
+    _logmags: np.ndarray = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -141,32 +144,33 @@ class PointCloud:
         n, m = t.n, len(self._indices)
         stored = np.bincount(t.point, minlength=n)
         slots = np.arange(len(cols)) - np.repeat(np.cumsum(stored) - stored, stored)
-        self._signs = np.zeros((n, m))
-        self._logmags = np.full((n, m), NEG_INF)
-        self._signs[t.point, cols] = t.sign
-        self._logmags[t.point, cols] = t.log
-        self._cols = np.full((n, max(1, int(stored.max()))), m, dtype=np.intp)
+        shape = (n, max(1, int(stored.max())))
+        self._cols = np.full(shape, m, dtype=np.intp)
+        self._signs = np.zeros(shape)
+        self._logmags = np.full(shape, NEG_INF)
         self._cols[t.point, slots] = cols
+        self._signs[t.point, slots] = t.sign
+        self._logmags[t.point, slots] = t.log
 
     def __len__(self) -> int:
         return self.points.n
 
     def with_norm(self, s: float) -> "PointCloud":
         """The same points under the H^s norm: a view that shares the
-        coordinate table, tags, dense sign/log-magnitude matrices and column
-        table with this cloud (no rebuild) and starts an empty cache of its
-        own, so cache keys need no s."""
+        coordinate table, tags and slot arrays (column, sign and log
+        magnitude tables) with this cloud (no rebuild) and starts an empty
+        cache of its own, so cache keys need no s."""
         view = copy.copy(self)
         view.s = s
         view._cache = {}
         return view
 
     def _weight_logs(self) -> np.ndarray:
-        """Per-coordinate log weights s log(lambda_i), zero on the planar
-        block; computed once per view."""
+        """Per-column log weights s log(lambda_i), zero on the planar block
+        and on the padding column m; computed once per view."""
         w = self._cache.get("w")
         if w is None:
-            w = np.zeros(len(self._indices))
+            w = np.zeros(len(self._indices) + 1)
             if self.spectrum is not None:
                 for k, i in enumerate(self._indices):
                     if i not in (PLANAR_X, PLANAR_Y):
@@ -174,29 +178,71 @@ class PointCloud:
             self._cache["w"] = w
         return w
 
+    def _distance_logs(self, rows: np.ndarray) -> np.ndarray:
+        """log distances from each listed point to every point, in the
+        selected norm, as a (len(rows), n) array.
+
+        A pair's terms live on the union of its stored columns, so a row is
+        n x 2K work.  Each listed point's slot positions are scattered into a
+        (rows, m + 1) lookup, which is gathered on every point's columns to
+        find the shared ones.  A shared column's term is w_j + 2 log|x_j -
+        y_j| with the larger magnitude factored out; a column only one point
+        stores gives w_j + 2 log|x_j|.  The shared terms are summed in column
+        order, and the two one-sided sums are added to each other first, so
+        the distance from a to b is bit for bit the one from b to a, and a
+        row is the same in any block."""
+        C, L, S = self._cols, self._logmags, self._signs
+        r, K = len(rows), C.shape[1]
+        m = len(self._indices)
+        w = self._weight_logs()
+        lookup = np.full((r, m + 1), K)  # slot K: a column the listed point leaves out
+        lookup[np.arange(r)[:, None], C[rows]] = np.arange(K)
+        lookup[:, m] = K
+        at = lookup[:, C]
+        every = np.arange(r)[:, None, None]
+        li = np.append(L[rows], np.full((r, 1), NEG_INF), axis=1)[every, at]
+        si = np.append(S[rows], np.zeros((r, 1)), axis=1)[every, at]
+        # a term on each of the other point's columns
+        big = np.maximum(L, li)
+        big = np.where(np.isneginf(big), 0.0, big)
+        with np.errstate(divide="ignore"):
+            diff = S * np.exp(L - big) - si * np.exp(li - big)
+            theirs = w[C] + 2.0 * (big + np.log(np.abs(diff)))
+        # and on each of the listed point's columns that the other leaves out
+        covered = np.zeros((r, len(self), K + 1), dtype=bool)
+        np.put_along_axis(covered, at, True, axis=2)
+        own = np.where(covered[:, :, :K], NEG_INF, (w[C[rows]] + 2.0 * L[rows])[:, None, :])
+        top = np.maximum(np.max(theirs, axis=2), np.max(own, axis=2))
+        out = np.full(top.shape, NEG_INF)
+        live = top > NEG_INF  # else a duplicate point, or two points storing nothing
+        top = top[live][:, None]
+        scaled = np.exp(theirs[live] - top)
+        shared = at[live] < K
+        total = _slot_sum(np.where(shared, scaled, 0.0)) + (
+            _slot_sum(np.where(shared, 0.0, scaled)) + _slot_sum(np.exp(own[live] - top)))
+        out[live] = 0.5 * (top[:, 0] + np.log(total))
+        return out
+
     def distance_log_row(self, i: int) -> np.ndarray:
         """log distances from point i to every point, in the selected norm."""
-        w = self._weight_logs()
-        L, S = self._logmags, self._signs
-        li, si = L[i], S[i]
-        m = np.maximum(L, li[None, :])
-        ms = np.where(np.isneginf(m), 0.0, m)
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            diff = S * np.exp(L - ms) - si[None, :] * np.exp(li[None, :] - ms)
-            terms = w[None, :] + 2.0 * (ms + np.log(np.abs(diff)))
-        terms[np.isnan(terms)] = NEG_INF
-        return 0.5 * _logsumexp_rows(terms)
+        return self._distance_logs(np.array([i]))[0]
 
     def distance_log_matrix(self) -> np.ndarray:
         """All log distances in the selected norm: the distance_log_row
-        rows stacked once per view and cached; callers must not write to it."""
+        rows, filled in blocks of at most _BLOCK_TERMS terms (one row when a
+        row has more) once per view and cached; callers must not write to
+        it."""
         D = self._cache.get("matrix")
         if D is None:
             n = len(self)
             if n > _MATRIX_CAP:
                 raise GeometryError(f"log-distance matrix capped at {_MATRIX_CAP} points; "
                                     f"the cloud has {n}")
-            D = self._cache["matrix"] = np.stack([self.distance_log_row(i) for i in range(n)])
+            D = np.empty((n, n))
+            step = max(1, _BLOCK_TERMS // (2 * n * self._cols.shape[1]))
+            for a in range(0, n, step):
+                D[a:a + step] = self._distance_logs(np.arange(a, min(a + step, n)))
+            self._cache["matrix"] = D
         return D
 
     def weighted_slots(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -214,12 +260,12 @@ class PointCloud:
         cols = self._cols
         n, m = len(self), len(self._indices)
         stored = cols < m
-        rows, at = np.nonzero(stored)[0], cols[stored]
-        logs = self._logmags[rows, at] + 0.5 * self._weight_logs()[at]
+        at = cols[stored]
+        logs = self._logmags[stored] + 0.5 * self._weight_logs()[at]
         out = None
         if not np.any(logs < math.log(2.0**-1000)):
             vals = np.zeros(cols.shape)
-            vals[stored] = self._signs[rows, at] * np.exp(logs)
+            vals[stored] = self._signs[stored] * np.exp(logs)
             lo = np.full(m + 1, np.inf)
             np.minimum.at(lo, at, vals[stored])
             # columns some point leaves out, and the padding column, hold 0.0

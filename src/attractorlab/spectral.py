@@ -160,7 +160,6 @@ def site_pairs(n: int, site: str) -> tuple[np.ndarray, np.ndarray]:
 class ObstructionVerdict:
     minus_real_count: int
     plus_real_count: int
-    parity_contradiction: bool
     in_regime: bool
     minus_truncation: int
     plus_truncation: int
@@ -198,10 +197,11 @@ def c1_obstruction_check(spec: Spectrum, coupling: float) -> ObstructionVerdict:
     block's real count is 2 when its gap is at least 2L (a gap of exactly
     2L is a double real root) and 0 otherwise, decided exactly as in the
     module docstring.  So the counts are 0 and 1 exactly when
-    L > regime_bound(spec) = max(L0/2, lambda_1), and parity_contradiction
-    is in_regime.  Outside the regime the verdict reads "no obstruction
-    certified".  block_margin is the least 2L - gap over both sites'
-    blocks and plus_margin is L - lambda_1, both in double arithmetic.
+    L > regime_bound(spec) = max(L0/2, lambda_1), so in_regime certifies
+    the parity contradiction.  Outside the regime the verdict reads "no
+    obstruction certified".  block_margin is the least 2L - gap over both
+    sites' blocks and plus_margin is L - lambda_1, both in double
+    arithmetic.
     """
     n_trunc = spec.n_max
     if n_trunc < 3:
@@ -221,6 +221,5 @@ def c1_obstruction_check(spec: Spectrum, coupling: float) -> ObstructionVerdict:
         )
     else:
         note = "no obstruction certified: L outside the regime L > max(L0/2, lambda_1)"
-    return ObstructionVerdict(minus_real, 1 + plus_real, in_regime, in_regime, n_minus, n_plus,
-                              note, min(minus_least, plus_least),
-                              coupling - float(spec.values[0]))
+    return ObstructionVerdict(minus_real, 1 + plus_real, in_regime, n_minus, n_plus, note,
+                              min(minus_least, plus_least), coupling - float(spec.values[0]))

@@ -28,6 +28,10 @@ from conftest import dict_cloud, point_dicts
 
 LINEAR = {"family": "linear", "n_max": 16, "params": {"c": 1.0}}
 SCAN_CSVS = ("dimension_scan.csv", "cloud.csv")
+SMALL_SECTION4 = {
+    "spectrum": {"family": "quadratic", "n_max": 12},
+    "geometry": {"cloud": {"kind": "section4", "n_max": 12},
+                 "s_list": [0, 2], "scales": "1e-1:1e-3:4"}}
 SMALL_DYNAMICS = {
     "spectrum": {"family": "linear", "n_max": 14, "params": {"c": 1.0}},
     "dynamics": {"n_trunc": 8, "n_periods": 3, "steps_per_period": 1024},
@@ -467,10 +471,7 @@ class TestSimulate:
 
 class TestDimension:
     def test_section4_byte_identical(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", {
-            "spectrum": {"family": "quadratic", "n_max": 12},
-            "geometry": {"cloud": {"kind": "section4", "n_max": 12},
-                         "s_list": [0, 2], "scales": "1e-1:1e-3:4"}})
+        cfg = write_config(tmp_path / "c.json", SMALL_SECTION4)
         assert run(cfg, tmp_path / "a", "dimension") == 0
         assert run(cfg, tmp_path / "b", "dimension", "--threads", "2") == 0
         assert read_bytes(tmp_path / "a") == read_bytes(tmp_path / "b")
@@ -513,6 +514,26 @@ class TestDimension:
                 assert hashlib.sha256(fh.read()).hexdigest() == (
                     "8ce8d9b0ad8299ff95888d2e38db5f10900c65b9d3b3077c6973c641c374aa84")
 
+    @pytest.mark.parametrize("kind", ["section4", "file"])
+    def test_traced_run_counts_stored_slots(self, tmp_path, cube_cloud_file, kind, capsys):
+        # perfbench's layer tracer wraps the cloud build and reads the built
+        # cloud's attributes; a traced run must still work, and its
+        # geometry.dense_cells counts the n x K slots the cloud keeps
+        raw = SMALL_SECTION4 if kind == "section4" else file_config(cube_cloud_file)
+        cfg = write_config(tmp_path / "c.json", raw)
+        tracer = load_layers().Tracer()
+        tracer.install()
+        try:
+            assert run(cfg, tmp_path / "out", "dimension") == 0
+        finally:
+            tracer.uninstall()
+        table = load_cloud_csv(str(tmp_path / "out" / "cloud.csv")).points
+        stored = np.bincount(table.point, minlength=table.n)
+        assert tracer.calls["geometry.cloud_build"] == 1
+        assert tracer.counters["geometry.dense_cells"] == table.n * max(1, int(stored.max()))
+        if kind == "file":  # include_doubling: the covers ran traced too
+            assert tracer.calls["geometry.doubling"] == 5 and tracer.calls["geometry.cover"] > 0
+
     @staticmethod
     def count_builds(monkeypatch) -> list:
         builds = []
@@ -530,7 +551,7 @@ class TestDimension:
         builds = self.count_builds(monkeypatch)
         cfg = write_config(tmp_path / "c.json", file_config(cube_cloud_file))
         assert run(cfg, tmp_path / "out", "dimension") == 0
-        assert len(builds) == 1  # the loaded file; the s = 0 view shares its matrices
+        assert len(builds) == 1  # the loaded file; the s = 0 view shares its slot arrays
 
     def test_bad_cubes_diverging(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {
@@ -558,12 +579,9 @@ class TestDimension:
 
     def test_section4_scan_builds_one_cloud(self, tmp_path, monkeypatch, capsys):
         builds = self.count_builds(monkeypatch)
-        cfg = write_config(tmp_path / "c.json", {
-            "spectrum": {"family": "quadratic", "n_max": 12},
-            "geometry": {"cloud": {"kind": "section4", "n_max": 12},
-                         "s_list": [0, 2], "scales": "1e-1:1e-3:4"}})
+        cfg = write_config(tmp_path / "c.json", SMALL_SECTION4)
         assert run(cfg, tmp_path / "out", "dimension") == 0
-        assert len(builds) == 1  # both s views share the section-4 cloud's matrices
+        assert len(builds) == 1  # both s views share the section-4 cloud's slot arrays
         # both CSVs as this config wrote them at commit 33becc3, before clouds
         # became one coordinate table
         for name, digest in (

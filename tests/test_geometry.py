@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from attractorlab.geometry import (PLANAR_X, PLANAR_Y, GeometryError,
+from attractorlab.geometry import (PLANAR_X, PLANAR_Y, GeometryError, PointCloud,
                                    _greedy_cover, box_count, covering_number,
                                    cube_doubling_report, doubling_factor,
                                    fractal_dimension_estimate,
@@ -47,6 +47,17 @@ def grid_cloud(m=8, spacing=1.0):
     xs = np.arange(m) * spacing
     pts = np.array([(x, y) for x in xs for y in xs])
     return dense_cloud(pts, first_index=PLANAR_Y)
+
+
+def wide_cloud(n, m, seed=5):
+    """n points over the m modes of a quadratic spectrum, each storing one
+    to three of them, with every mode stored by some point when n >= m."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for r in range(n):
+        modes = {r % m + 1, *rng.integers(1, m + 1, size=int(rng.integers(0, 3))).tolist()}
+        pts.append({i: (int(rng.choice([-1, 1])), float(rng.normal(-1, 2))) for i in modes})
+    return dict_cloud(pts, make_spectrum("quadratic", {}, m))
 
 
 class TestDistances:
@@ -268,10 +279,10 @@ class TestCoverOracle:
             doubling_factor(cloud, 0.0)
 
 
-def reference_coords(cloud):
-    """Reference coordinates: the norm-weighted points as one dense n x m
-    matrix, built straight from the cloud's coordinates and the spectrum's
-    weights."""
+def dense_tables(cloud):
+    """The cloud as dense n x m sign and log-magnitude matrices over its
+    stored modes, built straight from its coordinates, and each mode's log
+    weight from the spectrum."""
     points = point_dicts(cloud)
     idx = sorted({i for p in points for i in p})
     signs = np.zeros((len(cloud), len(idx)))
@@ -282,7 +293,34 @@ def reference_coords(cloud):
                 signs[r, k], logmags[r, k] = p[i]
     w = np.array([0.0 if cloud.spectrum is None or i in (PLANAR_X, PLANAR_Y)
                   else cloud.s * math.log(cloud.spectrum.lam(i)) for i in idx])
+    return signs, logmags, w
+
+
+def reference_coords(cloud):
+    """Reference coordinates: the norm-weighted points as one dense n x m
+    matrix."""
+    signs, logmags, w = dense_tables(cloud)
     return signs * np.exp(logmags + 0.5 * w)
+
+
+def dense_distance_log_row(cloud, i):
+    """Reference log distances from point i, as PointCloud.distance_log_row
+    computed them over dense n x m matrices at commit d9f0f82: every column
+    gives a term, the larger magnitude factored out, and one np.sum over
+    all columns sums each row."""
+    S, L, w = dense_tables(cloud)
+    li, si = L[i], S[i]
+    m = np.maximum(L, li[None, :])
+    ms = np.where(np.isneginf(m), 0.0, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = S * np.exp(L - ms) - si[None, :] * np.exp(li[None, :] - ms)
+        terms = w[None, :] + 2.0 * (ms + np.log(np.abs(diff)))
+    terms[np.isnan(terms)] = -np.inf
+    top = np.max(terms, axis=1, initial=-np.inf)
+    out = np.full(len(S), -np.inf)
+    live = top > -np.inf
+    out[live] = top[live] + np.log(np.sum(np.exp(terms[live] - top[live][:, None]), axis=1))
+    return 0.5 * out
 
 
 def sorted_box_count(cloud, log_eps):
@@ -305,11 +343,11 @@ def coarse_arrays(draw):
 SPARSE_SPECTRUM = make_spectrum("quadratic", {}, 12)
 
 
-def sparse_cloud(rows, s):
-    """One point per {index: value} dict, under the H^s norm of a quadratic
-    spectrum."""
-    return dict_cloud([{i: (1 if v > 0 else -1, math.log(abs(v))) for i, v in row.items()}
-                       for row in rows], SPARSE_SPECTRUM, s)
+def sparse_cloud(rows, s, log_shift=0.0):
+    """One point per {index: value} dict, scaled by exp(log_shift), under
+    the H^s norm of a quadratic spectrum."""
+    return dict_cloud([{i: (1 if v > 0 else -1, math.log(abs(v)) + log_shift)
+                        for i, v in row.items()} for row in rows], SPARSE_SPECTRUM, s)
 
 
 @st.composite
@@ -320,6 +358,57 @@ def sparse_rows(draw):
     index = st.sampled_from([PLANAR_Y, PLANAR_X, *range(1, 11)])
     value = st.sampled_from([-1.0, -0.75, -0.5, -0.25, -0.01, 0.01, 0.25, 0.5, 0.75, 1.0, 1.5])
     return draw(st.lists(st.dictionaries(index, value, max_size=3), min_size=1, max_size=30))
+
+
+class TestSlotDistances:
+    """Log distances from each point's stored slots, against the dense
+    n x m formula they replace."""
+
+    @given(sparse_rows(), st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from([0.0, -5000.0]))
+    @example([{}, {PLANAR_X: -0.5, 4: 1.0}, {}], 1.0, 0.0)  # empty points
+    @example([{1: 0.5, 3: 0.75}, {2: 0.25}, {1: 0.5, 3: 0.75}], 0.0, 0.0)  # duplicates
+    @example([{1: 0.5, 2: 0.25}, {1: 0.5, 3: -1.0}], 2.5, 0.0)  # shared column, equal values
+    @example([{3: 1.0}, {4: 1.0}, {3: 1.0, 4: -0.25}, {}], 1.0, -5000.0)  # far below doubles
+    @example([{PLANAR_X: 0.75, PLANAR_Y: -0.25}, {PLANAR_X: -0.5, 5: 1.5}, {PLANAR_Y: 1.0}],
+             2.5, 0.0)  # the planar block, weight one at every s
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_oracle(self, rows, s, log_shift):
+        # Each term is the dense formula's own; only the grouping of the sum
+        # differs.  A sum's round-off is relative, so it moves a log distance
+        # by a few ulp of 1 however close to 0 the log is: the bound is 4 ulp
+        # of the larger of |log distance| and 1.
+        cloud = sparse_cloud(rows, s, log_shift)
+        for i in range(len(cloud)):
+            got, want = cloud.distance_log_row(i), dense_distance_log_row(cloud, i)
+            assert np.array_equal(np.isneginf(got), np.isneginf(want))
+            assert not np.any(np.isnan(got))
+            live = ~np.isneginf(want)
+            ulp = np.spacing(np.maximum(np.abs(want[live]), 1.0))
+            assert np.all(np.abs(got[live] - want[live]) <= 4 * ulp)
+        D = cloud.distance_log_matrix()
+        assert np.array_equal(D, D.T)  # the same sum from either point
+
+    def test_memory_below_one_dense_matrix(self):
+        n, m = 2000, 400
+        cloud = wide_cloud(n, m)
+        tracemalloc.start()
+        try:
+            built = PointCloud(cloud.points, cloud.spectrum, 2.0)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sub = PointCloud(cloud.points.select(np.arange(288)), cloud.spectrum, 2.0)
+            D = sub.distance_log_matrix()
+            matrix_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_peak < n * m * 8  # one dense float64 n x m matrix, 6.4 MB
+        assert matrix_peak < D.nbytes + 2**20
+        assert built._signs.shape == built._logmags.shape == built._cols.shape == (n, 3)
+        # the matrix is filled in blocks of a few rows; rows on both sides of
+        # block edges read as distance_log_row computes them alone
+        for i in (0, 3, 4, 7, 286, 287):
+            assert D[i].tobytes() == sub.distance_log_row(i).tobytes()
+        assert np.array_equal(D, D.T)
 
 
 # Box counts of the n_max 24 section-4 cloud (3382 points) at scales
@@ -364,12 +453,7 @@ class TestBoxCount:
 
     def test_memory_below_one_dense_matrix(self):
         n, m = 2000, 400
-        rng = np.random.default_rng(5)
-        pts = []
-        for r in range(n):  # every column stored by some point
-            modes = {r % m + 1, *rng.integers(1, m + 1, size=int(rng.integers(0, 3))).tolist()}
-            pts.append({i: (int(rng.choice([-1, 1])), float(rng.normal(-1, 2))) for i in modes})
-        view = dict_cloud(pts, make_spectrum("quadratic", {}, m)).with_norm(2.0)
+        view = wide_cloud(n, m).with_norm(2.0)
         tracemalloc.start()
         try:
             assert view.weighted_slots() is not None

@@ -193,7 +193,7 @@ class TestObstruction:
     def test_contradiction_in_regime(self):
         spec = make_spectrum("linear", {"c": 1.0}, 33)
         verdict = c1_obstruction_check(spec, 2.0)
-        assert verdict.parity_contradiction
+        assert verdict.in_regime
         assert verdict.minus_real_count == 0
         assert verdict.plus_real_count == 1
         assert verdict.minus_truncation == 32
@@ -202,7 +202,6 @@ class TestObstruction:
     def test_gap_condition_regime_no_obstruction(self):
         spec = make_spectrum("linear", {"c": 1.0}, 32)
         verdict = c1_obstruction_check(spec, 0.4)
-        assert not verdict.parity_contradiction
         assert not verdict.in_regime
 
     def test_explicit_spectrum_against_dense_oracle(self):
@@ -215,7 +214,7 @@ class TestObstruction:
         assert dense_real_counts(spec, 1.6, verdict) == (0, 1)
         assert verdict.minus_real_count == 0
         assert verdict.plus_real_count == 1
-        assert verdict.parity_contradiction
+        assert verdict.in_regime
 
     @pytest.mark.parametrize("n_max,excess", [(1000, 1e-13), (1000, 1e-12), (2000, 1e-12)])
     def test_just_inside_the_regime_reads_obstruction(self, n_max, excess):
@@ -223,7 +222,7 @@ class TestObstruction:
         # every block is complex for L = 0.5 + excess
         spec = make_spectrum("explicit", {"values": [k - 0.75 for k in range(1, n_max + 1)]})
         verdict = c1_obstruction_check(spec, 0.5 + excess)
-        assert verdict.parity_contradiction and verdict.in_regime
+        assert verdict.in_regime
         assert (verdict.minus_real_count, verdict.plus_real_count) == (0, 1)
 
 
@@ -274,7 +273,7 @@ class TestRegimeBound:
         bound = regime_bound(spec)
         n_minus, n_plus = n_max - n_max % 2, n_max - 1 + n_max % 2
         at = c1_obstruction_check(spec, bound)
-        assert not at.in_regime and not at.parity_contradiction
+        assert not at.in_regime
         if offset == 0.0:
             assert bound == 1.0 and at.plus_margin == 0.0
             assert (at.minus_real_count, at.plus_real_count) == (0, 1)
@@ -282,7 +281,7 @@ class TestRegimeBound:
             assert bound == 0.5 and at.block_margin == 0.0
             assert (at.minus_real_count, at.plus_real_count) == (n_minus, n_plus)
         above = c1_obstruction_check(spec, math.nextafter(bound, math.inf))
-        assert above.in_regime and above.parity_contradiction
+        assert above.in_regime
         assert (above.minus_real_count, above.plus_real_count) == (0, 1)
 
     def test_unbounded_gap_refused(self):
@@ -327,4 +326,4 @@ def test_margins_decide_the_regime(spec, ratio):
     # the parity clash needs counts 0 and 1 and an unstable plus mode
     clash = (verdict.minus_real_count, verdict.plus_real_count) == (0, 1) \
         and verdict.plus_margin > 0
-    assert clash == verdict.in_regime == verdict.parity_contradiction
+    assert clash == verdict.in_regime
