@@ -4,6 +4,7 @@ significant digits), human tables are rounded views."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,11 @@ from .integrators import PeriodLog
 __all__ = ["fmt17", "RunReport", "write_csv", "trajectory_rows", "cloud_rows",
            "geometry_rows", "load_cloud_csv", "write_json"]
 
+# Rows write_csv formats at a time.
+CSV_CHUNK = 4096
+# A str cell holding one of these may need quoting, so it goes to csv.writer.
+_CSV_QUOTED = ',"\r\n'
+
 
 def fmt17(x) -> str:
     if x is None:
@@ -27,13 +33,53 @@ def fmt17(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> str:
+    """Write the header and rows to path as CSV with LF line ends, making
+    its directory; returns path.
+
+    A float (numpy's included) is written to 17 significant digits, so it
+    reads back bit for bit, `inf`, `nan` and `-0` included; an int or bool
+    is written verbatim (`str`), a str as itself, None as an empty cell,
+    and any other value as a float to 17 digits.  Cells are quoted as
+    csv.writer quotes them.  Rows are read CSV_CHUNK at a time; a chunk
+    whose rows have one width of at least two cells, each column of plain
+    ints, floats, or strs that need no quoting, is formatted with one `%`
+    operation, which gives the same bytes."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    rows = iter(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, (str, int)) else fmt17(v) for v in row])
+        while chunk := list(itertools.islice(rows, CSV_CHUNK)):
+            row_format = _row_format(chunk)
+            if row_format is None:
+                for row in chunk:
+                    writer.writerow([v if isinstance(v, (str, int)) else fmt17(v) for v in row])
+            else:
+                fh.write(row_format * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
     return path
+
+
+def _row_format(chunk: list) -> str | None:
+    """The `%` format of one row of the chunk, or None when some column has
+    no single conversion that writes it as csv.writer would.  A one-cell
+    row goes to csv.writer, which quotes an empty cell there."""
+    if len(set(map(len, chunk))) != 1 or len(chunk[0]) < 2:
+        return None
+    formats = []
+    for column in zip(*chunk):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            formats.append("%d")
+        elif all(issubclass(kind, float) for kind in kinds):
+            formats.append("%.17g")
+        elif kinds == {str}:
+            text = "".join(column)
+            if any(c in text for c in _CSV_QUOTED):
+                return None
+            formats.append("%s")
+        else:
+            return None
+    return ",".join(formats) + "\n"
 
 
 def write_json(path: str, payload: dict) -> str:

@@ -295,7 +295,6 @@ class Section4Laws:
     """Interval-length and fiber-height laws of the projected-attractor
     construction, as log-space callables of the level index."""
 
-    name: str
     log_a: object
     log_b: object
     log_lam: object
@@ -308,7 +307,7 @@ def thm44_laws() -> Section4Laws:
     log_lam = lambda n: 2.0 * np.log(n)
     log_a = lambda n: -0.5 * log_lam(n) - 2.0 * np.log(log_lam(n))
     log_b = lambda n: log_a(n) - np.log(log_lam(n))
-    return Section4Laws("thm44", log_a, log_b, log_lam)
+    return Section4Laws(log_a, log_b, log_lam)
 
 
 def smooth_forcing_laws(n_max: int) -> Section4Laws:
@@ -320,7 +319,7 @@ def smooth_forcing_laws(n_max: int) -> Section4Laws:
     log_a = lambda n: math.log(c) - 2.0 * np.log(n)
     log_b = lambda n: -np.sqrt(n)
     log_lam = lambda n: 2.0 * np.log(n)
-    return Section4Laws("smooth", log_a, log_b, log_lam)
+    return Section4Laws(log_a, log_b, log_lam)
 
 
 def section4_attractor(laws: Section4Laws, spec: Spectrum, n_max: int,
@@ -328,7 +327,16 @@ def section4_attractor(laws: Section4Laws, spec: Spectrum, n_max: int,
     """Analytic attractor sample: the planar disk on DISK_RINGS rings, the
     per-level equilibria (cos phi_n, sin phi_n, B_n / lambda_n e_n), and the
     connecting segments, SEGMENT_POINTS points each, discretized
-    geometrically toward zero."""
+    geometrically toward zero.
+
+    The coordinate table is filled directly in (point, mode) order: each
+    point's y, x and fibre coordinates, a zero one left out.  The cosines,
+    sines, logs and per-level law calls stay scalar (`math`, one-element
+    arrays), because numpy's vector paths for the transcendental functions
+    may round differently by an ulp, and every cloud coordinate is written
+    to cloud.csv at 17 digits; the fibre logs top_log - 0.25 j are one
+    array subtraction, the same IEEE operation as a scalar one.  The report
+    is empty."""
     ns = np.arange(FIRST_LEVEL, n_max + 1, dtype=float)
     a_n = np.exp(laws.log_a(ns))
     total = float(np.sum(a_n))
@@ -340,49 +348,50 @@ def section4_attractor(laws: Section4Laws, spec: Spectrum, n_max: int,
     edges = np.concatenate([[0.0], np.cumsum(a_n)])
     phis = 0.5 * (edges[:-1] + edges[1:])
 
-    entries: list[tuple] = []  # (point, mode, sign, log) of the coordinate table
-    tags: list[str] = []
-
-    def add(coords, tag):
-        """One point from its (mode, (sign, log)) coordinates; a sign 0 one
-        is zero and is not stored."""
-        entries.extend((len(tags), i, sign, log) for i, (sign, log) in coords if sign)
-        tags.append(tag)
-
+    # the (sign, log) of y and x at every disk point, the origin last
+    disk = []
     for i in range(1, DISK_RINGS + 1):
         r = i / DISK_RINGS
         m = max(6, int(round(2.0 * math.pi * r * DISK_RINGS)))
         for j in range(m):
             ang = 2.0 * math.pi * j / m
-            add([(PLANAR_X, _signed_log(r * math.cos(ang))),
-                 (PLANAR_Y, _signed_log(r * math.sin(ang)))], "cone")
-    add([], "cone")
+            disk.append((_signed_log(r * math.sin(ang)), _signed_log(r * math.cos(ang))))
+    disk.append(((0, NEG_INF), (0, NEG_INF)))
+    tags = ["cone"] * len(disk)
+
+    # one row per point of (y, x, fibre) columns, modes ascending; sign 0
+    # marks a zero coordinate, which is not stored
+    per_level = SEGMENT_POINTS + 1
+    rows = len(disk) + per_level * len(ns)
+    mode = np.zeros((rows, 3), dtype=np.intp)
+    mode[:, 0], mode[:, 1] = PLANAR_Y, PLANAR_X
+    sign = np.zeros((rows, 3), dtype=np.intp)
+    log = np.full((rows, 3), NEG_INF)
+    planar = np.array(disk)
+    sign[:len(disk), :2], log[:len(disk), :2] = planar[..., 0], planar[..., 1]
 
     log_beta = math.log(beta_scale)
-    fiber_logs = {}
+    # geometric spacing toward the base
+    steps = 0.25 * np.arange(SEGMENT_POINTS)
     for idx, n in enumerate(ns.astype(int)):
-        phi = phis[idx]
         top_log = float(laws.log_b(np.array([float(n)]))[0]) - float(
             laws.log_lam(np.array([float(n)]))[0]
         ) + log_beta
-        fiber_logs[n] = top_log
-        planar = [(PLANAR_X, _signed_log(math.cos(phi))), (PLANAR_Y, _signed_log(math.sin(phi)))]
-        add(planar + [(int(n), (1, top_log))], f"equilibrium:n={n}")
-        for j in range(1, SEGMENT_POINTS):
-            # geometric spacing toward the base
-            add(planar + [(int(n), (1, top_log - 0.25 * j))], f"segment:n={n}:j={j}")
-        add(planar, f"segment:n={n}:base")
+        start = len(disk) + idx * per_level
+        # the level's equilibrium, segment points and base; the base stores no fibre
+        level, fibre = slice(start, start + per_level), slice(start, start + SEGMENT_POINTS)
+        phi = phis[idx]
+        sign[level, 1], log[level, 1] = _signed_log(math.cos(phi))
+        sign[level, 0], log[level, 0] = _signed_log(math.sin(phi))
+        mode[fibre, 2], sign[fibre, 2], log[fibre, 2] = n, 1, top_log - steps
+        tags.append(f"equilibrium:n={n}")
+        tags += [f"segment:n={n}:j={j}" for j in range(1, SEGMENT_POINTS)]
+        tags.append(f"segment:n={n}:base")
 
+    point, slot = np.nonzero(sign)
+    table = CoordTable(rows, point, mode[point, slot], sign[point, slot], log[point, slot])
     full_spec = spec if spec.n_max >= n_max else spec.truncated(n_max)
-    cloud = PointCloud(CoordTable.from_entries(len(tags), entries), full_spec, 0.0, tags)
-    report = {
-        "interval_sum": total,
-        "levels": list(map(int, ns)),
-        "anchors": dict(zip(map(int, ns), map(float, phis))),
-        "fiber_logs": fiber_logs,
-        "laws": laws.name,
-    }
-    return cloud, report
+    return PointCloud(table, full_spec, 0.0, tags), {}
 
 
 def _signed_log(v: float) -> tuple[int, float]:

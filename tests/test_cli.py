@@ -22,7 +22,7 @@ from attractorlab.config import (DEFAULTS, ConfigError, drive_from_config,
 from attractorlab.cutoffs import PeriodicDrive
 from attractorlab.geometry import PLANAR_X, PLANAR_Y, PointCloud
 from attractorlab.integrators import PROJECTION_GUARD
-from attractorlab.reports import cloud_rows, load_cloud_csv, write_csv
+from attractorlab.reports import CSV_CHUNK, cloud_rows, load_cloud_csv, write_csv
 from attractorlab.spectral import make_spectrum
 from conftest import dict_cloud, point_dicts
 
@@ -343,11 +343,14 @@ class TestFloquet:
             "drive": {"tau": 12.0}})
         assert run(cfg, tmp_path / "out", "floquet") == 0
         got = report(tmp_path / "out", "floquet")
-        # reported, not gated on: the propagator's off-pattern mass, step
-        # error that falls as the steps double (0.49, 0.0375, 0.0114 on the
-        # dense pass at 4,096, 8,192 and 16,384 steps)
-        assert got["verdicts"] == {"floquet": "pattern_ok"}
+        # the propagator's off-pattern mass, step error that falls as the
+        # steps double (0.49, 0.0375, 0.0114 on the dense pass at 4,096,
+        # 8,192 and 16,384 steps), is far above OFF_PATTERN_TOL, so the
+        # pattern is not confirmed
         assert got["constants"]["max_off_pattern"] == pytest.approx(0.0449, rel=1e-3)
+        assert got["constants"]["max_off_pattern"] > fl.OFF_PATTERN_TOL
+        assert got["constants"]["pattern_ok"] is False
+        assert got["verdicts"] == {"floquet": "pattern_broken"}
 
 
 def test_power_spectrum_closes_superexponentially(tmp_path, capsys):
@@ -779,6 +782,43 @@ def assert_table_invariants(cloud):
     assert np.all(np.isfinite(t.log))
 
 
+def section4_tuple_build(laws, n_max, beta_scale):
+    """The section-4 table and tags built one point at a time from (point,
+    mode, sign, log) tuples, then sorted: the reference for the array build
+    in `section4_attractor`."""
+    def signed_log(v):
+        return (0, -math.inf) if v == 0.0 else (1 if v > 0 else -1, math.log(abs(v)))
+
+    ns = np.arange(sim.FIRST_LEVEL, n_max + 1, dtype=float)
+    edges = np.concatenate([[0.0], np.cumsum(np.exp(laws.log_a(ns)))])
+    phis = 0.5 * (edges[:-1] + edges[1:])
+    entries, tags = [], []
+
+    def add(coords, tag):
+        entries.extend((len(tags), i, sign, log) for i, (sign, log) in coords if sign)
+        tags.append(tag)
+
+    for i in range(1, sim.DISK_RINGS + 1):
+        r = i / sim.DISK_RINGS
+        m = max(6, int(round(2.0 * math.pi * r * sim.DISK_RINGS)))
+        for j in range(m):
+            ang = 2.0 * math.pi * j / m
+            add([(PLANAR_X, signed_log(r * math.cos(ang))),
+                 (PLANAR_Y, signed_log(r * math.sin(ang)))], "cone")
+    add([], "cone")
+    log_beta = math.log(beta_scale)
+    for idx, n in enumerate(ns.astype(int)):
+        phi = phis[idx]
+        top_log = float(laws.log_b(np.array([float(n)]))[0]) - float(
+            laws.log_lam(np.array([float(n)]))[0]) + log_beta
+        planar = [(PLANAR_X, signed_log(math.cos(phi))), (PLANAR_Y, signed_log(math.sin(phi)))]
+        add(planar + [(int(n), (1, top_log))], f"equilibrium:n={n}")
+        for j in range(1, sim.SEGMENT_POINTS):
+            add(planar + [(int(n), (1, top_log - 0.25 * j))], f"segment:n={n}:j={j}")
+        add(planar, f"segment:n={n}:base")
+    return geo.CoordTable.from_entries(len(tags), entries), tags
+
+
 @st.composite
 def coordinate_dicts(draw):
     """Up to 12 points over the planar pair and modes 1..20, empty points
@@ -799,6 +839,9 @@ class TestCoordTable:
     @example(([{}], [""]))  # one empty point
     @example(([{PLANAR_Y: (-1, -5000.0), PLANAR_X: (1, 0.0), 7: (-1, -0.0)}, {}],
               ["p,1", '"q"']))
+    # a tag that needs quoting only in the second chunk write_csv formats
+    @example(([{3: (1, -0.5)}] * CSV_CHUNK + [{PLANAR_Y: (-1, -2.0)}],
+              ["p"] * CSV_CHUNK + ['q,"r"']))
     @settings(max_examples=60, deadline=None)
     def test_rows_written_and_loaded_are_bit_identical(self, tmp_path_factory, drawn):
         points, tags = drawn
@@ -822,6 +865,19 @@ class TestCoordTable:
         # last cone point, stores nothing
         assert dicts[0] == {PLANAR_X: (1, math.log(1 / sim.DISK_RINGS))}
         assert dicts[cloud.tags.count("cone") - 1] == {}
+
+    @pytest.mark.parametrize("n_max", [3, 12, 120])
+    @pytest.mark.parametrize("beta_scale", [1.0, 0.5])
+    @pytest.mark.parametrize("laws", ["thm44", "smooth"])
+    def test_section4_table_matches_tuple_build(self, laws, beta_scale, n_max):
+        made = sim.thm44_laws() if laws == "thm44" else sim.smooth_forcing_laws(n_max)
+        spec = make_spectrum("quadratic", {}, 12)
+        cloud, report = sim.section4_attractor(made, spec, n_max, beta_scale=beta_scale)
+        want, tags = section4_tuple_build(made, n_max, beta_scale)
+        assert report == {} and cloud.tags == tags
+        for name in ("point", "mode", "sign", "log"):
+            got, ref = getattr(cloud.points, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
     def test_bad_cube_table(self):
         cfg = resolve_config({"spectrum": {"family": "linear", "n_max": 32, "params": {"c": 1.0}},
