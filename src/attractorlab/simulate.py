@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump
+from .cutoffs import BumpFunction, CutoffError, PeriodicDrive, mollifier_bump
 from .floquet import (
     WeightedShift,
     closing_law,
@@ -165,8 +165,12 @@ def trajectory_pair_experiment(
 class KickOperator:
     """The high-mode kick as the almost-cube cloud reads it: the quadratic
     separation rate beta, the deposit scale eps_n = e^{-beta n^2 / 2} B(n)
-    of each level, the first-mode residual check, and the window-kernel
-    logs of the cube modes."""
+    of each level and the first-mode residual check.
+
+    The window kernels of the cube modes (`_window_kernel`) are positive
+    whenever the window's bump exists, and no output reads their values, so
+    the kick no longer computes them: kernel_logs is always empty.  The
+    field stays because the benchmark's layer tracer counts its entries."""
 
     beta: float
     kernel_logs: dict[int, float]
@@ -184,7 +188,9 @@ def _window_kernel(spec: Spectrum, mode: int, theta2, theta: BumpFunction,
     response of w' = (-lambda_a + pair-mean correction) w + theta(x(t)),
     w(-kappa) = 0, evaluated at t = 0 by the same exponential stepper used
     in the simulations.  Each step doubling evaluates the cut-offs once, on
-    its own stage grid -kappa + k h/2."""
+    its own stage grid -kappa + k h/2.  No command calls it; it stays while
+    the benchmark's layer tracer wraps it, and the tests check it against
+    the scalar cut-off rhs."""
     lam_a = spec.lam(mode)
     coupling = 0.5 * (lam_a - spec.lam(mode + 1))
 
@@ -205,21 +211,58 @@ def _window_kernel(spec: Spectrum, mode: int, theta2, theta: BumpFunction,
     return float(out[0])
 
 
+def _window_bump(drive: PeriodicDrive, kappa: float) -> BumpFunction | None:
+    """The deposit profile theta on the drive's range [0, x(-kappa)] over the
+    window [-kappa, 0], or None when x(-kappa) is too small in doubles for
+    the bump's knots to be ordered (x(-kappa) rounds to 0 at small kappa)."""
+    x_edge = float(drive.value(-kappa))
+    try:
+        return mollifier_bump(0.05 * x_edge, 0.95 * x_edge, 0.4 * x_edge, 0.6 * x_edge)
+    except CutoffError:
+        return None
+
+
+def _smallest_window(drive: PeriodicDrive, kappa: float, t0: float) -> float | None:
+    """The smallest window width in (kappa, t0] that carries the deposit bump,
+    by bisection to 1e-12 of the half-period as `plateau_entry_time` does;
+    None when not even t0 does.  The drive, and with it the bump's knots,
+    grows with the width up to the plateau entry time t0."""
+    if _window_bump(drive, t0) is None:
+        return None
+    lo, hi = kappa, t0
+    while hi - lo > 1e-12 * drive.half_period:
+        mid = 0.5 * (lo + hi)
+        if _window_bump(drive, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperator:
-    """Assemble the kick: the equalized deposit scale of each level, the
-    window kernel of each distinct cube mode, and the runtime residual check
-    that the base level is large enough (first-mode leftovers must stay well
-    below the deposited scale)."""
+    """Assemble the kick: the equalized deposit scale of each level and the
+    runtime residual check that the base level is large enough (first-mode
+    leftovers must stay well below the deposited scale).
+
+    Before any numerics the window [-kappa, 0] must end before the plateau
+    entry and must carry the deposit bump.  On it the drive is positive and
+    monotone with range [0, x(-kappa)], which covers the bump's support, so
+    every cube mode's window kernel is then positive."""
     drive = scenario.drive
-    theta2 = SmoothStep(0.0, drive.amplitude / 4.0)
+    kappa = scenario.kick_window
     t0 = drive.plateau_entry_time(0.25)
-    if scenario.kick_window > t0:
+    if kappa > t0:
         raise SimulationError(
-            f"kick window {scenario.kick_window} must not exceed the plateau entry "
+            f"dynamics.kappa {kappa} must not exceed the plateau entry "
             f"time {t0:.6f}, otherwise the rotation is active during the deposit"
         )
-    x_edge = float(drive.value(-scenario.kick_window))
-    theta = mollifier_bump(0.05 * x_edge, 0.95 * x_edge, 0.4 * x_edge, 0.6 * x_edge)
+    if _window_bump(drive, kappa) is None:
+        least = _smallest_window(drive, kappa, t0)
+        raise SimulationError(
+            f"dynamics.kappa {kappa!r} puts the window edge at x(-kappa) = "
+            f"{float(drive.value(-kappa))!r}, too small for the deposit bump's knots; "
+            + (f"the smallest admissible dynamics.kappa is {least!r}" if least is not None
+               else f"no dynamics.kappa up to the plateau entry time {t0!r} has one"))
 
     levels = range(scenario.kick_base_level, scenario.kick_max_level + 1)
     checks = {}
@@ -251,19 +294,7 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
             f"first-mode leftover exceeds the deposit scale; minimal admissible "
             f"base level is {admissible if admissible is not None else 'beyond the range'}"
         )
-
-    # No output reads kernel_logs; the benchmark's layer tracer counts them.
-    kernel_logs: dict[int, float] = {}
-    for n in levels:
-        for mode in KickOperator.cube_modes(n):
-            if mode not in kernel_logs:
-                kernel = _window_kernel(scenario.spectrum, mode, theta2, theta,
-                                        drive, scenario.kick_window)
-                if kernel <= 0:
-                    raise SimulationError("kick kernel vanished; empty window support")
-                kernel_logs[mode] = math.log(kernel)
-    return KickOperator(beta, kernel_logs, eps_logs,
-                        {"levels": residuals, "margin_log": margin})
+    return KickOperator(beta, {}, eps_logs, {"levels": residuals, "margin_log": margin})
 
 
 def bad_cube_cloud(scenario: Scenario, shift: WeightedShift) -> tuple[PointCloud, dict]:

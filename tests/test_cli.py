@@ -108,6 +108,15 @@ def bad_cube_config(family, n_max, kick_max_level):
             "geometry": {"cloud": {"kind": "bad_cubes"}}}
 
 
+def bad_cubes_scan_config(kappa) -> dict:
+    """The `cubes` benchmark config at the default L, with window width kappa."""
+    return {"spectrum": {"family": "linear", "n_max": 32, "params": {"c": 1.0}},
+            "drive": {"tau": 0.5},
+            "dynamics": {"n0": 4, "kick_max_level": 6, "kappa": kappa},
+            "geometry": {"cloud": {"kind": "bad_cubes"}},
+            "expectations": {"dimension": "diverging"}}
+
+
 def gap_check_config(case) -> dict:
     """The config of a GAP_CHECK_GOLDEN case: the `dynamics` benchmark
     config, or (family, n_max, L).  The explicit spectrum starts at 1 and
@@ -557,12 +566,7 @@ class TestDimension:
         assert len(builds) == 1  # the loaded file; the s = 0 view shares its slot arrays
 
     def test_bad_cubes_diverging(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", {
-            "spectrum": {"family": "linear", "n_max": 32, "params": {"c": 1.0}},
-            "drive": {"tau": 0.5},
-            "dynamics": {"n0": 4, "kick_max_level": 6, "kappa": 0.04},
-            "geometry": {"cloud": {"kind": "bad_cubes"}},
-            "expectations": {"dimension": "diverging"}})
+        cfg = write_config(tmp_path / "c.json", bad_cubes_scan_config(0.04))
         assert run(cfg, tmp_path / "out", "dimension") == 0
         got = report(tmp_path / "out", "dimension")
         assert got["verdicts"] == {"dimension": "diverging"}
@@ -577,6 +581,17 @@ class TestDimension:
         # the vertex cloud as this config wrote it at commit e477f43, before
         # the kick dropped its unread fields
         with open(tmp_path / "out" / "cloud.csv", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == (
+                "b423492fcf10c667500c492d062de0674258eb64f87658f86eb98072f3a14b84")
+
+    def test_bad_cubes_short_window_matches(self, tmp_path, capsys):
+        # at kappa 1e-3 the window kernels' step doubling never converged
+        # (2**22 steps); the deposit scales do not depend on kappa
+        for kappa in (0.04, 1e-3):
+            cfg = write_config(tmp_path / f"{kappa}.json", bad_cubes_scan_config(kappa))
+            assert run(cfg, tmp_path / str(kappa), "dimension") == 0
+        assert read_bytes(tmp_path / "0.001") == read_bytes(tmp_path / "0.04")
+        with open(tmp_path / "0.001" / "cloud.csv", "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == (
                 "b423492fcf10c667500c492d062de0674258eb64f87658f86eb98072f3a14b84")
 
@@ -627,6 +642,28 @@ class TestFailFast:
         assert run(cfg, tmp_path / "out", "dimension") == 1
         assert "n_max >= 29" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    def test_window_without_bump_names_kappa(self, tmp_path, monkeypatch, capsys):
+        def checked(*args, **kwargs):
+            raise AssertionError("kick numerics ran before the window check")
+
+        monkeypatch.setattr(sim, "ratio_bounds_check", checked)
+        cfg = write_config(tmp_path / "c.json", bad_cubes_scan_config(1e-4))
+        assert run(cfg, tmp_path / "out", "dimension") == 1
+        err = capsys.readouterr().err
+        assert "SimulationError: dynamics.kappa 0.0001 " in err
+        assert "x(-kappa) = 0.0," in err
+        least = float(re.search(r"smallest admissible dynamics.kappa is (\S+)$",
+                                err.strip()).group(1))
+        drive = drive_from_config(resolve_config(bad_cubes_scan_config(1e-4)))
+        assert sim._window_bump(drive, least) is not None
+        assert sim._window_bump(drive, least - 1e-12 * drive.half_period) is None
+
+    def test_window_past_plateau_entry_names_kappa(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", bad_cubes_scan_config(0.3))
+        assert run(cfg, tmp_path / "out", "dimension") == 1
+        assert ("SimulationError: dynamics.kappa 0.3 must not exceed the plateau entry time"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("n_max,dynamics,need", [
         (40, {"n_periods": 8}, "n_trunc >= 17"),  # default n_trunc 16

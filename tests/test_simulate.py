@@ -1,13 +1,13 @@
-"""The kick's window kernels on the bad-cube scenario: the tabulated rhs
-against the scalar cut-off rhs it replaced, and one drive evaluation per
-step doubling."""
+"""The bad-cube kick builds without its window kernels; the kernels, as the
+kick passed them on the `cubes` scenario, against the scalar cut-off rhs
+their tabulated rhs replaced, and one drive evaluation per step doubling."""
 
 import numpy as np
 import pytest
 
 from attractorlab import simulate as sim
 from attractorlab.config import resolve_config, scenario_from_config
-from attractorlab.cutoffs import PeriodicDrive
+from attractorlab.cutoffs import PeriodicDrive, SmoothStep
 from attractorlab.floquet import poincare_predicted
 from attractorlab.integrators import lawson_rk4
 
@@ -23,13 +23,33 @@ FINAL_STEPS = 1024
 DOUBLING_LEVELS = 4
 
 
+def cubes_kick():
+    scen = scenario_from_config(resolve_config(CUBES))
+    return scen, poincare_predicted(scen.spectrum, scen.drive.half_period)
+
+
+def test_kick_builds_without_window_kernels(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("window kernel solved while the kick was built")
+
+    monkeypatch.setattr(sim, "_window_kernel", refused)
+    monkeypatch.setattr(sim, "lawson_rk4_adaptive", refused)
+    kick = sim.build_kick_operator(*cubes_kick())
+    assert kick.kernel_logs == {}
+
+
 @pytest.fixture(scope="module")
 def kernel_calls():
-    """(arguments, value, drive evaluations made inside) of each
-    `_window_kernel` call while the kick of the `cubes` scenario is built."""
-    scen = scenario_from_config(resolve_config(CUBES))
-    shift = poincare_predicted(scen.spectrum, scen.drive.half_period)
-    kernel, drive_value = sim._window_kernel, PeriodicDrive.value
+    """(arguments, value, drive evaluations made inside) of `_window_kernel`
+    on each distinct cube mode of the `cubes` scenario, in the order and with
+    the cut-offs the kick passed before it stopped computing the kernels."""
+    scen, _ = cubes_kick()
+    drive, kappa = scen.drive, scen.kick_window
+    theta2 = SmoothStep(0.0, drive.amplitude / 4.0)
+    theta = sim._window_bump(drive, kappa)
+    modes = dict.fromkeys(mode for n in range(scen.kick_base_level, scen.kick_max_level + 1)
+                          for mode in sim.KickOperator.cube_modes(n))
+    drive_value = PeriodicDrive.value
     calls, inside = [], []
 
     def counted_value(self, t):
@@ -37,16 +57,13 @@ def kernel_calls():
             inside[-1] += 1
         return drive_value(self, t)
 
-    def recorded(*args):
-        inside.append(0)
-        value = kernel(*args)
-        calls.append((args, value, inside.pop()))
-        return value
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PeriodicDrive, "value", counted_value)
-        mp.setattr(sim, "_window_kernel", recorded)
-        sim.build_kick_operator(scen, shift)
+        for mode in modes:
+            args = (scen.spectrum, mode, theta2, theta, drive, kappa)
+            inside.append(0)
+            value = sim._window_kernel(*args)
+            calls.append((args, value, inside.pop()))
     return calls
 
 

@@ -33,6 +33,8 @@ KEEP = {
     "smoothness_criterion": "forcing's C^k-in-H^s verdict beside the dimension: "
                             "reuse or delete",
     "adaptive_simpson": "tracer-pinned until ROADMAP item 1's benchmark step",
+    "_window_kernel": "tracer-pinned until ROADMAP item 1's benchmark step",
+    "lawson_rk4_adaptive": "tracer-pinned until ROADMAP item 1's benchmark step",
 }
 
 # Defaulted parameters that no call in the package sets, with the reason each stays.
