@@ -27,8 +27,7 @@ from .geometry import (NEG_INF, PLANAR_X, PLANAR_Y, CoordTable,
                        DimensionScan, GeometryError, PointCloud,
                        covering_number, cube_doubling_report, dimension_vs_s_scan,
                        doubling_factor, fractal_dimension_estimate,
-                       log_doubling_estimate, separated_count_exact,
-                       separated_count_log, smoothness_criterion)
+                       log_doubling_estimate)
 from .simulate import (KickOperator, Scenario, Section4Laws, SimulationError,
                        bad_cube_cloud, build_kick_operator,
                        section4_attractor, smooth_forcing_laws, thm44_laws,

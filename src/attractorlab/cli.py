@@ -32,7 +32,6 @@ def _out_dir(cfg, args) -> str:
 def _finish(report: RunReport, out_dir: str, started: float) -> int:
     report.wall_clock_s = time.time() - started
     path = report.to_json(os.path.join(out_dir, f"{report.command}_report.json"))
-    report.files.append(path)
     ok = report.verdict_matches_expectation()
     print(f"[{report.command}] verdicts: {report.verdicts}")
     print(f"[{report.command}] report: {path}")
@@ -98,6 +97,7 @@ def cmd_floquet(cfg, args) -> int:
         "closing_exponent": law.p,
         "beta": law.beta,
         "epsilon": op.epsilon,
+        "n_trunc": n_trunc,
     })
     # the iterate norms of e_2, whose orbit turns at mode 1 after one period
     n_iter = max(4, min(12, (spec.n_max - 3) // 2))
@@ -118,23 +118,20 @@ def _expected(cfg, key):
 
 
 def _build_cloud(cfg):
+    """The configured cloud and its meta: the levels of a bad-cube cloud."""
     gcfg = cfg["geometry"]["cloud"]
     kind = gcfg["kind"]
     if kind == "file":
-        return load_cloud_csv(gcfg["path"]), {"kind": "file"}
+        return load_cloud_csv(gcfg["path"]), {}
     if kind == "bad_cubes":
         scen = scenario_from_config(cfg)
         shift = fl.poincare_predicted(scen.spectrum, scen.drive.half_period)
-        cloud, meta = sim.bad_cube_cloud(scen, shift)
-        meta["kind"] = "bad_cubes"
-        return cloud, meta
+        return sim.bad_cube_cloud(scen, shift)
     spec = spectrum_from_config(cfg)
     laws = (sim.thm44_laws() if gcfg["laws"] == "thm44"
             else sim.smooth_forcing_laws(gcfg["n_max"]))
-    cloud, meta = sim.section4_attractor(laws, spec, gcfg["n_max"],
-                                         beta_scale=cfg["dynamics"]["beta_scale"])
-    meta["kind"] = "section4"
-    return cloud, meta
+    return sim.section4_attractor(laws, spec, gcfg["n_max"],
+                                  beta_scale=cfg["dynamics"]["beta_scale"])
 
 
 def cmd_dimension(cfg, args) -> int:
@@ -143,12 +140,10 @@ def cmd_dimension(cfg, args) -> int:
     report = RunReport(config_hash(cfg), "dimension", expected=_expected(cfg, "dimension"))
     scales = parse_scales(args.scales or cfg["geometry"]["scales"])
     cloud, meta = _build_cloud(cfg)
-    if meta.get("kind") == "bad_cubes":
+    if cfg["geometry"]["cloud"]["kind"] == "bad_cubes":
         cube = geo.cube_doubling_report(cloud, meta["levels"])
         report.verdicts["dimension"] = cube["log_doubling"]["verdict"]
-        report.constants["levels"] = [
-            {k: v for k, v in lvl.items()} for lvl in cube["levels"]
-        ]
+        report.constants["levels"] = cube["levels"]
         report.constants["log_doubling_estimate"] = cube["log_doubling"]["estimate"]
         report.constants["all_bounds_ok"] = cube["all_bounds_ok"]
         rows = [

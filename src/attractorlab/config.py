@@ -14,7 +14,7 @@ from .cutoffs import PeriodicDrive
 from .simulate import Scenario
 from .spectral import Spectrum, cube_width, make_spectrum
 
-__all__ = ["ConfigError", "KEYS", "DEFAULTS", "load_config", "resolve_config",
+__all__ = ["ConfigError", "KEYS", "load_config", "resolve_config",
            "config_hash", "spectrum_from_config", "drive_from_config",
            "scenario_from_config",
            "parse_scales"]
@@ -110,15 +110,6 @@ def _children(path: str) -> dict:
     """name -> (key path, default, check) of each key of the section at `path`."""
     return {key.rpartition(".")[2]: (key, default, check)
             for key, (default, check) in KEYS.items() if key.rpartition(".")[0] == path}
-
-
-def _defaults(path: str = "") -> dict:
-    return {name: _defaults(key) if check is dict else copy.deepcopy(default)
-            for name, (key, default, check) in _children(path).items()
-            if default is not None and default != REQUIRED}
-
-
-DEFAULTS = _defaults()
 
 
 def _resolve(raw, path: str) -> dict:

@@ -1,6 +1,5 @@
 """Covering numbers, box-counting dimension, doubling and log-doubling
-factors over point clouds kept in sign/log-magnitude coordinates, plus the
-smoothness criterion for the forcing laws.
+factors over point clouds kept in sign/log-magnitude coordinates.
 
 A cloud's points are one coordinate table: flat, aligned (point, mode,
 sign, log magnitude) arrays sorted by (point, mode), since the coordinates
@@ -36,11 +35,8 @@ __all__ = [
     "fractal_dimension_estimate",
     "doubling_factor",
     "log_doubling_estimate",
-    "smoothness_criterion",
     "dimension_vs_s_scan",
     "cube_doubling_report",
-    "separated_count_exact",
-    "separated_count_log",
 ]
 
 NEG_INF = float("-inf")
@@ -353,11 +349,9 @@ def covering_number(cloud: PointCloud, log_eps: float, method: str = "greedy",
 
 @dataclass(frozen=True)
 class DimensionScan:
-    s: float
     log_scales: tuple[float, ...]
     counts: tuple[int, ...]
     slope: float
-    r_squared: float
     local_slopes: tuple[float, ...]
     counter: str = "boxes"
 
@@ -404,8 +398,8 @@ def fractal_dimension_estimate(cloud: PointCloud, log_scales) -> DimensionScan:
     if len(log_scales) < 4:
         raise GeometryError("need at least four scales in the window")
     if len(cloud) == 1:
-        return DimensionScan(cloud.s, tuple(log_scales), (1,) * len(log_scales),
-                             0.0, 1.0, (), "degenerate")
+        return DimensionScan(tuple(log_scales), (1,) * len(log_scales), 0.0, (),
+                             "degenerate")
     counter = "boxes" if cloud.weighted_slots() is not None else "greedy"
     if counter == "boxes":
         counts = [box_count(cloud, log_eps=le) for le in log_scales]
@@ -414,9 +408,8 @@ def fractal_dimension_estimate(cloud: PointCloud, log_scales) -> DimensionScan:
                   for le in log_scales]
     x = -np.asarray(log_scales)
     y = np.log(counts)
-    fit = line_fit(x, y)
-    return DimensionScan(cloud.s, tuple(log_scales), tuple(counts), fit.slope,
-                         fit.r_squared, tuple(local_slopes(x, y)), counter)
+    return DimensionScan(tuple(log_scales), tuple(counts), line_fit(x, y),
+                         tuple(local_slopes(x, y)), counter)
 
 
 def doubling_factor(cloud: PointCloud, log_eps: float) -> int:
@@ -455,51 +448,8 @@ def log_doubling_estimate(log_scales, log_d_values) -> dict:
         raise GeometryError("scales must span at least two decades")
     x = np.log(-np.asarray(log_scales, dtype=float))
     y = np.asarray(log_d_values, dtype=float)
-    fit = line_fit(x, y)
-    slopes = local_slopes(x, y)
     diverging = monotone_increase(y) and len(y) >= 3 and y[-1] > y[0]
-    return {
-        "estimate": fit.slope,
-        "r_squared": fit.r_squared,
-        "verdict": "diverging" if diverging else "finite",
-        "log_scales": list(log_scales),
-        "log_d_values": list(map(float, y)),
-        "local_slopes": list(map(float, slopes)),
-    }
-
-
-def smoothness_criterion(log_b_law, log_a_law, spec: Spectrum | None, s: float, k: int,
-                         n_max: int = 1_000_000, n_min: int = 2) -> dict:
-    """Boundedness of sup_n B_n * lambda_n^(s/2) * A_n^(-k), evaluated in log
-    space (membership of the forcing in C^k of the H^s scale).
-
-    Verdict by the trend of the last quartile: monotone increase means
-    unbounded; the witness is the argmax.
-    """
-    n = np.arange(n_min, n_max + 1, dtype=float)
-    if spec is not None and spec.family == "explicit":
-        n = n[n <= spec.n_max]
-    if spec is None or spec.family == "quadratic":
-        log_lam = 2.0 * np.log(n)
-    elif spec.family == "linear":
-        log_lam = np.log(spec.params["c"] * n)
-    elif spec.family == "power":
-        log_lam = spec.params["kappa"] * np.log(n)
-    else:
-        log_lam = np.log(spec.values[(n - 1).astype(int)])
-    values = np.asarray(log_b_law(n)) + 0.5 * s * log_lam - k * np.asarray(log_a_law(n))
-    tail = values[int(0.75 * len(values)):]
-    unbounded = monotone_increase(tail, window_fraction=1.0) and tail[-1] > values[0]
-    arg = int(np.argmax(values))
-    return {
-        "verdict": "unbounded" if unbounded else "bounded",
-        "sup_log": float(np.max(values)),
-        "witness_n": int(n[arg]),
-        "first_log": float(values[0]),
-        "last_log": float(values[-1]),
-        "s": s,
-        "k": k,
-    }
+    return {"estimate": line_fit(x, y), "verdict": "diverging" if diverging else "finite"}
 
 
 def dimension_vs_s_scan(cloud: PointCloud, s_list, log_scales,
@@ -585,28 +535,3 @@ def cube_doubling_report(cloud: PointCloud, levels: dict) -> dict:
         "all_bounds_ok": all_ok,
         "log_doubling": estimate,
     }
-
-
-def separated_count_exact(norm_logs, log_eps: float) -> int:
-    """Closed-form covering count for a well-separated orthogonal cloud:
-    points with norm >= 2 eps each need their own ball."""
-    threshold = log_eps + math.log(2.0)
-    return int(np.sum(np.asarray(norm_logs) >= threshold - _LOG_SLACK))
-
-
-def separated_count_log(lognorm_of_n, log_eps: float, log_n_hi: float = 600.0) -> float:
-    """log of the separated-cloud count when the count itself is astronomical:
-    bisection solves lognorm(n) = log(2 eps) for continuous n in log space."""
-    threshold = log_eps + math.log(2.0)
-    lo, hi = 0.0, log_n_hi
-    if lognorm_of_n(math.exp(lo + 0.7)) < threshold:
-        return NEG_INF
-    if lognorm_of_n(math.exp(hi)) >= threshold:
-        raise GeometryError("separated-count bisection bracket too small")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if lognorm_of_n(math.exp(mid)) >= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -116,6 +116,10 @@ def trajectory_pair_experiment(
         raise SimulationError(
             f"{n_periods} periods need spectrum n_max >= {2 * n_periods + 3} "
             f"(got {spec.n_max})")
+    if scenario.n_trunc > spec.n_max:
+        raise SimulationError(
+            f"dynamics.n_trunc {scenario.n_trunc} exceeds the stored spectrum; the "
+            f"largest valid dynamics.n_trunc is spectrum.n_max = {spec.n_max}")
     # the shift moves mode 1 to mode 2k + 1 by period k (0-based position 2k)
     if rotation_on and scenario.n_trunc < 2 * n_periods + 1:
         raise SimulationError(
@@ -163,19 +167,17 @@ def trajectory_pair_experiment(
 
 @dataclass(frozen=True)
 class KickOperator:
-    """The high-mode kick as the almost-cube cloud reads it: the quadratic
-    separation rate beta, the deposit scale eps_n = e^{-beta n^2 / 2} B(n)
-    of each level and the first-mode residual check.
+    """The high-mode kick as the almost-cube cloud reads it: the deposit
+    scale eps_n = e^{-beta n^2 / 2} B(n) of each level, beta the least
+    quadratic separation rate over the levels.
 
     The window kernels of the cube modes (`_window_kernel`) are positive
     whenever the window's bump exists, and no output reads their values, so
     the kick no longer computes them: kernel_logs is always empty.  The
     field stays because the benchmark's layer tracer counts its entries."""
 
-    beta: float
     kernel_logs: dict[int, float]
     eps_logs: dict[int, float]
-    residual_report: dict
 
     @staticmethod
     def cube_modes(level: int) -> list[int]:
@@ -275,26 +277,21 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
     eps_logs = {n: min(check["band_lognorms"].values()) - 0.5 * beta * n**2
                 for n, check in checks.items()}
 
-    residuals = {}
+    # the first-mode leftover must stay a factor 100 below the deposit scale
     margin = math.log(100.0)
-    for n, check in checks.items():
-        leftover = check["first_mode_lognorm"]
-        residuals[n] = {
-            "leftover_log": leftover,
-            "eps_log": eps_logs[n],
-            "ok": leftover <= eps_logs[n] - margin,
-        }
-    if not all(r["ok"] for r in residuals.values()):
+    ok = {n: check["first_mode_lognorm"] <= eps_logs[n] - margin
+          for n, check in checks.items()}
+    if not all(ok.values()):
         admissible = None
         for n0 in levels:
-            if all(residuals[m]["ok"] for m in levels if m >= n0):
+            if all(ok[m] for m in levels if m >= n0):
                 admissible = n0
                 break
         raise SimulationError(
             f"first-mode leftover exceeds the deposit scale; minimal admissible "
             f"base level is {admissible if admissible is not None else 'beyond the range'}"
         )
-    return KickOperator(beta, {}, eps_logs, {"levels": residuals, "margin_log": margin})
+    return KickOperator({}, eps_logs)
 
 
 def bad_cube_cloud(scenario: Scenario, shift: WeightedShift) -> tuple[PointCloud, dict]:
@@ -317,8 +314,7 @@ def bad_cube_cloud(scenario: Scenario, shift: WeightedShift) -> tuple[PointCloud
     max_mode = max(levels_meta[max(levels_meta)]["cube_indices"])
     spec = scenario.spectrum if scenario.spectrum.n_max >= max_mode else scenario.spectrum.truncated(max_mode)
     cloud = PointCloud(CoordTable.from_entries(len(tags), entries), spec, 0.0, tags)
-    return cloud, {"levels": levels_meta, "beta": kick.beta,
-                   "residuals": kick.residual_report}
+    return cloud, {"levels": levels_meta}
 
 
 @dataclass(frozen=True)
@@ -343,8 +339,7 @@ def thm44_laws() -> Section4Laws:
 
 def smooth_forcing_laws(n_max: int) -> Section4Laws:
     """B_n = e^{-sqrt n} with A_n = c / n^2 packed to total 2 pi - 0.1 and
-    lambda_n = n^2: the infinitely smooth variant (criterion holds at every
-    order)."""
+    lambda_n = n^2: the infinitely smooth variant."""
     n = np.arange(FIRST_LEVEL, n_max + 1, dtype=float)
     c = (2.0 * math.pi - 0.1) / float(np.sum(1.0 / n**2))
     log_a = lambda n: math.log(c) - 2.0 * np.log(n)

@@ -196,12 +196,14 @@ def c1_obstruction_check(spec: Spectrum, coupling: float) -> ObstructionVerdict:
     has exactly one, the positive L - lambda_1 of its lone mode 1.  Each
     block's real count is 2 when its gap is at least 2L (a gap of exactly
     2L is a double real root) and 0 otherwise, decided exactly as in the
-    module docstring.  So the counts are 0 and 1 exactly when
-    L > regime_bound(spec) = max(L0/2, lambda_1), so in_regime certifies
-    the parity contradiction.  Outside the regime the verdict reads "no
-    obstruction certified".  block_margin is the least 2L - gap over both
-    sites' blocks and plus_margin is L - lambda_1, both in double
-    arithmetic.
+    module docstring.  So the counts are 0 and 1 whenever
+    L > regime_bound(spec) = max(L0/2, lambda_1), and in_regime, which is
+    that inequality, certifies the parity contradiction.  The converse
+    fails only at L = regime_bound(spec) when a gap rounds up to 2L: the
+    counts then read 0 and 1 while in_regime, like `Scenario`, reads
+    False.  Outside the regime the verdict reads "no obstruction
+    certified".  block_margin is the least 2L - gap over both sites'
+    blocks and plus_margin is L - lambda_1, both in double arithmetic.
     """
     n_trunc = spec.n_max
     if n_trunc < 3:

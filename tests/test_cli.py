@@ -17,7 +17,7 @@ from attractorlab import cli, quadrature
 from attractorlab import floquet as fl
 from attractorlab import geometry as geo
 from attractorlab import simulate as sim
-from attractorlab.config import (DEFAULTS, ConfigError, drive_from_config,
+from attractorlab.config import (KEYS, ConfigError, drive_from_config,
                                  resolve_config, scenario_from_config)
 from attractorlab.cutoffs import PeriodicDrive
 from attractorlab.geometry import PLANAR_X, PLANAR_Y, PointCloud
@@ -261,7 +261,7 @@ def test_default_budget_runs_every_dynamics_command(dynamics_runs):
     # default L = 2 that gap-check certifies also builds the scenario
     root, codes = dynamics_runs
     assert "L" not in SMALL_DYNAMICS["dynamics"]
-    assert resolve_config(SMALL_DYNAMICS)["dynamics"]["L"] == DEFAULTS["dynamics"]["L"] == 2.0
+    assert resolve_config(SMALL_DYNAMICS)["dynamics"]["L"] == KEYS["dynamics.L"][0] == 2.0
     assert set(codes.values()) == {0}
     for command, key, want in (("gap-check", "gap_check", "obstruction"),
                                ("floquet", "floquet", "pattern_ok"),
@@ -323,6 +323,7 @@ class TestFloquet:
             "epsilon": 1.00500488206889,
             "max_log_rel_err": 6.150635556423367e-14,
             "max_off_pattern": 2.0561660923294083e-12,
+            "n_trunc": 8,
             "pattern_ok": True,
         }
         assert abs(got["max_log_rel_err"] - 5.484501741648273e-14) <= 1e-12
@@ -343,6 +344,14 @@ class TestFloquet:
         assert tracer.counters["integrators.steps"] == calls
         assert tracer.counters["floquet.tab_rhs_evals"] == 4 * calls
         assert tracer.counters["floquet.propagator_steps"] == 4096
+
+    def test_truncation_past_the_spectrum_is_reported(self, tmp_path):
+        # n_max 14 holds the shift pattern of 12 columns, so floquet checks
+        # 12 of the 50 asked for, and its report says so
+        raw = dict(SMALL_DYNAMICS, dynamics=dict(SMALL_DYNAMICS["dynamics"], n_trunc=50))
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert run(cfg, tmp_path / "out", "floquet") == 0
+        assert report(tmp_path / "out", "floquet")["constants"]["n_trunc"] == 12
 
     def test_underflowing_column_reports_off_pattern(self, tmp_path, capsys):
         # at tau = 12 column 15's largest entry is 1.7e-167, whose square
@@ -469,6 +478,18 @@ class TestSimulate:
         assert got["verdicts"] == {"simulate": "exponential_only"}
         assert got["constants"]["closing_exponent"] == 1.0
         assert got["constants"]["walk_rel_err"] <= sim.WALK_REL_TOL
+
+    def test_truncation_past_the_spectrum_names_the_key(self, tmp_path, monkeypatch, capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError("the operator was built before the truncation check")
+
+        monkeypatch.setattr(sim, "make_periodic_operator", refused)
+        raw = dict(SMALL_DYNAMICS, dynamics=dict(SMALL_DYNAMICS["dynamics"], n_trunc=15))
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert run(cfg, tmp_path / "out", "simulate") == 1
+        err = capsys.readouterr().err
+        assert "SimulationError: dynamics.n_trunc 15 exceeds the stored spectrum" in err
+        assert "the largest valid dynamics.n_trunc is spectrum.n_max = 14" in err
 
     def test_coarse_steps_name_the_step_count(self, tmp_path, capsys):
         # at 512 steps per period the first projection would discard 5.2e-5

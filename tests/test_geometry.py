@@ -11,8 +11,7 @@ from attractorlab.geometry import (PLANAR_X, PLANAR_Y, GeometryError, PointCloud
                                    _greedy_cover, box_count, covering_number,
                                    cube_doubling_report, doubling_factor,
                                    fractal_dimension_estimate,
-                                   log_doubling_estimate, separated_count_exact,
-                                   separated_count_log, smoothness_criterion)
+                                   log_doubling_estimate)
 from attractorlab.spectral import cube_width, make_spectrum
 from attractorlab.simulate import section4_attractor, thm44_laws
 from conftest import dict_cloud, point_dicts
@@ -602,43 +601,6 @@ class TestCubeDoubling:
         assert [lvl["count_bound_ok"] for lvl in out["levels"]] == [True, False, True]
         assert out["all_bounds_ok"] is False
         # the doubling bounds 2, log2 7, 3 still rise; the verdict must not
-        assert out["log_doubling"]["log_d_values"] == sorted(out["log_doubling"]["log_d_values"])
+        bounds = [lvl["log2_doubling_bound"] for lvl in out["levels"]]
+        assert bounds == sorted(bounds)
         assert out["log_doubling"]["verdict"] == "finite"
-
-
-class TestSmoothnessCriterion:
-    def test_thm44_laws_continuity_profile(self):
-        laws = thm44_laws()
-        spec = make_spectrum("quadratic", {}, 8)
-        bounded_10 = smoothness_criterion(laws.log_b, laws.log_a, spec, 1.0, 0)
-        bounded_01 = smoothness_criterion(laws.log_b, laws.log_a, spec, 0.0, 1)
-        unbounded_11 = smoothness_criterion(laws.log_b, laws.log_a, spec, 1.0, 1)
-        assert bounded_10["verdict"] == "bounded"
-        assert bounded_01["verdict"] == "bounded"
-        assert unbounded_11["verdict"] == "unbounded"
-
-    def test_smooth_laws_bounded_at_high_order(self):
-        from attractorlab.simulate import smooth_forcing_laws
-
-        laws = smooth_forcing_laws(10**6)
-        spec = make_spectrum("quadratic", {}, 8)
-        for s, k in ((10.0, 10), (4.0, 7), (0.0, 10)):
-            out = smoothness_criterion(laws.log_b, laws.log_a, spec, s, k)
-            assert out["verdict"] == "bounded", (s, k)
-
-
-class TestSeparatedCounts:
-    def test_exact_counter(self):
-        norms = np.log([1.0, 0.5, 0.25, 0.125])
-        assert separated_count_exact(norms, math.log(0.2)) == 2
-        assert separated_count_exact(norms, math.log(0.05)) == 4
-
-    def test_log_count_matches_exact_at_moderate_scale(self):
-        # asymptotic log-count vs explicit enumeration, at a scale where the
-        # count is large enough for the continuous threshold to be accurate
-        lognorm = lambda n: -3.0 * np.log(2.0 * np.log(n))
-        log_eps = math.log(8e-5)
-        exact = sum(1 for n in range(2, 30000)
-                    if lognorm(float(n)) >= math.log(2.0) + log_eps)
-        log_count = separated_count_log(lognorm, log_eps)
-        assert math.exp(log_count) == pytest.approx(exact, rel=0.01)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from attractorlab.config import DEFAULTS, drive_from_config
+from attractorlab.config import drive_from_config, resolve_config
 from attractorlab.simulate import Scenario, SimulationError
 from attractorlab.spectral import (SpectrumError, c1_obstruction_check, cube_width,
                                    make_spectrum, regime_bound, site_pairs,
@@ -226,6 +226,10 @@ class TestObstruction:
         assert (verdict.minus_real_count, verdict.plus_real_count) == (0, 1)
 
 
+# every drive and dynamics key at its default
+DEFAULTS = resolve_config({"spectrum": {"family": "linear", "n_max": 8}})
+
+
 def scenario(spec, budget):
     dyn = DEFAULTS["dynamics"]
     return Scenario(spec, budget, drive_from_config(DEFAULTS), dyn["n_trunc"], dyn["n0"],
@@ -318,12 +322,17 @@ def test_counts_match_dense_oracle(spec, ratio):
 
 
 @given(bounded_spectra, couplings)
+# the gap 11.89999 - 2.89999 rounds to 9.0 = 2L but is below it, so every
+# block is complex at L = regime_bound(spec) = 4.5, outside the regime
+@example(make_spectrum("explicit", {"values": list(np.cumsum([0.99999, 1.9, 9.0]))}), 1.0)
 def test_margins_decide_the_regime(spec, ratio):
     coupling = ratio * regime_bound(spec)
     verdict = c1_obstruction_check(spec, coupling)
     assert verdict.in_regime == (verdict.block_margin > 0 and verdict.plus_margin > 0)
     assert verdict.block_margin == 2 * coupling - spectral_gap(spec)
-    # the parity clash needs counts 0 and 1 and an unstable plus mode
+    # the parity clash needs counts 0 and 1 and an unstable plus mode.  The
+    # counts decide a gap that rounds to 2L exactly and the regime does not,
+    # so the clash also holds at such a tie when the exact gap is below 2L
     clash = (verdict.minus_real_count, verdict.plus_real_count) == (0, 1) \
         and verdict.plus_margin > 0
-    assert clash == verdict.in_regime
+    assert clash == verdict.in_regime or (clash and verdict.block_margin == 0)

@@ -28,10 +28,6 @@ LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 # Definitions that no command reaches yet, with the reason each stays; they
 # are roots of the reachability guard, and their parameters need no caller.
 KEEP = {
-    "separated_count_exact": "closed-form section-4 counter: reuse or delete",
-    "separated_count_log": "closed-form section-4 counter: reuse or delete",
-    "smoothness_criterion": "forcing's C^k-in-H^s verdict beside the dimension: "
-                            "reuse or delete",
     "adaptive_simpson": "tracer-pinned until ROADMAP item 1's benchmark step",
     "_window_kernel": "tracer-pinned until ROADMAP item 1's benchmark step",
     "lawson_rk4_adaptive": "tracer-pinned until ROADMAP item 1's benchmark step",
@@ -109,11 +105,17 @@ def reads(node) -> set:
 
 def definitions(trees) -> dict:
     """"module:qualified name" -> (bare name, owning class key or None, node
-    or None for a field) of every module-level function and class, method
-    and dataclass field of the package."""
+    or None for a field) of every module-level function, class and constant
+    (a name assigned at module level, dunders aside), method and dataclass
+    field of the package."""
     defs = {}
     for module, (tree, _) in trees.items():
         for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and not (
+                            target.id.startswith("__") and target.id.endswith("__")):
+                        defs[f"{module}:{target.id}"] = (target.id, None, node)
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             owner = f"{module}:{node.name}"
@@ -210,8 +212,9 @@ def unreached() -> dict:
 
 
 def test_every_export_is_used():
-    """Each module-level function and class of the package is reached from a
-    command (see `unreached`), and KEEP names only what no command reaches."""
+    """Each module-level function, class and constant of the package is
+    reached from a command (see `unreached`), and KEEP names only what no
+    command reaches."""
     assert sorted(key for key, owner in unreached().items() if owner is None) == []
     trees = source_trees()
     defs, reached = live_definitions(trees, ())
