@@ -150,11 +150,11 @@ def make_periodic_operator(
     n_modes: int | None = None,
     epsilon: float | None = None,
 ) -> PeriodicOperator:
-    """Assemble the operator with default cut-offs tied to the drive
-    amplitude; epsilon defaults to the calibrated quarter-turn value (pass 0
-    for the rotation-free control).  The anchor scale is tau over the
-    half-period integral of theta2(-x(t)), taken by
-    `drive.half_period_integral` like epsilon's."""
+    """Assemble the operator over n_modes <= spectrum.n_max modes (default
+    all) with default cut-offs tied to the drive amplitude; epsilon defaults
+    to the calibrated quarter-turn value (pass 0 for the rotation-free
+    control).  The anchor scale is tau over the half-period integral of
+    theta2(-x(t)), taken by `drive.half_period_integral` like epsilon's."""
     amp = drive.amplitude
     theta1 = mollifier_bump(amp / 4.0, 2.0 * amp, amp / 2.0, 1.5 * amp)
     theta2 = SmoothStep(0.0, amp / 4.0)
@@ -163,11 +163,8 @@ def make_periodic_operator(
     i2 = drive.half_period_integral(theta2.value)
     if i2 <= 0.0:
         raise FloquetError("diagonal window has zero measure")
-    n_modes = spectrum.n_max if n_modes is None else n_modes
-    if n_modes > spectrum.n_max:
-        raise FloquetError("operator truncation exceeds the stored spectrum")
-    return PeriodicOperator(spectrum, drive, theta1, theta2, epsilon,
-                            drive.half_period / i2, n_modes)
+    return PeriodicOperator(spectrum, drive, theta1, theta2, epsilon, drive.half_period / i2,
+                            spectrum.n_max if n_modes is None else n_modes)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,11 @@ real eigenvalues (a double one at equality) exactly when its gap
 lambda_b - lambda_a is at least 2L, and none otherwise.  No eigenvalue is
 computed.
 
-The sign is decided exactly for the stored doubles.  2L is a double, and
-rounding is monotone, so a rounded gap above (below) 2L means an exact gap
-above (below) it; only a rounded gap equal to 2L is decided again on the
-exact difference, with `fractions.Fraction`.  By the same argument every
-block is complex as soon as L > regime_bound(spec): each in-block gap is
-a consecutive gap, rounded as in L0, so no rounded gap exceeds L0 < 2L.
+The sign is decided exactly for the stored doubles.  Every gap is rounded
+toward -inf (`_gaps_down`), and 2L is a double, so a rounded gap is at
+least 2L exactly when the exact gap is.  L0 is the largest such rounded
+consecutive gap, and the two sites' blocks together take every consecutive
+gap once, so every block is complex exactly when 2L > L0.
 """
 
 from __future__ import annotations
@@ -128,15 +127,25 @@ def make_spectrum(family: str, params=None, n_max: int = 2) -> Spectrum:
     raise SpectrumError(f"unknown spectrum family {family!r}")
 
 
+def _gaps_down(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """upper - lower rounded toward -inf: the nearest-rounded difference,
+    stepped down one ulp where its exact error (Knuth's TwoSum) is
+    negative."""
+    gaps = upper - lower
+    z = gaps - upper
+    err = (upper - (gaps - z)) - (lower + z)
+    return np.where(err < 0, np.nextafter(gaps, -np.inf), gaps)
+
+
 def spectral_gap(spec: Spectrum) -> float:
-    """L0, the max consecutive gap of the stored sequence; math.inf when the
-    analytic family's gap diverges beyond any truncation (quadratic, and
-    power with kappa > 1)."""
+    """L0, the max consecutive gap of the stored sequence, rounded toward
+    -inf; math.inf when the analytic family's gap diverges beyond any
+    truncation (quadratic, and power with kappa > 1)."""
     if spec.family == "quadratic":
         return math.inf
     if spec.family == "power" and spec.params.get("kappa", 1.0) > 1.0:
         return math.inf
-    return float(np.max(np.diff(spec.values)))
+    return float(np.max(_gaps_down(spec.values[:-1], spec.values[1:])))
 
 
 def regime_bound(spec: Spectrum) -> float:
@@ -170,20 +179,12 @@ class ObstructionVerdict:
 
 def _site_blocks(values: np.ndarray, n: int, site: str, twice: float) -> tuple[int, float]:
     """(real eigenvalue count, least twice - gap) over the 2x2 blocks of one
-    site's n modes, twice = 2L.  A block counts 2 when its exact gap
-    values[second] - values[first] is at least 2L, else 0.  The rounded gap
-    decides every block it does not tie with 2L; a tie is decided on the
-    exact difference of the stored doubles."""
+    site's n modes, twice = 2L, with each gap values[second] - values[first]
+    rounded down.  A block counts 2 when its exact gap is at least 2L, else
+    0."""
     first, second = site_pairs(n, site)
-    gaps = values[second] - values[first]
-    real = int(np.count_nonzero(gaps > twice))
-    ties = np.flatnonzero(gaps == twice)
-    if ties.size:
-        from fractions import Fraction
-
-        real += sum(Fraction(values[second[k]]) - Fraction(values[first[k]]) >= Fraction(twice)
-                    for k in ties)
-    return 2 * real, float(np.min(twice - gaps))
+    gaps = _gaps_down(values[first], values[second])
+    return 2 * int(np.count_nonzero(gaps >= twice)), float(np.min(twice - gaps))
 
 
 def c1_obstruction_check(spec: Spectrum, coupling: float) -> ObstructionVerdict:
@@ -196,14 +197,12 @@ def c1_obstruction_check(spec: Spectrum, coupling: float) -> ObstructionVerdict:
     has exactly one, the positive L - lambda_1 of its lone mode 1.  Each
     block's real count is 2 when its gap is at least 2L (a gap of exactly
     2L is a double real root) and 0 otherwise, decided exactly as in the
-    module docstring.  So the counts are 0 and 1 whenever
-    L > regime_bound(spec) = max(L0/2, lambda_1), and in_regime, which is
-    that inequality, certifies the parity contradiction.  The converse
-    fails only at L = regime_bound(spec) when a gap rounds up to 2L: the
-    counts then read 0 and 1 while in_regime, like `Scenario`, reads
-    False.  Outside the regime the verdict reads "no obstruction
-    certified".  block_margin is the least 2L - gap over both sites'
-    blocks and plus_margin is L - lambda_1, both in double arithmetic.
+    module docstring.  So the counts are 0 and 1 exactly when
+    L > regime_bound(spec) = max(L0/2, lambda_1), so in_regime certifies
+    the parity contradiction.  Outside the regime the verdict reads "no
+    obstruction certified".  block_margin is the least 2L - gap over both
+    sites' blocks and plus_margin is L - lambda_1, both in double
+    arithmetic.
     """
     n_trunc = spec.n_max
     if n_trunc < 3:

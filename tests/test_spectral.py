@@ -126,7 +126,7 @@ class TestBlockEigenvalues:
     @example(0.1, 1.0, 0)
     @example(0.3, 1.0, 0)
     def test_count_follows_exact_discriminant_sign(self, lam_a, lam_b, ulps):
-        # L within a few ulps of half the rounded gap, so the tie branch runs
+        # L within a few ulps of half the gap, where its rounding decides
         lam_a, lam_b = min(lam_a, lam_b), max(lam_a, lam_b)
         coupling = 0.5 * (lam_b - lam_a)
         for _ in range(abs(ulps)):
@@ -236,6 +236,10 @@ def scenario(spec, budget):
                     dyn["kick_max_level"], dyn["kappa"], dyn["steps_per_period"])
 
 
+# the gap 11.89999 - 2.89999 rounds up to 9.0, so at L = 4.5 every block
+# is complex and L = 4.5 is inside the regime
+ROUNDED_UP_GAP = make_spectrum("explicit", {"values": list(np.cumsum([0.99999, 1.9, 9.0]))})
+
 bounded_spectra = st.one_of(
     st.builds(lambda c, n: make_spectrum("linear", {"c": c}, n),
               st.floats(min_value=0.05, max_value=20.0), st.integers(3, 200)),
@@ -256,9 +260,14 @@ class TestRegimeBound:
         assert regime_bound(make_spectrum("quadratic", {}, 6)) == math.inf
 
     @given(bounded_spectra)
+    @example(ROUNDED_UP_GAP)
     def test_scenario_and_obstruction_share_the_boundary(self, spec):
         bound = regime_bound(spec)
-        assert bound == max(0.5 * float(np.max(np.diff(spec.values))), float(spec.values[0]))
+        # each exact gap rounded toward -inf
+        gaps = [Fraction(b) - Fraction(a) for a, b in zip(spec.values, spec.values[1:])]
+        down = [math.nextafter(float(g), -math.inf) if Fraction(float(g)) > g else float(g)
+                for g in gaps]
+        assert bound == max(0.5 * max(down), float(spec.values[0]))
         with pytest.raises(SimulationError, match="must exceed"):
             scenario(spec, bound)
         assert not c1_obstruction_check(spec, bound).in_regime
@@ -322,17 +331,13 @@ def test_counts_match_dense_oracle(spec, ratio):
 
 
 @given(bounded_spectra, couplings)
-# the gap 11.89999 - 2.89999 rounds to 9.0 = 2L but is below it, so every
-# block is complex at L = regime_bound(spec) = 4.5, outside the regime
-@example(make_spectrum("explicit", {"values": list(np.cumsum([0.99999, 1.9, 9.0]))}), 1.0)
+@example(ROUNDED_UP_GAP, 1.0)
 def test_margins_decide_the_regime(spec, ratio):
     coupling = ratio * regime_bound(spec)
     verdict = c1_obstruction_check(spec, coupling)
     assert verdict.in_regime == (verdict.block_margin > 0 and verdict.plus_margin > 0)
     assert verdict.block_margin == 2 * coupling - spectral_gap(spec)
-    # the parity clash needs counts 0 and 1 and an unstable plus mode.  The
-    # counts decide a gap that rounds to 2L exactly and the regime does not,
-    # so the clash also holds at such a tie when the exact gap is below 2L
+    # the parity clash needs counts 0 and 1 and an unstable plus mode
     clash = (verdict.minus_real_count, verdict.plus_real_count) == (0, 1) \
         and verdict.plus_margin > 0
-    assert clash == verdict.in_regime or (clash and verdict.block_margin == 0)
+    assert clash == verdict.in_regime
