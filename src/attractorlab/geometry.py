@@ -94,14 +94,6 @@ class CoordTable:
         entries = sorted(entries)
         return cls(n, *(zip(*entries) if entries else ((),) * 4))
 
-    def select(self, rows) -> "CoordTable":
-        """The entries of the listed points, ascending ids, renumbered 0, 1, ..."""
-        new = np.full(self.n, -1)
-        new[rows] = np.arange(len(rows))
-        at = new[self.point] >= 0
-        return CoordTable(len(rows), new[self.point[at]], self.mode[at], self.sign[at],
-                          self.log[at])
-
 
 @dataclass
 class PointCloud:
@@ -478,60 +470,64 @@ def dimension_vs_s_scan(cloud: PointCloud, s_list, log_scales,
 
 
 def cube_doubling_report(cloud: PointCloud, levels: dict) -> dict:
-    """Exhaustive log-space verification of the almost-cube lower bounds.
+    """The almost-cube lower bounds of each level n (vertex scale eps_n, cube
+    width k = ceil(sqrt(n))), in closed form from its vertex structure.
 
-    For each level n (vertex scale eps_n, cube width k = ceil(sqrt(n))):
-    every vertex lies in the ball of radius r_n * eps_n around the cube
-    center, r_n = sqrt(k) / 2 being their exact distance; covering those
-    vertices at eps_n/2 needs at least 2^k balls; chaining the doubling
-    bound over max(1, ceil(log2 r_n)) halvings yields log2 D >= k / chain,
-    checked against sqrt(n)/2.  The "diverging" verdict stands only when
-    every level passes all three checks; otherwise it reads "finite", which
-    certifies nothing.
-    """
+    The structure check, O(2^k k) integer work and exact at any depth, asks
+    that each coordinate the level's points store sit on a cube mode with
+    sign +1 and log magnitude exactly log_eps, so each point is the vertex
+    of {0, eps_n}^k named by its modes' bit mask; any other point fails the
+    level.  In H^0 each vertex is exactly r_n eps_n from the cube centre,
+    r_n = sqrt(k)/2 (all_in_ball).  Vertices are at least eps_n apart, so a closed eps_n/2
+    ball centred at a vertex holds one, and the cover takes one ball per
+    distinct mask (n_half_cover; count_bound_ok asks for 2^k).  Chaining
+    over max(1, ceil(log2 r_n)) halvings gives log2 D >= log2(n_half_cover)
+    / chain, checked against sqrt(n)/2.  "diverging" stands only when every
+    level passes all three checks; "finite" certifies nothing.
+
+    The count 2^k holds for vertex centres, as covering_number's data
+    centres are, and for any centres below radius eps_n/2.  Free centres at
+    eps_n/2 need exactly 2^(k-1): a ball of diameter eps_n holds at most one
+    cube edge, as the cube graph has no triangles, and the edges of a
+    perfect matching cover the cube.  So log2 D >= (k-1)/chain, which grows
+    like sqrt(n) too."""
+    if cloud.s != 0:
+        raise GeometryError(f"the almost-cube bounds hold in H^0; the view has s = {cloud.s}")
+    t = cloud.points
     per_level = []
-    log2_d_bounds = []
-    log_scales = []
     for n, info in sorted(levels.items()):
         k = cube_width(n)
         log_eps = info["log_eps"]
-        rows = info["point_ids"]
-        r_n = math.sqrt(k) / 2.0
-        log_ball = log_eps + math.log(r_n)
-        level = cloud.points.select(rows)
-        modes = sorted(info["cube_indices"])
-        ones = np.ones(len(modes))
-        # the level's vertices and, as the last point, the cube centre
-        aug = PointCloud(CoordTable(level.n + 1, np.append(level.point, level.n * ones),
-                                    np.append(level.mode, modes), np.append(level.sign, ones),
-                                    np.append(level.log, (log_eps - math.log(2.0)) * ones)),
-                         cloud.spectrum, cloud.s)
-        center_row = aug.distance_log_row(level.n)
-        in_ball = bool(np.all(center_row[:-1] <= log_ball + _LOG_SLACK))
-        sub = PointCloud(level, cloud.spectrum, cloud.s)
-        n_half = len(covering_number(sub, log_eps=log_eps - math.log(2.0), method="greedy"))
-        chain = max(1, math.ceil(math.log2(r_n)))
+        rows = np.asarray(info["point_ids"], dtype=np.intp)
+        modes = np.sort(np.asarray(info["cube_indices"], dtype=np.intp))
+        # each row's run of entries in the (point, mode)-sorted table
+        first = np.searchsorted(t.point, rows)
+        stored = np.searchsorted(t.point, rows, side="right") - first
+        at = np.arange(stored.sum()) + np.repeat(first - np.cumsum(stored) + stored, stored)
+        bit = np.searchsorted(modes, t.mode[at])
+        on_cube = modes[np.minimum(bit, len(modes) - 1)] == t.mode[at]
+        # each point's bit mask, a sum of distinct powers of two: exact in doubles for k < 53
+        masks = np.bincount(np.repeat(np.arange(len(rows)), stored)[on_cube],
+                            np.ldexp(1.0, bit[on_cube]), len(rows))
+        n_half = len(set(masks.tolist()))
+        chain = max(1, math.ceil(math.log2(math.sqrt(k) / 2.0)))
         log2_d = math.log2(n_half) / chain
         per_level.append({
             "level": n,
             "vertices": len(rows),
             "log_eps": log_eps,
-            "all_in_ball": in_ball,
+            "all_in_ball": bool(np.all(on_cube) and np.all(t.sign[at] == 1)
+                                and np.all(t.log[at] == log_eps)),
             "n_half_cover": n_half,
             "count_bound_ok": n_half >= 2**k,
             "chain_length": chain,
             "log2_doubling_bound": log2_d,
             "half_sqrt_bound_ok": log2_d >= 0.5 * math.sqrt(n) - 1e-9,
         })
-        log2_d_bounds.append(log2_d)
-        log_scales.append(log_eps)
-    estimate = log_doubling_estimate(log_scales, [v * math.log(2.0) for v in log2_d_bounds])
+    estimate = log_doubling_estimate([l["log_eps"] for l in per_level],
+                                     [l["log2_doubling_bound"] * math.log(2.0) for l in per_level])
     all_ok = all(l["count_bound_ok"] and l["half_sqrt_bound_ok"] and l["all_in_ball"]
                  for l in per_level)
     if not all_ok:
         estimate["verdict"] = "finite"
-    return {
-        "levels": per_level,
-        "all_bounds_ok": all_ok,
-        "log_doubling": estimate,
-    }
+    return {"levels": per_level, "all_bounds_ok": all_ok, "log_doubling": estimate}

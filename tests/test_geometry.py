@@ -1,5 +1,8 @@
 import functools
+import itertools
+import json
 import math
+import os
 import tracemalloc
 from types import SimpleNamespace
 
@@ -7,14 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from attractorlab import geometry
+from attractorlab.config import resolve_config, scenario_from_config
+from attractorlab.floquet import poincare_predicted
 from attractorlab.geometry import (PLANAR_X, PLANAR_Y, GeometryError, PointCloud,
                                    _greedy_cover, box_count, covering_number,
                                    cube_doubling_report, doubling_factor,
                                    fractal_dimension_estimate,
                                    log_doubling_estimate)
 from attractorlab.spectral import cube_width, make_spectrum
-from attractorlab.simulate import section4_attractor, thm44_laws
+from attractorlab.simulate import bad_cube_cloud, section4_attractor, thm44_laws
 from conftest import dict_cloud, point_dicts
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def logs(scales):
@@ -390,12 +398,13 @@ class TestSlotDistances:
     def test_memory_below_one_dense_matrix(self):
         n, m = 2000, 400
         cloud = wide_cloud(n, m)
+        first = point_dicts(cloud)[:288]
         tracemalloc.start()
         try:
             built = PointCloud(cloud.points, cloud.spectrum, 2.0)
             build_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            sub = PointCloud(cloud.points.select(np.arange(288)), cloud.spectrum, 2.0)
+            sub = dict_cloud(first, cloud.spectrum, 2.0)
             D = sub.distance_log_matrix()
             matrix_peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -569,20 +578,47 @@ class TestDoubling:
             log_doubling_estimate(logs([0.5, 0.3, 0.1]), [0.0, 0.0, 0.0])
 
 
-def cube_levels(drop_from=None):
+def cube_levels(drop_from=None, duplicate=None):
     """Full almost-cubes at levels 4, 5, 6 (widths 2, 3, 3), as bad_cube_cloud
-    lays them out; drop_from names a level whose last vertex goes missing."""
+    lays them out; drop_from names a level whose last vertex goes missing,
+    duplicate one whose last vertex is stored twice."""
     points, levels = [], {}
     for n, log_eps in ((4, -83.0), (5, -136.5), (6, -183.0)):
         modes = [2 * (n + j) for j in range(1, cube_width(n) + 1)]
-        ids = []
-        for p in range(2 ** len(modes)):
+        ids, vertices = [], list(range(2 ** len(modes)))
+        if n == duplicate:
+            vertices.append(vertices[-1])
+        for p in vertices:
             ids.append(len(points))
             points.append({m: (1, log_eps) for b, m in enumerate(modes) if (p >> b) & 1})
         levels[n] = {"log_eps": log_eps, "point_ids": ids, "cube_indices": modes}
     if drop_from is not None:
         levels[drop_from]["point_ids"].pop()
     return dict_cloud(points), levels
+
+
+def configured_cubes(n_max=None, kick_max_level=None):
+    """The bad-cube cloud and levels of the `cubes` benchmark config, or of
+    that config deepened to the given spectrum.n_max and kick_max_level."""
+    with open(os.path.join(REPO, "perfbench", "configs", "cubes.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if n_max is not None:
+        cfg["spectrum"]["n_max"], cfg["dynamics"]["kick_max_level"] = n_max, kick_max_level
+    scen = scenario_from_config(resolve_config(cfg))
+    cloud, meta = bad_cube_cloud(scen, poincare_predicted(scen.spectrum, scen.drive.half_period))
+    return cloud, meta["levels"]
+
+
+def enumerated_level(cloud, points, info):
+    """A level's half-scale greedy cover over its own points, and the log
+    distances from the cube centre to each of them, enumerated from the
+    distance rows; points are the cloud's point_dicts."""
+    points = [points[i] for i in info["point_ids"]]
+    half = info["log_eps"] - math.log(2.0)
+    cover = covering_number(dict_cloud(points, cloud.spectrum), half, "greedy")
+    centre = {m: (1, half) for m in info["cube_indices"]}
+    row = dict_cloud(points + [centre], cloud.spectrum).distance_log_row(len(points))
+    return len(cover), row[:-1]
 
 
 class TestCubeDoubling:
@@ -604,3 +640,81 @@ class TestCubeDoubling:
         bounds = [lvl["log2_doubling_bound"] for lvl in out["levels"]]
         assert bounds == sorted(bounds)
         assert out["log_doubling"]["verdict"] == "finite"
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(configured_cubes, id="cubes"),
+        pytest.param(functools.partial(configured_cubes, 160, 36), id="kick_max_level 36"),
+        pytest.param(cube_levels, id="full"),
+        pytest.param(functools.partial(cube_levels, drop_from=5), id="drop_from"),
+        pytest.param(functools.partial(cube_levels, duplicate=6), id="duplicate"),
+    ])
+    def test_closed_form_matches_enumeration(self, build):
+        # every level here has k <= 6, so at most 65 points to enumerate
+        cloud, levels = build()
+        out = cube_doubling_report(cloud, levels)
+        points = point_dicts(cloud)
+        assert [lvl["level"] for lvl in out["levels"]] == sorted(levels)
+        for lvl in out["levels"]:
+            info = levels[lvl["level"]]
+            k = len(info["cube_indices"])
+            assert k <= 6 and lvl["all_in_ball"]
+            n_cover, row = enumerated_level(cloud, points, info)
+            assert lvl["n_half_cover"] == n_cover
+            assert lvl["count_bound_ok"] is (n_cover >= 2**k)
+            radius = info["log_eps"] + math.log(math.sqrt(k) / 2.0)
+            assert np.all(np.abs(row - radius) <= 4 * np.spacing(abs(radius)))
+
+    @pytest.mark.parametrize("field,value", [
+        ("log", np.nextafter(-136.5, 0.0)),  # one ulp off the vertex scale
+        ("sign", -1),
+        ("mode", 2 * (5 + 4)),  # the mode after the cube's last
+    ], ids=["log", "sign", "mode"])
+    def test_a_point_off_the_cube_fails_its_level(self, field, value):
+        cloud, levels = cube_levels()
+        t = cloud.points
+        entry = np.searchsorted(t.point, levels[5]["point_ids"][-1], side="right") - 1
+        getattr(t, field)[entry] = value
+        out = cube_doubling_report(cloud, levels)
+        assert [lvl["all_in_ball"] for lvl in out["levels"]] == [True, False, True]
+        assert out["all_bounds_ok"] is False
+        assert out["log_doubling"]["verdict"] == "finite"
+
+    def test_reads_no_distance(self, monkeypatch):
+        cloud, levels = cube_levels()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the report enumerated distances")
+
+        monkeypatch.setattr(geometry, "covering_number", forbidden)
+        monkeypatch.setattr(PointCloud, "_distance_logs", forbidden)
+        monkeypatch.setattr(PointCloud, "__post_init__", forbidden)
+        assert cube_doubling_report(cloud, levels)["all_bounds_ok"] is True
+
+    def test_other_norms_refused(self):
+        cloud, levels = cube_levels()
+        with pytest.raises(GeometryError, match="H\\^0"):
+            cube_doubling_report(cloud.with_norm(2.0), levels)
+
+    def test_level_100_in_ball(self):
+        # an ulp of |log eps| ~ 33,260 is 7.3e-12, so a vertex-to-centre log
+        # distance rounded one ulp high must not fail the level
+        out = cube_doubling_report(*configured_cubes(420, 100))
+        assert out["levels"][-1]["level"] == 100
+        assert out["levels"][-1]["all_in_ball"] is True
+        assert out["all_bounds_ok"] is True
+        assert out["log_doubling"]["verdict"] == "diverging"
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_free_centres_cover_with_half_the_vertices(self, k):
+        # the unit k-cube: 2^(k-1) balls of radius 1/2 at the midpoints of
+        # the edges along the first axis cover it, and no such ball (diameter
+        # 1) holds three vertices, since three vertices pairwise at most 1
+        # apart would be a triangle of the cube graph
+        vertices = np.array([[(p >> b) & 1 for b in range(k)] for p in range(2**k)], float)
+        centres = vertices[vertices[:, 0] == 0] + np.eye(k)[0] / 2.0
+        assert len(centres) == 2 ** (k - 1)
+        sq = ((vertices[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
+        assert np.all(np.any(sq <= 0.25, axis=1))
+        pair = ((vertices[:, None, :] - vertices[None, :, :]) ** 2).sum(axis=2)
+        assert not any(pair[a, b] <= 1 and pair[a, c] <= 1 and pair[b, c] <= 1
+                       for a, b, c in itertools.combinations(range(2**k), 3))

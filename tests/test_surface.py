@@ -27,10 +27,12 @@ LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 # Definitions that no command reaches yet, with the reason each stays; they
 # are roots of the reachability guard, and their parameters need no caller.
+# A name keeps the module-level definition or the class members it names.
 KEEP = {
     "adaptive_simpson": "tracer-pinned until ROADMAP item 1's benchmark step",
     "_window_kernel": "tracer-pinned until ROADMAP item 1's benchmark step",
     "lawson_rk4_adaptive": "tracer-pinned until ROADMAP item 1's benchmark step",
+    "distance_log_row": "tracer-pinned until ROADMAP item 1's benchmark step",
 }
 
 # Defaulted parameters that no call in the package sets, with the reason each stays.
@@ -170,7 +172,8 @@ def live_definitions(trees, roots) -> tuple[dict, set]:
     every dunder method of a live class, which Python calls by protocol."""
     defs = definitions(trees)
     live = {"cli.py:main"}
-    names = set(roots).union(reads(defs["cli.py:main"][2]), tracer_hook_reads(),
+    names = set(roots).union({"." + root for root in roots}, reads(defs["cli.py:main"][2]),
+                             tracer_hook_reads(),
                              *(import_time_reads(tree) for tree, _ in trees.values()))
     grew = True
     while grew:
@@ -203,8 +206,8 @@ def unreached() -> dict:
 
     Names match bare, because `obj.attr` does not say whose `attr` it reads.
     So a dead member passes when live code reads another class's member of
-    the same name (a test-only `PointCloud.select` would pass beside the
-    live `CoordTable.select`), and a dead module-level definition passes
+    the same name (a test-only `PointCloud.value` would pass beside the
+    live `SmoothStep.value`), and a dead module-level definition passes
     when live code reads its name for something else, such as a local
     variable.  A dead dunder method of a live class passes too."""
     defs, live = live_definitions(source_trees(), KEEP)
