@@ -7,7 +7,13 @@ acts in each half-period, so each half's map is block-diagonal in 2x2
 blocks; two colour columns recover every step's blocks in one batched
 Lawson step, and the blocks multiply in a pairwise tree.  A guard checks on
 the coefficient table that the other half's coefficients are exactly zero,
-since overlapping cut-offs would otherwise mix the colours silently."""
+since overlapping cut-offs would otherwise mix the colours silently; the
+guard and the rhs read one `StageTable` per chunk.
+
+Phi itself is applied through its pairs: each of its four terms is a
+diagonal or a signed gather over `site_pairs`, O(n) per state column, and a
+stage skips the terms whose coefficient row is zero, bitwise as the dense
+sum of four n x n products would give it."""
 
 from __future__ import annotations
 
@@ -61,14 +67,32 @@ def calibrate_epsilon(drive: PeriodicDrive, theta1: BumpFunction) -> float:
 
 
 @dataclass(frozen=True)
-class PeriodicOperator:
-    """Block-rotation coupling Phi(x(t)) over n_modes modes.
+class StageTable:
+    """Phi's coefficients on a Lawson stage grid: [t0, t1] is cut into
+    `columns` equal windows of `steps` steps each, and coeffs holds the rows
+    (tm, r1m, tp, r1p) on np.linspace(t0, t1, 2 columns steps + 1), so
+    column j's window covers entries 2 j steps .. 2 (j + 1) steps."""
 
-    When x < 0 it couples pairs (2n-1, 2n), when x > 0 pairs (2n, 2n+1);
-    mode 1 carries a calibrated diagonal in the positive window so that its
-    effective decay rate over the window is exactly lambda_1 / 2, matching
-    the predicted shift multiplier closed forms at finite smooth
-    transitions.
+    t0: float
+    t1: float
+    steps: int
+    columns: int
+    coeffs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class PeriodicOperator:
+    """Block-rotation coupling Phi(x(t)) over n_modes modes,
+
+        Phi = theta2(-x) D- + eps theta1(-x) R- + theta2(x) D+ + eps theta1(x) R+.
+
+    When x < 0 it couples pairs (2n-1, 2n), when x > 0 pairs (2n, 2n+1)
+    (`site_pairs`).  Each site's D is diagonal, +-half the pair's gap, and
+    each R is the 2x2 rotation generator on its pairs, so both act on a
+    state in O(n).  Mode 1 carries a calibrated diagonal in the positive
+    window so that its effective decay rate over the window is exactly
+    lambda_1 / 2, matching the predicted shift multiplier closed forms at
+    finite smooth transitions.
     """
 
     spectrum: Spectrum
@@ -91,23 +115,6 @@ class PeriodicOperator:
     def lam(self) -> np.ndarray:
         return self.spectrum.values[: self.n_modes]
 
-    @cached_property
-    def _templates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Constant matrices so Phi(t) is a 4-term scalar combination:
-        Phi = theta2(-x) Dm + eps theta1(-x) Rm + theta2(x) Dp + eps theta1(x) Rp."""
-        lam = self.lam
-        n = self.n_modes
-        dm, rm, dp, rp = (np.zeros((n, n)) for _ in range(4))
-        dp[0, 0] = 0.5 * lam[0] * self.anchor_scale
-        for d, r, site in ((dm, rm, "minus"), (dp, rp, "plus")):
-            a, b = site_pairs(n, site)
-            half_gap = 0.5 * (lam[a] - lam[b])
-            d[a, a] += half_gap
-            d[b, b] -= half_gap
-            r[a, b] = 1.0
-            r[b, a] = -1.0
-        return dm, rm, dp, rp
-
     def _coefficients(self, t):
         x = self.drive.value(t)
         tm = self.theta2.value(-x)
@@ -116,30 +123,78 @@ class PeriodicOperator:
         r1p = self.epsilon * self.theta1.value(x)
         return tm, r1m, tp, r1p
 
-    def tabulated_rhs(self, t0: float, t1: float, steps: int, columns: int):
-        """rhs(t, U) = Phi(t) U for a matrix state whose columns run through
-        consecutive windows, with the drive coefficients pre-evaluated on the
-        Lawson stage grid.
+    def stage_table(self, t0: float, t1: float, steps: int, columns: int) -> StageTable:
+        """The coefficient rows on the stage grid of `columns` windows of
+        `steps` Lawson steps over [t0, t1]: one `_coefficients` call."""
+        grid = np.linspace(t0, t1, columns * 2 * steps + 1)
+        return StageTable(t0, t1, steps, columns, self._coefficients(grid))
 
-        [t0, t1] is cut into `columns` equal windows of `steps` steps each,
-        and rhs(t, U) steps column j of U through window j.  t is the array
-        of column times; column 0's gives the stage, round((t[0] - t0) /
-        (h / 2)), and each stage applies one coefficient row with an entry
-        per column.  The rows are strided views of one table on the whole
-        grid, np.linspace(t0, t1, 2 columns steps + 1), so column j reads
-        stages 2 j steps .. 2 (j + 1) steps of that grid."""
-        dm, rm, dp, rp = self._templates
-        stages = 2 * steps
-        grid = np.linspace(t0, t1, columns * stages + 1)
-        coeffs = self._coefficients(grid)
-        half = (t1 - t0) / (columns * stages)
-        # row k, column j is entry j * stages + k of the table: a view, no copy
-        tm, r1m, tp, r1p = (np.lib.stride_tricks.sliding_window_view(c, stages + 1)[::stages].T
-                            for c in coeffs)
+    def tabulated_rhs(self, table: StageTable):
+        """rhs(t, U) = Phi(t) U for a matrix state whose columns run through
+        the table's consecutive windows, column j through window j.
+
+        t is the array of column times; column 0's gives the stage, k =
+        round((t[0] - t0) / (h / 2)), and stage k applies coefficient row k,
+        with an entry per column.  The rows are strided views of the table:
+        row k, column j is entry 2 j steps + k.
+
+        Each term costs O(n cols): a diagonal is a column vector times U, a
+        rotation the signed gather sign * U[partner] over its pairs.  A term
+        whose coefficient row is zero in every column at stage k is skipped;
+        in each half-period two of the four rows are.  The result is bitwise
+        the dense sum tm D- U + r1m R- U + tp D+ U + r1p R+ U in that order:
+        a dense row with one nonzero entry sums to exactly that product,
+        multiplying by +-1 or 0 is exact, and a skipped term only adds a
+        signed zero.  Zero entries come out +0, as the dense sum gives them
+        for a nondecreasing spectrum and nonnegative coefficients."""
+        n = self.n_modes
+        lam = self.lam
+        stages = 2 * table.steps
+        t0 = table.t0
+        half = (table.t1 - t0) / (table.columns * stages)
+        rows = [np.lib.stride_tricks.sliding_window_view(c, stages + 1)[::stages].T
+                for c in table.coeffs]
+        # the live terms of each stage: term i is live at stage k when its
+        # row is nonzero in some column, and `plans` holds one index tuple per
+        # pattern of the four bits
+        live = [np.any(r != 0.0, axis=1) for r in rows]
+        codes = (live[0] + 2 * live[1] + 4 * live[2] + 8 * live[3]).tolist()
+        plans = [tuple(i for i in range(4) if code >> i & 1) for code in range(16)]
+        # D- u, R- u, D+ u and R+ u are scale * u[partner], partner None for
+        # the diagonals; a lone mode's rotation row has sign 0
+        scales, partners = [], []
+        for site in ("minus", "plus"):
+            a, b = site_pairs(n, site)
+            half_gap = 0.5 * (lam[a] - lam[b])
+            diag = np.zeros((n, 1))
+            diag[a, 0] += half_gap
+            diag[b, 0] -= half_gap
+            sign = np.zeros((n, 1))
+            sign[a], sign[b] = 1.0, -1.0
+            partner = np.arange(n)
+            partner[a], partner[b] = b, a
+            scales += [diag, sign]
+            partners += [None, partner]
+        scales[2][0, 0] = 0.5 * lam[0] * self.anchor_scale  # mode 1's anchor, on D+
 
         def column_rhs(t, u):
-            k = int(round((t[0] - t0) / half))
-            return tm[k] * (dm @ u) + r1m[k] * (rm @ u) + tp[k] * (dp @ u) + r1p[k] * (rp @ u)
+            k = round((t.item(0) - t0) / half)
+            out = None
+            for i in plans[codes[k]]:
+                if partners[i] is None:
+                    term = scales[i] * u
+                else:
+                    term = u[partners[i]]
+                    term *= scales[i]
+                term *= rows[i][k]
+                if out is None:
+                    out = term
+                else:
+                    out += term
+            if out is None:
+                return np.zeros(u.shape)
+            out += 0.0  # a zero sum reads +0, as the dense sum's does
+            return out
 
         return column_rhs
 
@@ -289,7 +344,8 @@ def _half_period_map(op: PeriodicOperator, plus: bool, steps: int) -> np.ndarray
         c1 = start + op.half_period * i1 / steps
         m = i1 - i0
         # (tm, r1m, tp, r1p): the other half's pair must vanish on this one
-        coeffs = op._coefficients(np.linspace(c0, c1, 2 * m + 1))
+        table = op.stage_table(c0, c1, 1, m)
+        coeffs = table.coeffs
         live = np.flatnonzero(np.any(np.array(coeffs[:2] if plus else coeffs[2:]) != 0.0,
                                      axis=0))
         if live.size:
@@ -298,7 +354,7 @@ def _half_period_map(op: PeriodicOperator, plus: bool, steps: int) -> np.ndarray
                 f"{half} half-period: the {other} coupling's coefficients are nonzero at "
                 f"stage {2 * i0 + k} (t = {c0 + (c1 - c0) * k / (2 * m):.6g}), so its map "
                 "is not block-diagonal; the cut-offs of the two halves overlap")
-        rhs = op.tabulated_rhs(c0, c1, 1, columns=m)
+        rhs = op.tabulated_rhs(table)
         bounds = np.linspace(c0, c1, m + 1)
         images = np.empty((2, n + 1, m))
         images[:, n] = colours[:, n, None]

@@ -30,7 +30,8 @@ def lawson_rk4(decay, rhs, state, t0, t1, steps: int):
     each column then runs over its own interval with its own step width
     (t1[j] - t0[j]) / steps, and rhs receives the array of column times.
     If rhs acts on each column as it would on a vector, column j is bitwise
-    the result of a vector call on that interval."""
+    the result of a vector call on that interval.  Each step calls rhs at t,
+    twice at t + h/2 (one time array) and at t + h."""
     state = np.array(state, dtype=float)
     decay = np.asarray(decay, dtype=float)
     h = (t1 - t0) / steps
@@ -40,14 +41,19 @@ def lawson_rk4(decay, rhs, state, t0, t1, steps: int):
         decay = decay[:, None]
     ef = np.exp(-decay * h)
     eh = np.exp(-decay * 0.5 * h)
+    # per-column invariants, computed once: the same values as at each use
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
     t = t0
     for _ in range(steps):
+        t_mid = t + half_h
+        t_end = t + h
         k1 = rhs(t, state)
-        k2 = rhs(t + 0.5 * h, eh * (state + 0.5 * h * k1))
-        k3 = rhs(t + 0.5 * h, eh * state + 0.5 * h * k2)
-        k4 = rhs(t + h, ef * state + h * eh * k3)
-        state = ef * state + (h / 6.0) * (ef * k1 + 2.0 * eh * k2 + 2.0 * eh * k3 + k4)
-        t = t + h
+        k2 = rhs(t_mid, eh * (state + half_h * k1))
+        k3 = rhs(t_mid, eh * state + half_h * k2)
+        k4 = rhs(t_end, ef * state + h * eh * k3)
+        state = ef * state + sixth_h * (ef * k1 + 2.0 * eh * k2 + 2.0 * eh * k3 + k4)
+        t = t_end
     return state
 
 
@@ -69,7 +75,7 @@ def lawson_rk4_adaptive(
 
     `rhs_for(steps)` returns the rhs for one step count, so a caller can
     tabulate its coefficients once per doubling on that count's stage grid
-    t0 + k h/2, as `PeriodicOperator.tabulated_rhs` does."""
+    t0 + k h/2, as `PeriodicOperator.stage_table` does for `tabulated_rhs`."""
     steps = initial_steps
     prev = lawson_rk4(decay, rhs_for(steps), state, t0, t1, steps)
     while steps <= ADAPTIVE_MAX_STEPS:
@@ -133,10 +139,10 @@ def propagate_periods(
     them run at once as the columns of one `lawson_rk4` pass over
     [(k - 1) period, k period].  `rhs(t, U)` therefore takes the array of
     column times and applies period k's coefficients to column k - 1, as
-    `PeriodicOperator.tabulated_rhs` does with one column per period.  The
-    books are then kept in period order, so an error names the first period
-    that fails.  Negating a start negates every rounded step, so each period
-    is bitwise what a sequential run would give.
+    `PeriodicOperator.tabulated_rhs` does on a `stage_table` with one column
+    per period.  The books are then kept in period order, so an error names
+    the first period that fails.  Negating a start negates every rounded
+    step, so each period is bitwise what a sequential run would give.
     """
     w = np.array(w0, dtype=float)
     norm = _safe_norm(w)

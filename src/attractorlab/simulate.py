@@ -129,8 +129,8 @@ def trajectory_pair_experiment(
     op = make_periodic_operator(spec, drive, scenario.n_trunc,
                                 epsilon=None if rotation_on else 0.0)
     period = op.period
-    rhs = op.tabulated_rhs(0.0, n_periods * period, scenario.steps_per_period,
-                           columns=n_periods)
+    rhs = op.tabulated_rhs(op.stage_table(0.0, n_periods * period,
+                                          scenario.steps_per_period, n_periods))
     w0 = np.zeros(scenario.n_trunc)
     w0[0] = 1.0
 

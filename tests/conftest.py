@@ -7,7 +7,7 @@ import pytest
 from attractorlab.cutoffs import PeriodicDrive
 from attractorlab.floquet import make_periodic_operator, poincare_predicted
 from attractorlab.geometry import CoordTable, PointCloud
-from attractorlab.spectral import make_spectrum
+from attractorlab.spectral import make_spectrum, site_pairs
 
 
 def dict_cloud(points, spectrum=None, s=0.0, tags=None) -> PointCloud:
@@ -70,16 +70,35 @@ def operator_t2():
     return make_periodic_operator(spec, drive, 12)
 
 
+def dense_templates(op):
+    """Phi's four constant n x n templates (D-, R-, D+, R+), so that Phi(t) =
+    theta2(-x) D- + eps theta1(-x) R- + theta2(x) D+ + eps theta1(x) R+: the
+    dense form that `PeriodicOperator.tabulated_rhs` applies through its
+    diagonals and signed gathers."""
+    lam = op.lam
+    n = op.n_modes
+    dm, rm, dp, rp = (np.zeros((n, n)) for _ in range(4))
+    dp[0, 0] = 0.5 * lam[0] * op.anchor_scale
+    for d, r, site in ((dm, rm, "minus"), (dp, rp, "plus")):
+        a, b = site_pairs(n, site)
+        half_gap = 0.5 * (lam[a] - lam[b])
+        d[a, a] += half_gap
+        d[b, b] -= half_gap
+        r[a, b] = 1.0
+        r[b, a] = -1.0
+    return dm, rm, dp, rp
+
+
 @pytest.fixture(scope="session")
 def one_column_rhs():
     """Builder of the one-column rhs that `PeriodicOperator.tabulated_rhs`
-    returned before it took only column batches: Phi(t) u with the
-    coefficients on the stage grid np.linspace(t0, t1, 2 steps + 1), the
-    stage read as round((t - t0) / (h / 2)).  The oracles step vectors and
-    dense matrices with it."""
+    returned before it took only column batches: Phi(t) u as four dense
+    matmuls, with the coefficients on the stage grid np.linspace(t0, t1,
+    2 steps + 1), the stage read as round((t - t0) / (h / 2)).  The oracles
+    step vectors and dense matrices with it."""
 
     def build(op, t0, t1, steps):
-        dm, rm, dp, rp = op._templates
+        dm, rm, dp, rp = dense_templates(op)
         stages = 2 * steps
         tm, r1m, tp, r1p = op._coefficients(np.linspace(t0, t1, stages + 1))
         half = (t1 - t0) / stages

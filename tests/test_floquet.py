@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from attractorlab.floquet import (WALK_PERIODS, FloquetError, PeriodicOperator,
                                   shift_match_report)
 from attractorlab.integrators import lawson_rk4
 from attractorlab.spectral import make_spectrum, spectral_gap
+from conftest import dense_templates
 
 # Means of theta1(h(u)) and theta2(h(u)) over the unit transition u in [0, 1]
 # at amplitude 1 (so for every amplitude): the trapezoidal rule in 30-digit
@@ -449,3 +451,67 @@ def test_blocks_match_dense_oracle(name, n_trunc, request, one_column_rhs):
     assert np.all(np.abs(got.matrix[on] - want[on]) <= 1e-12 * np.abs(want[on]))
     off = np.abs(np.where(on, 0.0, got.matrix - want))
     assert np.all(off <= 1e-11 * np.max(np.abs(want), axis=0))
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.0])
+@pytest.mark.parametrize("steps,columns,periods", [(64, 2, 2.0), (16, 3, 1.5)])
+def test_tabulated_rhs_matches_dense_formula(operator_t2, epsilon, steps, columns, periods):
+    # whole-period columns share each stage's phase, so a stage runs 0, 1 or
+    # 2 live terms; half-period columns mix the halves, up to all 4
+    op = operator_t2 if epsilon is None else replace(operator_t2, epsilon=epsilon)
+    table = op.stage_table(0.0, periods * op.period, steps, columns)
+    rhs = op.tabulated_rhs(table)
+    templates = dense_templates(op)
+    coeffs = np.array(table.coeffs)
+    stages = 2 * steps
+    u = np.random.default_rng(7).standard_normal((op.n_modes, columns))
+    h = (table.t1 - table.t0) / (columns * steps)
+    starts = np.arange(columns) * stages * (h / 2)
+    live_counts = set()
+    for k in range(stages + 1):
+        c = coeffs[:, np.arange(columns) * stages + k]
+        live_counts.add(int(np.count_nonzero(np.any(c != 0.0, axis=1))))
+        want = (c[0] * (templates[0] @ u) + c[1] * (templates[1] @ u)
+                + c[2] * (templates[2] @ u) + c[3] * (templates[3] @ u))
+        assert rhs(starts + k * (h / 2), u).tobytes() == want.tobytes(), k
+    if periods == 2.0:
+        assert live_counts == ({0, 1, 2} if epsilon is None else {0, 1})
+    else:
+        assert max(live_counts) == (4 if epsilon is None else 2)
+
+
+def test_one_coefficient_table_per_chunk(operator_t2, monkeypatch):
+    # 256-step chunks split every half-period from 512 steps a period up;
+    # the zero-coupling guard and the rhs read the same table
+    monkeypatch.setattr(floquet, "BLOCK_CHUNK", 256)
+    calls = []
+    evaluate = PeriodicOperator._coefficients
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(PeriodicOperator, "_coefficients", counted)
+    got = poincare_numeric(operator_t2, 8)
+    chunks = [steps // 2 // 256 for steps in (512, 1024, 2048, 4096) for _ in range(2)]
+    assert got.steps == 4096
+    assert calls == [2 * 256 + 1] * sum(chunks)
+
+
+def test_rhs_memory_is_linear_in_modes():
+    # one dense n x n template at n = 4000 is 128 MB
+    n = 4000
+    op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, n),
+                                PeriodicDrive(1.0, 2.0, 0.75), n)
+    start = np.zeros((n, 2))
+    start[0] = 1.0
+    tracemalloc.start()
+    try:
+        rhs = op.tabulated_rhs(op.stage_table(0.0, op.period, 1, 2))
+        end = lawson_rk4(op.lam, rhs, start, np.array([0.0, op.half_period]),
+                         np.array([op.half_period, op.period]), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.all(np.isfinite(end))

@@ -182,7 +182,7 @@ def test_batched_periods_match_sequential_bitwise(case, one_column_rhs):
     oracle_rhs = one_column_rhs(op, 0.0, n_periods * op.period, n_periods * steps)
     want_logs, want_states = sequential_periods(oracle_rhs, op, w0, op.period, n_periods, steps,
                                                 modes)
-    rhs = op.tabulated_rhs(0.0, n_periods * op.period, steps, columns=n_periods)
+    rhs = op.tabulated_rhs(op.stage_table(0.0, n_periods * op.period, steps, n_periods))
     log = propagate_periods(op.lam, rhs, w0, op.period, steps, modes)
     assert log.lognorms.tobytes() == want_logs.tobytes()
     assert [w.tobytes() for w in log.states] == [w.tobytes() for w in want_states]
