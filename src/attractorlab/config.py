@@ -148,6 +148,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"config invalid at <root>: want a dict, got {raw!r}")
     resolved = _resolve(raw, "")
     _check_explicit(resolved["spectrum"])
+    _check_steps(resolved["dynamics"])
     _check_cloud(resolved)
     return resolved
 
@@ -162,6 +163,17 @@ def _check_explicit(sec: dict) -> None:
         raise ConfigError(
             f"explicit spectrum lists {count} values but n_max is {sec['n_max']}; "
             "set n_max to the number of values")
+
+
+def _check_steps(dyn: dict) -> None:
+    """Refuse an odd step count per period: `simulate` runs half of the
+    steps in each half-period."""
+    steps = dyn["steps_per_period"]
+    if steps % 2:
+        raise ConfigError(
+            f"config invalid at dynamics.steps_per_period: want an even integer, since "
+            f"each half-period takes half the steps, got {steps}; the next even value "
+            f"is {steps + 1}")
 
 
 def _bad_cube_min_n_max(kick_max_level: int, family: str) -> int:

@@ -8,7 +8,10 @@ blocks; two colour columns recover every step's blocks in one batched
 Lawson step, and the blocks multiply in a pairwise tree.  A guard checks on
 the coefficient table that the other half's coefficients are exactly zero,
 since overlapping cut-offs would otherwise mix the colours silently; the
-guard and the rhs read one `StageTable` per chunk.
+guard and the rhs read one `StageTable` per chunk.  `poincare_numeric`
+scatters the two halves' blocks into dense matrices; `period_advance`
+applies them to state columns in O(n) each, and `simulate` runs its periods
+through it.
 
 Phi itself is applied through its pairs: each of its four terms is a
 diagonal or a signed gather over `site_pairs`, O(n) per state column, and a
@@ -39,6 +42,7 @@ __all__ = [
     "poincare_predicted",
     "NumericPoincare",
     "poincare_numeric",
+    "period_advance",
     "shift_match_report",
     "IterateNorms",
     "iterate_norm",
@@ -286,11 +290,18 @@ PROPAGATOR_TOL = 1e-10
 BLOCK_CHUNK = 2048
 
 
+def _pair_up(x: np.ndarray, product) -> np.ndarray:
+    """One level of the pairwise tree: product(x[2i + 1], x[2i]) for each
+    pair, and an unpaired last entry carried up a level as it is."""
+    paired = product(x[1::2], x[:-1:2])
+    return np.concatenate((paired, x[-1:])) if len(x) % 2 else paired
+
+
 def _ordered_product(g: np.ndarray) -> np.ndarray:
     """g[-1] @ ... @ g[1] @ g[0] over stacked 2x2 blocks, by pairwise
-    products: a tree of depth log2 len(g).  Every step count and chunk
-    count of `poincare_numeric` is a power of two, so each level pairs all
-    its entries.
+    products: a tree of depth ceil(log2 len(g)).  A level of odd length
+    carries its last block up unpaired, so any count works, and a power of
+    two pairs every entry at every level.
 
     While every block lies within 1/2 of the identity, the tree multiplies
     deviations, (I + a)(I + b) = I + (a + b + a b), so a step's small
@@ -301,20 +312,23 @@ def _ordered_product(g: np.ndarray) -> np.ndarray:
     e = g - eye
     levels = 0
     while len(e) > 1 and float(np.max(np.abs(e))) <= 0.5:
-        a, b = e[1::2], e[0::2]
-        e = a + b + np.matmul(a, b)
+        e = _pair_up(e, lambda a, b: a + b + np.matmul(a, b))
         levels += 1
     if levels:
         g = e + eye
     while len(g) > 1:
-        g = np.matmul(g[1::2], g[0::2])
+        g = _pair_up(g, np.matmul)
     return g[0]
 
 
-def _half_period_map(op: PeriodicOperator, plus: bool, steps: int) -> np.ndarray:
-    """The dense n x n map of one half-period at `steps` Lawson steps:
-    [0, T] (minus, pairs (2j-1, 2j)) or [T, 2T] (plus, pairs (2j, 2j+1),
-    mode 1 alone with its anchor diagonal).
+def _half_period_blocks(op: PeriodicOperator, plus: bool,
+                        steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map of one half-period at `steps` Lawson steps as (pairs,
+    blocks): [0, T] (minus, pairs (2j-1, 2j)) or [T, 2T] (plus, pairs (2j,
+    2j+1), mode 1 alone with its anchor diagonal).  Column b of the (2,
+    n_blocks) `pairs` names block b's two mode positions, position n being
+    the dummy partner of a lone mode; blocks[b] is the 2x2 map on them, the
+    ordered product of the half's steps.
 
     Every step's map is block-diagonal in the half's pairs, so two colour
     vectors recover all its blocks: colour 0 sums e_a over the first mode a
@@ -363,10 +377,33 @@ def _half_period_map(op: PeriodicOperator, plus: bool, steps: int) -> np.ndarray
                                        bounds[:-1], bounds[1:], 1)
         # step j's block b is images[c, pairs[r, b], j] at row r, column c
         chunks.append(_ordered_product(images[:, pairs].transpose(3, 2, 1, 0)))
-    blocks = _ordered_product(np.stack(chunks))
-    mat = np.zeros((n + 1, n + 1))
-    mat[pairs[:, None, :], pairs[None, :, :]] = blocks.transpose(1, 2, 0)
-    return mat[:n, :n]
+    return pairs, _ordered_product(np.stack(chunks))
+
+
+def _apply_blocks(pairs: np.ndarray, blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A half-period map given as `_half_period_blocks`' (pairs, blocks),
+    applied to the columns of the (n, cols) state u: each block's two rows
+    are two gathered products and a sum, O(n cols), with no n x n array.
+    The dummy mode n enters as a zero row."""
+    n = len(u)
+    padded = np.zeros((n + 1, u.shape[1]))
+    padded[:n] = u
+    a, b = padded[pairs[0]], padded[pairs[1]]
+    g = blocks[..., None]
+    out = np.empty_like(padded)
+    out[pairs[0]] = g[:, 0, 0] * a + g[:, 0, 1] * b
+    out[pairs[1]] = g[:, 1, 0] * a + g[:, 1, 1] * b
+    return out[:n]
+
+
+def period_advance(op: PeriodicOperator, steps_per_period: int):
+    """advance(starts): each column of the (n_modes, cols) `starts` one
+    period [0, 2T] later, as P M at steps_per_period / 2 Lawson steps per
+    half.  Both halves' blocks are built once, here; the drive is periodic,
+    so they serve every period."""
+    minus = _half_period_blocks(op, False, steps_per_period // 2)
+    plus = _half_period_blocks(op, True, steps_per_period // 2)
+    return lambda starts: _apply_blocks(*plus, _apply_blocks(*minus, starts))
 
 
 def poincare_numeric(op: PeriodicOperator, n_trunc: int) -> NumericPoincare:
@@ -377,20 +414,27 @@ def poincare_numeric(op: PeriodicOperator, n_trunc: int) -> NumericPoincare:
     The two couplings never act together: on [0, T] only the minus pairs
     (2j-1, 2j) rotate, on [T, 2T] only the plus pairs (2j, 2j+1) and mode
     1's anchor diagonal act.  So each half-period map M, P is
-    block-diagonal in 2x2 blocks, and `_half_period_map` reads every step's
-    blocks from two colour columns (Curtis, Powell & Reid, J. Inst. Math.
-    Appl. 1974) and multiplies them in a pairwise tree.  It raises
+    block-diagonal in 2x2 blocks, and `_half_period_blocks` reads every
+    step's blocks from two colour columns (Curtis, Powell & Reid, J. Inst.
+    Math. Appl. 1974) and multiplies them in a pairwise tree.  It raises
     FloquetError, naming the half-period and the stage, when the other
-    half's coefficients are not exactly zero on it.
+    half's coefficients are not exactly zero on it.  Only this map scatters
+    the blocks into dense n x n matrices.
     """
     guard = 1 if n_trunc % 2 == 0 else 2
     n_int = n_trunc + guard
     spectrum = op.spectrum if n_int <= op.spectrum.n_max else op.spectrum.truncated(n_int)
     inner = replace(op, spectrum=spectrum, n_modes=n_int)
 
+    def half_map(plus, steps):
+        pairs, blocks = _half_period_blocks(inner, plus, steps)
+        mat = np.zeros((n_int + 1, n_int + 1))
+        mat[pairs[:, None, :], pairs[None, :, :]] = blocks.transpose(1, 2, 0)
+        return mat[:n_int, :n_int]
+
     def period_map(steps):
-        minus = _half_period_map(inner, False, steps // 2)
-        return _half_period_map(inner, True, steps // 2) @ minus
+        minus = half_map(False, steps // 2)
+        return half_map(True, steps // 2) @ minus
 
     steps = 512
     prev = period_map(steps)

@@ -1,6 +1,8 @@
 """Exponential (Lawson-RK4) time stepping: the diagonal decay is applied as
 an exact integrating factor every step, only the bounded coupling terms are
-stepped explicitly."""
+stepped explicitly.  `propagate_periods` keeps the renormalized log ledger
+of a periodic trajectory over a one-period map it is given, such as
+`floquet.period_advance`'s half-period block products."""
 
 from __future__ import annotations
 
@@ -116,14 +118,7 @@ class PeriodLog:
 PROJECTION_GUARD = 1e-6
 
 
-def propagate_periods(
-    decay,
-    rhs,
-    w0,
-    period: float,
-    steps_per_period: int,
-    modes,
-) -> PeriodLog:
+def propagate_periods(advance, w0, period: float, steps_per_period: int, modes) -> PeriodLog:
     """Integrate a super-exponentially decaying trajectory period by period,
     renormalizing at each boundary so dense arithmetic never underflows.
 
@@ -131,18 +126,19 @@ def propagate_periods(
     at the end of period k; the other coordinates are projected to exact
     zero, which removes the round-off floor that otherwise dominates once
     relative gaps grow.  The projection refuses to discard more than
-    PROJECTION_GUARD of the norm.
+    PROJECTION_GUARD of the norm; `steps_per_period` only names the step
+    count in that refusal.
 
     After each projection the state is exactly +-1 at its mode, so the
     periods couple only through that sign and the log ledger: period 1
     starts from w0 / ||w0||, period k > 1 from e_{modes[k - 2]}, and all of
-    them run at once as the columns of one `lawson_rk4` pass over
-    [(k - 1) period, k period].  `rhs(t, U)` therefore takes the array of
-    column times and applies period k's coefficients to column k - 1, as
-    `PeriodicOperator.tabulated_rhs` does on a `stage_table` with one column
-    per period.  The books are then kept in period order, so an error names
-    the first period that fails.  Negating a start negates every rounded
-    step, so each period is bitwise what a sequential run would give.
+    them advance at once as the columns of one `advance(starts)` call,
+    which returns each column's state one period later.  That needs a
+    periodic system, whose one-period map is the same for every period, as
+    `floquet.period_advance` gives it.  The books are then kept in period
+    order, so an error names the first period that fails.  The map is
+    linear and negating a start negates every rounded product, so each
+    period is bitwise what a sequential run of the same map would give.
     """
     w = np.array(w0, dtype=float)
     norm = _safe_norm(w)
@@ -151,8 +147,7 @@ def propagate_periods(
     starts = np.zeros((w.size, n_periods))
     starts[:, 0] = w
     starts[list(modes[:-1]), np.arange(1, n_periods)] = 1.0
-    bounds = np.arange(n_periods + 1) * period
-    ends = lawson_rk4(decay, rhs, starts, bounds[:-1], bounds[1:], steps_per_period)
+    ends = advance(starts)
     logscale = 0.0
     lognorms = [math.log(norm)]
     states = [w]
@@ -185,4 +180,5 @@ def propagate_periods(
         sign = w[mode]
         lognorms.append(logscale)
         states.append(w)
-    return PeriodLog(bounds, np.asarray(lognorms), states, discard_max)
+    return PeriodLog(np.arange(n_periods + 1) * period, np.asarray(lognorms), states,
+                     discard_max)

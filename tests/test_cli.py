@@ -401,16 +401,29 @@ class TestSimulate:
         assert read_bytes(root / "a", self.CSVS) == read_bytes(root / "b", self.CSVS)
 
     def test_outputs_pinned(self, dynamics_runs):
-        # the CSVs and constants as SMALL_DYNAMICS wrote them at commit
-        # dd93f97, when each period was its own `lawson_rk4` call
+        # the CSVs and constants as SMALL_DYNAMICS writes them since its
+        # periods run through the half-period block map
         root, _ = dynamics_runs
         for name, digest in (
                 ("pair_distance.csv",
-                 "57a62661602df52a337d798519714bf7809e341271a654f7716e535df6fa1792"),
+                 "6b5f164059f0d0a6f6472854cf3d6bd851af8188771c2753d11a978b4b52474a"),
                 ("pair_trajectory.csv",
-                 "ed7cad97bf3d2d16fc4714142d4be59bfa80586a1e9d0e956fbc0c65fdf7693f")):
+                 "76e24e61c553dd098ab996d3da9e6f499f188156cb00e746348645c46f9e57e8")):
             with open(root / "a" / name, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest
+        # the log distances as the sequential Lawson steps wrote them at
+        # commit 0a1e161; block products round differently, so they hold to
+        # 1e-13 relative (5.6e-16 moved), and the supports and signs exactly
+        with open(root / "a" / "pair_distance.csv", encoding="utf-8") as fh:
+            rows = [r.split(",") for r in fh.read().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0", "4", "8", "12"]
+        want = [0.0, -7.9999999996921645, -23.999999999384311, -47.999999999076493]
+        assert float(rows[0][1]) == 0.0
+        assert all(abs(float(r[1]) - w) <= 1e-13 * -w for r, w in zip(rows[1:], want[1:]))
+        with open(root / "a" / "pair_trajectory.csv", encoding="utf-8") as fh:
+            rows = [r.split(",") for r in fh.read().splitlines()[1:]]
+        assert [r[:3] for r in rows] == [["0", "1", "1"], ["4", "3", "1"], ["8", "5", "1"],
+                                         ["12", "7", "1"]]
         got = report(root / "a", "simulate")["constants"]
         assert 0.0 < got.pop("projection_discard_max") <= PROJECTION_GUARD
         assert abs(got.pop("closing_exponent") - 2.0) <= 1.5e-3
@@ -424,7 +437,9 @@ class TestSimulate:
 
     def test_periods_take_one_lawson_pass(self, tmp_path):
         # perfbench's layer tracer counts the steps of every `lawson_rk4`
-        # call and the calls of every tabulated rhs
+        # call and the calls of every tabulated rhs: the periods share one
+        # build of the half-period blocks, one one-step call per colour and
+        # half, each column one of the half's 512 steps
         cfg = write_config(tmp_path / "c.json", SMALL_DYNAMICS)
         tracer = load_layers().Tracer()
         tracer.install()
@@ -432,10 +447,9 @@ class TestSimulate:
             assert run(cfg, tmp_path / "out", "simulate") == 0
         finally:
             tracer.uninstall()
-        steps = SMALL_DYNAMICS["dynamics"]["steps_per_period"]
-        assert tracer.calls["integrators.lawson"] == 1
-        assert tracer.counters["integrators.steps"] == steps
-        assert tracer.counters["floquet.tab_rhs_evals"] == 4 * steps
+        assert tracer.calls["integrators.lawson"] == 4
+        assert tracer.counters["integrators.steps"] == 4
+        assert tracer.counters["floquet.tab_rhs_evals"] == 16
 
     def test_pair_matches_walk(self, monkeypatch):
         # the pair is an oracle for the shift walk: 3.8e-11 relative at

@@ -74,6 +74,17 @@ def test_edges(key, value, taken):
             resolve_config(raw)
 
 
+@pytest.mark.parametrize("steps", [65, 3001])
+def test_odd_steps_per_period_names_the_next_even(steps):
+    # each half-period takes half of a period's steps
+    raw = with_key(BASE, "dynamics.steps_per_period", steps)
+    with pytest.raises(ConfigError, match=r"at dynamics\.steps_per_period: want an even "
+                                          rf"integer.*the next even value is {steps + 1}$"):
+        resolve_config(raw)
+    raw = with_key(BASE, "dynamics.steps_per_period", steps + 1)
+    assert resolve_config(raw)["dynamics"]["steps_per_period"] == steps + 1
+
+
 def test_shortest_explicit_spectrum():
     assert resolve_config({"spectrum": EXPLICIT})["spectrum"] == EXPLICIT
     short = with_key({"spectrum": EXPLICIT}, "spectrum.params.values", [1.0])

@@ -11,8 +11,8 @@ from attractorlab import floquet, quadrature
 from attractorlab.cutoffs import PeriodicDrive, SmoothStep, _ramp_mean, mollifier_bump
 from attractorlab.floquet import (WALK_PERIODS, FloquetError, PeriodicOperator,
                                   calibrate_epsilon, closing_law, iterate_norm,
-                                  make_periodic_operator, poincare_numeric,
-                                  poincare_predicted, ratio_bounds_check,
+                                  make_periodic_operator, period_advance,
+                                  poincare_numeric, poincare_predicted, ratio_bounds_check,
                                   shift_match_report)
 from attractorlab.integrators import lawson_rk4
 from attractorlab.spectral import make_spectrum, spectral_gap
@@ -515,3 +515,53 @@ def test_rhs_memory_is_linear_in_modes():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert np.all(np.isfinite(end))
+
+
+# (block count, spread of the blocks around the identity); a long product of
+# far blocks would leave the double range
+TREE_CASES = [(count, spread) for spread in (1e-3, 0.3, 2.0)
+              for count in (1, 2, 3, 5, 12, 13, 1500) if spread < 2.0 or count < 1500]
+
+
+@pytest.mark.parametrize("count,spread", TREE_CASES)
+def test_odd_tree_matches_left_fold(count, spread):
+    # a tree level of odd length carries its last block up unpaired; blocks
+    # near the identity start on the deviation tree, far ones on plain
+    # products, and at 0.3 the tree switches between the two
+    g = np.eye(2) + spread * np.random.default_rng(count).uniform(-0.5, 0.5, (count, 2, 2))
+    want = np.eye(2)
+    for block in g:
+        want = block @ want
+    got = floquet._ordered_product(g)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_block_period_memory_is_linear_in_modes():
+    # both halves' blocks at n = 4000 and 64 steps a period, built and
+    # applied to six start columns; one dense n x n map is 128 MB
+    n = 4000
+    op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, n),
+                                PeriodicDrive(1.0, 2.0, 0.75), n)
+    starts = np.zeros((n, 6))
+    starts[0, 0] = 1.0
+    starts[np.arange(2, 12, 2), np.arange(1, 6)] = 1.0
+    tracemalloc.start()
+    try:
+        ends = period_advance(op, 64)(starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.all(np.isfinite(ends))
+    # e_1 ends on mode 3, as the shift pattern has it
+    assert np.argmax(np.abs(ends[:, 0])) == 2
+
+
+def test_period_advance_matches_the_dense_map(operator_t2):
+    # every column of the identity through the blocks, against the dense
+    # period map that `poincare_numeric` scatters the same blocks into
+    want = poincare_numeric(operator_t2, 8)
+    inner = replace(operator_t2, n_modes=9)
+    got = period_advance(inner, want.steps)(np.eye(9))[:, :8]
+    scale = np.max(np.abs(want.matrix), axis=0)
+    assert np.all(np.abs(got - want.matrix) <= 1e-14 * scale)
