@@ -22,7 +22,8 @@ from .floquet import (ClosingLaw, FloquetError,
                       IterateNorms, NumericPoincare, PeriodicOperator,
                       WeightedShift, calibrate_epsilon, closing_law,
                       iterate_norm, make_periodic_operator, poincare_numeric,
-                      poincare_predicted, ratio_bounds_check, shift_match_report)
+                      poincare_predicted, ratio_bounds_check)
+from .phases import phase_blocks, phase_constants, poincare_columns, shift_match_report
 from .geometry import (NEG_INF, PLANAR_X, PLANAR_Y, CoordTable,
                        DimensionScan, GeometryError, PointCloud,
                        covering_number, cube_doubling_report, dimension_vs_s_scan,

@@ -15,6 +15,7 @@ import time
 
 from . import floquet as fl
 from . import geometry as geo
+from . import phases
 from . import simulate as sim
 from .config import (ConfigError, config_hash, drive_from_config, load_config,
                      parse_scales, scenario_from_config, spectrum_from_config)
@@ -80,11 +81,10 @@ def cmd_floquet(cfg, args) -> int:
     out = _out_dir(cfg, args)
     spec = spectrum_from_config(cfg)
     drive = drive_from_config(cfg)
-    n_trunc = min(cfg["dynamics"]["n_trunc"], spec.n_max - 2)
+    n_trunc = cfg["dynamics"]["n_trunc"]
     op = fl.make_periodic_operator(spec, drive)
     predicted = fl.poincare_predicted(spec, drive.half_period)
-    numeric = fl.poincare_numeric(op, n_trunc)
-    match = fl.shift_match_report(numeric, predicted)
+    match = phases.shift_match_report(phases.poincare_columns(op, n_trunc), predicted)
     law = fl.closing_law(spec, drive.half_period)
     report = RunReport(config_hash(cfg), "floquet", expected=_expected(cfg, "floquet"))
     report.verdicts["floquet"] = "pattern_ok" if (
@@ -98,6 +98,10 @@ def cmd_floquet(cfg, args) -> int:
         "beta": law.beta,
         "epsilon": op.epsilon,
         "n_trunc": n_trunc,
+        # the sup of ||Phi(t)|| over a period beside the Lipschitz budget
+        # it should stay within; nothing gates on it yet
+        "L": cfg["dynamics"]["L"],
+        "coupling_norm_max": op.coupling_norm_max,
     })
     # the iterate norms of e_2, whose orbit turns at mode 1 after one period
     n_iter = max(4, min(12, (spec.n_max - 3) // 2))

@@ -83,6 +83,7 @@ KEYS = {
     "dynamics.n0": (4, _integer(1)),
     "dynamics.kappa": (0.05, _number(0, 1)),
     "dynamics.beta_scale": (1.0, _number(0)),
+    # capped at spectrum.n_max - 2 when not given (`_check_truncation`)
     "dynamics.n_trunc": (16, _integer(4)),
     "dynamics.kick_max_level": (16, _integer(1)),
     "dynamics.n_periods": (6, _integer(3)),
@@ -148,6 +149,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"config invalid at <root>: want a dict, got {raw!r}")
     resolved = _resolve(raw, "")
     _check_explicit(resolved["spectrum"])
+    _check_truncation(resolved, "n_trunc" in raw.get("dynamics", {}))
     _check_steps(resolved["dynamics"])
     _check_cloud(resolved)
     return resolved
@@ -163,6 +165,23 @@ def _check_explicit(sec: dict) -> None:
         raise ConfigError(
             f"explicit spectrum lists {count} values but n_max is {sec['n_max']}; "
             "set n_max to the number of values")
+
+
+def _check_truncation(resolved: dict, given: bool) -> None:
+    """One truncation bound for both dynamics commands: `floquet` checks
+    columns 1..n_trunc, whose shift images reach mode n_trunc + 2, and
+    `simulate` runs n_trunc modes, so dynamics.n_trunc is at most
+    spectrum.n_max - 2.  A given value above it is refused; the default
+    is lowered to it."""
+    bound = resolved["spectrum"]["n_max"] - 2
+    dyn = resolved["dynamics"]
+    if not given:
+        dyn["n_trunc"] = min(dyn["n_trunc"], bound)
+    elif dyn["n_trunc"] > bound:
+        raise ConfigError(
+            f"config invalid at dynamics.n_trunc: want at most spectrum.n_max - 2 = {bound}, "
+            f"since floquet's shift images reach two modes past the truncation, got "
+            f"{dyn['n_trunc']}; the smallest invalid value is {bound + 1}")
 
 
 def _check_steps(dyn: dict) -> None:

@@ -8,10 +8,12 @@ blocks; two colour columns recover every step's blocks in one batched
 Lawson step, and the blocks multiply in a pairwise tree.  A guard checks on
 the coefficient table that the other half's coefficients are exactly zero,
 since overlapping cut-offs would otherwise mix the colours silently; the
-guard and the rhs read one `StageTable` per chunk.  `poincare_numeric`
-scatters the two halves' blocks into dense matrices; `period_advance`
-applies them to state columns in O(n) each, and `simulate` runs its periods
-through it.
+guard and the rhs read one `StageTable` per chunk.  `period_advance`
+applies the two halves' blocks to state columns in O(n) each, and
+`simulate` runs its periods through it.  `poincare_numeric` scatters them
+into dense matrices by step doubling: it is the test oracle of the closed
+form in `phases`, which `floquet` runs, and stays in the package because
+the benchmark's layer tracer wraps it.
 
 Phi itself is applied through its pairs: each of its four terms is a
 diagonal or a signed gather over `site_pairs`, O(n) per state column, and a
@@ -27,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .cutoffs import BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump
-from .integrators import _safe_norm, lawson_rk4
+from .integrators import lawson_rk4
 # adaptive_simpson is not called here, but the layer tracer in
 # perfbench/layers.py wraps this module binding; drop it with simulate's.
 from .quadrature import adaptive_simpson  # noqa: F401
@@ -43,7 +45,7 @@ __all__ = [
     "NumericPoincare",
     "poincare_numeric",
     "period_advance",
-    "shift_match_report",
+    "truncated_operator",
     "IterateNorms",
     "iterate_norm",
     "ClosingLaw",
@@ -118,6 +120,17 @@ class PeriodicOperator:
     @cached_property
     def lam(self) -> np.ndarray:
         return self.spectrum.values[: self.n_modes]
+
+    @property
+    def coupling_norm_max(self) -> float:
+        """sup over t of the operator norm of Phi(t).  A pair's block of Phi
+        is -(theta2 d) sigma_z + r J with d its half-gap, whose norm is
+        theta2 |d| + r, and r > 0 only where theta2 = 1 (`phases`):
+        so the ramps peak at |d| and the rotation at |d| + eps, on the
+        bump's plateau.  Mode 1's anchor diagonal peaks at lam_1
+        anchor_scale / 2."""
+        half_gap = 0.5 * float(np.max(np.abs(np.diff(self.lam))))
+        return max(half_gap + self.epsilon, 0.5 * float(self.lam[0]) * self.anchor_scale)
 
     def _coefficients(self, t):
         x = self.drive.value(t)
@@ -271,7 +284,7 @@ def poincare_predicted(spec: Spectrum, half_period: float) -> WeightedShift:
 
 @dataclass(frozen=True)
 class NumericPoincare:
-    """One-period propagator columns U(2T, 0) e_m for m = 1..n_columns,
+    """One-period propagator columns U(2T, 0) e_m for m = 1..n_trunc,
     integrated over an internally extended truncation so no requested column
     is clipped by an orphaned rotation partner.
 
@@ -280,7 +293,6 @@ class NumericPoincare:
     steps of the whole period, half of them in each half-period."""
 
     matrix: np.ndarray
-    n_columns: int
     steps: int
 
 
@@ -406,10 +418,21 @@ def period_advance(op: PeriodicOperator, steps_per_period: int):
     return lambda starts: _apply_blocks(*plus, _apply_blocks(*minus, starts))
 
 
+def truncated_operator(op: PeriodicOperator, n_trunc: int) -> PeriodicOperator:
+    """The operator over n_trunc plus one or two guard modes, so that every
+    column 1..n_trunc keeps its rotation partner in both halves; a family
+    spectrum extends when it stores fewer modes."""
+    n_int = n_trunc + (1 if n_trunc % 2 == 0 else 2)
+    spectrum = op.spectrum if n_int <= op.spectrum.n_max else op.spectrum.truncated(n_int)
+    return replace(op, spectrum=spectrum, n_modes=n_int)
+
+
 def poincare_numeric(op: PeriodicOperator, n_trunc: int) -> NumericPoincare:
     """The numeric one-period map P M, refined by step doubling from 512
     steps until a doubling moves it by at most PROPAGATOR_TOL of its
-    largest entry.
+    largest entry.  It is the oracle of `phases.poincare_columns`' closed
+    form, and no command calls it; it stays in the package because the
+    benchmark's layer tracer wraps it.
 
     The two couplings never act together: on [0, T] only the minus pairs
     (2j-1, 2j) rotate, on [T, 2T] only the plus pairs (2j, 2j+1) and mode
@@ -419,12 +442,11 @@ def poincare_numeric(op: PeriodicOperator, n_trunc: int) -> NumericPoincare:
     Math. Appl. 1974) and multiplies them in a pairwise tree.  It raises
     FloquetError, naming the half-period and the stage, when the other
     half's coefficients are not exactly zero on it.  Only this map scatters
-    the blocks into dense n x n matrices.
+    the blocks into dense n x n matrices, so its small entries underflow
+    at depth.
     """
-    guard = 1 if n_trunc % 2 == 0 else 2
-    n_int = n_trunc + guard
-    spectrum = op.spectrum if n_int <= op.spectrum.n_max else op.spectrum.truncated(n_int)
-    inner = replace(op, spectrum=spectrum, n_modes=n_int)
+    inner = truncated_operator(op, n_trunc)
+    n_int = inner.n_modes
 
     def half_map(plus, steps):
         pairs, blocks = _half_period_blocks(inner, plus, steps)
@@ -443,47 +465,9 @@ def poincare_numeric(op: PeriodicOperator, n_trunc: int) -> NumericPoincare:
         cur = period_map(steps)
         scale = max(float(np.max(np.abs(cur))), 1e-300)
         if float(np.max(np.abs(cur - prev))) <= PROPAGATOR_TOL * scale:
-            return NumericPoincare(cur[:, :n_trunc], n_trunc, steps)
+            return NumericPoincare(cur[:, :n_trunc], steps)
         prev = cur
     raise FloquetError(f"no propagator convergence to tol={PROPAGATOR_TOL:g}")
-
-
-# Largest off-pattern entry of a propagated column, relative to the column's
-# norm, that still matches the shift pattern; the same 1e-6 bound as
-# `integrators.PROJECTION_GUARD` puts on the mass a period projection drops.
-OFF_PATTERN_TOL = 1e-6
-
-
-def shift_match_report(numeric: NumericPoincare, predicted: WeightedShift) -> dict:
-    """Column-by-column comparison of the propagated matrix against the
-    closed-form shift: relative log-multiplier error and off-pattern mass.
-    The pattern holds when every column's predicted entry is positive and
-    its largest other entry is at most OFF_PATTERN_TOL of its norm."""
-    max_log_rel = 0.0
-    max_off = 0.0
-    positive = True
-    images, logmults = predicted.image.tolist(), predicted.log_multiplier.tolist()
-    for mode in range(1, numeric.n_columns + 1):
-        col = numeric.matrix[:, mode - 1]
-        target = images[mode]
-        expected = logmults[mode]
-        got = col[target - 1] if target else 0.0
-        if got == 0.0:
-            return {"pattern_ok": False, "max_log_rel_err": math.inf, "max_off_pattern": math.inf}
-        log_rel = abs(math.log(abs(got)) - expected) / abs(expected) if expected else abs(
-            math.log(abs(got))
-        )
-        rest = col.copy()
-        rest[target - 1] = 0.0
-        off = float(np.max(np.abs(rest))) / _safe_norm(col)
-        max_log_rel = max(max_log_rel, log_rel)
-        max_off = max(max_off, off)
-        positive = positive and bool(got > 0)
-    return {
-        "pattern_ok": positive and max_off <= OFF_PATTERN_TOL,
-        "max_log_rel_err": max_log_rel,
-        "max_off_pattern": max_off,
-    }
 
 
 @dataclass(frozen=True)

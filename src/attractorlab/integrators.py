@@ -53,8 +53,14 @@ def lawson_rk4(decay, rhs, state, t0, t1, steps: int):
         k1 = rhs(t, state)
         k2 = rhs(t_mid, eh * (state + half_h * k1))
         k3 = rhs(t_mid, eh * state + half_h * k2)
-        k4 = rhs(t_end, ef * state + h * eh * k3)
-        state = ef * state + sixth_h * (ef * k1 + 2.0 * eh * k2 + 2.0 * eh * k3 + k4)
+        # ef * state and 2 eh each enter twice; each is computed once, and
+        # the undecayed state and 2 eh are dropped as soon as they are
+        # spent, so the values and the peak memory are the plain formula's
+        state = ef * state
+        k4 = rhs(t_end, state + h * eh * k3)
+        two_eh = 2.0 * eh
+        state = state + sixth_h * (ef * k1 + two_eh * k2 + two_eh * k3 + k4)
+        del two_eh
         t = t_end
     return state
 

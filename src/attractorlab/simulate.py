@@ -122,10 +122,6 @@ def trajectory_pair_experiment(
         raise SimulationError(
             f"{n_periods} periods need spectrum n_max >= {2 * n_periods + 3} "
             f"(got {spec.n_max})")
-    if scenario.n_trunc > spec.n_max:
-        raise SimulationError(
-            f"dynamics.n_trunc {scenario.n_trunc} exceeds the stored spectrum; the "
-            f"largest valid dynamics.n_trunc is spectrum.n_max = {spec.n_max}")
     # the shift moves mode 1 to mode 2k + 1 by period k (0-based position 2k)
     if rotation_on and scenario.n_trunc < 2 * n_periods + 1:
         raise SimulationError(

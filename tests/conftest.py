@@ -70,6 +70,16 @@ def operator_t2():
     return make_periodic_operator(spec, drive, 12)
 
 
+def dense_log_columns(matrix) -> tuple:
+    """A dense map's columns as the signed logs (rows, sign, log) that
+    `phases.poincare_columns` gives, every row an entry, so
+    `shift_match_report` reads the numeric oracle as it reads the closed
+    form."""
+    rows = np.broadcast_to(np.arange(matrix.shape[0])[:, None], matrix.shape)
+    with np.errstate(divide="ignore"):
+        return rows, np.sign(matrix), np.log(np.abs(matrix))
+
+
 def dense_templates(op):
     """Phi's four constant n x n templates (D-, R-, D+, R+), so that Phi(t) =
     theta2(-x) D- + eps theta1(-x) R- + theta2(x) D+ + eps theta1(x) R+: the

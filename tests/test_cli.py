@@ -13,18 +13,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from attractorlab import cli, quadrature
+from attractorlab import cli, integrators, quadrature
 from attractorlab import floquet as fl
 from attractorlab import geometry as geo
+from attractorlab import phases
 from attractorlab import simulate as sim
 from attractorlab.config import (KEYS, ConfigError, drive_from_config,
-                                 resolve_config, scenario_from_config)
+                                 resolve_config, scenario_from_config, spectrum_from_config)
 from attractorlab.cutoffs import PeriodicDrive
 from attractorlab.geometry import PLANAR_X, PLANAR_Y, PointCloud
 from attractorlab.integrators import PROJECTION_GUARD
 from attractorlab.reports import CSV_CHUNK, cloud_rows, load_cloud_csv, write_csv
 from attractorlab.spectral import make_spectrum
-from conftest import dict_cloud, point_dicts
+from conftest import dense_log_columns, dict_cloud, point_dicts
 
 LINEAR = {"family": "linear", "n_max": 16, "params": {"c": 1.0}}
 SCAN_CSVS = ("dimension_scan.csv", "cloud.csv")
@@ -308,10 +309,11 @@ class TestFloquet:
 
     def test_outputs_pinned(self, dynamics_runs):
         # the CSV as SMALL_DYNAMICS wrote it at commit 82ef4b6, when the
-        # verdict came from the decay certificate; the two error constants
-        # are round-off of the propagator, so they moved when the dense
-        # period pass (5.48e-14 and 1.88e-12) became half-period block
-        # products, by less than 1e-12
+        # verdict came from the decay certificate.  The two error constants
+        # come from the closed-form blocks since they replaced the Lawson
+        # map (6.15e-14 and 2.06e-12, its step error): the log multipliers
+        # match the shift's exactly, and the off-pattern mass is the quarter
+        # turn's rounding, cos(theta) = 2.8e-16, times e^(2 tau + A)
         root, _ = dynamics_runs
         with open(root / "a" / "floquet_iterates.csv", "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == (
@@ -321,54 +323,88 @@ class TestFloquet:
         assert got == {
             "beta": 4.0,
             "epsilon": 1.00500488206889,
-            "max_log_rel_err": 6.150635556423367e-14,
-            "max_off_pattern": 2.0561660923294083e-12,
+            "max_log_rel_err": 0.0,
+            "max_off_pattern": 1.7922709113863204e-14,
             "n_trunc": 8,
             "pattern_ok": True,
+            "L": 2.0,
+            "coupling_norm_max": 1.50500488206889,
         }
-        assert abs(got["max_log_rel_err"] - 5.484501741648273e-14) <= 1e-12
-        assert abs(got["max_off_pattern"] - 1.8766797303784207e-12) <= 1e-12
 
-    def test_propagator_steps_are_one_lawson_step_each(self, tmp_path):
-        # every step of every doubling is one column of a one-step
-        # `lawson_rk4` call: 2 colours x 2 half-periods x 4 doublings
-        cfg = write_config(tmp_path / "c.json", SMALL_DYNAMICS)
+    def test_propagator_steps_are_one_lawson_step_each(self):
+        # every step of every doubling of the Lawson oracle is one column of
+        # a one-step `lawson_rk4` call: 2 colours x 2 half-periods x 4
+        # doublings, at SMALL_DYNAMICS' 8 columns
+        cfg = resolve_config(SMALL_DYNAMICS)
+        op = fl.make_periodic_operator(spectrum_from_config(cfg), drive_from_config(cfg))
         tracer = load_layers().Tracer()
         tracer.install()
         try:
-            assert run(cfg, tmp_path / "out", "floquet") == 0
+            numeric = fl.poincare_numeric(op, 8)
         finally:
             tracer.uninstall()
+        assert numeric.steps == 4096
         calls = tracer.calls["integrators.lawson"]
         assert calls == 16
         assert tracer.counters["integrators.steps"] == calls
         assert tracer.counters["floquet.tab_rhs_evals"] == 4 * calls
         assert tracer.counters["floquet.propagator_steps"] == 4096
 
-    def test_truncation_past_the_spectrum_is_reported(self, tmp_path):
-        # n_max 14 holds the shift pattern of 12 columns, so floquet checks
-        # 12 of the 50 asked for, and its report says so
-        raw = dict(SMALL_DYNAMICS, dynamics=dict(SMALL_DYNAMICS["dynamics"], n_trunc=50))
-        cfg = write_config(tmp_path / "c.json", raw)
+    def test_runs_no_lawson_map(self, tmp_path, monkeypatch):
+        # the closed-form blocks give every number floquet reports, so no
+        # Lawson step, block build or numeric propagator runs
+        def refused(*args, **kwargs):
+            raise AssertionError("floquet called the Lawson map")
+
+        for module, name in ((integrators, "lawson_rk4"), (fl, "lawson_rk4"),
+                             (fl, "_half_period_blocks"), (fl, "poincare_numeric")):
+            monkeypatch.setattr(module, name, refused)
+        cfg = write_config(tmp_path / "c.json", SMALL_DYNAMICS)
         assert run(cfg, tmp_path / "out", "floquet") == 0
-        assert report(tmp_path / "out", "floquet")["constants"]["n_trunc"] == 12
+        assert report(tmp_path / "out", "floquet")["verdicts"] == {"floquet": "pattern_ok"}
+
+    @pytest.mark.parametrize("family,params", [("linear", {"c": 1.0}),
+                                               ("power", {"kappa": 0.5})])
+    def test_pattern_at_depth(self, tmp_path, family, params):
+        # at 1,000 columns the linear spectrum's entries reach e^-4,000, far
+        # below the double range, which the Lawson map's dense columns could
+        # not hold
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"family": family, "n_max": 1002, "params": params},
+            "dynamics": {"n_trunc": 1000}, "expectations": {"floquet": "pattern_ok"}})
+        assert run(cfg, tmp_path / "out", "floquet") == 0
+        got = report(tmp_path / "out", "floquet")["constants"]
+        assert got["n_trunc"] == 1000 and got["pattern_ok"] is True
+        assert 0.0 <= got["max_log_rel_err"] <= 1e-15
+        assert 0.0 < got["max_off_pattern"] <= 1e-13
 
     def test_underflowing_column_reports_off_pattern(self, tmp_path, capsys):
-        # at tau = 12 column 15's largest entry is 1.7e-167, whose square
-        # underflows to zero: the unscaled column norm divided by zero
-        cfg = write_config(tmp_path / "c.json", {
-            "spectrum": {"family": "linear", "n_max": 40, "params": {"c": 1.0}},
-            "drive": {"tau": 12.0}})
+        # at tau = 12 the Lawson map's column 15 has its largest entry at
+        # 1.7e-167, and its off-pattern mass, 0.0449 at 4,096 steps, is
+        # step error; the library assertion below keeps it.  The closed form
+        # reads the one leak a double quarter turn has: theta rounds to the
+        # double nearest pi/2, whose cosine is 6.1e-17, and each odd column
+        # amplifies it by e^(2 tau + A), 2.6e10 times e^A, past
+        # OFF_PATTERN_TOL
+        raw = {"spectrum": {"family": "linear", "n_max": 40, "params": {"c": 1.0}},
+               "drive": {"tau": 12.0}}
+        cfg = write_config(tmp_path / "c.json", raw)
         assert run(cfg, tmp_path / "out", "floquet") == 0
         got = report(tmp_path / "out", "floquet")
-        # the propagator's off-pattern mass, step error that falls as the
-        # steps double (0.49, 0.0375, 0.0114 on the dense pass at 4,096,
-        # 8,192 and 16,384 steps), is far above OFF_PATTERN_TOL, so the
-        # pattern is not confirmed
-        assert got["constants"]["max_off_pattern"] == pytest.approx(0.0449, rel=1e-3)
-        assert got["constants"]["max_off_pattern"] > fl.OFF_PATTERN_TOL
+        spec = make_spectrum("linear", {"c": 1.0}, 40)
+        op = fl.make_periodic_operator(spec, drive_from_config(resolve_config(raw)))
+        theta, ramp = phases.phase_constants(op)
+        assert math.cos(theta) == math.cos(math.pi / 2.0)
+        leak = math.cos(theta) * math.exp(24.0 + ramp)
+        assert got["constants"]["max_off_pattern"] == pytest.approx(leak, rel=1e-9)
+        assert math.isfinite(got["constants"]["max_log_rel_err"])
+        assert got["constants"]["max_off_pattern"] > phases.OFF_PATTERN_TOL
         assert got["constants"]["pattern_ok"] is False
         assert got["verdicts"] == {"floquet": "pattern_broken"}
+        lawson = phases.shift_match_report(dense_log_columns(fl.poincare_numeric(op, 16).matrix),
+                                       fl.poincare_predicted(spec, 12.0))
+        assert lawson["max_off_pattern"] == pytest.approx(0.0449, rel=1e-3)
+        assert lawson["pattern_ok"] is False
 
 
 def test_power_spectrum_closes_superexponentially(tmp_path, capsys):
@@ -502,8 +538,9 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", raw)
         assert run(cfg, tmp_path / "out", "simulate") == 1
         err = capsys.readouterr().err
-        assert "SimulationError: dynamics.n_trunc 15 exceeds the stored spectrum" in err
-        assert "the largest valid dynamics.n_trunc is spectrum.n_max = 14" in err
+        assert "config error: config invalid at dynamics.n_trunc: " in err
+        assert "want at most spectrum.n_max - 2 = 12" in err
+        assert "got 15; the smallest invalid value is 13" in err
 
     def test_coarse_steps_name_the_step_count(self, tmp_path, capsys):
         # at 512 steps per period the first projection would discard 5.2e-5
@@ -514,6 +551,23 @@ class TestSimulate:
         assert run(cfg, tmp_path / "out", "simulate") == 1
         err = capsys.readouterr().err
         assert "at 512 steps per period" in err and "dynamics.steps_per_period" in err
+
+
+@pytest.mark.parametrize("command", ["floquet", "simulate"])
+def test_dynamics_commands_share_the_truncation_bound(tmp_path, capsys, command):
+    # one bound for both: n_trunc = n_max - 2 = 12 runs, 13 is refused
+    # before any numerics, in the same words
+    verdicts = {"floquet": "pattern_ok", "simulate": "superexponential"}
+    for n_trunc, code in ((12, 0), (13, 1)):
+        raw = dict(SMALL_DYNAMICS, dynamics=dict(SMALL_DYNAMICS["dynamics"], n_trunc=n_trunc))
+        assert run(write_config(tmp_path / "c.json", raw), tmp_path / f"out{n_trunc}",
+                   command) == code
+    assert report(tmp_path / "out12", command)["verdicts"] == {command: verdicts[command]}
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "config error: config invalid at dynamics.n_trunc: want at most spectrum.n_max - 2 "
+        "= 12, since floquet's shift images reach two modes past the truncation, got 13; "
+        "the smallest invalid value is 13")
+    assert not (tmp_path / "out13").exists()
 
 
 class TestDimension:
@@ -702,7 +756,7 @@ class TestFailFast:
 
     @pytest.mark.parametrize("n_max,dynamics,need", [
         (40, {"n_periods": 8}, "n_trunc >= 17"),  # default n_trunc 16
-        (18, {"n_periods": 8, "n_trunc": 20}, "n_max >= 19"),
+        (18, {"n_periods": 8, "n_trunc": 16}, "n_max >= 19"),
     ])
     def test_simulate_truncation_names_minimum(self, tmp_path, monkeypatch, capsys,
                                                n_max, dynamics, need):

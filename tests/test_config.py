@@ -133,3 +133,18 @@ def test_refused_before_any_command(tmp_path, capsys, section, text, key):
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "gap-check"]) == 1
     assert f"config error: config invalid at {key}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_truncation_bound_is_two_below_n_max():
+    # floquet's shift images reach mode n_trunc + 2, so a given n_trunc
+    # past spectrum.n_max - 2 is refused, naming the smallest invalid
+    # value, and the default 16 is lowered to the bound
+    assert resolve_config(with_key(BASE, "dynamics.n_trunc", 14))["dynamics"]["n_trunc"] == 14
+    with pytest.raises(ConfigError, match=r"^config invalid at dynamics\.n_trunc: want at most "
+                                          r"spectrum\.n_max - 2 = 14, .*got 15; the smallest "
+                                          r"invalid value is 15$"):
+        resolve_config(with_key(BASE, "dynamics.n_trunc", 15))
+    assert resolve_config(BASE)["dynamics"]["n_trunc"] == 14
+    for n_max in (18, 40):
+        raw = with_key(BASE, "spectrum.n_max", n_max)
+        assert resolve_config(raw)["dynamics"]["n_trunc"] == 16

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -7,16 +8,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from attractorlab import floquet, quadrature
+from attractorlab import floquet, phases, quadrature
 from attractorlab.cutoffs import PeriodicDrive, SmoothStep, _ramp_mean, mollifier_bump
 from attractorlab.floquet import (WALK_PERIODS, FloquetError, PeriodicOperator,
                                   calibrate_epsilon, closing_law, iterate_norm,
                                   make_periodic_operator, period_advance,
-                                  poincare_numeric, poincare_predicted, ratio_bounds_check,
-                                  shift_match_report)
+                                  poincare_numeric, poincare_predicted, ratio_bounds_check)
 from attractorlab.integrators import lawson_rk4
+from attractorlab.phases import shift_match_report
 from attractorlab.spectral import make_spectrum, spectral_gap
-from conftest import dense_templates
+from conftest import dense_log_columns, dense_templates
 
 # Means of theta1(h(u)) and theta2(h(u)) over the unit transition u in [0, 1]
 # at amplitude 1 (so for every amplitude): the trapezoidal rule in 30-digit
@@ -193,7 +194,7 @@ class TestNumericPoincare:
         spec = operator_t2.spectrum
         numeric = poincare_numeric(operator_t2, 8)
         predicted = poincare_predicted(spec, operator_t2.half_period)
-        report = shift_match_report(numeric, predicted)
+        report = shift_match_report(dense_log_columns(numeric.matrix), predicted)
         assert report["pattern_ok"]
         assert report["max_log_rel_err"] <= 1e-6
         assert report["max_off_pattern"] <= 1e-8
@@ -565,3 +566,137 @@ def test_period_advance_matches_the_dense_map(operator_t2):
     got = period_advance(inner, want.steps)(np.eye(9))[:, :8]
     scale = np.max(np.abs(want.matrix), axis=0)
     assert np.all(np.abs(got - want.matrix) <= 1e-14 * scale)
+
+
+# (family, params) of the closed form's oracle spectra; the explicit one
+# steps by 0.5, 1.5, 0.25 and 2.0 in turn, so its pairs' gaps differ
+ORACLE_SPECTRA = [
+    ("linear", {"c": 1.0}), ("power", {"kappa": 0.5}),
+    ("explicit", {"values": [1.0 + sum((0.5, 1.5, 0.25, 2.0)[j % 4] for j in range(k))
+                             for k in range(40)]})]
+
+
+@pytest.mark.parametrize("n_modes", [17, 40])
+@pytest.mark.parametrize("tau", [0.3, 2.0])
+@pytest.mark.parametrize("family,params", ORACLE_SPECTRA, ids=[f for f, _ in ORACLE_SPECTRA])
+def test_phase_blocks_match_lawson_blocks(family, params, tau, n_modes):
+    # the Lawson blocks at 2,048 steps a half differ from the closed form
+    # by 2.2e-13 to 3.0e-13 of a block's largest entry; an odd n_modes
+    # leaves a lone mode at the minus half's edge, an even one at the plus
+    # half's
+    op = make_periodic_operator(make_spectrum(family, params, 40),
+                                PeriodicDrive(1.0, tau, 0.75), n_modes)
+    theta, ramp = phases.phase_constants(op)
+    for plus in (False, True):
+        pairs, blocks = floquet._half_period_blocks(op, plus, 2048)
+        closed_pairs, sign, log = phases.phase_blocks(op, plus, theta, ramp)
+        assert np.array_equal(closed_pairs, pairs)
+        got = sign * np.exp(log)
+        scale = np.max(np.abs(blocks), axis=(1, 2))
+        assert np.all(np.max(np.abs(got - blocks), axis=(1, 2)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("amplitude,tau,p", DRIVES)
+def test_phase_constants_match_quadrature(amplitude, tau, p):
+    # theta is the calibrated quarter turn; A integrates 1 - theta2(-x) up
+    # to t_e, the exact root of h(u) = 1/4: ln3 u^2 - (ln3 + 2) u + 1 = 0,
+    # u = t_e / w, past which theta2(-x) is exactly 1
+    drive = PeriodicDrive(amplitude, tau, p)
+    op = make_periodic_operator(make_spectrum("linear", {"c": 1.0}, 4), drive)
+    theta, ramp = phases.phase_constants(op)
+    assert abs(theta - math.pi / 2.0) <= 2.0 * math.ulp(math.pi / 2.0)
+    b = math.log(3.0) + 2.0
+    u = (b - math.sqrt(b * b - 4.0 * math.log(3.0))) / (2.0 * math.log(3.0))
+    t_e = u * drive.transition_width
+    assert t_e == pytest.approx(drive.plateau_entry_time(0.25), abs=1e-11 * tau)
+    assert float(op.theta2.value(-drive.value(t_e * (1.0 + 1e-7)))) == 1.0
+    oracle, _ = quad(lambda t: 1.0 - float(op.theta2.value(-drive.value(t))), 0.0, t_e,
+                     epsabs=1e-15, epsrel=1e-13, limit=200)
+    assert ramp == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("cutoff,value,failed", [
+    ("theta2", SmoothStep(-0.25, 0.25), "theta2's lo -0.25 is below 0, so each half's"),
+    ("theta1", mollifier_bump(-0.1, 2.0, 0.5, 1.5),
+     "theta1's support_lo -0.1 is below 0, so the two halves' supports are not disjoint"),
+    ("theta1", mollifier_bump(0.2, 2.0, 0.5, 1.5),
+     "theta1's support_lo 0.2 is below theta2's hi 0.25, so the rotation overlaps"),
+])
+def test_phase_certificate_names_the_failed_inequality(operator_t2, cutoff, value, failed):
+    # the default cut-offs sit on the third inequality's edge, support_lo
+    # = hi = amplitude / 4, and pass it
+    assert operator_t2.theta1.support_lo == operator_t2.theta2.hi
+    phases.phase_constants(operator_t2)
+    with pytest.raises(FloquetError, match=f"^no closed-form blocks: {re.escape(failed)}"):
+        phases.phase_constants(replace(operator_t2, **{cutoff: value}))
+    with pytest.raises(FloquetError, match="^no closed-form blocks"):
+        phases.poincare_columns(replace(operator_t2, **{cutoff: value}), 8)
+
+
+def scattered(columns, n_rows):
+    """`poincare_columns`' signed logs as a dense (n_rows, n) array, the
+    dummy row dropped."""
+    rows, sign, log = columns
+    n = log.shape[1]
+    dense = np.zeros((n_rows + 1, n))
+    for k in range(len(log)):
+        dense[np.minimum(rows[k], n_rows), np.arange(n)] += sign[k] * np.exp(log[k])
+    return dense[:n_rows]
+
+
+@pytest.mark.parametrize("name,n_trunc", [("operator_t2", 8), ("operator_t2", 9),
+                                          ("dynamics_operator", 16)])
+def test_closed_form_columns_match_lawson_map(name, n_trunc, request):
+    # the Lawson map's step error at 4,096 steps a period is at most 2.2e-12
+    # of a column's largest entry; on the pattern it is 1e-13 relative
+    op = request.getfixturevalue(name)
+    want = poincare_numeric(op, n_trunc).matrix
+    columns = phases.poincare_columns(op, n_trunc)
+    assert np.all(np.count_nonzero(columns[2] > -np.inf, axis=0) <= 4)
+    got = scattered(columns, want.shape[0])
+    assert np.all(np.abs(got - want) <= 5e-12 * np.max(np.abs(want), axis=0))
+    shift = poincare_predicted(op.spectrum, op.half_period)
+    on = (shift.image[1:n_trunc + 1] - 1, np.arange(n_trunc))
+    assert np.all(np.abs(got[on] - want[on]) <= 1e-12 * np.abs(want[on]))
+    closed = shift_match_report(columns, shift)
+    lawson = shift_match_report(dense_log_columns(want), shift)
+    assert closed["pattern_ok"] and lawson["pattern_ok"]
+    assert closed["max_off_pattern"] < lawson["max_off_pattern"] <= 3e-12
+
+
+def test_closed_form_columns_need_no_n_by_n_array():
+    # at n_trunc 20,000 one dense map would be 3.2 GB, and its entries
+    # reach e^-80,000; in log space every column keeps its four entries
+    spec = make_spectrum("linear", {"c": 1.0}, 20_002)
+    op = make_periodic_operator(spec, PeriodicDrive(1.0, 2.0, 0.75))
+    tracemalloc.start()
+    try:
+        columns = phases.poincare_columns(op, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    report = shift_match_report(columns, poincare_predicted(spec, 2.0))
+    assert report["pattern_ok"] and report["max_log_rel_err"] == 0.0
+    assert 0.0 < report["max_off_pattern"] <= 1e-13
+
+
+@pytest.mark.parametrize("family,params", [
+    ("linear", {"c": 1.0}), ("power", {"kappa": 0.5}),
+    # gaps of 0.1 under lambda_1 = 5: the anchor diagonal, 2.93, is the sup
+    ("explicit", {"values": [5.0 + 0.1 * k for k in range(40)]})],
+    ids=["linear", "power", "explicit"])
+def test_coupling_norm_max_is_the_sampled_sup(family, params):
+    # ||Phi(t)|| from the dense templates on a fine grid of one period,
+    # which samples the rotation bump's plateau, where the sup is reached
+    op = make_periodic_operator(make_spectrum(family, params, 40),
+                                PeriodicDrive(1.0, 2.0, 0.75))
+    dm, rm, dp, rp = dense_templates(op)
+    tm, r1m, tp, r1p = op._coefficients(np.linspace(0.0, op.period, 2001))
+    sampled = max(np.linalg.norm(a * dm + b * rm + c * dp + d * rp, 2)
+                  for a, b, c, d in zip(tm, r1m, tp, r1p))
+    assert abs(op.coupling_norm_max - sampled) <= 1e-12 * sampled
+    if family == "linear":
+        assert op.coupling_norm_max == pytest.approx(1.505, abs=1e-3)
+    if family == "explicit":
+        assert op.coupling_norm_max == 0.5 * 5.0 * op.anchor_scale

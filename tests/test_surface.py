@@ -33,6 +33,10 @@ KEEP = {
     "_window_kernel": "tracer-pinned until ROADMAP item 1's benchmark step",
     "lawson_rk4_adaptive": "tracer-pinned until ROADMAP item 1's benchmark step",
     "distance_log_row": "tracer-pinned until ROADMAP item 1's benchmark step",
+    "poincare_numeric": "the Lawson oracle of floquet's closed-form map; tracer-pinned as "
+                        "floquet.propagator",
+    "matrix": "NumericPoincare.matrix, the oracle's dense map, which only the tests read; "
+              "kept with poincare_numeric",
 }
 
 # Defaulted parameters that no call in the package sets, with the reason each stays.
