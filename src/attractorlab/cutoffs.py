@@ -13,11 +13,15 @@ __all__ = [
     "BumpFunction",
     "mollifier_bump",
     "PeriodicDrive",
+    "CUTOFF_LEVEL",
 ]
 
 # Unit-step evaluations outside [GUARD, 1-GUARD] are exact endpoint values;
 # inside the guard band the step is within exp(-1e8) of them anyway.
 _GUARD = 1e-8
+# The share of the drive amplitude at which the diagonal step theta2 reaches 1
+# and the rotation bump theta1 starts (`floquet.make_periodic_operator`).
+CUTOFF_LEVEL = 0.25
 # Trapezoid nodes on the unit transition; 1025 already give the same bits
 # for the bench drive's cut-offs, 513 do not.
 _RAMP_NODES = 2**12 + 1
@@ -149,14 +153,14 @@ class PeriodicDrive:
         plateau = (self.half_period - 2.0 * w) * float(f(amp))
         return plateau + 2.0 * w * _ramp_mean(lambda h: f(amp * h))
 
-    def plateau_entry_time(self, level_fraction: float = 0.25) -> float:
-        """First t > 0 with -x(t) = level_fraction * amplitude, by bisection to
-        1e-12 of the half-period."""
-        target = level_fraction * self.amplitude
+    def plateau_entry_time(self) -> float:
+        """First t > 0 with -x(t) = CUTOFF_LEVEL * amplitude, by bisection to
+        1e-12 of the half-period: from there on the minus half's diagonal
+        step is 1 and its rotation may act.  -x reaches the amplitude at
+        tau/2, so the root lies in (0, tau/2)."""
+        target = CUTOFF_LEVEL * self.amplitude
         lo, hi = 0.0, 0.5 * self.half_period
         f = lambda t: -float(self.value(t)) - target
-        if f(hi) < 0:
-            raise CutoffError("drive never reaches the requested level")
         while hi - lo > 1e-12 * self.half_period:
             mid = 0.5 * (lo + hi)
             if f(mid) < 0:

@@ -3,22 +3,15 @@ calibration, numeric propagation, exact log-space iterate norms, and the
 closing law and ratio certificate built on them.
 
 The numeric map is the product of two half-period maps.  Only one coupling
-acts in each half-period, so each half's map is block-diagonal in 2x2
-blocks; two colour columns recover every step's blocks in one batched
-Lawson step, and the blocks multiply in a pairwise tree.  A guard checks on
-the coefficient table that the other half's coefficients are exactly zero,
-since overlapping cut-offs would otherwise mix the colours silently; the
-guard and the rhs read one `StageTable` per chunk.  `period_advance`
-applies the two halves' blocks to state columns in O(n) each, and
-`simulate` runs its periods through it.  `poincare_numeric` scatters them
-into dense matrices by step doubling: it is the test oracle of the closed
-form in `phases`, which `floquet` runs, and stays in the package because
-the benchmark's layer tracer wraps it.
-
-Phi itself is applied through its pairs: each of its four terms is a
-diagonal or a signed gather over `site_pairs`, O(n) per state column, and a
-stage skips the terms whose coefficient row is zero, bitwise as the dense
-sum of four n x n products would give it."""
+acts in each half-period, as `separation_certificate` checks exactly from
+the cut-off parameters, so each half's map is block-diagonal in 2x2 blocks;
+two colour columns recover every step's blocks in one batched Lawson step
+of the half's two O(n) terms, and the blocks multiply in a pairwise tree.
+`period_advance` applies the two halves' blocks to state columns in O(n)
+each, and `simulate` runs its periods through it.  `poincare_numeric`
+scatters them into dense matrices by step doubling: it is the test oracle
+of the closed form in `phases`, which `floquet` runs, and stays in the
+package because the benchmark's layer tracer wraps it."""
 
 from __future__ import annotations
 
@@ -28,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cutoffs import BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump
+from .cutoffs import CUTOFF_LEVEL, BumpFunction, PeriodicDrive, SmoothStep, mollifier_bump
 from .integrators import lawson_rk4
 # adaptive_simpson is not called here, but the layer tracer in
 # perfbench/layers.py wraps this module binding; drop it with simulate's.
@@ -40,6 +33,8 @@ __all__ = [
     "calibrate_epsilon",
     "PeriodicOperator",
     "make_periodic_operator",
+    "separation_certificate",
+    "half_pairs",
     "WeightedShift",
     "poincare_predicted",
     "NumericPoincare",
@@ -70,20 +65,6 @@ def calibrate_epsilon(drive: PeriodicDrive, theta1: BumpFunction) -> float:
     if integral <= 0.0:
         raise FloquetError("rotation window has zero measure; cannot calibrate")
     return math.pi / (2.0 * integral)
-
-
-@dataclass(frozen=True)
-class StageTable:
-    """Phi's coefficients on a Lawson stage grid: [t0, t1] is cut into
-    `columns` equal windows of `steps` steps each, and coeffs holds the rows
-    (tm, r1m, tp, r1p) on np.linspace(t0, t1, 2 columns steps + 1), so
-    column j's window covers entries 2 j steps .. 2 (j + 1) steps."""
-
-    t0: float
-    t1: float
-    steps: int
-    columns: int
-    coeffs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -132,84 +113,55 @@ class PeriodicOperator:
         half_gap = 0.5 * float(np.max(np.abs(np.diff(self.lam))))
         return max(half_gap + self.epsilon, 0.5 * float(self.lam[0]) * self.anchor_scale)
 
-    def _coefficients(self, t):
+    def _coefficients(self, t, plus: bool):
+        """One half's rows theta2(+-x) and eps theta1(+-x) at the times t,
+        + on the plus half."""
         x = self.drive.value(t)
-        tm = self.theta2.value(-x)
-        tp = self.theta2.value(x)
-        r1m = self.epsilon * self.theta1.value(-x)
-        r1p = self.epsilon * self.theta1.value(x)
-        return tm, r1m, tp, r1p
+        if not plus:
+            x = -x
+        return self.theta2.value(x), self.epsilon * self.theta1.value(x)
 
-    def stage_table(self, t0: float, t1: float, steps: int, columns: int) -> StageTable:
-        """The coefficient rows on the stage grid of `columns` windows of
-        `steps` Lawson steps over [t0, t1]: one `_coefficients` call."""
-        grid = np.linspace(t0, t1, columns * 2 * steps + 1)
-        return StageTable(t0, t1, steps, columns, self._coefficients(grid))
+    def tabulated_rhs(self, plus: bool, t0: float, t1: float, columns: int):
+        """rhs(t, U) = Phi(t) U on one half-period's window [t0, t1] for
+        `columns` columns, column j taking one Lawson step over [t0 + j h,
+        t0 + (j + 1) h].  One `_coefficients` call gives the half's rows on
+        np.linspace(t0, t1, 2 columns + 1); column 0's time gives the stage
+        k = round((t[0] - t0) / (h / 2)), whose entry 2 j + k column j uses.
 
-    def tabulated_rhs(self, table: StageTable):
-        """rhs(t, U) = Phi(t) U for a matrix state whose columns run through
-        the table's consecutive windows, column j through window j.
-
-        t is the array of column times; column 0's gives the stage, k =
-        round((t[0] - t0) / (h / 2)), and stage k applies coefficient row k,
-        with an entry per column.  The rows are strided views of the table:
-        row k, column j is entry 2 j steps + k.
-
-        Each term costs O(n cols): a diagonal is a column vector times U, a
-        rotation the signed gather sign * U[partner] over its pairs.  A term
-        whose coefficient row is zero in every column at stage k is skipped;
-        in each half-period two of the four rows are.  The result is bitwise
-        the dense sum tm D- U + r1m R- U + tp D+ U + r1p R+ U in that order:
-        a dense row with one nonzero entry sums to exactly that product,
-        multiplying by +-1 or 0 is exact, and a skipped term only adds a
-        signed zero.  Zero entries come out +0, as the dense sum gives them
-        for a nondecreasing spectrum and nonnegative coefficients."""
+        The half's diagonal (mode 1's anchor on the plus half) times U plus
+        its rotation's signed gather sign * U[partner], O(n cols) each, is
+        bitwise the dense sum tm D- U + r1m R- U + tp D+ U + r1p R+ U: the
+        other half's rows are exactly 0 here (`separation_certificate`), a
+        dense row with one nonzero entry sums to exactly that product, a
+        zero-coefficient term only adds a signed zero, and zeros come out
+        +0, as the dense sum gives them for a nondecreasing spectrum and
+        nonnegative coefficients."""
         n = self.n_modes
         lam = self.lam
-        stages = 2 * table.steps
-        t0 = table.t0
-        half = (table.t1 - t0) / (table.columns * stages)
-        rows = [np.lib.stride_tricks.sliding_window_view(c, stages + 1)[::stages].T
-                for c in table.coeffs]
-        # the live terms of each stage: term i is live at stage k when its
-        # row is nonzero in some column, and `plans` holds one index tuple per
-        # pattern of the four bits
-        live = [np.any(r != 0.0, axis=1) for r in rows]
-        codes = (live[0] + 2 * live[1] + 4 * live[2] + 8 * live[3]).tolist()
-        plans = [tuple(i for i in range(4) if code >> i & 1) for code in range(16)]
-        # D- u, R- u, D+ u and R+ u are scale * u[partner], partner None for
-        # the diagonals; a lone mode's rotation row has sign 0
-        scales, partners = [], []
-        for site in ("minus", "plus"):
-            a, b = site_pairs(n, site)
-            half_gap = 0.5 * (lam[a] - lam[b])
-            diag = np.zeros((n, 1))
-            diag[a, 0] += half_gap
-            diag[b, 0] -= half_gap
-            sign = np.zeros((n, 1))
-            sign[a], sign[b] = 1.0, -1.0
-            partner = np.arange(n)
-            partner[a], partner[b] = b, a
-            scales += [diag, sign]
-            partners += [None, partner]
-        scales[2][0, 0] = 0.5 * lam[0] * self.anchor_scale  # mode 1's anchor, on D+
+        half = (t1 - t0) / (2 * columns)
+        diag_row, rot_row = (np.lib.stride_tricks.sliding_window_view(c, 3)[::2].T
+                             for c in self._coefficients(np.linspace(t0, t1, 2 * columns + 1),
+                                                         plus))
+        a, b = site_pairs(n, "plus" if plus else "minus")
+        half_gap = 0.5 * (lam[a] - lam[b])
+        diag = np.zeros((n, 1))
+        diag[a, 0], diag[b, 0] = half_gap, -half_gap
+        if plus:
+            diag[0, 0] = 0.5 * lam[0] * self.anchor_scale  # mode 1's anchor
+        # a lone mode's rotation row has sign 0
+        sign = np.zeros((n, 1))
+        sign[a], sign[b] = 1.0, -1.0
+        partner = np.arange(n)
+        partner[a], partner[b] = b, a
 
         def column_rhs(t, u):
             k = round((t.item(0) - t0) / half)
-            out = None
-            for i in plans[codes[k]]:
-                if partners[i] is None:
-                    term = scales[i] * u
-                else:
-                    term = u[partners[i]]
-                    term *= scales[i]
-                term *= rows[i][k]
-                if out is None:
-                    out = term
-                else:
-                    out += term
-            if out is None:
-                return np.zeros(u.shape)
+            out = diag * u
+            out *= diag_row[k]
+            term = u[partner]
+            term *= sign
+            term *= rot_row[k]
+            out += term
             out += 0.0  # a zero sum reads +0, as the dense sum's does
             return out
 
@@ -228,8 +180,9 @@ def make_periodic_operator(
     control).  The anchor scale is tau over the half-period integral of
     theta2(-x(t)), taken by `drive.half_period_integral` like epsilon's."""
     amp = drive.amplitude
-    theta1 = mollifier_bump(amp / 4.0, 2.0 * amp, amp / 2.0, 1.5 * amp)
-    theta2 = SmoothStep(0.0, amp / 4.0)
+    level = CUTOFF_LEVEL * amp
+    theta1 = mollifier_bump(level, 2.0 * amp, amp / 2.0, 1.5 * amp)
+    theta2 = SmoothStep(0.0, level)
     if epsilon is None:
         epsilon = calibrate_epsilon(drive, theta1)
     i2 = drive.half_period_integral(theta2.value)
@@ -333,32 +286,50 @@ def _ordered_product(g: np.ndarray) -> np.ndarray:
     return g[0]
 
 
+def separation_certificate(op: PeriodicOperator) -> None:
+    """Certify exactly that each half-period's coupling vanishes on the
+    other half: theta2's lo and theta1's support_lo are at least 0, or
+    FloquetError names the first that is not.  drive.value is <= 0 (-0.0
+    included) on [0, T] and >= 0 on [T, 2T], so the other half's cut-offs
+    see arguments <= 0, where a step with lo >= 0, and a bump rising from
+    support_lo >= 0, is exactly 0: at every grid point of a half."""
+    step, bump = op.theta2, op.theta1
+    if not step.lo >= 0.0:
+        raise FloquetError(f"theta2's lo {step.lo!r} is below 0, so each half's diagonal step "
+                           "acts on the other half too")
+    if not bump.support_lo >= 0.0:
+        raise FloquetError(f"theta1's support_lo {bump.support_lo!r} is below 0, so the two "
+                           "halves' supports are not disjoint")
+
+
+def half_pairs(n: int, plus: bool) -> np.ndarray:
+    """One half's 2x2 blocks over n modes as a (2, n_blocks) array of
+    0-based modes: the half's `site_pairs`, then each lone mode with the
+    dummy position n as its partner."""
+    first, second = site_pairs(n, "plus" if plus else "minus")
+    lone = np.flatnonzero(np.bincount(np.concatenate((first, second)), minlength=n) == 0)
+    return np.stack([np.concatenate((first, lone)),
+                     np.concatenate((second, np.full_like(lone, n)))])
+
+
 def _half_period_blocks(op: PeriodicOperator, plus: bool,
                         steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The map of one half-period at `steps` Lawson steps as (pairs,
-    blocks): [0, T] (minus, pairs (2j-1, 2j)) or [T, 2T] (plus, pairs (2j,
-    2j+1), mode 1 alone with its anchor diagonal).  Column b of the (2,
-    n_blocks) `pairs` names block b's two mode positions, position n being
-    the dummy partner of a lone mode; blocks[b] is the 2x2 map on them, the
-    ordered product of the half's steps.
+    blocks): [0, T] (minus) or [T, 2T] (plus, mode 1 alone with its anchor
+    diagonal), `pairs` from `half_pairs`, blocks[b] the 2x2 map on block
+    b's modes, the ordered product of the half's steps.
 
-    Every step's map is block-diagonal in the half's pairs, so two colour
-    vectors recover all its blocks: colour 0 sums e_a over the first mode a
-    of each block, colour 1 e_b over the second mode b, and a block's
-    column a (b) is the colour-0 (colour-1) image read on rows a and b.  A
-    mode that stands alone goes into colour 0 with position n as its
-    partner, a dummy mode every step holds fixed.  Each colour runs as one
-    `lawson_rk4` step of a state with one column per step, each column on
-    its own window, in chunks of at most BLOCK_CHUNK steps.  The colours are
-    only valid when the other half's coefficients are exactly zero at every
-    stage, so that is checked on the same coefficient table first.
+    `separation_certificate` makes every step's map block-diagonal in the
+    half's pairs, so two colour vectors recover all its blocks: colour 0
+    sums e_a over the first mode a of each block, colour 1 e_b over the
+    second, and a block's column a (b) is the colour-0 (colour-1) image on
+    rows a and b; every step holds the dummy mode n fixed.  Each colour
+    runs as one `lawson_rk4` step of a state with one column per step, in
+    chunks of at most BLOCK_CHUNK steps.
     """
+    separation_certificate(op)
     n = op.n_modes
-    half, other = ("plus", "minus") if plus else ("minus", "plus")
-    first, second = site_pairs(n, half)
-    lone = np.flatnonzero(np.bincount(np.concatenate((first, second)), minlength=n) == 0)
-    pairs = np.stack([np.concatenate((first, lone)),
-                      np.concatenate((second, np.full_like(lone, n)))])
+    pairs = half_pairs(n, plus)
     colours = np.zeros((2, n + 1))
     colours[0, pairs[0]] = 1.0
     colours[1, pairs[1]] = 1.0
@@ -369,18 +340,7 @@ def _half_period_blocks(op: PeriodicOperator, plus: bool,
         c0 = start + op.half_period * i0 / steps
         c1 = start + op.half_period * i1 / steps
         m = i1 - i0
-        # (tm, r1m, tp, r1p): the other half's pair must vanish on this one
-        table = op.stage_table(c0, c1, 1, m)
-        coeffs = table.coeffs
-        live = np.flatnonzero(np.any(np.array(coeffs[:2] if plus else coeffs[2:]) != 0.0,
-                                     axis=0))
-        if live.size:
-            k = live[0]
-            raise FloquetError(
-                f"{half} half-period: the {other} coupling's coefficients are nonzero at "
-                f"stage {2 * i0 + k} (t = {c0 + (c1 - c0) * k / (2 * m):.6g}), so its map "
-                "is not block-diagonal; the cut-offs of the two halves overlap")
-        rhs = op.tabulated_rhs(table)
+        rhs = op.tabulated_rhs(plus, c0, c1, m)
         bounds = np.linspace(c0, c1, m + 1)
         images = np.empty((2, n + 1, m))
         images[:, n] = colours[:, n, None]
@@ -434,16 +394,13 @@ def poincare_numeric(op: PeriodicOperator, n_trunc: int) -> NumericPoincare:
     form, and no command calls it; it stays in the package because the
     benchmark's layer tracer wraps it.
 
-    The two couplings never act together: on [0, T] only the minus pairs
-    (2j-1, 2j) rotate, on [T, 2T] only the plus pairs (2j, 2j+1) and mode
-    1's anchor diagonal act.  So each half-period map M, P is
-    block-diagonal in 2x2 blocks, and `_half_period_blocks` reads every
-    step's blocks from two colour columns (Curtis, Powell & Reid, J. Inst.
-    Math. Appl. 1974) and multiplies them in a pairwise tree.  It raises
-    FloquetError, naming the half-period and the stage, when the other
-    half's coefficients are not exactly zero on it.  Only this map scatters
-    the blocks into dense n x n matrices, so its small entries underflow
-    at depth.
+    The two couplings never act together (`separation_certificate`, whose
+    FloquetError names the failed inequality), so each half-period map M,
+    P is block-diagonal in 2x2 blocks, and `_half_period_blocks` reads
+    every step's blocks from two colour columns (Curtis, Powell & Reid, J.
+    Inst. Math. Appl. 1974) and multiplies them in a pairwise tree.  Only
+    this map scatters the blocks into dense n x n matrices, so its small
+    entries underflow at depth.
     """
     inner = truncated_operator(op, n_trunc)
     n_int = inner.n_modes

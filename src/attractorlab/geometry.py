@@ -106,9 +106,9 @@ class PointCloud:
     """
 
     points: CoordTable
-    spectrum: Spectrum | None = None
-    s: float = 0.0
-    tags: list[str] = field(default_factory=list)
+    spectrum: Spectrum | None
+    s: float
+    tags: list[str]
     # the distinct stored modes, ascending: column j of the column table
     _indices: list[int] = field(init=False, repr=False)
     # row r's stored columns, in mode order, padded with the sentinel m
@@ -345,7 +345,7 @@ class DimensionScan:
     counts: tuple[int, ...]
     slope: float
     local_slopes: tuple[float, ...]
-    counter: str = "boxes"
+    counter: str
 
 
 def box_count(cloud: PointCloud, log_eps: float) -> int:

@@ -83,7 +83,7 @@ def lawson_rk4_adaptive(
 
     `rhs_for(steps)` returns the rhs for one step count, so a caller can
     tabulate its coefficients once per doubling on that count's stage grid
-    t0 + k h/2, as `PeriodicOperator.stage_table` does for `tabulated_rhs`."""
+    t0 + k h/2, as `simulate._window_kernel` does."""
     steps = initial_steps
     prev = lawson_rk4(decay, rhs_for(steps), state, t0, t1, steps)
     while steps <= ADAPTIVE_MAX_STEPS:

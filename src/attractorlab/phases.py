@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .floquet import FloquetError, PeriodicOperator, WeightedShift, truncated_operator
-from .spectral import site_pairs
+from .floquet import (FloquetError, PeriodicOperator, WeightedShift, half_pairs,
+                      separation_certificate, truncated_operator)
 
 __all__ = [
     "phase_constants",
@@ -30,14 +30,11 @@ def phase_constants(op: PeriodicOperator) -> tuple[float, float]:
     """Certify that Phi's phases commute, then return the rotation angle
     theta and the ramp integral A that fix every half-period block.
 
-    The certificate reads the cut-off parameters and holds exactly, since
-    a smooth step is exactly 0 at or below its lo and exactly 1 at or above
-    its hi.  The diagonal step and the rotation bump must vanish where
-    their argument is at most 0, so the minus coupling acts only on
-    (0, T), where x < 0, and the plus coupling only on (T, 2T).  And the
-    bump must start at or past the step's hi, so wherever a half rotates,
-    its diagonal coefficient is exactly 1.  FloquetError names the first
-    inequality that fails.
+    The certificate holds exactly: `separation_certificate` confines each
+    half's coupling to its own half, and the bump must start at or past the
+    step's hi, where the step is exactly 1, so wherever a half rotates its
+    diagonal coefficient is 1.  FloquetError names the first inequality
+    that fails.
 
     A half-period then runs three commuting phases: the ramp in
     (diagonal), the rotation, and the ramp out, whose integral equals the
@@ -49,17 +46,15 @@ def phase_constants(op: PeriodicOperator) -> tuple[float, float]:
     no t_e.  Both integrals are the drive's fixed trapezoid rule
     (`PeriodicDrive.half_period_integral`).
     """
+    try:
+        separation_certificate(op)
+    except FloquetError as err:
+        raise FloquetError(f"no closed-form blocks: {err}") from None
     step, bump = op.theta2, op.theta1
-    for holds, failed in (
-            (step.lo >= 0.0, f"theta2's lo {step.lo!r} is below 0, so each half's diagonal "
-                             "step acts on the other half too"),
-            (bump.support_lo >= 0.0, f"theta1's support_lo {bump.support_lo!r} is below 0, so "
-                                     "the two halves' supports are not disjoint"),
-            (bump.support_lo >= step.hi, f"theta1's support_lo {bump.support_lo!r} is below "
-                                         f"theta2's hi {step.hi!r}, so the rotation overlaps "
-                                         "the diagonal ramp and the phases do not commute")):
-        if not holds:
-            raise FloquetError(f"no closed-form blocks: {failed}")
+    if not bump.support_lo >= step.hi:
+        raise FloquetError(f"no closed-form blocks: theta1's support_lo {bump.support_lo!r} is "
+                           f"below theta2's hi {step.hi!r}, so the rotation overlaps the "
+                           "diagonal ramp and the phases do not commute")
     drive = op.drive
     theta = op.epsilon * drive.half_period_integral(bump.value)
     ramp = 0.5 * drive.half_period_integral(lambda v: 1.0 - step.value(v))
@@ -69,7 +64,7 @@ def phase_constants(op: PeriodicOperator) -> tuple[float, float]:
 def phase_blocks(op: PeriodicOperator, plus: bool, theta: float,
                  ramp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed form of `_half_period_blocks`, from `phase_constants`, as
-    signed logs: (pairs, sign, log), `pairs` laid out as there, and block
+    signed logs: (pairs, sign, log), `pairs` from `half_pairs`, and block
     b's entry (r, c) is sign[b, r, c] * exp(log[b, r, c]), a zero entry
     having log -inf.
 
@@ -89,11 +84,10 @@ def phase_blocks(op: PeriodicOperator, plus: bool, theta: float,
     n = op.n_modes
     lam = op.lam
     tau = op.half_period
-    first, second = site_pairs(n, "plus" if plus else "minus")
-    lone = np.flatnonzero(np.bincount(np.concatenate((first, second)), minlength=n) == 0)
-    pairs = np.stack([np.concatenate((first, lone)),
-                      np.concatenate((second, np.full_like(lone, n)))])
-    paired = len(first)
+    pairs = half_pairs(n, plus)
+    paired = pairs[1] < n
+    first, second = pairs[:, paired]
+    lone = pairs[0, ~paired]
     scale = -tau * (0.5 * (lam[first] + lam[second]))
     tilt = (lam[second] - lam[first]) * ramp  # 2 d A
     cos, sin = math.cos(theta), math.sin(theta)
@@ -101,17 +95,17 @@ def phase_blocks(op: PeriodicOperator, plus: bool, theta: float,
         log_cos, log_sin = np.log(abs(cos)), np.log(abs(sin))
     log = np.full((pairs.shape[1], 2, 2), -np.inf)
     sign = np.zeros((pairs.shape[1], 2, 2))
-    log[:paired, 0, 0] = scale + log_cos + tilt
-    log[:paired, 0, 1] = scale + log_sin
-    log[:paired, 1, 0] = scale + log_sin
-    log[:paired, 1, 1] = scale + log_cos - tilt
-    sign[:paired] = [[np.sign(cos), np.sign(sin)], [-np.sign(sin), np.sign(cos)]]
+    log[paired, 0, 0] = scale + log_cos + tilt
+    log[paired, 0, 1] = scale + log_sin
+    log[paired, 1, 0] = scale + log_sin
+    log[paired, 1, 1] = scale + log_cos - tilt
+    sign[paired] = [[np.sign(cos), np.sign(sin)], [-np.sign(sin), np.sign(cos)]]
     decay = -tau * lam[lone]
     if plus:
         decay[lone == 0] = -lam[0] * (tau - 0.5 * op.anchor_scale * (tau - 2.0 * ramp))
-    log[paired:, 0, 0] = decay
-    log[paired:, 1, 1] = 0.0
-    sign[paired:, 0, 0] = sign[paired:, 1, 1] = 1.0
+    log[~paired, 0, 0] = decay
+    log[~paired, 1, 1] = 0.0
+    sign[~paired, 0, 0] = sign[~paired, 1, 1] = 1.0
     return pairs, sign, log
 
 

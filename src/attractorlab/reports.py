@@ -188,11 +188,11 @@ class RunReport:
 
     scenario_hash: str
     command: str
-    verdicts: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
-    files: list = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    expected: dict = field(default_factory=dict)
+    expected: dict
+    verdicts: dict = field(init=False, default_factory=dict)
+    constants: dict = field(init=False, default_factory=dict)
+    files: list = field(init=False, default_factory=list)
+    wall_clock_s: float = field(init=False, default=0.0)
 
     def verdict_matches_expectation(self) -> bool:
         for key, want in self.expected.items():

@@ -252,7 +252,7 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
     every cube mode's window kernel is then positive."""
     drive = scenario.drive
     kappa = scenario.kick_window
-    t0 = drive.plateau_entry_time(0.25)
+    t0 = drive.plateau_entry_time()
     if kappa > t0:
         raise SimulationError(
             f"dynamics.kappa {kappa} must not exceed the plateau entry "

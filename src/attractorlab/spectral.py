@@ -20,7 +20,7 @@ gap once, so every block is complex exactly when 2L > L0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class Spectrum:
     family: str
     n_max: int
     values: np.ndarray
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)

@@ -80,6 +80,15 @@ def dense_log_columns(matrix) -> tuple:
         return rows, np.sign(matrix), np.log(np.abs(matrix))
 
 
+def coefficient_rows(op, t):
+    """Phi's four coefficient rows (tm, r1m, tp, r1p) at the times t, from
+    the operator's drive, cut-offs and epsilon alone: theta2(-x), eps
+    theta1(-x), theta2(x) and eps theta1(x), x the drive at t."""
+    x = op.drive.value(t)
+    return (op.theta2.value(-x), op.epsilon * op.theta1.value(-x),
+            op.theta2.value(x), op.epsilon * op.theta1.value(x))
+
+
 def dense_templates(op):
     """Phi's four constant n x n templates (D-, R-, D+, R+), so that Phi(t) =
     theta2(-x) D- + eps theta1(-x) R- + theta2(x) D+ + eps theta1(x) R+: the
@@ -101,16 +110,16 @@ def dense_templates(op):
 
 @pytest.fixture(scope="session")
 def one_column_rhs():
-    """Builder of the one-column rhs that `PeriodicOperator.tabulated_rhs`
-    returned before it took only column batches: Phi(t) u as four dense
-    matmuls, with the coefficients on the stage grid np.linspace(t0, t1,
-    2 steps + 1), the stage read as round((t - t0) / (h / 2)).  The oracles
-    step vectors and dense matrices with it."""
+    """Builder of a one-column rhs over any window, both halves' terms at
+    every stage: Phi(t) u as four dense matmuls, with the coefficients of
+    `coefficient_rows` on the stage grid np.linspace(t0, t1, 2 steps + 1),
+    the stage read as round((t - t0) / (h / 2)).  The oracles step vectors
+    and dense matrices with it."""
 
     def build(op, t0, t1, steps):
         dm, rm, dp, rp = dense_templates(op)
         stages = 2 * steps
-        tm, r1m, tp, r1p = op._coefficients(np.linspace(t0, t1, stages + 1))
+        tm, r1m, tp, r1p = coefficient_rows(op, np.linspace(t0, t1, stages + 1))
         half = (t1 - t0) / stages
 
         def rhs(t, u):

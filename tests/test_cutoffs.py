@@ -135,7 +135,7 @@ class TestPeriodicDrive:
 
     def test_plateau_entry_time(self):
         drive = PeriodicDrive(1.0, 2.0, 0.75)
-        t0 = drive.plateau_entry_time(0.25)
+        t0 = drive.plateau_entry_time()
         assert float(-drive.value(t0)) == pytest.approx(0.25, abs=1e-10)
 
     @given(st.floats(min_value=0.55, max_value=0.95),

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from attractorlab import floquet, phases, quadrature
@@ -17,7 +19,7 @@ from attractorlab.floquet import (WALK_PERIODS, FloquetError, PeriodicOperator,
 from attractorlab.integrators import lawson_rk4
 from attractorlab.phases import shift_match_report
 from attractorlab.spectral import make_spectrum, spectral_gap
-from conftest import dense_log_columns, dense_templates
+from conftest import coefficient_rows, dense_log_columns, dense_templates
 
 # Means of theta1(h(u)) and theta2(h(u)) over the unit transition u in [0, 1]
 # at amplitude 1 (so for every amplitude): the trapezoidal rule in 30-digit
@@ -224,11 +226,13 @@ class TestNumericPoincare:
 
     def test_overlapping_cutoffs_rejected(self, operator_t2):
         # theta2(x) and theta2(-x) are both nonzero near x = 0, so the plus
-        # coupling's diagonal acts on the minus half-period too, and two
-        # colours no longer separate the blocks
+        # coupling's diagonal would act on the minus half-period too, and two
+        # colours would no longer separate the blocks
         op = replace(operator_t2, theta2=SmoothStep(-0.25, 0.25))
-        with pytest.raises(FloquetError, match="^minus half-period: .* stage 0 "):
+        with pytest.raises(FloquetError, match="^theta2's lo -0.25 is below 0"):
             poincare_numeric(op, 8)
+        with pytest.raises(FloquetError, match="^theta2's lo -0.25 is below 0"):
+            period_advance(op, 512)
 
     def test_dense_power_matches_iterate_norms(self, operator_t2):
         spec = operator_t2.spectrum
@@ -455,48 +459,80 @@ def test_blocks_match_dense_oracle(name, n_trunc, request, one_column_rhs):
 
 
 @pytest.mark.parametrize("epsilon", [None, 0.0])
-@pytest.mark.parametrize("steps,columns,periods", [(64, 2, 2.0), (16, 3, 1.5)])
-def test_tabulated_rhs_matches_dense_formula(operator_t2, epsilon, steps, columns, periods):
-    # whole-period columns share each stage's phase, so a stage runs 0, 1 or
-    # 2 live terms; half-period columns mix the halves, up to all 4
+@pytest.mark.parametrize("columns", [2, 3])
+def test_tabulated_rhs_matches_dense_formula(operator_t2, epsilon, columns):
+    # each half's two terms against the dense sum of all four, the other
+    # half's rows included, at every stage of its one-step columns
     op = operator_t2 if epsilon is None else replace(operator_t2, epsilon=epsilon)
-    table = op.stage_table(0.0, periods * op.period, steps, columns)
-    rhs = op.tabulated_rhs(table)
     templates = dense_templates(op)
-    coeffs = np.array(table.coeffs)
-    stages = 2 * steps
     u = np.random.default_rng(7).standard_normal((op.n_modes, columns))
-    h = (table.t1 - table.t0) / (columns * steps)
-    starts = np.arange(columns) * stages * (h / 2)
-    live_counts = set()
-    for k in range(stages + 1):
-        c = coeffs[:, np.arange(columns) * stages + k]
-        live_counts.add(int(np.count_nonzero(np.any(c != 0.0, axis=1))))
-        want = (c[0] * (templates[0] @ u) + c[1] * (templates[1] @ u)
-                + c[2] * (templates[2] @ u) + c[3] * (templates[3] @ u))
-        assert rhs(starts + k * (h / 2), u).tobytes() == want.tobytes(), k
-    if periods == 2.0:
-        assert live_counts == ({0, 1, 2} if epsilon is None else {0, 1})
-    else:
-        assert max(live_counts) == (4 if epsilon is None else 2)
+    for plus in (False, True):
+        t0 = op.half_period if plus else 0.0
+        t1 = t0 + op.half_period
+        rhs = op.tabulated_rhs(plus, t0, t1, columns)
+        coeffs = np.array(coefficient_rows(op, np.linspace(t0, t1, 2 * columns + 1)))
+        h = (t1 - t0) / columns
+        starts = t0 + np.arange(columns) * h
+        for k in range(3):
+            c = coeffs[:, 2 * np.arange(columns) + k]
+            want = (c[0] * (templates[0] @ u) + c[1] * (templates[1] @ u)
+                    + c[2] * (templates[2] @ u) + c[3] * (templates[3] @ u))
+            assert rhs(starts + k * (h / 2), u).tobytes() == want.tobytes(), (plus, k)
 
 
 def test_one_coefficient_table_per_chunk(operator_t2, monkeypatch):
     # 256-step chunks split every half-period from 512 steps a period up;
-    # the zero-coupling guard and the rhs read the same table
+    # each chunk's rhs reads its half's two rows from one call
     monkeypatch.setattr(floquet, "BLOCK_CHUNK", 256)
     calls = []
     evaluate = PeriodicOperator._coefficients
 
-    def counted(self, t):
-        calls.append(np.size(t))
-        return evaluate(self, t)
+    def counted(self, t, plus):
+        rows = evaluate(self, t, plus)
+        calls.append((len(rows), np.size(t)))
+        return rows
 
     monkeypatch.setattr(PeriodicOperator, "_coefficients", counted)
     got = poincare_numeric(operator_t2, 8)
     chunks = [steps // 2 // 256 for steps in (512, 1024, 2048, 4096) for _ in range(2)]
     assert got.steps == 4096
-    assert calls == [2 * 256 + 1] * sum(chunks)
+    assert calls == [(2, 2 * 256 + 1)] * sum(chunks)
+
+
+@given(amplitude=st.floats(0.1, 4.0), tau=st.floats(0.05, 4.0), p=st.floats(0.51, 0.99),
+       step_lo=st.floats(0.0, 2.0), step_width=st.floats(0.01, 2.0),
+       support_lo=st.floats(0.0, 2.0), knots=st.tuples(*[st.floats(0.01, 2.0)] * 3),
+       chunk=st.sampled_from([256, 2048]), steps=st.integers(256, 4096))
+@settings(max_examples=30, deadline=None)
+def test_certificate_zeroes_the_other_half(amplitude, tau, p, step_lo, step_width, support_lo,
+                                           knots, chunk, steps):
+    # cut-offs that pass `separation_certificate`, scaled by the amplitude;
+    # the rotation may overlap the ramps, which only the closed form refuses
+    theta2 = SmoothStep(amplitude * step_lo, amplitude * (step_lo + step_width))
+    edges = amplitude * (support_lo + np.cumsum((0.0,) + knots))
+    theta1 = mollifier_bump(edges[0], edges[3], edges[1], edges[2])
+    op = PeriodicOperator(make_spectrum("linear", {"c": 1.0}, 5),
+                          PeriodicDrive(amplitude, tau, p), theta1, theta2, 1.0, 1.0, 5)
+    floquet.separation_certificate(op)
+    grids = []
+    evaluate = PeriodicOperator._coefficients
+
+    def recorded(self, t, plus):
+        grids.append((plus, np.array(t)))
+        return evaluate(self, t, plus)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floquet, "BLOCK_CHUNK", chunk)
+        mp.setattr(PeriodicOperator, "_coefficients", recorded)
+        floquet.period_advance(op, 2 * steps)
+    for plus in (False, True):
+        own = [t for half, t in grids if half == plus]
+        assert len(own) == math.ceil(steps / chunk)
+        assert sum(t.size - 1 for t in own) == 2 * steps
+        for t in own:
+            tm, r1m, tp, r1p = coefficient_rows(op, t)
+            other = (tm, r1m) if plus else (tp, r1p)
+            assert all(np.all(row == 0.0) for row in other)
 
 
 def test_rhs_memory_is_linear_in_modes():
@@ -508,9 +544,9 @@ def test_rhs_memory_is_linear_in_modes():
     start[0] = 1.0
     tracemalloc.start()
     try:
-        rhs = op.tabulated_rhs(op.stage_table(0.0, op.period, 1, 2))
-        end = lawson_rk4(op.lam, rhs, start, np.array([0.0, op.half_period]),
-                         np.array([op.half_period, op.period]), 1)
+        rhs = op.tabulated_rhs(False, 0.0, op.half_period, 2)
+        end = lawson_rk4(op.lam, rhs, start, np.array([0.0, 0.5 * op.half_period]),
+                         np.array([0.5 * op.half_period, op.half_period]), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -608,7 +644,7 @@ def test_phase_constants_match_quadrature(amplitude, tau, p):
     b = math.log(3.0) + 2.0
     u = (b - math.sqrt(b * b - 4.0 * math.log(3.0))) / (2.0 * math.log(3.0))
     t_e = u * drive.transition_width
-    assert t_e == pytest.approx(drive.plateau_entry_time(0.25), abs=1e-11 * tau)
+    assert t_e == pytest.approx(drive.plateau_entry_time(), abs=1e-11 * tau)
     assert float(op.theta2.value(-drive.value(t_e * (1.0 + 1e-7)))) == 1.0
     oracle, _ = quad(lambda t: 1.0 - float(op.theta2.value(-drive.value(t))), 0.0, t_e,
                      epsabs=1e-15, epsrel=1e-13, limit=200)
@@ -692,7 +728,7 @@ def test_coupling_norm_max_is_the_sampled_sup(family, params):
     op = make_periodic_operator(make_spectrum(family, params, 40),
                                 PeriodicDrive(1.0, 2.0, 0.75))
     dm, rm, dp, rp = dense_templates(op)
-    tm, r1m, tp, r1p = op._coefficients(np.linspace(0.0, op.period, 2001))
+    tm, r1m, tp, r1p = coefficient_rows(op, np.linspace(0.0, op.period, 2001))
     sampled = max(np.linalg.norm(a * dm + b * rm + c * dp + d * rp, 2)
                   for a, b, c, d in zip(tm, r1m, tp, r1p))
     assert abs(op.coupling_norm_max - sampled) <= 1e-12 * sampled

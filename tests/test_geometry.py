@@ -401,7 +401,7 @@ class TestSlotDistances:
         first = point_dicts(cloud)[:288]
         tracemalloc.start()
         try:
-            built = PointCloud(cloud.points, cloud.spectrum, 2.0)
+            built = PointCloud(cloud.points, cloud.spectrum, 2.0, [])
             build_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             sub = dict_cloud(first, cloud.spectrum, 2.0)

@@ -1,6 +1,8 @@
 """Guards on the package surface: every exported name exists; every
 definition is reached from a command and every defaulted parameter is set
-by some call, unless KEEP or OPTION_KEEP says why not; every module reads
+by some call, unless KEEP or OPTION_KEEP says why not; every dataclass
+field's default is used by some construction, and every init field is
+set by one; every module reads
 what it imports unless the benchmark's layer tracer wraps that binding;
 every binding the tracer wraps still resolves, so a deletion that would
 break the traced run fails here first; and the smooth-step kernel and the
@@ -287,7 +289,8 @@ def test_every_option_is_set():
     position or by keyword, at some call in the package.  A default no call
     changes is a constant, not an option.  The parameters of KEEP functions
     and the OPTION_KEEP entries are exempt.  Calls match by bare name, as in
-    the reachability guard, and dataclass fields are not checked."""
+    the reachability guard; dataclass fields have their own guard,
+    `test_every_dataclass_field_earns_its_default`."""
     trees = source_trees()
     calls = calls_by_name(trees)
     unset = {key for key, fname, index, name in defaulted_parameters(trees)
@@ -295,6 +298,73 @@ def test_every_option_is_set():
              and not any(sets_parameter(call, index, name) for call in calls[fname])}
     assert sorted(unset - set(OPTION_KEEP)) == []
     assert set(OPTION_KEEP) <= unset, "an OPTION_KEEP parameter is set now; drop it"
+
+
+def dataclass_fields(trees) -> dict:
+    """"module:class" -> [(field, index among the init fields or None,
+    whether it has a default)] of every dataclass of the package, in
+    declaration order; a field(init=False) has index None."""
+    out = {}
+    for module, (tree, _) in trees.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            if not any("dataclass" in (getattr(d, "id", None), getattr(d, "attr", None),
+                                       getattr(getattr(d, "func", None), "id", None))
+                       for d in cls.decorator_list):
+                continue
+            fields, index = [], 0
+            for member in cls.body:
+                if not (isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)):
+                    continue
+                value = member.value
+                options = ({k.arg: k.value for k in value.keywords}
+                           if isinstance(value, ast.Call)
+                           and getattr(value.func, "id", None) == "field" else None)
+                if options is None:
+                    init, default = True, value is not None
+                else:
+                    init = getattr(options.get("init"), "value", True)
+                    default = "default" in options or "default_factory" in options
+                fields.append((member.target.id, index if init else None, default))
+                index += bool(init)
+            out[f"{module}:{cls.name}"] = fields
+    return out
+
+
+def constructions(trees, key) -> list:
+    """Every call in the package that builds the dataclass `key`: by its
+    bare name, or as `cls(...)` in one of its own methods."""
+    module, name = key.split(":")
+    calls = [node for node in calls_by_name(trees)[name]
+             if getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+    for cls in (n for n in trees[module][0].body
+                if isinstance(n, ast.ClassDef) and n.name == name):
+        calls += [node for node in ast.walk(cls) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "cls"]
+    return calls
+
+
+def test_every_dataclass_field_earns_its_default():
+    """A dataclass field's default is used by some construction in the
+    package: a defaulted field that every construction sets is a required
+    field.  And each init field is set by some construction, or by a
+    `dataclasses.replace` keyword: one that none sets belongs out of
+    __init__, as field(init=False).  Calls match by bare name, as in the
+    reachability guard."""
+    trees = source_trees()
+    replaced = {k.arg for node in calls_by_name(trees)["replace"] for k in node.keywords}
+    always, never = [], []
+    for key, fields in dataclass_fields(trees).items():
+        calls = constructions(trees, key)
+        for name, index, default in fields:
+            if index is None:
+                continue
+            setting = [sets_parameter(call, index, name) for call in calls]
+            if default and calls and all(setting):
+                always.append(f"{key}.{name}")
+            if not any(setting) and name not in replaced:
+                never.append(f"{key}.{name}")
+    assert always == [], "defaulted fields that every construction sets"
+    assert never == [], "init fields that no construction sets"
 
 
 def imported_names(tree):
