@@ -237,6 +237,15 @@ def load_config(path: str) -> dict:
 
 
 def config_hash(resolved: dict) -> str:
+    """The scenario's hash: the resolved config, with a `kind: file` cloud's
+    path replaced by the sha256 of the file's bytes, so the hash names the
+    cloud and not where it was read from."""
+    cloud = resolved["geometry"]["cloud"]
+    if cloud["kind"] == "file":
+        with open(cloud["path"], "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        resolved = {**resolved, "geometry": {**resolved["geometry"],
+                                             "cloud": {**cloud, "path": digest}}}
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

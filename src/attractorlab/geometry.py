@@ -7,9 +7,10 @@ of interest sit far below the double range.  Every scale is passed as its
 log (log_eps, log_scales), for the same reason.  A cloud keeps only the
 few coordinates each point stores, as n x K slot arrays (K the most any
 point stores), never an n x m matrix over all stored modes: every log
-distance sums over the union of a pair's stored columns, every ball cover
-reads one cached log-distance matrix per norm view, and every box count
-reads only the stored slots."""
+distance sums over the union of a pair's stored columns, the log-distance
+matrix is computed once per norm view from its upper triangle, every ball
+cover gathers its members from one cached ball matrix per radius, and every
+box count reads only the stored slots."""
 
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ NEG_INF = float("-inf")
 PLANAR_X = -1
 PLANAR_Y = -2
 
-# closed-ball membership in log coordinates allows this additive slack
+# closed-ball membership in log coordinates allows at least this additive slack
 _LOG_SLACK = 1e-12
 _EXACT_COVER_CAP = 24
 # one float64 log-distance matrix per norm view: 4800^2 doubles is 184 MB
@@ -166,9 +167,9 @@ class PointCloud:
             self._cache["w"] = w
         return w
 
-    def _distance_logs(self, rows: np.ndarray) -> np.ndarray:
-        """log distances from each listed point to every point, in the
-        selected norm, as a (len(rows), n) array.
+    def _distance_logs(self, rows: np.ndarray, lo: int) -> np.ndarray:
+        """log distances from each listed point to points lo..n-1, in the
+        selected norm, as a (len(rows), n - lo) array.
 
         A pair's terms live on the union of its stored columns, so a row is
         n x 2K work.  Each listed point's slot positions are scattered into a
@@ -177,19 +178,20 @@ class PointCloud:
         y_j| with the larger magnitude factored out; a column only one point
         stores gives w_j + 2 log|x_j|.  The shared terms are summed in column
         order, and the two one-sided sums are added to each other first, so
-        the distance from a to b is bit for bit the one from b to a, and a
-        row is the same in any block."""
-        C, L, S = self._cols, self._logmags, self._signs
+        the distance from a to b is bit for bit the one from b to a, and an
+        entry depends only on its pair, not on the block or on lo."""
+        C, L, S = self._cols[lo:], self._logmags[lo:], self._signs[lo:]
+        Ci, Li, Si = self._cols[rows], self._logmags[rows], self._signs[rows]
         r, K = len(rows), C.shape[1]
         m = len(self._indices)
         w = self._weight_logs()
         lookup = np.full((r, m + 1), K)  # slot K: a column the listed point leaves out
-        lookup[np.arange(r)[:, None], C[rows]] = np.arange(K)
+        lookup[np.arange(r)[:, None], Ci] = np.arange(K)
         lookup[:, m] = K
         at = lookup[:, C]
         every = np.arange(r)[:, None, None]
-        li = np.append(L[rows], np.full((r, 1), NEG_INF), axis=1)[every, at]
-        si = np.append(S[rows], np.zeros((r, 1)), axis=1)[every, at]
+        li = np.append(Li, np.full((r, 1), NEG_INF), axis=1)[every, at]
+        si = np.append(Si, np.zeros((r, 1)), axis=1)[every, at]
         # a term on each of the other point's columns
         big = np.maximum(L, li)
         big = np.where(np.isneginf(big), 0.0, big)
@@ -197,9 +199,9 @@ class PointCloud:
             diff = S * np.exp(L - big) - si * np.exp(li - big)
             theirs = w[C] + 2.0 * (big + np.log(np.abs(diff)))
         # and on each of the listed point's columns that the other leaves out
-        covered = np.zeros((r, len(self), K + 1), dtype=bool)
+        covered = np.zeros((r, len(C), K + 1), dtype=bool)
         np.put_along_axis(covered, at, True, axis=2)
-        own = np.where(covered[:, :, :K], NEG_INF, (w[C[rows]] + 2.0 * L[rows])[:, None, :])
+        own = np.where(covered[:, :, :K], NEG_INF, (w[Ci] + 2.0 * Li)[:, None, :])
         top = np.maximum(np.max(theirs, axis=2), np.max(own, axis=2))
         out = np.full(top.shape, NEG_INF)
         live = top > NEG_INF  # else a duplicate point, or two points storing nothing
@@ -213,25 +215,48 @@ class PointCloud:
 
     def distance_log_row(self, i: int) -> np.ndarray:
         """log distances from point i to every point, in the selected norm."""
-        return self._distance_logs(np.array([i]))[0]
+        return self._distance_logs(np.array([i]), 0)[0]
 
     def distance_log_matrix(self) -> np.ndarray:
-        """All log distances in the selected norm: the distance_log_row
-        rows, filled in blocks of at most _BLOCK_TERMS terms (one row when a
-        row has more) once per view and cached; callers must not write to
-        it."""
+        """All log distances in the selected norm, once per view and cached;
+        callers must not write to it.  The matrix is exactly symmetric, so
+        each block of rows a..b-1 is computed only from its diagonal
+        rightward, over points a..n-1, in at most _BLOCK_TERMS terms (one row
+        when a row has more), and its transpose fills the column block below.
+        Every entry equals distance_log_row's bit for bit."""
         D = self._cache.get("matrix")
         if D is None:
-            n = len(self)
+            n, K = len(self), self._cols.shape[1]
             if n > _MATRIX_CAP:
                 raise GeometryError(f"log-distance matrix capped at {_MATRIX_CAP} points; "
                                     f"the cloud has {n}")
             D = np.empty((n, n))
-            step = max(1, _BLOCK_TERMS // (2 * n * self._cols.shape[1]))
-            for a in range(0, n, step):
-                D[a:a + step] = self._distance_logs(np.arange(a, min(a + step, n)))
+            a = 0
+            while a < n:
+                b = min(n, a + max(1, _BLOCK_TERMS // (2 * (n - a) * K)))
+                D[a:b, a:] = self._distance_logs(np.arange(a, b), a)
+                D[b:, a:b] = D[a:b, b:].T
+                a = b
             self._cache["matrix"] = D
         return D
+
+    def ball_matrix(self, log_eps: float) -> np.ndarray:
+        """Closed-ball membership at log radius log_eps: entry (a, b) holds
+        when b lies in the ball around a, so the matrix is exactly
+        symmetric.  The radius allows a slack of 4 ulp of |log_eps|, or
+        _LOG_SLACK where that is larger (below |log_eps| = 2048).  A log
+        distance rounds at three additions, each within half an ulp of
+        2|log d| before the exact halving, and the radius was itself rounded
+        once, so a distance equal to the radius in exact arithmetic computes
+        within 2 ulp of it; the factor 2 covers |log d| and |log_eps| in
+        adjacent binades.  Only the last radius asked is cached, per view;
+        callers must not write to it."""
+        last = self._cache.get("ball")
+        if last is None or last[0] != log_eps:
+            slack = max(_LOG_SLACK, 4.0 * np.spacing(abs(log_eps)))
+            last = (log_eps, self.distance_log_matrix() <= log_eps + slack)
+            self._cache["ball"] = last
+        return last[1]
 
     def weighted_slots(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Norm-weighted coordinates (distances become plain Euclidean) at the
@@ -265,22 +290,23 @@ class PointCloud:
 
 
 def _greedy_cover(ball: np.ndarray) -> list[int]:
-    """Max-coverage greedy set cover over a boolean ball matrix (row a is the
-    ball around member a): each round picks the member whose ball covers the
-    most uncovered members (lowest index on ties).  The gains are kept up to
-    date between rounds: each pick subtracts the columns it newly covers, so
-    every column is summed twice in all, not once per round."""
+    """Max-coverage greedy set cover over a symmetric boolean ball matrix
+    (row a is the ball around member a): each round picks the member whose
+    ball covers the most uncovered members (lowest index on ties).  The gains
+    are kept up to date between rounds: each pick subtracts the newly
+    covered members of every ball, which by symmetry is a sum of the newly
+    covered rows, so every row is summed twice in all."""
     uncovered = np.ones(len(ball), dtype=bool)
     gains = ball.sum(axis=1)
     centers: list[int] = []
-    while np.any(uncovered):
-        best = int(np.argmax(gains))
+    while uncovered.any():
+        best = int(gains.argmax())
         if gains[best] == 0:
             raise GeometryError("cover stalled; a point covers nothing, not even itself")
         centers.append(best)
         newly = ball[best] & uncovered
         uncovered &= ~newly
-        gains -= ball[:, newly].sum(axis=1)
+        gains -= ball[newly].sum(axis=0)
     return centers
 
 
@@ -332,7 +358,7 @@ def covering_number(cloud: PointCloud, log_eps: float, method: str = "greedy",
         method = "exact" if len(ids) <= _EXACT_COVER_CAP else "greedy"
     if method not in _COVERS:
         raise GeometryError(f"unknown covering method {method!r}")
-    ball = cloud.distance_log_matrix()[np.ix_(ids, ids)] <= log_eps + _LOG_SLACK
+    ball = cloud.ball_matrix(log_eps)[np.ix_(ids, ids)]
     local = _COVERS[method](ball)
     if not np.all(np.any(ball[local], axis=0)):
         raise GeometryError("cover validity re-check failed")
@@ -408,23 +434,22 @@ def doubling_factor(cloud: PointCloud, log_eps: float) -> int:
     """Worst case over data-point centers of the number of eps/2-balls needed
     to cover the eps-ball (eps = exp(log_eps)).
 
-    One cover per distinct eps-ball: centres whose balls hold the same
-    members share one cover, so a repeated ball is skipped, and so is a ball
-    with no more members than the worst cover so far (its cover cannot be
-    larger).  Neither skip can change the max."""
+    One cover per distinct eps-ball: the distinct rows of the ball matrix
+    are found by one sort of their packed bits, and visited from the most
+    members down.  A repeated ball would repeat its cover, and once a ball
+    has no more members than the worst cover so far, no later ball's cover
+    can be larger, so the visit stops there.  Neither skip can change the
+    max.  All covers share the cloud's one ball matrix at eps/2."""
     log_half = log_eps - math.log(2.0)
+    ball = cloud.ball_matrix(log_eps)
+    counts = ball.sum(axis=1)
+    first = np.unique(np.packbits(ball, axis=1), axis=0, return_index=True)[1]
     worst = 1
-    seen: set[bytes] = set()
-    for ball in cloud.distance_log_matrix() <= log_eps + _LOG_SLACK:
-        members = np.flatnonzero(ball)
-        if len(members) <= worst:
-            continue
-        key = np.packbits(ball).tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
+    for i in first[np.argsort(-counts[first], kind="stable")]:
+        if counts[i] <= worst:
+            break
         worst = max(worst, len(covering_number(cloud, log_eps=log_half, method="auto",
-                                               member_rows=members)))
+                                               member_rows=np.flatnonzero(ball[i]))))
     return worst
 
 

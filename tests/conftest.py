@@ -34,19 +34,16 @@ def linear_spectrum_big():
     return make_spectrum("linear", {"c": 1.0}, 300)
 
 
-@pytest.fixture(scope="session")
-def cube_vertex_cloud():
-    """Seeded almost-cube cloud (93 points), after perfbench/gen_cover.py at
-    fewer levels: level n (4..12) gives all 2^k vertices, k = ceil(sqrt(n)),
-    of a cube on modes 2(n+1)..2(n+k) at log scale -0.35 n, each coordinate
-    jittered in log magnitude by up to 0.05.  One more point sits far below
+def almost_cube_cloud(last_level: int) -> PointCloud:
+    """Seeded almost-cube cloud, after perfbench/gen_cover.py: level n
+    (4..last_level) gives all 2^k vertices, k = ceil(sqrt(n)), of a cube on
+    modes 2(n+1)..2(n+k) at log scale -0.35 n, each coordinate jittered in
+    log magnitude by up to 0.05.  One more point sits on mode 34 far below
     double range (log magnitude near -800), so box counting cannot represent
-    the cloud.  At eps from 0.3 down to 0.02 some eps-balls hold more than
-    24 members (up to all 93), so doubling covers take the greedy branch,
-    and the cube symmetry repeats balls and ties the greedy gains."""
+    the cloud."""
     rng = random.Random(16)
     points, tags = [], []
-    for n in range(4, 13):
+    for n in range(4, last_level + 1):
         k = math.ceil(math.sqrt(n))
         for p in range(2**k):
             bits = [j for j in range(1, k + 1) if (p >> (j - 1)) & 1]
@@ -56,6 +53,15 @@ def cube_vertex_cloud():
     points.append({34: (1, -800.0 + rng.uniform(-0.05, 0.05))})
     tags.append("deep")
     return dict_cloud(points, tags=tags)
+
+
+@pytest.fixture(scope="session")
+def cube_vertex_cloud():
+    """The almost-cube cloud of levels 4..12 (93 points).  At eps from 0.3
+    down to 0.02 some eps-balls hold more than 24 members (up to all 93), so
+    doubling covers take the greedy branch, and the cube symmetry repeats
+    balls and ties the greedy gains."""
+    return almost_cube_cloud(12)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from attractorlab import cli
-from attractorlab.config import ConfigError, resolve_config
+from attractorlab.config import ConfigError, config_hash, resolve_config
 
 BASE = {"spectrum": {"family": "linear", "n_max": 16, "params": {"c": 1.0}}}
 EXPLICIT = {"family": "explicit", "n_max": 2, "params": {"values": [1.0, 2.0]}}
@@ -117,6 +117,20 @@ def test_file_cloud_needs_path():
         resolve_config(raw)
     raw["geometry"]["cloud"]["path"] = "cloud.csv"
     assert resolve_config(raw)["geometry"]["cloud"]["path"] == "cloud.csv"
+
+
+def test_file_cloud_hash_reads_the_cloud_not_its_path(tmp_path):
+    raw = with_key(with_key(BASE, "geometry.s_list", [0]), "geometry.cloud", {"kind": "file"})
+    body = "point_id,tag,mode_index,sign,logmag\n0,,1,1,-2.5\n1,,2,-1,-3\n"
+
+    def hashed(name, text):
+        (tmp_path / name).write_text(text)
+        raw["geometry"]["cloud"]["path"] = str(tmp_path / name)
+        return config_hash(resolve_config(raw))
+
+    first = hashed("a.csv", body)
+    assert hashed("b.csv", body) == first  # one cloud at two paths
+    assert hashed("a.csv", body.replace("-3", "-4")) != first  # an edited cloud
 
 
 @pytest.mark.parametrize("section,text,key", [

@@ -5,6 +5,7 @@ import math
 import os
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from attractorlab.geometry import (PLANAR_X, PLANAR_Y, GeometryError, PointCloud
                                    log_doubling_estimate)
 from attractorlab.spectral import cube_width, make_spectrum
 from attractorlab.simulate import bad_cube_cloud, section4_attractor, thm44_laws
-from conftest import dict_cloud, point_dicts
+from conftest import almost_cube_cloud, dict_cloud, point_dicts
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -278,6 +279,37 @@ class TestCoverOracle:
         assert not np.array_equal(matrices[0], matrices[1])
         assert "matrix" not in base._cache
 
+    def test_ball_matrix_follows_the_radius_per_view(self):
+        base = wide_cloud(20, 10)
+        flat, heavy = base.with_norm(0.0), base.with_norm(2.0)
+        radius = float(np.median(flat.distance_log_matrix()))
+        ball = flat.ball_matrix(radius)
+        assert flat.ball_matrix(radius) is ball
+        assert np.array_equal(ball, flat.distance_log_matrix() <= radius + 1e-12)
+        assert np.array_equal(ball, ball.T)
+        smaller = flat.ball_matrix(radius - 1.0)
+        assert np.array_equal(smaller, flat.distance_log_matrix() <= radius - 1.0 + 1e-12)
+        assert ball.sum() > smaller.sum()
+        assert np.array_equal(flat.ball_matrix(radius), ball)  # recomputed, not stale
+        assert not np.array_equal(heavy.ball_matrix(radius), ball)
+        assert "ball" not in base._cache
+
+    def test_deep_closed_ball_holds_its_cube(self):
+        # A k = 10 cube's vertices, each exactly sqrt(10) eps / 2 from its
+        # centre.  At |log eps| = 40000 the computed distance lands one ulp
+        # (7.3e-12) above that radius, so an absolute 1e-12 slack left the
+        # centre's ball short and the greedy cover took 33 balls.
+        k = 10
+        for log_eps in (-40000.0, -50000.5):
+            modes = range(1, k + 1)
+            vertices = [{i: (1, log_eps) for b, i in enumerate(modes) if (p >> b) & 1}
+                        for p in range(2**k)]
+            centre = {i: (1, log_eps - math.log(2.0)) for i in modes}
+            cloud = dict_cloud(vertices + [centre])
+            radius = log_eps + math.log(math.sqrt(k) / 2.0)
+            assert np.max(cloud.distance_log_row(2**k)) > radius + 1e-12
+            assert covering_number(cloud, radius) == (2**k,)
+
     def test_matrix_cap_names_limit(self):
         cloud = dense_cloud(np.zeros((4801, 1)))
         with pytest.raises(GeometryError, match="4800 points; the cloud has 4801"):
@@ -394,6 +426,21 @@ class TestSlotDistances:
             assert np.all(np.abs(got[live] - want[live]) <= 4 * ulp)
         D = cloud.distance_log_matrix()
         assert np.array_equal(D, D.T)  # the same sum from either point
+
+    @pytest.mark.parametrize("terms", [1, 64, 2**13])
+    @given(sparse_rows(), st.sampled_from([0.0, 2.5]))
+    @example([{}, {PLANAR_X: -0.5, 4: 1.0}, {}, {}], 1.0)  # empty points
+    @example([{1: 0.5, 3: 0.75}, {2: 0.25}, {1: 0.5, 3: 0.75}, {2: 0.25}], 0.0)  # duplicates
+    @settings(max_examples=40, deadline=None)
+    def test_triangle_fill_is_stacked_rows(self, terms, rows, s):
+        # the matrix is filled from each block's diagonal rightward and
+        # mirrored; at 1 and 64 terms every block is one row or a few
+        cloud = sparse_cloud(rows, s)
+        with mock.patch.object(geometry, "_BLOCK_TERMS", terms):
+            D = cloud.distance_log_matrix()
+        stacked = np.stack([cloud.distance_log_row(i) for i in range(len(cloud))])
+        assert D.tobytes() == stacked.tobytes()
+        assert np.array_equal(D, D.T)
 
     def test_memory_below_one_dense_matrix(self):
         n, m = 2000, 400
@@ -572,6 +619,26 @@ class TestDoubling:
             log_scales, [math.log(doubling_factor(cloud, le)) for le in log_scales])
         assert out["verdict"] == "finite"
         assert out["estimate"] <= 3.0
+
+    def test_memory_below_matrix_and_one_ball_matrix(self):
+        # covers gather their members from the bool ball matrices, so past
+        # the distance matrix itself a doubling factor never holds a float
+        # copy of it, whole or gathered
+        for log_eps in logs([0.3, 0.05, 0.01]):
+            fresh, warm = almost_cube_cloud(20), almost_cube_cloud(20)
+            D = warm.distance_log_matrix()
+            n = len(D)
+            peaks = []
+            for cloud in (fresh, warm):
+                tracemalloc.start()
+                try:
+                    doubling_factor(cloud, log_eps)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert n == 285
+            assert peaks[0] < D.nbytes + n * n + 2**20
+            assert peaks[1] < D.nbytes
 
     def test_scale_span_validated(self):
         with pytest.raises(GeometryError, match="decades"):
