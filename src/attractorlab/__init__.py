@@ -10,8 +10,9 @@ clouds with diverging log-doubling factor, and projected attractors whose
 box-counting dimension depends on the Sobolev index.
 """
 
+from .outcome import Outcome
 from .spectral import (ObstructionVerdict, Spectrum, SpectrumError,
-                       c1_obstruction_check, cube_width, make_spectrum,
+                       c1_obstruction_check, cube_width, gap_check, make_spectrum,
                        regime_bound, site_pairs, spectral_gap)
 from .cutoffs import (BumpFunction, CutoffError, PeriodicDrive, SmoothStep,
                       mollifier_bump)
@@ -23,19 +24,20 @@ from .floquet import (ClosingLaw, FloquetError,
                       WeightedShift, calibrate_epsilon, closing_law,
                       iterate_norm, make_periodic_operator, poincare_numeric,
                       poincare_predicted, ratio_bounds_check)
-from .phases import phase_blocks, phase_constants, poincare_columns, shift_match_report
+from .phases import (floquet_check, phase_blocks, phase_constants, poincare_columns,
+                     shift_match_report)
 from .geometry import (NEG_INF, PLANAR_X, PLANAR_Y, CoordTable,
-                       DimensionScan, GeometryError, PointCloud,
-                       covering_number, cube_doubling_report, dimension_vs_s_scan,
+                       DimensionScan, GeometryError, PointCloud, cloud_rows,
+                       covering_number, cube_dimension, cube_doubling_report,
                        doubling_factor, fractal_dimension_estimate,
-                       log_doubling_estimate)
+                       log_doubling_estimate, slopes_diverge, sobolev_scan)
 from .simulate import (KickOperator, Scenario, Section4Laws, SimulationError,
-                       bad_cube_cloud, build_kick_operator,
+                       bad_cube_cloud, build_kick_operator, pair_check,
                        section4_attractor, smooth_forcing_laws, thm44_laws,
                        trajectory_pair_experiment)
-from .config import (ConfigError, config_hash, drive_from_config, load_config,
-                     parse_scales, resolve_config, scenario_from_config,
+from .config import (ConfigError, config_hash, dimension_from_config, drive_from_config,
+                     load_config, parse_scales, resolve_config, scenario_from_config,
                      spectrum_from_config)
-from .reports import RunReport, fmt17, load_cloud_csv, write_csv, write_json
+from .reports import fmt17, load_cloud_csv, unmet_expectation, write_csv, write_json
 
 __version__ = "0.1.0"

@@ -1,7 +1,9 @@
 """JSON experiment configuration: one table declares each key with its
 default and its check, and a resolved config carries every default plus a
 content hash for byte-reproducible runs.  No environment variables are
-consulted: all state lives in the config."""
+consulted: all state lives in the config.  The builders turn a resolved
+config into the library's objects; `dimension_from_config` is the one
+place where a cloud kind picks its builder and its entry point."""
 
 from __future__ import annotations
 
@@ -10,13 +12,19 @@ import hashlib
 import json
 import math
 
+# clouds are built through the modules, whose bindings perfbench/layers.py wraps
+from . import floquet as fl
+from . import simulate as sim
 from .cutoffs import PeriodicDrive
+from .geometry import cube_dimension, sobolev_scan
+from .outcome import Outcome
+from .reports import load_cloud_csv
 from .simulate import Scenario
 from .spectral import Spectrum, cube_width, make_spectrum
 
 __all__ = ["ConfigError", "KEYS", "load_config", "resolve_config",
            "config_hash", "spectrum_from_config", "drive_from_config",
-           "scenario_from_config",
+           "scenario_from_config", "dimension_from_config",
            "parse_scales"]
 
 
@@ -273,6 +281,30 @@ def scenario_from_config(resolved: dict) -> Scenario:
         kick_window=dyn["kappa"],
         steps_per_period=dyn["steps_per_period"],
     )
+
+
+def dimension_from_config(resolved: dict) -> Outcome:
+    """The dimension command on the configured cloud: its kind picks both
+    the cloud's builder and the entry point that measures it.  Bad cubes go
+    to `geometry.cube_dimension`; section-4 and file clouds go to
+    `geometry.sobolev_scan` over the configured scales."""
+    geo = resolved["geometry"]
+    cloud_cfg = geo["cloud"]
+    if cloud_cfg["kind"] == "bad_cubes":
+        scen = scenario_from_config(resolved)
+        cloud, meta = sim.bad_cube_cloud(
+            scen, fl.poincare_predicted(scen.spectrum, scen.drive.half_period))
+        return cube_dimension(cloud, meta["levels"])
+    if cloud_cfg["kind"] == "file":
+        cloud = load_cloud_csv(cloud_cfg["path"])
+    else:
+        laws = (sim.thm44_laws() if cloud_cfg["laws"] == "thm44"
+                else sim.smooth_forcing_laws(cloud_cfg["n_max"]))
+        cloud, _ = sim.section4_attractor(laws, spectrum_from_config(resolved),
+                                          cloud_cfg["n_max"],
+                                          beta_scale=resolved["dynamics"]["beta_scale"])
+    return sobolev_scan(cloud, geo["s_list"], [math.log(e) for e in parse_scales(geo["scales"])],
+                        geo["include_doubling"])
 
 
 def parse_scales(spec) -> list[float]:

@@ -10,7 +10,8 @@ point stores), never an n x m matrix over all stored modes: every log
 distance sums over the union of a pair's stored columns, the log-distance
 matrix is computed once per norm view from its upper triangle, every ball
 cover gathers its members from one cached ball matrix per radius, and every
-box count reads only the stored slots."""
+box count reads only the stored slots.  The dimension command's entry points
+are `sobolev_scan` (section-4 and file clouds) and `cube_dimension` (bad cubes)."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fits import line_fit, local_slopes, monotone_increase
+from .outcome import Outcome
 from .spectral import Spectrum, cube_width
 
 __all__ = [
@@ -36,8 +38,11 @@ __all__ = [
     "fractal_dimension_estimate",
     "doubling_factor",
     "log_doubling_estimate",
-    "dimension_vs_s_scan",
+    "slopes_diverge",
+    "sobolev_scan",
     "cube_doubling_report",
+    "cube_dimension",
+    "cloud_rows",
 ]
 
 NEG_INF = float("-inf")
@@ -469,29 +474,46 @@ def log_doubling_estimate(log_scales, log_d_values) -> dict:
     return {"estimate": line_fit(x, y), "verdict": "diverging" if diverging else "finite"}
 
 
-def dimension_vs_s_scan(cloud: PointCloud, s_list, log_scales,
-                        include_doubling: bool = False) -> dict:
-    """Re-norm the same cloud under each Sobolev index and re-run the
-    box-counting estimate; emits plot-ready rows (s, log_eps, N, D, slope).
-    A cloud too large for the doubling factors' log-distance matrix is
-    refused before any scan."""
+def slopes_diverge(local_slopes) -> bool:
+    """The section-4 verdict rule: at least three local slopes, the last
+    more than 0.5 above the first."""
+    return len(local_slopes) >= 3 and bool(local_slopes[-1] > local_slopes[0] + 0.5)
+
+
+def _scan_tables(rows: list, cloud: PointCloud) -> tuple:
+    """The dimension command's tables: rows (s, log_eps, N_eps, D_eps, local
+    slope) as dimension_scan.csv, eps = exp(log_eps) put after s (0.0 below
+    exp(-700)), and the cloud as cloud.csv."""
+    return (("dimension_scan.csv", ("s", "eps", "log_eps", "n_eps", "d_eps", "local_slope"),
+             [(s, math.exp(le) if le > -700 else 0.0, le, *rest) for s, le, *rest in rows]),
+            ("cloud.csv", ("point_id", "tag", "mode_index", "sign", "logmag"),
+             cloud_rows(cloud)))
+
+
+def sobolev_scan(cloud: PointCloud, s_list, log_scales, include_doubling: bool) -> Outcome:
+    """The dimension command on a section-4 or file cloud: re-norm the cloud
+    under each Sobolev index and re-run the box-counting estimate.  It reads
+    "diverging" when some index's local slopes diverge (`slopes_diverge`),
+    else "finite"; the constants hold each index's slope.  Its scan rows
+    are one per index and scale, D_eps None without doubling and the first
+    scale's local slope nan (`_scan_tables`).  A cloud too large for the
+    doubling factors' log-distance matrix is refused before any scan."""
     if include_doubling and len(cloud) > _MATRIX_CAP:
         raise GeometryError(
             f"geometry.include_doubling needs the n x n log-distance matrix, capped at "
             f"{_MATRIX_CAP} points ({_MATRIX_CAP**2 * 8 // 10**6} MB of doubles); the cloud "
             f"has {len(cloud)} points")
-    results = {}
-    rows = []
+    rows, slopes, diverging = [], {}, False
     for s in s_list:
         view = cloud.with_norm(s)
         scan = fractal_dimension_estimate(view, log_scales=log_scales)
-        results[s] = scan
-        slopes = (float("nan"),) + scan.local_slopes
-        for le, cnt, sl in zip(scan.log_scales, scan.counts, slopes):
+        slopes[str(s)] = scan.slope
+        diverging = diverging or slopes_diverge(scan.local_slopes)
+        for le, cnt, sl in zip(scan.log_scales, scan.counts, (math.nan,) + scan.local_slopes):
             d_val = doubling_factor(view, le) if include_doubling else None
-            rows.append({"s": s, "log_eps": le, "n_eps": cnt,
-                         "d_eps": d_val, "local_slope": sl})
-    return {"scans": results, "rows": rows}
+            rows.append((s, le, cnt, d_val, sl))
+    return Outcome("diverging" if diverging else "finite", {"slopes": slopes},
+                   tables=_scan_tables(rows, cloud), summary=())
 
 
 def cube_doubling_report(cloud: PointCloud, levels: dict) -> dict:
@@ -556,3 +578,35 @@ def cube_doubling_report(cloud: PointCloud, levels: dict) -> dict:
     if not all_ok:
         estimate["verdict"] = "finite"
     return {"levels": per_level, "all_bounds_ok": all_ok, "log_doubling": estimate}
+
+
+def cube_dimension(cloud: PointCloud, levels: dict) -> Outcome:
+    """The dimension command on the bad-cube cloud: `cube_doubling_report`'s
+    verdict, levels, log-doubling estimate and all_bounds_ok.  Its levels
+    are written in `sobolev_scan`'s dimension_scan.csv columns: s is 0.0,
+    n_eps holds the level's n_half_cover, d_eps is empty, and local_slope
+    holds its log2_doubling_bound.  The cloud is written as cloud.csv."""
+    cube = cube_doubling_report(cloud, levels)
+    rows = [(0.0, lvl["log_eps"], lvl["n_half_cover"], None, lvl["log2_doubling_bound"])
+            for lvl in cube["levels"]]
+    return Outcome(cube["log_doubling"]["verdict"], {
+        "levels": cube["levels"],
+        "log_doubling_estimate": cube["log_doubling"]["estimate"],
+        "all_bounds_ok": cube["all_bounds_ok"],
+    }, tables=_scan_tables(rows, cloud), summary=())
+
+
+def cloud_rows(cloud: PointCloud):
+    """Long-form rows (point_id, tag, mode_index, sign, logmag): the
+    coordinate table in its (point, mode) order, with a (0, 0, -inf)
+    placeholder row for each point that stores nothing."""
+    t = cloud.points
+    ends = np.cumsum(np.bincount(t.point, minlength=t.n)).tolist()
+    mode, sign, log = t.mode.tolist(), t.sign.tolist(), t.log.tolist()
+    start = 0
+    for pid, (end, tag) in enumerate(zip(ends, cloud.tags)):
+        if start == end:
+            yield (pid, tag, 0, 0, NEG_INF)
+        for e in range(start, end):
+            yield (pid, tag, mode[e], sign[e], log[e])
+        start = end

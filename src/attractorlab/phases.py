@@ -5,9 +5,9 @@ Within a half-period the generator runs three commuting phases, ramp in,
 rotation and ramp out, once `phase_constants` has certified the cut-offs
 exactly; each block then has a closed form (`phase_blocks`).
 `poincare_columns` composes the two halves' blocks as signed logs, at most
-four entries a column, so `floquet` checks the shift pattern at any
-truncation without underflow.  The Lawson map of `floquet.poincare_numeric`
-is the tests' oracle for every block."""
+four entries a column, so `floquet_check`, the floquet command, checks the
+shift pattern at any truncation without underflow.  The Lawson map of
+`floquet.poincare_numeric` is the tests' oracle for every block."""
 
 from __future__ import annotations
 
@@ -15,14 +15,20 @@ import math
 
 import numpy as np
 
+# floquet_check calls through the module, whose bindings perfbench/layers.py wraps
+from . import floquet as fl
+from .cutoffs import PeriodicDrive
 from .floquet import (FloquetError, PeriodicOperator, WeightedShift, half_pairs,
                       separation_certificate, truncated_operator)
+from .outcome import Outcome
+from .spectral import Spectrum
 
 __all__ = [
     "phase_constants",
     "phase_blocks",
     "poincare_columns",
     "shift_match_report",
+    "floquet_check",
 ]
 
 
@@ -181,3 +187,28 @@ def shift_match_report(columns: tuple, predicted: WeightedShift) -> dict:
         "max_log_rel_err": float(np.max(log_rel)),
         "max_off_pattern": max_off,
     }
+
+
+def floquet_check(spec: Spectrum, drive: PeriodicDrive, n_trunc: int,
+                  coupling: float) -> Outcome:
+    """The floquet command: the closed-form map's shift pattern on columns
+    1..n_trunc and mode 1's closing law.  The verdict is "pattern_ok" when
+    the pattern holds and the closing is super-exponential, p > 1.  The
+    table holds the iterate log norms of e_2, whose orbit turns at mode 1
+    after one period.  The constants set the sup of ||Phi(t)|| over a
+    period beside the Lipschitz budget `coupling` it should stay within;
+    nothing gates on it yet."""
+    op = fl.make_periodic_operator(spec, drive)
+    predicted = fl.poincare_predicted(spec, drive.half_period)
+    match = shift_match_report(poincare_columns(op, n_trunc), predicted)
+    law = fl.closing_law(spec, drive.half_period)
+    walk = fl.iterate_norm(predicted, 2, max(4, min(12, (spec.n_max - 3) // 2)))
+    return Outcome(
+        "pattern_ok" if match["pattern_ok"] and law.superexponential else "pattern_broken", {
+            **match, "closing_exponent": law.p, "beta": law.beta, "epsilon": op.epsilon,
+            "n_trunc": n_trunc, "L": coupling, "coupling_norm_max": op.coupling_norm_max},
+        tables=(("floquet_iterates.csv", ("N", "lognorm"), enumerate(walk.lognorms)),),
+        summary=(f"shift pattern ok: {match['pattern_ok']}  "
+                 f"max log rel err: {match['max_log_rel_err']:.17g}  "
+                 f"off-pattern: {match['max_off_pattern']:.17g}",
+                 f"closing exponent p: {law.p:.17g}  beta: {law.beta:.17g}"))

@@ -8,15 +8,14 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import NEG_INF, CoordTable, PointCloud
 from .integrators import PeriodLog
 
-__all__ = ["fmt17", "RunReport", "write_csv", "trajectory_rows", "cloud_rows",
-           "geometry_rows", "load_cloud_csv", "write_json"]
+__all__ = ["fmt17", "write_csv", "trajectory_rows", "load_cloud_csv", "write_json",
+           "unmet_expectation"]
 
 # Rows write_csv formats at a time.
 CSV_CHUNK = 4096
@@ -112,32 +111,8 @@ def trajectory_rows(log: PeriodLog):
             yield (t, k + 1, 1 if v > 0 else -1, math.log(abs(v)) + logscale)
 
 
-def cloud_rows(cloud: PointCloud):
-    """Long-form rows (point_id, tag, mode_index, sign, logmag): the
-    coordinate table in its (point, mode) order, with a (0, 0, -inf)
-    placeholder row for each point that stores nothing."""
-    t = cloud.points
-    ends = np.cumsum(np.bincount(t.point, minlength=t.n)).tolist()
-    mode, sign, log = t.mode.tolist(), t.sign.tolist(), t.log.tolist()
-    start = 0
-    for pid, (end, tag) in enumerate(zip(ends, cloud.tags)):
-        if start == end:
-            yield (pid, tag, 0, 0, NEG_INF)
-        for e in range(start, end):
-            yield (pid, tag, mode[e], sign[e], log[e])
-        start = end
-
-
-def geometry_rows(scan_rows):
-    """(s, eps, log_eps, N_eps, D_eps, local_slope) export rows."""
-    for r in scan_rows:
-        le = r["log_eps"]
-        eps = math.exp(le) if le > -700 else 0.0
-        yield (r["s"], eps, le, r["n_eps"], r.get("d_eps"), r.get("local_slope"))
-
-
 def load_cloud_csv(path: str) -> PointCloud:
-    """Inverse of cloud_rows; parse errors carry line numbers.  A row is a
+    """Inverse of `geometry.cloud_rows`; parse errors carry line numbers.  A row is a
     coordinate (sign +-1, finite logmag) or the empty-point placeholder
     (sign 0, logmag -inf) that cloud_rows writes; no (point_id, mode_index)
     pair may repeat, and every row of a point carries the same tag.  Points
@@ -180,34 +155,8 @@ def load_cloud_csv(path: str) -> PointCloud:
                       None, 0.0, [tags[i] for i in ids])
 
 
-@dataclass
-class RunReport:
-    """Per-run verdicts and fitted constants plus the emitted file manifest;
-    identical configs byte-reproduce every CSV (wall clock lives only
-    here)."""
-
-    scenario_hash: str
-    command: str
-    expected: dict
-    verdicts: dict = field(init=False, default_factory=dict)
-    constants: dict = field(init=False, default_factory=dict)
-    files: list = field(init=False, default_factory=list)
-    wall_clock_s: float = field(init=False, default=0.0)
-
-    def verdict_matches_expectation(self) -> bool:
-        for key, want in self.expected.items():
-            if key in self.verdicts and self.verdicts[key] != want:
-                return False
-        return True
-
-    def to_json(self, path: str) -> str:
-        payload = {
-            "scenario_hash": self.scenario_hash,
-            "command": self.command,
-            "verdicts": self.verdicts,
-            "constants": self.constants,
-            "files": self.files,
-            "wall_clock_s": self.wall_clock_s,
-            "expected": self.expected,
-        }
-        return write_json(path, payload)
+def unmet_expectation(expected: dict, verdicts: dict) -> str | None:
+    """The first expected key whose verdict is not the expected one, a
+    missing verdict included, or None when every expectation holds: the
+    one rule of a run's exit code and of the report command's."""
+    return next((key for key, want in expected.items() if verdicts.get(key) != want), None)

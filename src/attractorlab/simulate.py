@@ -1,7 +1,7 @@
 """Coupled planar/parabolic systems: the super-exponential trajectory-pair
-experiment checked against the shift walk's closing law, the high-mode kick
-perturbation with its almost-cube point clouds, and the projected-attractor
-sample."""
+experiment checked against the shift walk's closing law (`pair_check`, the
+simulate command), the high-mode kick perturbation with its almost-cube
+point clouds, and the projected-attractor sample."""
 
 from __future__ import annotations
 
@@ -24,13 +24,16 @@ from .floquet import (
 # in perfbench/layers.py wraps these module bindings; drop them together.
 from .integrators import lawson_rk4, lawson_rk4_adaptive, propagate_periods  # noqa: F401
 from .geometry import NEG_INF, PLANAR_X, PLANAR_Y, CoordTable, PointCloud
+from .outcome import Outcome
 from .quadrature import adaptive_simpson  # noqa: F401
+from .reports import trajectory_rows
 from .spectral import Spectrum, cube_width, regime_bound
 
 __all__ = [
     "SimulationError",
     "Scenario",
     "trajectory_pair_experiment",
+    "pair_check",
     "KickOperator",
     "build_kick_operator",
     "bad_cube_cloud",
@@ -115,7 +118,8 @@ def trajectory_pair_experiment(
     walk's at every period to WALK_REL_TOL relative, or SimulationError
     names the first period that fails.  The rotation-free control keeps
     mode 1, where its solution stays; it is never super-exponential and is
-    not compared with the walk.
+    not compared with the walk.  The two modulus verdicts read whether the
+    log-Lipschitz modulus of exponent 1/2, and of 0, holds along the orbit.
     """
     spec = scenario.spectrum
     if spec.n_max < 2 * n_periods + 3:
@@ -155,14 +159,41 @@ def trajectory_pair_experiment(
                     f"the shift walk's {walk.lognorms[k]:.17g} by {err:.3e} relative "
                     f"(WALK_REL_TOL {WALK_REL_TOL:g})")
         walk_rel_err = max(errs)
+    # ||A d|| / ||d|| = lambda(orbit_k) grows like (-log d)^gamma_star, so the
+    # log-Lipschitz modulus of exponent gamma holds exactly when gamma >= gamma_star
+    mod_half, mod_zero = ("bounded" if gamma >= law.gamma_star else "divergent"
+                          for gamma in (0.5, 0.0))
     return {
         "law": law,
         "superexponential": rotation_on and law.superexponential,
         "walk_rel_err": walk_rel_err,
+        "modulus_half_verdict": mod_half,
+        "modulus_zero_verdict": mod_zero,
         "epsilon": op.epsilon,
         "projection_discard_max": log.discard_max,
         "log": log,
     }
+
+
+def pair_check(scenario: Scenario, n_periods: int) -> Outcome:
+    """The simulate command: `trajectory_pair_experiment` with the rotation
+    on, its verdict and constants, and as tables the pair's log distance at
+    each period and its sampled states (`reports.trajectory_rows`)."""
+    result = trajectory_pair_experiment(scenario, n_periods=n_periods)
+    law, log = result["law"], result["log"]
+    keys = ("walk_rel_err", "modulus_half_verdict", "modulus_zero_verdict", "epsilon",
+            "projection_discard_max")
+    return Outcome(
+        "superexponential" if result["superexponential"] else "exponential_only",
+        {"closing_exponent": law.p, "gamma_star": law.gamma_star,
+         **{key: result[key] for key in keys}},
+        tables=(("pair_distance.csv", ("t", "log_distance"), zip(log.times, log.lognorms)),
+                ("pair_trajectory.csv", ("t", "mode_index", "sign", "logmag"),
+                 trajectory_rows(log))),
+        summary=(f"closing exponent p: {law.p:.17g}  gamma*: {law.gamma_star:.17g}  "
+                 f"walk rel err: {result['walk_rel_err']:.17g}",
+                 f"log-Lipschitz gamma=1/2: {result['modulus_half_verdict']}; "
+                 f"gamma=0: {result['modulus_zero_verdict']}"))
 
 
 @dataclass(frozen=True)

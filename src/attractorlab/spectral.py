@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .outcome import Outcome
+
 __all__ = [
     "Spectrum",
     "SpectrumError",
@@ -33,6 +35,7 @@ __all__ = [
     "site_pairs",
     "ObstructionVerdict",
     "c1_obstruction_check",
+    "gap_check",
     "cube_width",
 ]
 
@@ -224,3 +227,27 @@ def c1_obstruction_check(spec: Spectrum, coupling: float) -> ObstructionVerdict:
         note = "no obstruction certified: L outside the regime L > max(L0/2, lambda_1)"
     return ObstructionVerdict(minus_real, 1 + plus_real, in_regime, n_minus, n_plus, note,
                               min(minus_least, plus_least), coupling - float(spec.values[0]))
+
+
+def gap_check(spec: Spectrum, coupling: float) -> Outcome:
+    """The gap-check command: L0, and for a bounded gap the parity
+    obstruction at L = coupling with its margins.  theorem_margin is the
+    margin of Theorem 0.1's hypothesis (0.10), L > max(L0/2, lambda_2)."""
+    gap = spectral_gap(spec)
+    if math.isinf(gap):
+        return Outcome("unbounded_gap", {}, tables=(), summary=(
+            "spectral gap: unbounded",
+            "unbounded gap: the gap condition holds beyond any fixed Lipschitz budget, "
+            "inertial-manifold regime at every L beyond the gap"))
+    verdict = c1_obstruction_check(spec, coupling)
+    return Outcome("obstruction" if verdict.in_regime else "no_obstruction", {
+        "L0": gap, "L": coupling, "in_regime": verdict.in_regime,
+        "minus_real_count": verdict.minus_real_count, "plus_real_count": verdict.plus_real_count,
+        "block_margin": verdict.block_margin, "plus_margin": verdict.plus_margin,
+        "theorem_margin": coupling - max(0.5 * gap, float(spec.values[1])),
+    }, tables=(), summary=(
+        f"spectral gap: {gap:.17g}",
+        f"{'site':>8} {'truncation':>10} {'real eigs':>9}",
+        f"{'minus':>8} {verdict.minus_truncation:>10} {verdict.minus_real_count:>9}",
+        f"{'plus':>8} {verdict.plus_truncation:>10} {verdict.plus_real_count:>9}",
+        verdict.note))

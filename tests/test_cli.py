@@ -18,13 +18,14 @@ from attractorlab import floquet as fl
 from attractorlab import geometry as geo
 from attractorlab import phases
 from attractorlab import simulate as sim
-from attractorlab.config import (KEYS, ConfigError, drive_from_config,
+from attractorlab.config import (KEYS, ConfigError, dimension_from_config, drive_from_config,
                                  resolve_config, scenario_from_config, spectrum_from_config)
 from attractorlab.cutoffs import PeriodicDrive
-from attractorlab.geometry import PLANAR_X, PLANAR_Y, PointCloud
+from attractorlab.geometry import PLANAR_X, PLANAR_Y, PointCloud, cloud_rows
 from attractorlab.integrators import PROJECTION_GUARD
-from attractorlab.reports import CSV_CHUNK, cloud_rows, load_cloud_csv, write_csv
-from attractorlab.spectral import make_spectrum
+from attractorlab.phases import floquet_check
+from attractorlab.reports import CSV_CHUNK, load_cloud_csv, unmet_expectation, write_csv
+from attractorlab.spectral import gap_check, make_spectrum
 from conftest import dense_log_columns, dict_cloud, point_dicts
 
 LINEAR = {"family": "linear", "n_max": 16, "params": {"c": 1.0}}
@@ -292,6 +293,54 @@ class TestReport:
         assert "  floquet: pattern_ok" in captured.out.splitlines()
         assert ("expectation violated: floquet = pattern_ok, expected pattern_broken"
                 in captured.err)
+
+    def test_missing_verdict_violates_the_expectation(self, tmp_path, capsys):
+        # a run's exit code and the report command's follow one rule, under
+        # which an expected key with no verdict is unmet
+        expected = {"floquet": "pattern_ok"}
+        assert unmet_expectation(expected, {}) == "floquet"
+        path = write_config(tmp_path / "floquet_report.json",
+                            {"command": "floquet", "verdicts": {}, "expected": expected})
+        assert cli.main(["report", path]) == 2
+        assert ("expectation violated: floquet = None, expected pattern_ok"
+                in capsys.readouterr().err)
+
+
+def assert_matches_report(outcome, out, command):
+    """The outcome's verdict, constants and table names are the ones the
+    CLI's report for `command` in `out` holds."""
+    got = report(out, command)
+    assert got["verdicts"] == {command.replace("-", "_"): outcome.verdict}
+    assert got["constants"] == json.loads(json.dumps(outcome.constants))
+    assert [os.path.basename(f) for f in got["files"]] == [t[0] for t in outcome.tables]
+
+
+class TestEntryPoints:
+    """Each command's chain called as a library, with no output directory,
+    gives the verdict and constants of the CLI's report."""
+
+    def test_dynamics_commands(self, dynamics_runs, tmp_path, monkeypatch):
+        root, _ = dynamics_runs
+        monkeypatch.chdir(tmp_path)
+        cfg = resolve_config(SMALL_DYNAMICS)
+        spec, dyn = spectrum_from_config(cfg), cfg["dynamics"]
+        outcomes = {
+            "gap-check": gap_check(spec, dyn["L"]),
+            "floquet": floquet_check(spec, drive_from_config(cfg), dyn["n_trunc"], dyn["L"]),
+            "simulate": sim.pair_check(scenario_from_config(cfg), dyn["n_periods"]),
+        }
+        assert os.listdir(tmp_path) == []
+        for command, outcome in outcomes.items():
+            assert_matches_report(outcome, root / "a", command)
+
+    @pytest.mark.parametrize("raw", [SMALL_SECTION4, bad_cubes_scan_config(0.04)],
+                             ids=["section4", "bad_cubes"])
+    def test_dimension(self, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.chdir(tmp_path)
+        outcome = dimension_from_config(resolve_config(raw))
+        assert os.listdir(tmp_path) == []
+        assert run(write_config(tmp_path / "c.json", raw), tmp_path / "out", "dimension") == 0
+        assert_matches_report(outcome, tmp_path / "out", "dimension")
 
 
 class TestFloquet:
@@ -577,8 +626,10 @@ class TestDimension:
         assert run(cfg, tmp_path / "b", "dimension", "--threads", "2") == 0
         assert read_bytes(tmp_path / "a") == read_bytes(tmp_path / "b")
         got = report(tmp_path / "a", "dimension")
-        assert got["verdicts"]["dimension"] in ("finite", "diverging")
-        assert set(got["constants"]["slopes"]) == {"0", "2"}
+        assert got["verdicts"] == {"dimension": "finite"}
+        slopes = got["constants"]["slopes"]
+        assert set(slopes) == {"0", "2"}
+        assert (round(slopes["0"], 4), round(slopes["2"], 4)) == (0.3370, 0.3404)
 
     def test_file_cloud_with_doubling_byte_identical(self, tmp_path, cube_cloud_file, capsys):
         cfg = write_config(tmp_path / "c.json", file_config(cube_cloud_file))

@@ -68,7 +68,7 @@ def test_edges(key, value, taken):
     if taken:
         assert read_key(resolve_config(raw), key) == value
     else:
-        # parse_scales words its own refusals, which `--scales` shares
+        # parse_scales words its own refusals
         want = "scales" if key == "geometry.scales" else f"config invalid at {key}: "
         with pytest.raises(ConfigError, match=want):
             resolve_config(raw)

@@ -14,11 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 from attractorlab import geometry
 from attractorlab.config import resolve_config, scenario_from_config
 from attractorlab.floquet import poincare_predicted
-from attractorlab.geometry import (PLANAR_X, PLANAR_Y, GeometryError, PointCloud,
-                                   _greedy_cover, box_count, covering_number,
+from attractorlab.geometry import (PLANAR_X, PLANAR_Y, DimensionScan, GeometryError,
+                                   PointCloud, _greedy_cover, box_count, covering_number,
                                    cube_doubling_report, doubling_factor,
-                                   fractal_dimension_estimate,
-                                   log_doubling_estimate)
+                                   fractal_dimension_estimate, log_doubling_estimate,
+                                   slopes_diverge, sobolev_scan)
 from attractorlab.spectral import cube_width, make_spectrum
 from attractorlab.simulate import bad_cube_cloud, section4_attractor, thm44_laws
 from conftest import almost_cube_cloud, dict_cloud, point_dicts
@@ -587,6 +587,36 @@ class TestDimension:
     def test_needs_four_scales(self):
         with pytest.raises(GeometryError):
             fractal_dimension_estimate(segment_cloud(16), log_scales=logs([0.1, 0.05, 0.02]))
+
+    @pytest.mark.parametrize("local,want", [
+        ((0.25, 0.5, math.nextafter(0.75, 1.0)), True),  # one ulp above first + 0.5
+        ((0.25, 2.0, 0.75), False),  # exactly first + 0.5 is not above it
+        ((0.25, 0.1, 0.0, 3.0), True),  # only the first and last slopes count
+        ((0.25, 3.0, 0.7), False),
+        ((0.25, 3.0), False),  # fewer than three slopes certify nothing
+        ((), False),
+    ])
+    def test_slope_rule(self, local, want):
+        assert slopes_diverge(local) is want
+
+    @pytest.mark.parametrize("diverging_s,want", [(None, "finite"), (2.0, "diverging")])
+    def test_scan_verdict_is_any_index_diverging(self, monkeypatch, diverging_s, want):
+        # the verdict reads "diverging" when the local slopes of one Sobolev
+        # index diverge, and only then
+        def scan(view, log_scales):
+            local = (0.25, 0.5, 1.0) if view.s == diverging_s else (0.25, 0.5, 0.75)
+            return DimensionScan(tuple(log_scales), (1, 2, 4, 8), 0.5, local, "boxes")
+
+        monkeypatch.setattr(geometry, "fractal_dimension_estimate", scan)
+        out = sobolev_scan(segment_cloud(16), [0.0, 2.0], logs([0.1, 0.05, 0.02, 0.01]), False)
+        assert out.verdict == want
+        assert out.constants == {"slopes": {"0.0": 0.5, "2.0": 0.5}}
+        name, header, rows = out.tables[0]
+        assert name == "dimension_scan.csv" and len(rows) == 8
+        slopes = [r[5] for r in rows]
+        assert math.isnan(slopes[0]) and math.isnan(slopes[4])
+        assert slopes[1:4] == [0.25, 0.5, 0.75]
+        assert slopes[5:] == [0.25, 0.5, 1.0 if want == "diverging" else 0.75]
 
     def test_projection_monotonicity(self):
         rng = np.random.default_rng(3)

@@ -5,7 +5,9 @@ field's default is used by some construction, and every init field is
 set by one; every module reads
 what it imports unless the benchmark's layer tracer wraps that binding;
 every binding the tracer wraps still resolves, so a deletion that would
-break the traced run fails here first; and the smooth-step kernel and the
+break the traced run fails here first; `cli.py` names no verdict and no
+cloud kind, and each of its flags is passed by a test or by the
+benchmark's child process; and the smooth-step kernel and the
 CLI run without the packages only the test oracles use, and without
 `fractions`, which only an exact tie in the parity count imports."""
 
@@ -23,9 +25,11 @@ import pytest
 
 import attractorlab
 from attractorlab import geometry
+from attractorlab.config import KEYS
 
-LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "layers.py")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAYERS = os.path.join(REPO, "perfbench", "layers.py")
+CHILD = os.path.join(REPO, "perfbench", "child.py")
 
 # Definitions that no command reaches yet, with the reason each stays; they
 # are roots of the reachability guard, and their parameters need no caller.
@@ -411,6 +415,44 @@ def test_tracer_bindings_resolve():
     finally:
         tracer.uninstall()
     assert geometry.box_count is original
+
+
+def string_constants(tree) -> set:
+    """Every str constant in the tree, the literal parts of f-strings included."""
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_cli_decides_nothing():
+    """cli.py holds no verdict name (a value an `expectations.*` key allows)
+    and no cloud kind, so a new verdict, table or kind puts its rule in the
+    library, behind the module that computes its inputs."""
+    verdicts = {name for key, (_, check) in KEYS.items() if key.startswith("expectations.")
+                for name in check}
+    kinds = set(KEYS["geometry.cloud.kind"][1])
+    assert len(verdicts) == 9 and len(kinds) == 3
+    cli_tree, _ = package_trees()["cli.py"]
+    assert sorted(string_constants(cli_tree) & (verdicts | kinds)) == []
+
+
+def test_every_cli_flag_is_passed():
+    """Each `--flag` that cli.py declares appears as a string literal in some
+    test or in perfbench/child.py: a flag that nothing passes is a second,
+    unused way to set what the config sets."""
+    cli_tree, _ = package_trees()["cli.py"]
+    flags = {node.args[0].value for node in ast.walk(cli_tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+             and node.args and str(getattr(node.args[0], "value", "")).startswith("--")}
+    assert "--config" in flags
+    here = os.path.abspath(__file__)
+    sources = [p for p in glob.glob(os.path.join(REPO, "tests", "*.py")) if p != here]
+    if os.path.exists(CHILD):
+        sources.append(CHILD)
+    passed = set()
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            passed |= string_constants(ast.parse(fh.read(), path))
+    assert sorted(flags - passed) == []
 
 
 @pytest.mark.parametrize("module", ["sympy", "scipy", "jsonschema", "fractions"])
