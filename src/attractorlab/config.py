@@ -159,7 +159,7 @@ def resolve_config(raw: dict) -> dict:
     _check_explicit(resolved["spectrum"])
     _check_truncation(resolved, "n_trunc" in raw.get("dynamics", {}))
     _check_steps(resolved["dynamics"])
-    _check_cloud(resolved)
+    _check_cloud(resolved, set(raw.get("geometry", {})))
     return resolved
 
 
@@ -213,11 +213,19 @@ def _bad_cube_min_n_max(kick_max_level: int, family: str) -> int:
     return need + 2 if family == "explicit" else need
 
 
-def _check_cloud(resolved: dict) -> None:
-    """Refuse cloud configs that would fail late or mean nothing."""
+def _check_cloud(resolved: dict, given: set) -> None:
+    """Refuse cloud configs that would fail late or mean nothing; `given`
+    names the geometry keys the raw config sets."""
     geo = resolved["geometry"]
     kind = geo["cloud"]["kind"]
     if kind == "bad_cubes":
+        # keys only sobolev_scan reads
+        unread = [key for key in ("include_doubling", "s_list", "scales") if key in given]
+        if unread:
+            raise ConfigError(
+                f"config invalid at geometry.{unread[0]}: kind bad_cubes never reads it, "
+                "since the almost-cube bounds come from each level's vertices; "
+                "remove the key")
         sec = resolved["spectrum"]
         n_max = sec["n_max"]
         k = resolved["dynamics"]["kick_max_level"]

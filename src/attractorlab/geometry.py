@@ -10,13 +10,16 @@ point stores), never an n x m matrix over all stored modes: every log
 distance sums over the union of a pair's stored columns, the log-distance
 matrix is computed once per norm view from its upper triangle, every ball
 cover gathers its members from one cached ball matrix per radius, and every
-box count reads only the stored slots.  The dimension command's entry points
-are `sobolev_scan` (section-4 and file clouds) and `cube_dimension` (bad cubes)."""
+box count packs each stored slot's column and cell into one int64 key.  The
+dimension command's entry points are `sobolev_scan` (section-4 and file
+clouds) and `cube_dimension` (bad cubes); `cloud_rows` writes a cloud's
+table as cloud.csv rows, straight from its arrays."""
 
 from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +61,8 @@ _EXACT_COVER_CAP = 24
 _MATRIX_CAP = 4800
 # terms per block of distance rows (rows x points x 2K), 64 KB of doubles
 _BLOCK_TERMS = 2**13
+# the packed box key of a dropped slot, above every kept key
+_DROPPED = int(np.iinfo(np.int64).max)
 
 
 class GeometryError(ValueError):
@@ -383,11 +388,17 @@ def box_count(cloud: PointCloud, log_eps: float) -> int:
     """Occupied-lattice-box count at side exp(log_eps) in the norm-weighted
     coordinates (anchored at the cloud's min corner).
 
-    Exact, from each point's stored slots only: a slot whose cell equals its
-    column's zero-cell (the cell of a point that does not store the column)
-    is dropped, the rest are compacted in column order, and the distinct
-    n x 2K (columns, cells) keys are counted by a sort.  Two points share a
-    box exactly when their keys are equal, so no n x m cell matrix is built."""
+    Exact, from each point's stored slots only.  Each slot packs its column
+    and cell into one int64 key, col * span + cell, span the largest cell
+    plus one; a slot whose cell equals its column's zero-cell (the cell of
+    a point that does not store the column), padding included, is dropped
+    and holds the sentinel _DROPPED.  A row's stored columns ascend, so its
+    kept keys already do, and one sort of each row moves the sentinels to
+    its end.  Two points share a box exactly when their n x K key rows are
+    equal, so the distinct rows, found by a lexsort, are the count, and no
+    n x m cell matrix is built.  A side whose keys would reach the sentinel
+    (span * (m + 1), m the stored columns) is refused, naming the smallest
+    side the cloud can count."""
     form = cloud.weighted_slots()
     if form is None:
         raise GeometryError("cloud magnitudes underflow doubles; box counting "
@@ -395,14 +406,17 @@ def box_count(cloud: PointCloud, log_eps: float) -> int:
     shifted, absent = form
     cols, m = cloud._cols, len(absent) - 1
     eps = math.exp(log_eps)
-    cells = np.floor(shifted / eps + 1e-12).astype(np.int64)
-    zero = np.floor(absent / eps + 1e-12).astype(np.int64)
-    dropped = cells == zero[cols]  # padding slots always are
-    key_cols = np.where(dropped, m, cols)
-    order = np.argsort(key_cols, axis=1, kind="stable")
-    keys = np.concatenate([np.take_along_axis(key_cols, order, axis=1),
-                           np.take_along_axis(np.where(dropped, 0, cells), order, axis=1)],
-                          axis=1)
+    cells = np.floor(shifted / eps + 1e-12)
+    dropped = cells == np.floor(absent / eps + 1e-12)[cols]  # padding slots always are
+    span_max = _DROPPED // (m + 1) - 1  # so span * (m + 1) < _DROPPED
+    top = float(cells.max())
+    if not top < span_max:  # nan and inf too
+        least = max(float(shifted.max()) / (span_max - 1) * (1.0 + 1e-6), math.ulp(0.0))
+        raise GeometryError(
+            f"box side {eps:.6g} is below the smallest box side this cloud can count, "
+            f"{least:.6g}: a smaller side's cells overflow the int64 box keys")
+    keys = np.where(dropped, _DROPPED, cols * (int(top) + 1) + cells.astype(np.int64))
+    keys = np.sort(keys, axis=1)
     keys = keys[np.lexsort(keys.T)]
     return 1 + int(np.count_nonzero(np.any(keys[1:] != keys[:-1], axis=1)))
 
@@ -599,14 +613,20 @@ def cube_dimension(cloud: PointCloud, levels: dict) -> Outcome:
 def cloud_rows(cloud: PointCloud):
     """Long-form rows (point_id, tag, mode_index, sign, logmag): the
     coordinate table in its (point, mode) order, with a (0, 0, -inf)
-    placeholder row for each point that stores nothing."""
-    t = cloud.points
-    ends = np.cumsum(np.bincount(t.point, minlength=t.n)).tolist()
-    mode, sign, log = t.mode.tolist(), t.sign.tolist(), t.log.tolist()
-    start = 0
-    for pid, (end, tag) in enumerate(zip(ends, cloud.tags)):
-        if start == end:
-            yield (pid, tag, 0, 0, NEG_INF)
-        for e in range(start, end):
-            yield (pid, tag, mode[e], sign[e], log[e])
-        start = end
+    placeholder row put in at the position of each point that stores
+    nothing.  The rows are made reports.CSV_CHUNK table entries at a time:
+    one list of tuples zipped from slices of the table's arrays, as Python
+    ints, strs and floats, with the chunk's placeholders inserted in it."""
+    from .reports import CSV_CHUNK  # reports imports this module
+
+    t, tags = cloud.points, cloud.tags
+    empty = np.flatnonzero(np.bincount(t.point, minlength=t.n) == 0).tolist()
+    at = np.searchsorted(t.point, empty).tolist()  # the entry each placeholder goes before
+    for a in range(0, len(t.point) + 1, CSV_CHUNK):
+        b = a + CSV_CHUNK
+        point = t.point[a:b].tolist()
+        rows = list(zip(point, map(tags.__getitem__, point), t.mode[a:b].tolist(),
+                        t.sign[a:b].tolist(), t.log[a:b].tolist()))
+        for k in reversed(range(bisect_left(at, a), bisect_left(at, b))):
+            rows.insert(at[k] - a, (empty[k], tags[empty[k]], 0, 0, NEG_INF))
+        yield from rows

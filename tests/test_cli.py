@@ -783,6 +783,28 @@ class TestFailFast:
         assert "n_max >= 29" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("key,value", [("include_doubling", False),
+                                           ("s_list", [0, 1, 2]), ("scales", "1e-1:1e-5:9")])
+    def test_bad_cubes_refuse_scan_keys(self, tmp_path, capsys, key, value):
+        # only sobolev_scan reads these keys; the bad cubes' pipeline would
+        # ignore them and exit 0
+        raw = bad_cubes_scan_config(0.04)
+        raw["geometry"][key] = value
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert run(cfg, tmp_path / "out", "dimension") == 1
+        assert (f"config invalid at geometry.{key}: kind bad_cubes never reads it"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_box_key_overflow_fails_the_run(self, tmp_path, capsys):
+        raw = {**SMALL_SECTION4, "geometry": {**SMALL_SECTION4["geometry"],
+                                              "scales": [0.1, 0.01, 0.001, 1e-25]}}
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert run(cfg, tmp_path / "out", "dimension") == 1
+        err = capsys.readouterr().err
+        assert re.search(r"GeometryError: box side 1e-25 is below the smallest box side this "
+                         r"cloud can count, \S+: a smaller side's cells overflow", err)
+
     def test_window_without_bump_names_kappa(self, tmp_path, monkeypatch, capsys):
         def checked(*args, **kwargs):
             raise AssertionError("kick numerics ran before the window check")
@@ -1011,6 +1033,51 @@ def coordinate_dicts(draw):
     return points, tags
 
 
+def entry_loop_cloud_rows(cloud):
+    """cloud_rows as it was written at commit 141cb3b, one table entry at a
+    time: the reference for the rows built from the table's arrays."""
+    t = cloud.points
+    ends = np.cumsum(np.bincount(t.point, minlength=t.n)).tolist()
+    mode, sign, log = t.mode.tolist(), t.sign.tolist(), t.log.tolist()
+    start = 0
+    for pid, (end, tag) in enumerate(zip(ends, cloud.tags)):
+        if start == end:
+            yield (pid, tag, 0, 0, -math.inf)
+        for e in range(start, end):
+            yield (pid, tag, mode[e], sign[e], log[e])
+        start = end
+
+
+def gapped_cloud(stored, logs, tags):
+    """A cloud whose point p stores stored[p] entries, on the planar pair and
+    then mode 4, with signs alternating, logs and tags tiled."""
+    point = np.repeat(np.arange(len(stored)), stored)
+    slot = np.arange(len(point)) - np.repeat(np.cumsum(stored) - stored, stored)
+    table = geo.CoordTable(len(stored), point, np.array([PLANAR_Y, PLANAR_X, 4])[slot],
+                           np.where((point + slot) % 2, 1, -1), np.resize(logs, len(point)))
+    return PointCloud(table, None, 0.0, [tags[p % len(tags)] for p in range(len(stored))])
+
+
+@st.composite
+def gapped_tables(draw):
+    """gapped_cloud's arguments for up to two CSV chunks of table entries,
+    each point storing one to three, with empty points put in before drawn
+    entry positions: first, last, several in a row, and on either side of
+    a chunk edge."""
+    size = draw(st.sampled_from([0, 1, 7, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
+                                 2 * CSV_CHUNK + 2]))
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    starts = np.cumsum([0] + widths * size)  # first entry of each point, past size
+    starts = np.append(starts[starts < size], size)
+    stored = np.diff(starts).tolist()
+    edges = [p for p in (0, size, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1) if p <= size]
+    gaps = draw(st.lists(st.one_of(st.integers(0, size), st.sampled_from(edges)), max_size=8))
+    for pos in sorted(gaps, reverse=True):  # before the first point starting at pos or later
+        stored.insert(int(np.searchsorted(starts, pos)), 0)
+    return (stored or [0], draw(st.lists(st.floats(-800.0, 50.0), min_size=1, max_size=5)),
+            draw(st.lists(st.text(alphabet='ab:=," ', max_size=4), min_size=1, max_size=5)))
+
+
 class TestCoordTable:
     @given(coordinate_dicts())
     @example(([{}], [""]))  # one empty point
@@ -1033,6 +1100,24 @@ class TestCoordTable:
         for name in ("point", "mode", "sign", "log"):
             want = getattr(cloud.points, name)
             assert getattr(got.points, name).tobytes() == want.tobytes(), name
+
+    @given(gapped_tables())
+    # empty points first and in a row, on both sides of the first chunk
+    # edge (before entries CSV_CHUNK - 1 and CSV_CHUNK), and last
+    @example(([0, 0] + [1] * (CSV_CHUNK - 1) + [0, 1, 0, 2, 0, 0], [-0.5, -0.0], ["p"]))
+    @example(([0, 0, 0], [0.0], ["q,r"]))  # only empty points
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_entry_loop(self, tmp_path_factory, drawn):
+        cloud = gapped_cloud(*drawn)
+        rows, want = list(cloud_rows(cloud)), list(entry_loop_cloud_rows(cloud))
+        assert rows == want
+        assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in want]
+        out = tmp_path_factory.mktemp("rows")
+        header = ["point_id", "tag", "mode_index", "sign", "logmag"]
+        written = [write_csv(str(out / name), header, made) for name, made in
+                   (("arrays.csv", cloud_rows(cloud)), ("loop.csv", iter(want)))]
+        with open(written[0], "rb") as got, open(written[1], "rb") as ref:
+            assert got.read() == ref.read()
 
     def test_section4_table(self):
         cloud, _ = sim.section4_attractor(sim.thm44_laws(), make_spectrum("quadratic", {}, 12), 12)

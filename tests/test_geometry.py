@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from attractorlab import geometry
-from attractorlab.config import resolve_config, scenario_from_config
+from attractorlab.config import parse_scales, resolve_config, scenario_from_config
 from attractorlab.floquet import poincare_predicted
 from attractorlab.geometry import (PLANAR_X, PLANAR_Y, DimensionScan, GeometryError,
                                    PointCloud, _greedy_cover, box_count, covering_number,
@@ -476,6 +476,16 @@ SECTION4_BOX_COUNTS = {
     4: (357, 1984, 2126, 2257, 2389, 2511),
 }
 
+# Box counts of the `section4` benchmark config (perfbench/configs/section4.json:
+# the quadratic spectrum and the thm44 cloud at n_max 120, 9622 points) at the
+# scales "1e-1:1e-4:9", as box_count read them at commit 141cb3b, which
+# compacted (column, cell) key pairs by a stable argsort.
+SECTION4_BENCHMARK_COUNTS = {
+    0: (342, 1716, 1896, 1908, 1924, 1943, 1979, 2016, 2047),
+    2: (343, 1719, 1902, 1919, 1940, 1973, 2027, 2097, 2178),
+    4: (437, 1992, 2550, 2952, 3388, 3799, 4249, 4682, 5114),
+}
+
 
 class TestBoxCount:
     @given(coarse_arrays(), st.sampled_from([-3.0, -1.2, -0.3, 0.0, 0.9]))
@@ -527,6 +537,34 @@ class TestBoxCount:
             view = cloud.with_norm(s)
             assert tuple(box_count(view, log_eps=le) for le in log_scales) == want
             assert tuple(sorted_box_count(view, le) for le in log_scales) == want
+
+    def test_section4_benchmark_counts_pinned(self):
+        spec = make_spectrum("quadratic", {}, 120)
+        cloud, _ = section4_attractor(thm44_laws(), spec, 120)
+        log_scales = [math.log(e) for e in parse_scales("1e-1:1e-4:9")]
+        for s, want in SECTION4_BENCHMARK_COUNTS.items():
+            view = cloud.with_norm(s)
+            assert tuple(box_count(view, log_eps=le) for le in log_scales) == want
+        # the dense reference at the index with the most boxes, at the first,
+        # middle and last scales (each dense count takes about 0.3 s)
+        for k in (0, 4, 8):
+            assert sorted_box_count(view, log_scales[k]) == want[k]
+
+    def test_key_overflow_refused(self):
+        # three points on one mode: at a side of 1e-25 their cells reach
+        # 8e24, past int64, where the cast once gave 2 boxes without an error
+        cloud = dense_cloud([[0.1], [0.5], [0.9]])
+        assert box_count(cloud, math.log(1e-18)) == 3
+        for log_eps in (math.log(1e-25), -690.8):
+            with pytest.raises(GeometryError, match="smallest box side this cloud can count"
+                               ) as err:
+                box_count(cloud, log_eps)
+        least = float(str(err.value).split("count, ")[1].split(":")[0])
+        # the keys pack a column and a cell: 2 x (0.8 / side + 1) must stay below 2^63
+        assert least == pytest.approx(0.8 * 2 / 2.0**63, rel=1e-5)
+        assert box_count(cloud, math.log(least)) == 3
+        with pytest.raises(GeometryError, match="overflow the int64 box keys"):
+            box_count(cloud, math.log(least / 1.001))
 
     def test_underflow_refused(self):
         cloud = dict_cloud([{3: (1, -5000.0)}, {}])
