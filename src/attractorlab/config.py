@@ -204,13 +204,12 @@ def _check_steps(dyn: dict) -> None:
 
 
 def _bad_cube_min_n_max(kick_max_level: int, family: str) -> int:
-    """Smallest spectral truncation that holds every bad-cube orbit: level
-    K needs the first-mode orbit through 2K + ceil(sqrt K) periods, which
-    reaches mode 4K + 2 ceil(sqrt K) - 1.  An explicit spectrum cannot
-    extend, and its shift drops the last odd modes, so it needs two more."""
-    k = kick_max_level
-    need = 4 * k + 2 * cube_width(k) - 1
-    return need + 2 if family == "explicit" else need
+    """Smallest n_max whose shift line holds every bad-cube orbit: level K
+    walks mode 1 for 2K + ceil(sqrt K) periods, to mode 4K + 2 ceil(sqrt K)
+    + 1, and the line ends at the first odd mode past n_max for a family
+    spectrum, at the last odd mode up to n_max for an explicit one."""
+    last = 4 * kick_max_level + 2 * cube_width(kick_max_level) + 1
+    return last if family == "explicit" else last - 2
 
 
 def _check_cloud(resolved: dict, given: set) -> None:

@@ -16,7 +16,7 @@ package because the benchmark's layer tracer wraps it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -194,16 +194,23 @@ def make_periodic_operator(
 
 @dataclass(frozen=True)
 class WeightedShift:
-    """Exact Poincare map: an index permutation plus natural-log multipliers,
-    as arrays indexed by mode 1..n_max (entry 0 is unused).
+    """Exact Poincare map as the one line its orbits run along.
 
-    Pattern: e_{2n-1} -> e_{2n+1}, e_{2n} -> e_{2n-2} (n > 1), e_2 -> e_1,
-    all with positive coefficients.  `image` is 0 where the truncation
-    holds no image, and may name a mode past n_max.
+    P maps e_{2n-1} -> e_{2n+1}, e_{2n} -> e_{2n-2} (n > 1) and e_2 -> e_1
+    with positive coefficients: one step along ..., 6, 4, 2, 1, 3, 5, ....
+    `line` holds those modes up to the last one the truncation gives an
+    image, which may lie past n_max; log_multiplier[i] is the log multiplier
+    of the step line[i] -> line[i + 1], and position[m] is m's index on the
+    line (-1 off it).  Every orbit is a slice of the line.
     """
 
-    image: np.ndarray
+    line: np.ndarray
     log_multiplier: np.ndarray
+    position: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "position", np.full(int(self.line.max()) + 1, -1, dtype=np.intp))
+        self.position[self.line] = np.arange(len(self.line))
 
 
 def poincare_predicted(spec: Spectrum, half_period: float) -> WeightedShift:
@@ -212,8 +219,8 @@ def poincare_predicted(spec: Spectrum, half_period: float) -> WeightedShift:
     Multipliers: mode (2n-1) carries exp(-T (lam_{2n-1} + 2 lam_{2n} +
     lam_{2n+1}) / 2); mode 2 carries exp(-T (2 lam_1 + lam_2) / 2); mode 2n
     (n > 1) carries exp(-T (lam_{2n-2} + 2 lam_{2n-1} + lam_{2n}) / 2).
-    A family spectrum extends two modes past n_max for the last odd modes;
-    an explicit one cannot, so those get no image.
+    The line ends at the first odd mode past n_max for a family spectrum,
+    which extends, and at the last odd mode up to n_max for an explicit one.
     """
     n = spec.n_max
     if n < 3:
@@ -222,17 +229,14 @@ def poincare_predicted(spec: Spectrum, half_period: float) -> WeightedShift:
     explicit = spec.family == "explicit"
     # lam[k] is lambda_k
     lam = np.concatenate(([0.0], spec.values if explicit else spec.truncated(n + 2).values))
-    image = np.zeros(n + 1, dtype=np.intp)
-    logmult = np.zeros(n + 1)
+    even = np.arange(n - n % 2, 3, -2)
     odd = np.arange(1, n - 1 if explicit else n + 1, 2)
-    image[odd] = odd + 2
-    logmult[odd] = -T * (lam[odd] + 2.0 * lam[odd + 1] + lam[odd + 2]) / 2.0
-    image[2] = 1
-    logmult[2] = -T * (2.0 * lam[1] + lam[2]) / 2.0
-    even = np.arange(4, n + 1, 2)
-    image[even] = even - 2
-    logmult[even] = -T * (lam[even - 2] + 2.0 * lam[even - 1] + lam[even]) / 2.0
-    return WeightedShift(image, logmult)
+    line = np.concatenate((even, [2, 1], odd + 2))
+    logmult = np.concatenate((
+        -T * (lam[even - 2] + 2.0 * lam[even - 1] + lam[even]) / 2.0,
+        [-T * (2.0 * lam[1] + lam[2]) / 2.0],
+        -T * (lam[odd] + 2.0 * lam[odd + 1] + lam[odd + 2]) / 2.0))
+    return WeightedShift(line, logmult)
 
 
 @dataclass(frozen=True)
@@ -430,33 +434,28 @@ def poincare_numeric(op: PeriodicOperator, n_trunc: int) -> NumericPoincare:
 @dataclass(frozen=True)
 class IterateNorms:
     """Exact logs of the iterate norms along the shift orbit (no underflow):
-    lognorms[k] is log ||P^k e_mode|| at orbit[k], for k = 0..count."""
+    lognorms[k] is log ||P^k e_mode|| at orbit[k], a slice of the line."""
 
-    lognorms: tuple[float, ...]
-    orbit: tuple[int, ...]
-
-    @property
-    def lognorm(self) -> float:
-        return self.lognorms[-1]
+    lognorms: np.ndarray
+    orbit: np.ndarray
 
 
 def iterate_norm(shift: WeightedShift, mode: int, count: int) -> IterateNorms:
-    """Telescoped multiplier sums of up to `count` applications of the shift
-    to e_mode, recorded as the running totals of one orbit walk."""
+    """Telescoped multiplier sums of `count` applications of the shift to
+    e_mode: the line's slice from mode's index, and the running totals of
+    the multipliers along it, or FloquetError naming the step and the mode
+    at which the orbit leaves the line."""
     if count < 0:
         raise FloquetError("iterate count must be nonnegative")
-    image = shift.image.tolist()
-    orbit = [mode]
-    for step in range(count):
-        cur = orbit[-1]
-        nxt = image[cur] if 0 < cur < len(image) else 0
-        if nxt == 0:
-            raise FloquetError(
-                f"orbit exits the stored truncation at step {step + 1} (mode {cur})"
-            )
-        orbit.append(nxt)
-    totals = np.cumsum(np.concatenate(([0.0], shift.log_multiplier[orbit[:-1]])))
-    return IterateNorms(tuple(totals.tolist()), tuple(orbit))
+    if count == 0:
+        return IterateNorms(np.zeros(1), np.array([mode]))
+    p = int(shift.position[mode]) if 0 <= mode < len(shift.position) else -1
+    steps = len(shift.line) - 1 - p if p >= 0 else 0
+    if count > steps:
+        raise FloquetError(f"orbit exits the stored truncation at step {steps + 1} "
+                           f"(mode {shift.line[-1] if p >= 0 else mode})")
+    return IterateNorms(np.cumsum(np.concatenate(([0.0], shift.log_multiplier[p:p + count]))),
+                        shift.line[p:p + count + 1])
 
 
 # Periods of mode 1's shift orbit that `closing_law` walks.
@@ -499,8 +498,8 @@ def closing_law(spec: Spectrum, half_period: float) -> ClosingLaw:
         raise FloquetError(f"the closing law needs two periods of mode 1's orbit; "
                            f"the truncation holds {periods}")
     walk = iterate_norm(poincare_predicted(spec, half_period), 1, periods)
-    y0, y1, y2 = (-v for v in walk.lognorms[-3:])
-    lam0, lam1 = (spec.lam(m) for m in walk.orbit[-2:])
+    y0, y1, y2 = (-v for v in walk.lognorms[-3:].tolist())
+    lam0, lam1 = (spec.lam(m) for m in walk.orbit[-2:].tolist())
     # at the tail both differences are exact (Sterbenz: the values lie within
     # a factor 2), so log1p keeps the small logs accurate
     growth = math.log1p((y2 - y1) / y1)
@@ -513,16 +512,17 @@ def ratio_bounds_check(shift: WeightedShift, n: int) -> dict:
     """Exact log-space iterate norms after N = 2n + ceil(sqrt(n)) periods:
     the first mode's and those of the band e_{2s}, s in [n, n +
     ceil(sqrt(n))], with the quadratic separation rate beta = -max(log
-    ||P^N e_1|| - log ||P^N e_2s||) / n^2 that the kick needs positive."""
+    ||P^N e_1|| - log ||P^N e_2s||) / n^2 that the kick needs positive.
+    Mode 1's walk runs furthest out, so its bounds check covers the band's,
+    whose walks are one gather of slices summed as `iterate_norm` sums."""
     if n < 1:
         raise FloquetError("level must be positive")
     k = cube_width(n)
     count = 2 * n + k
-    base = iterate_norm(shift, 1, count).lognorm
-    band = {s: iterate_norm(shift, 2 * s, count).lognorm for s in range(n, n + k + 1)}
-    gaps = [base - v for v in band.values()]  # log(||P^N e_1|| / ||P^N e_2s||)
-    return {
-        "beta": -max(gaps) / n**2,
-        "first_mode_lognorm": base,
-        "band_lognorms": band,
-    }
+    base = float(iterate_norm(shift, 1, count).lognorms[-1])
+    starts = shift.position[2 * np.arange(n, n + k + 1)]
+    steps = shift.log_multiplier[starts[:, None] + np.arange(count)]
+    totals = np.cumsum(np.concatenate((np.zeros((k + 1, 1)), steps), axis=1), axis=1)[:, -1]
+    band = dict(zip(range(n, n + k + 1), totals.tolist()))
+    return {"beta": -max(base - v for v in band.values()) / n**2,
+            "first_mode_lognorm": base, "band_lognorms": band}

@@ -170,9 +170,9 @@ def shift_match_report(columns: tuple, predicted: WeightedShift) -> dict:
     is at most OFF_PATTERN_TOL of its norm."""
     rows, sign, log = columns
     n = log.shape[1]
-    modes = np.arange(1, n + 1)
-    target = predicted.image[modes] - 1
-    expected = predicted.log_multiplier[modes]
+    at = predicted.position[1:n + 1]
+    target = predicted.line[at + 1] - 1
+    expected = predicted.log_multiplier[at]
     on = (rows == target) & (log > -np.inf)
     if not np.all(np.any(on, axis=0)):
         return {"pattern_ok": False, "max_log_rel_err": math.inf, "max_off_pattern": math.inf}

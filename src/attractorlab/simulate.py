@@ -144,8 +144,7 @@ def trajectory_pair_experiment(
     # discards nothing
     walk = (iterate_norm(poincare_predicted(spec, drive.half_period), 1, n_periods)
             if rotation_on else None)
-    modes = ([walk.orbit[k] - 1 for k in range(1, n_periods + 1)] if rotation_on
-             else [0] * n_periods)
+    modes = walk.orbit[1:] - 1 if rotation_on else [0] * n_periods
     log = propagate_periods(advance, w0, op.period, scenario.steps_per_period, modes)
 
     law = closing_law(spec, drive.half_period)
@@ -328,24 +327,26 @@ def build_kick_operator(scenario: Scenario, shift: WeightedShift) -> KickOperato
 def bad_cube_cloud(scenario: Scenario, shift: WeightedShift) -> tuple[PointCloud, dict]:
     """Almost-cube vertex cloud: for each level n all 2^ceil(sqrt(n)) vertices
     at scale eps_n = e^{-beta n^2/2} B(n) on modes 2(n+1)..2(n+sqrt(n)),
-    generated analytically in log coordinates."""
+    generated analytically in log coordinates.  Vertex p stores eps_n on
+    cube mode j when bit j of p is set: the nonzero entries of the level's
+    bit matrix come in (vertex, mode) order and fill the table directly."""
     kick = build_kick_operator(scenario, shift)
-    entries: list[tuple] = []  # (point, mode, sign, log) of the coordinate table
-    tags: list[str] = []
-    levels_meta: dict[int, dict] = {}
+    point, mode, log, tags, levels_meta = [], [], [], [], {}
     for n in range(scenario.kick_base_level, scenario.kick_max_level + 1):
-        k = cube_width(n)
-        modes = kick.cube_modes(n)
-        eps_log = kick.eps_logs[n]
+        k, modes, eps_log = cube_width(n), kick.cube_modes(n), kick.eps_logs[n]
+        vertex, bit = np.nonzero((np.arange(2**k)[:, None] >> np.arange(k)) & 1)
+        point.append(len(tags) + vertex)
+        mode.append(np.array(modes)[bit])
+        log.append(np.full(len(bit), eps_log))
         ids = list(range(len(tags), len(tags) + 2**k))
-        for p in range(2**k):
-            entries += [(len(tags), modes[j], 1, eps_log) for j in range(k) if (p >> j) & 1]
-            tags.append(f"cube:n={n}:p={p}")
         levels_meta[n] = {"log_eps": eps_log, "point_ids": ids, "cube_indices": modes}
+        tags += [f"cube:n={n}:p={p}" for p in range(2**k)]
     max_mode = max(levels_meta[max(levels_meta)]["cube_indices"])
     spec = scenario.spectrum if scenario.spectrum.n_max >= max_mode else scenario.spectrum.truncated(max_mode)
-    cloud = PointCloud(CoordTable.from_entries(len(tags), entries), spec, 0.0, tags)
-    return cloud, {"levels": levels_meta}
+    point = np.concatenate(point)
+    table = CoordTable(len(tags), point, np.concatenate(mode), np.ones_like(point),
+                       np.concatenate(log))
+    return PointCloud(table, spec, 0.0, tags), {"levels": levels_meta}
 
 
 @dataclass(frozen=True)

@@ -550,8 +550,8 @@ class TestSimulate:
         def moved(spec, half_period):
             shift = predicted(spec, half_period)
             logmult = shift.log_multiplier.copy()
-            logmult[3] *= 1 + 1e-8
-            return fl.WeightedShift(shift.image, logmult)
+            logmult[shift.position[3]] *= 1 + 1e-8
+            return fl.WeightedShift(shift.line, logmult)
 
         monkeypatch.setattr(sim, "poincare_predicted", moved)
         with pytest.raises(sim.SimulationError, match="^period 2: "):
@@ -723,6 +723,30 @@ class TestDimension:
         with open(tmp_path / "out" / "cloud.csv", "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == (
                 "b423492fcf10c667500c492d062de0674258eb64f87658f86eb98072f3a14b84")
+        # every column, as this config wrote it at commit 93f298b, before the
+        # shift became one line
+        with open(tmp_path / "out" / "dimension_scan.csv", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == (
+                "4352fa69788989da5f499118092b24a853d9581b64b775bdd731521a74e1ff95")
+
+    def test_bad_cubes_depth_100(self, tmp_path, capsys):
+        # kick_max_level 100 at n_max 420, one above the config's floor: both
+        # CSVs as this config wrote them at commit 93f298b, before the shift
+        # became one line and each level one bit matrix
+        raw = bad_cubes_scan_config(0.04)
+        raw["spectrum"]["n_max"] = 420
+        raw["dynamics"]["kick_max_level"] = 100
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert run(cfg, tmp_path / "out", "dimension") == 0
+        got = report(tmp_path / "out", "dimension")
+        assert got["verdicts"] == {"dimension": "diverging"}
+        assert got["constants"]["all_bounds_ok"] is True
+        for name, digest in (
+                ("cloud.csv", "36524ed346406401fec63aea6fda3c272413081cb9cf20c44d2da8ebe3b19072"),
+                ("dimension_scan.csv",
+                 "418a2ed59de656ac513a59561173eb1b91450fcf00f0589a5d3817d1ab3e29f3")):
+            with open(tmp_path / "out" / name, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
     def test_bad_cubes_short_window_matches(self, tmp_path, capsys):
         # at kappa 1e-3 the window kernels' step doubling never converged

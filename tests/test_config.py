@@ -4,11 +4,16 @@ non-finite and non-integral numbers a config once let through."""
 
 import copy
 import math
+from contextlib import nullcontext
+from dataclasses import replace
 
 import pytest
 
 from attractorlab import cli
-from attractorlab.config import ConfigError, config_hash, resolve_config
+from attractorlab.config import ConfigError, config_hash, resolve_config, scenario_from_config
+from attractorlab.floquet import FloquetError, poincare_predicted
+from attractorlab.simulate import SimulationError, build_kick_operator
+from attractorlab.spectral import cube_width, make_spectrum
 
 BASE = {"spectrum": {"family": "linear", "n_max": 16, "params": {"c": 1.0}}}
 EXPLICIT = {"family": "explicit", "n_max": 2, "params": {"values": [1.0, 2.0]}}
@@ -162,3 +167,42 @@ def test_truncation_bound_is_two_below_n_max():
     for n_max in (18, 40):
         raw = with_key(BASE, "spectrum.n_max", n_max)
         assert resolve_config(raw)["dynamics"]["n_trunc"] == 16
+
+
+def bad_cubes_raw(family: str, n_max: int, level: int) -> dict:
+    """The `cubes` benchmark config with one kick level, on a linear c = 1
+    spectrum or the explicit list of the same values."""
+    params = ({"c": 1.0} if family == "linear"
+              else {"values": [float(m) for m in range(1, n_max + 1)]})
+    return {"spectrum": {"family": family, "n_max": n_max, "params": params},
+            "drive": {"tau": 0.5},
+            "dynamics": {"L": 3.0, "n0": level, "kick_max_level": level, "kappa": 0.04},
+            "geometry": {"cloud": {"kind": "bad_cubes"}}}
+
+
+@pytest.mark.parametrize("family", ["linear", "explicit"])
+def test_bad_cube_floor_is_the_shift_line_extent(family):
+    # level K walks mode 1 to mode 4K + 2k + 1, k = ceil(sqrt K): the last
+    # mode of an explicit line, and the first odd mode past a family line's
+    # n_max.  At that floor the config resolves and the kick's walks fit;
+    # one mode below, the config refuses and the walk leaves the line at
+    # its last step.  Level 1's first-mode leftover exceeds its deposit
+    # scale at every truncation, so its kick refuses after the walks.
+    for level in range(1, 101):
+        k = cube_width(level)
+        floor = 4 * level + 2 * k + (1 if family == "explicit" else -1)
+        scen = scenario_from_config(resolve_config(bad_cubes_raw(family, floor, level)))
+        refused = (pytest.raises(SimulationError, match="^first-mode leftover exceeds")
+                   if level == 1 else nullcontext())
+        with refused:
+            build_kick_operator(scen, poincare_predicted(scen.spectrum, scen.drive.half_period))
+        with pytest.raises(ConfigError, match=f"kick_max_level {level} needs spectrum "
+                                              f"n_max >= {floor} "):
+            resolve_config(bad_cubes_raw(family, floor - 1, level))
+        params = bad_cubes_raw(family, floor - 1, level)["spectrum"]["params"]
+        short = make_spectrum(family, params, floor - 1)
+        exit_text = (rf"^orbit exits the stored truncation at step {2 * level + k} "
+                     rf"\(mode {4 * level + 2 * k - 1}\)$")
+        with pytest.raises(FloquetError, match=exit_text):
+            build_kick_operator(replace(scen, spectrum=short),
+                                poincare_predicted(short, scen.drive.half_period))

@@ -18,7 +18,7 @@ from attractorlab.floquet import (WALK_PERIODS, FloquetError, PeriodicOperator,
                                   poincare_numeric, poincare_predicted, ratio_bounds_check)
 from attractorlab.integrators import lawson_rk4
 from attractorlab.phases import shift_match_report
-from attractorlab.spectral import make_spectrum, spectral_gap
+from attractorlab.spectral import cube_width, make_spectrum, spectral_gap
 from conftest import coefficient_rows, dense_log_columns, dense_templates
 
 # Means of theta1(h(u)) and theta2(h(u)) over the unit transition u in [0, 1]
@@ -120,8 +120,10 @@ class TestCalibration:
 
 
 def per_mode_shift(spec, half_period):
-    """The shift's arrays built one mode at a time, each multiplier from
-    `Spectrum.lam` in the closed form's order of operations."""
+    """The shift's arrays indexed by mode 1..n_max (entry 0 unused), built
+    one mode at a time, each multiplier from `Spectrum.lam` in the closed
+    form's order of operations: image[m] is 0 where the truncation holds no
+    image of mode m, and may name a mode past n_max."""
     T = half_period
     image = np.zeros(spec.n_max + 1, dtype=np.intp)
     logmult = np.zeros(spec.n_max + 1)
@@ -142,14 +144,41 @@ def per_mode_shift(spec, half_period):
     return image, logmult
 
 
+def loop_walk(image, logmult, mode, count):
+    """`count` applications of the per-mode arrays to e_mode, one step at a
+    time, as (lognorms, orbit): the oracle of `iterate_norm`'s line slices,
+    with the same error text where the walk leaves the arrays."""
+    orbit = [mode]
+    for step in range(count):
+        cur = orbit[-1]
+        nxt = int(image[cur]) if 0 < cur < len(image) else 0
+        if nxt == 0:
+            raise FloquetError(f"orbit exits the stored truncation at step {step + 1} "
+                               f"(mode {cur})")
+        orbit.append(nxt)
+    return np.cumsum(np.concatenate(([0.0], logmult[orbit[:-1]]))), orbit
+
+
+def line_of(image, logmult):
+    """The per-mode arrays as a line: the modes from the largest even one
+    through the images until the arrays hold none, and their multipliers
+    in line order."""
+    n_max = len(image) - 1
+    line = [n_max - n_max % 2]
+    while line[-1] <= n_max and image[line[-1]]:
+        line.append(int(image[line[-1]]))
+    return np.array(line), logmult[line[:-1]]
+
+
 class TestPredictedShift:
     def test_multiplier_closed_forms(self):
         spec = make_spectrum("linear", {"c": 1.0}, 3)
         shift = poincare_predicted(spec, 1.0)
-        assert shift.log_multiplier[2] == pytest.approx(-2.0)  # exp(-2) = 0.13533...
-        assert shift.image[2] == 1
-        assert shift.image[1] == 3
-        assert shift.log_multiplier[1] == pytest.approx(-4.0)
+        assert shift.line.tolist() == [2, 1, 3, 5]
+        assert shift.log_multiplier[0] == pytest.approx(-2.0)  # e_2 -> e_1: exp(-2)
+        assert shift.log_multiplier[1] == pytest.approx(-4.0)  # e_1 -> e_3
+        assert shift.position[[1, 2, 3, 5]].tolist() == [1, 0, 2, 3]
+        assert shift.position[4] == -1
 
     def test_zero_time_identity_magnitudes(self):
         spec = make_spectrum("linear", {"c": 1.0}, 6)
@@ -160,9 +189,9 @@ class TestPredictedShift:
         spec = make_spectrum("linear", {"c": 1.0}, 10)
         s1 = poincare_predicted(spec, 1.0)
         s3 = poincare_predicted(spec, 3.0)
-        assert len(s1.log_multiplier) == 11
-        for mode in range(1, 11):
-            assert s3.log_multiplier[mode] == pytest.approx(3.0 * s1.log_multiplier[mode],
+        assert len(s1.line) == 11 and len(s1.log_multiplier) == 10
+        for step in range(10):
+            assert s3.log_multiplier[step] == pytest.approx(3.0 * s1.log_multiplier[step],
                                                             rel=1e-15)
 
     @pytest.mark.parametrize("family,params,n_max", [
@@ -176,19 +205,21 @@ class TestPredictedShift:
         # bitwise: the same values of lambda, the same operations in the same order
         spec = make_spectrum(family, params, n_max)
         shift = poincare_predicted(spec, half_period)
-        image, logmult = per_mode_shift(spec, half_period)
-        assert shift.image.dtype == image.dtype
-        assert np.array_equal(shift.image, image)
+        line, logmult = line_of(*per_mode_shift(spec, half_period))
+        assert np.array_equal(shift.line, line)
         assert shift.log_multiplier.tobytes() == logmult.tobytes()
+        assert np.array_equal(shift.position[shift.line], np.arange(len(line)))
 
     def test_images_past_the_truncation(self):
         # a family extends two modes past n_max; an explicit list cannot
         odd = poincare_predicted(make_spectrum("linear", {"c": 1.0}, 7), 1.0)
-        assert odd.image.tolist() == [0, 3, 1, 5, 2, 7, 4, 9]
+        assert odd.line.tolist() == [6, 4, 2, 1, 3, 5, 7, 9]
+        even = poincare_predicted(make_spectrum("linear", {"c": 1.0}, 8), 1.0)
+        assert even.line.tolist() == [8, 6, 4, 2, 1, 3, 5, 7, 9]
         explicit = poincare_predicted(
             make_spectrum("explicit", {"values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, 6), 1.0)
-        assert explicit.image.tolist() == [0, 3, 1, 5, 2, 0, 4]
-        assert explicit.log_multiplier[5] == 0.0
+        assert explicit.line.tolist() == [6, 4, 2, 1, 3, 5]
+        assert len(explicit.log_multiplier) == 5
 
 
 class TestNumericPoincare:
@@ -245,7 +276,7 @@ class TestNumericPoincare:
         for _ in range(3):
             vec = p @ vec
         got = math.log(np.abs(vec).max())
-        want = iterate_norm(shift, 4, 3).lognorm
+        want = iterate_norm(shift, 4, 3).lognorms[-1]
         assert abs(got - want) <= 1e-6 * abs(want)
 
     def test_operator_norm_within_budget(self, operator_t2):
@@ -266,29 +297,64 @@ class TestNumericPoincare:
         assert sup <= max(half_gap + op.epsilon, anchor) + 1e-9
 
 
+@st.composite
+def drawn_shifts(draw):
+    """A spectrum and half-period: linear, power and quadratic families,
+    and explicit lists with gaps from 0 to 3, at n_max 3..40."""
+    family = draw(st.sampled_from(["linear", "power", "quadratic", "explicit"]))
+    n_max = draw(st.integers(3, 40))
+    if family == "explicit":
+        gaps = draw(st.lists(st.floats(0.0, 3.0), min_size=n_max - 1, max_size=n_max - 1))
+        params = {"values": (draw(st.floats(0.1, 5.0)) + np.cumsum([0.0, *gaps])).tolist()}
+    else:
+        params = {"linear": {"c": draw(st.floats(0.1, 10.0))},
+                  "power": {"kappa": draw(st.floats(0.05, 1.0))}, "quadratic": {}}[family]
+    return make_spectrum(family, params, n_max), draw(st.floats(0.05, 3.0))
+
+
 class TestIterateNorms:
+    @given(drawn_shifts())
+    @settings(max_examples=60, deadline=None)
+    def test_slices_match_loop_walk(self, drawn):
+        # every start mode, on the line or off it, every count up to the
+        # line's end, bit for bit; one step past the end, the same error
+        spec, half_period = drawn
+        shift = poincare_predicted(spec, half_period)
+        image, logmult = per_mode_shift(spec, half_period)
+        for mode in range(-1, int(shift.line.max()) + 2):
+            for count in range(len(shift.line) + 1):
+                try:
+                    lognorms, orbit = loop_walk(image, logmult, mode, count)
+                except FloquetError as exc:
+                    with pytest.raises(FloquetError, match=f"^{re.escape(str(exc))}$"):
+                        iterate_norm(shift, mode, count)
+                    break
+                got = iterate_norm(shift, mode, count)
+                assert got.lognorms.tobytes() == lognorms.tobytes()
+                assert got.orbit.tolist() == orbit
+
     def test_first_mode_one_period(self, shift_t1):
         # dense-oracle value: one period moves e_1 to e_3 through the two
         # half-maps, total log -(delta_1 + delta_2) = -4
         out = iterate_norm(shift_t1, 1, 1)
-        assert out.lognorm == pytest.approx(-4.0)
-        assert out.orbit == (1, 3)
+        assert out.lognorms[-1] == pytest.approx(-4.0)
+        assert out.orbit.tolist() == [1, 3]
 
     def test_second_mode_one_period(self, shift_t1):
         out = iterate_norm(shift_t1, 2, 1)
-        assert out.lognorm == pytest.approx(-2.0)
-        assert out.orbit == (2, 1)
+        assert out.lognorms[-1] == pytest.approx(-2.0)
+        assert out.orbit.tolist() == [2, 1]
 
     def test_zero_iterates(self, shift_t1):
-        assert iterate_norm(shift_t1, 7, 0).lognorm == 0.0
+        assert iterate_norm(shift_t1, 7, 0).lognorms.tolist() == [0.0]
 
     def test_running_totals_are_shorter_walks(self, shift_t1):
         walk = iterate_norm(shift_t1, 2, 9)
-        assert len(walk.lognorms) == 10 and walk.lognorm == walk.lognorms[-1]
+        assert len(walk.lognorms) == len(walk.orbit) == 10
         for k in range(10):
             short = iterate_norm(shift_t1, 2, k)
-            assert short.lognorm == walk.lognorms[k]  # bitwise: same sums, same order
-            assert short.orbit == walk.orbit[:k + 1]
+            assert short.lognorms[-1] == walk.lognorms[k]  # bitwise: same sums, same order
+            assert short.orbit.tolist() == walk.orbit[:k + 1].tolist()
 
     def test_orbit_exit_names_step(self):
         # explicit spectra cannot extend beyond their stored values
@@ -301,7 +367,7 @@ class TestIterateNorms:
     def test_orbit_past_the_family_truncation(self, n_max):
         # mode 7's image is mode 9, past the stored arrays for both n_max
         shift = poincare_predicted(make_spectrum("linear", {"c": 1.0}, n_max), 1.0)
-        assert iterate_norm(shift, 1, 4).orbit == (1, 3, 5, 7, 9)
+        assert iterate_norm(shift, 1, 4).orbit.tolist() == [1, 3, 5, 7, 9]
         with pytest.raises(FloquetError, match=r"step 5 \(mode 9\)"):
             iterate_norm(shift, 1, 5)
 
@@ -388,6 +454,25 @@ class TestDecayCertificate:
 
 
 class TestRatioBounds:
+    @pytest.mark.parametrize("family,params", [("linear", {"c": 1.0}), ("power", {"kappa": 0.5})])
+    def test_depth_100_matches_loop_walks(self, family, params):
+        # the `kick_max_level` 100 spectrum (linear c = 1, n_max 420, tau
+        # 0.5): every level's first-mode and band walks, bit for bit.  Its
+        # multipliers are quarter-integers, so every order of summation is
+        # exact there; the power family's are not
+        spec = make_spectrum(family, params, 420)
+        half_period = PeriodicDrive(1.0, 0.5, 0.75).half_period
+        shift = poincare_predicted(spec, half_period)
+        image, logmult = per_mode_shift(spec, half_period)
+        for n in range(4, 101):
+            k = cube_width(n)
+            count = 2 * n + k
+            total = lambda mode: float(loop_walk(image, logmult, mode, count)[0][-1]).hex()
+            out = ratio_bounds_check(shift, n)
+            assert out["first_mode_lognorm"].hex() == total(1)
+            assert {s: v.hex() for s, v in out["band_lognorms"].items()} == {
+                s: total(2 * s) for s in range(n, n + k + 1)}
+
     def test_level_nine(self, shift_t1):
         out = ratio_bounds_check(shift_t1, 9)
         assert out["beta"] >= 0.5
@@ -452,7 +537,7 @@ def test_blocks_match_dense_oracle(name, n_trunc, request, one_column_rhs):
     assert np.array_equal(got.matrix == 0.0, want == 0.0)
     shift = poincare_predicted(op.spectrum, op.half_period)
     on = np.zeros(want.shape, dtype=bool)
-    on[shift.image[1:n_trunc + 1] - 1, np.arange(n_trunc)] = True
+    on[shift.line[shift.position[1:n_trunc + 1] + 1] - 1, np.arange(n_trunc)] = True
     assert np.all(np.abs(got.matrix[on] - want[on]) <= 1e-12 * np.abs(want[on]))
     off = np.abs(np.where(on, 0.0, got.matrix - want))
     assert np.all(off <= 1e-11 * np.max(np.abs(want), axis=0))
@@ -692,7 +777,7 @@ def test_closed_form_columns_match_lawson_map(name, n_trunc, request):
     got = scattered(columns, want.shape[0])
     assert np.all(np.abs(got - want) <= 5e-12 * np.max(np.abs(want), axis=0))
     shift = poincare_predicted(op.spectrum, op.half_period)
-    on = (shift.image[1:n_trunc + 1] - 1, np.arange(n_trunc))
+    on = (shift.line[shift.position[1:n_trunc + 1] + 1] - 1, np.arange(n_trunc))
     assert np.all(np.abs(got[on] - want[on]) <= 1e-12 * np.abs(want[on]))
     closed = shift_match_report(columns, shift)
     lawson = shift_match_report(dense_log_columns(want), shift)
