@@ -77,11 +77,11 @@ def _scales(v) -> None:
 KEYS = {
     "spectrum": (REQUIRED, dict),
     "spectrum.family": (REQUIRED, ("linear", "power", "quadratic", "explicit")),
-    "spectrum.n_max": (REQUIRED, _integer(2)),
+    "spectrum.n_max": (REQUIRED, _integer(3)),
     "spectrum.params": ({}, dict),
     "spectrum.params.c": (None, _number()),
     "spectrum.params.kappa": (None, _number()),
-    "spectrum.params.values": (None, _numbers(2)),
+    "spectrum.params.values": (None, _numbers(3)),
     "drive": ({}, dict),
     "drive.amplitude": (1.0, _number(0)),
     "drive.tau": (2.0, _number(0)),

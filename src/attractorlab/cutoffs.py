@@ -3,6 +3,7 @@ square-wave drive with its half-period window integrals."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,18 @@ def _unit_step(u) -> np.ndarray:
     with np.errstate(over="ignore"):
         out[interior] = 1.0 / (np.exp(1.0 / (x - 1.0) + 1.0 / x) + 1.0)
     return out
+
+
+def _unit_step_inverse(level: float) -> float:
+    """The u in (0, 1) with h(u) = level, for a level in (0, 1).  Inside the
+    guard band h(u) = level exactly when 1/(u - 1) + 1/u = c, c = ln(1/level
+    - 1), that is when c u^2 - (c + 2) u + 1 = 0.  Its root in (0, 1) is
+    u = 2 / (c + 2 + sqrt(c^2 + 4)), the smaller root ((c + 2) - sqrt(c^2 +
+    4)) / (2c) with its numerator rationalized.  sqrt(c^2 + 4) > |c|, so the
+    denominator is positive and does not cancel, for every level in (0, 1);
+    level 1/2 gives c = 0 and u = 1/2."""
+    c = math.log(1.0 / level - 1.0)
+    return 2.0 / (c + 2.0 + math.sqrt(c * c + 4.0))
 
 
 @dataclass(frozen=True)
@@ -154,17 +167,14 @@ class PeriodicDrive:
         return plateau + 2.0 * w * _ramp_mean(lambda h: f(amp * h))
 
     def plateau_entry_time(self) -> float:
-        """First t > 0 with -x(t) = CUTOFF_LEVEL * amplitude, by bisection to
-        1e-12 of the half-period: from there on the minus half's diagonal
-        step is 1 and its rotation may act.  -x reaches the amplitude at
-        tau/2, so the root lies in (0, tau/2)."""
-        target = CUTOFF_LEVEL * self.amplitude
-        lo, hi = 0.0, 0.5 * self.half_period
-        f = lambda t: -float(self.value(t)) - target
-        while hi - lo > 1e-12 * self.half_period:
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        """First t > 0 with -x(t) = CUTOFF_LEVEL * amplitude: from there on
+        the minus half's diagonal step is 1 and its rotation may act.
+
+        On [0, w], w = transition_width, -x(t) = amplitude * h(t/w) *
+        h((tau - t)/w), and the falling factor is exactly 1 there, since
+        (tau - t)/w >= tau/w - 1 > 1 when w < tau/2.  The rising factor
+        increases from 0 to 1, so the root is t = u w with h(u) =
+        CUTOFF_LEVEL, u from `_unit_step_inverse`.  That u (about 0.372)
+        lies well inside the guard band, where `_unit_step` is the closed
+        form the inverse solves."""
+        return _unit_step_inverse(CUTOFF_LEVEL) * self.transition_width

@@ -256,9 +256,9 @@ def _window_bump(drive: PeriodicDrive, kappa: float) -> BumpFunction | None:
 
 def _smallest_window(drive: PeriodicDrive, kappa: float, t0: float) -> float | None:
     """The smallest window width in (kappa, t0] that carries the deposit bump,
-    by bisection to 1e-12 of the half-period as `plateau_entry_time` does;
-    None when not even t0 does.  The drive, and with it the bump's knots,
-    grows with the width up to the plateau entry time t0."""
+    by bisection to 1e-12 of the half-period; None when not even t0 does.
+    The drive, and with it the bump's knots, grows with the width up to the
+    plateau entry time t0.  Only the refusal's message calls it."""
     if _window_bump(drive, t0) is None:
         return None
     lo, hi = kappa, t0

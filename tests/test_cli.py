@@ -845,6 +845,17 @@ class TestFailFast:
         assert sim._window_bump(drive, least) is not None
         assert sim._window_bump(drive, least - 1e-12 * drive.half_period) is None
 
+    def test_two_mode_spectrum_refused_by_config(self, tmp_path, capsys):
+        # the obstruction needs three modes: n_max 2 once passed the config
+        # and failed in gap-check with a SpectrumError
+        raw = {"spectrum": {"family": "linear", "n_max": 2, "params": {"c": 1.0}}}
+        assert run(write_config(tmp_path / "c.json", raw), tmp_path / "out", "gap-check") == 1
+        assert ("config invalid at spectrum.n_max: want an integer >= 3, got 2"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "out")
+        raw["spectrum"]["n_max"] = 3
+        assert run(write_config(tmp_path / "c.json", raw), tmp_path / "out", "gap-check") == 0
+
     def test_window_past_plateau_entry_names_kappa(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", bad_cubes_scan_config(0.3))
         assert run(cfg, tmp_path / "out", "dimension") == 1

