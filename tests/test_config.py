@@ -36,6 +36,8 @@ EDGES = [
                          ("dynamics.kick_max_level", 1), ("dynamics.n_periods", 3),
                          ("dynamics.steps_per_period", 64), ("geometry.cloud.n_max", 3))
       for step in (0, -1)),
+    # a one-mode spectrum stays refused
+    ("spectrum.n_max", 1, False),
     # list lengths: the shortest list is taken, one shorter refused
     ("geometry.s_list", [0.0], True), ("geometry.s_list", [], False),
     ("geometry.scales", [1.0, 0.1, 0.01, 0.001], True),
