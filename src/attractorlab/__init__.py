@@ -10,7 +10,7 @@ clouds with diverging log-doubling factor, and projected attractors whose
 box-counting dimension depends on the Sobolev index.
 """
 
-from .outcome import Outcome
+from .outcome import ColumnTable, Outcome
 from .spectral import (ObstructionVerdict, Spectrum, SpectrumError,
                        c1_obstruction_check, cube_width, gap_check, make_spectrum,
                        regime_bound, site_pairs, spectral_gap)
@@ -26,8 +26,8 @@ from .floquet import (ClosingLaw, FloquetError,
                       poincare_predicted, ratio_bounds_check)
 from .phases import (floquet_check, phase_blocks, phase_constants, poincare_columns,
                      shift_match_report)
-from .geometry import (NEG_INF, PLANAR_X, PLANAR_Y, CoordTable,
-                       DimensionScan, GeometryError, PointCloud, cloud_rows,
+from .geometry import (CLOUD_FORMATS, CLOUD_HEADER, NEG_INF, PLANAR_X, PLANAR_Y,
+                       CoordTable, DimensionScan, GeometryError, PointCloud, cloud_rows,
                        covering_number, cube_dimension, cube_doubling_report,
                        doubling_factor, fractal_dimension_estimate,
                        log_doubling_estimate, slopes_diverge, sobolev_scan)
@@ -38,6 +38,6 @@ from .simulate import (KickOperator, Scenario, Section4Laws, SimulationError,
 from .config import (ConfigError, config_hash, dimension_from_config, drive_from_config,
                      load_config, parse_scales, resolve_config, scenario_from_config,
                      spectrum_from_config)
-from .reports import fmt17, load_cloud_csv, unmet_expectation, write_csv, write_json
+from .reports import load_cloud_csv, unmet_expectation, write_csv, write_json
 
 __version__ = "0.1.0"

@@ -19,7 +19,8 @@ import time
 
 from . import simulate as sim
 from .config import (ConfigError, config_hash, dimension_from_config, drive_from_config,
-                     load_config, scenario_from_config, spectrum_from_config)
+                     load_config, scenario_from_config, spectrum_from_config,
+                     truncation_from_config)
 from .phases import floquet_check
 from .reports import unmet_expectation, write_csv, write_json
 # gap_check calls c1_obstruction_check; perfbench/layers.py wraps this binding too
@@ -40,8 +41,8 @@ def _run(cfg, args, command: str, entry) -> int:
     want = cfg["expectations"].get(key)
     expected = {key: want} if want else {}
     verdicts = {key: outcome.verdict}
-    files = [write_csv(os.path.join(out, name), header, rows)
-             for name, header, rows in outcome.tables]
+    files = [write_csv(os.path.join(out, name), header, rows, formats)
+             for name, header, rows, formats in outcome.tables]
     for line in outcome.summary:
         print(line)
     path = write_json(os.path.join(out, f"{command}_report.json"), {
@@ -62,9 +63,9 @@ def cmd_gap_check(cfg, args) -> int:
 
 
 def cmd_floquet(cfg, args) -> int:
-    dyn = cfg["dynamics"]
     return _run(cfg, args, "floquet", lambda: floquet_check(
-        spectrum_from_config(cfg), drive_from_config(cfg), dyn["n_trunc"], dyn["L"]))
+        spectrum_from_config(cfg), drive_from_config(cfg), truncation_from_config(cfg),
+        cfg["dynamics"]["L"]))
 
 
 def cmd_dimension(cfg, args) -> int:

@@ -24,7 +24,7 @@ from .spectral import Spectrum, cube_width, make_spectrum
 
 __all__ = ["ConfigError", "KEYS", "load_config", "resolve_config",
            "config_hash", "spectrum_from_config", "drive_from_config",
-           "scenario_from_config", "dimension_from_config",
+           "scenario_from_config", "truncation_from_config", "dimension_from_config",
            "parse_scales"]
 
 
@@ -34,6 +34,8 @@ class ConfigError(ValueError):
 
 # Fewest scales the dimension fit takes (`geometry.fractal_dimension_estimate`).
 MIN_SCALES = 4
+# Fewest modes a dynamics command truncates to (`dynamics.n_trunc`).
+MIN_TRUNC = 4
 # The default of a key the config must give.
 REQUIRED = "required"
 
@@ -92,7 +94,7 @@ KEYS = {
     "dynamics.kappa": (0.05, _number(0, 1)),
     "dynamics.beta_scale": (1.0, _number(0)),
     # capped at spectrum.n_max - 2 when not given (`_check_truncation`)
-    "dynamics.n_trunc": (16, _integer(4)),
+    "dynamics.n_trunc": (16, _integer(MIN_TRUNC)),
     "dynamics.kick_max_level": (16, _integer(1)),
     "dynamics.n_periods": (6, _integer(3)),
     "dynamics.steps_per_period": (4096, _integer(64)),
@@ -152,7 +154,8 @@ def _resolve(raw, path: str) -> dict:
 
 
 def resolve_config(raw: dict) -> dict:
-    """Check `raw` against KEYS, then materialize defaults."""
+    """Check `raw` against KEYS, then materialize defaults.  A resolved
+    config resolves to itself."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config invalid at <root>: want a dict, got {raw!r}")
     resolved = _resolve(raw, "")
@@ -180,10 +183,13 @@ def _check_truncation(resolved: dict, given: bool) -> None:
     columns 1..n_trunc, whose shift images reach mode n_trunc + 2, and
     `simulate` runs n_trunc modes, so dynamics.n_trunc is at most
     spectrum.n_max - 2.  A given value above it is refused; the default
-    is lowered to it."""
+    is lowered to it, or left out when that is below MIN_TRUNC, since no
+    dynamics command runs on such a spectrum (`truncation_from_config`)."""
     bound = resolved["spectrum"]["n_max"] - 2
     dyn = resolved["dynamics"]
-    if not given:
+    if not given and bound < MIN_TRUNC:
+        del dyn["n_trunc"]
+    elif not given:
         dyn["n_trunc"] = min(dyn["n_trunc"], bound)
     elif dyn["n_trunc"] > bound:
         raise ConfigError(
@@ -214,17 +220,19 @@ def _bad_cube_min_n_max(kick_max_level: int, family: str) -> int:
 
 def _check_cloud(resolved: dict, given: set) -> None:
     """Refuse cloud configs that would fail late or mean nothing; `given`
-    names the geometry keys the raw config sets."""
+    names the geometry keys the raw config sets.  A bad-cube config
+    resolves without the keys only sobolev_scan reads."""
     geo = resolved["geometry"]
     kind = geo["cloud"]["kind"]
     if kind == "bad_cubes":
-        # keys only sobolev_scan reads
-        unread = [key for key in ("include_doubling", "s_list", "scales") if key in given]
-        if unread:
-            raise ConfigError(
-                f"config invalid at geometry.{unread[0]}: kind bad_cubes never reads it, "
-                "since the almost-cube bounds come from each level's vertices; "
-                "remove the key")
+        unread = ("include_doubling", "s_list", "scales")  # keys only sobolev_scan reads
+        for key in unread:
+            if key in given:
+                raise ConfigError(
+                    f"config invalid at geometry.{key}: kind bad_cubes never reads it, "
+                    "since the almost-cube bounds come from each level's vertices; "
+                    "remove the key")
+            del geo[key]
         sec = resolved["spectrum"]
         n_max = sec["n_max"]
         k = resolved["dynamics"]["kick_max_level"]
@@ -282,12 +290,27 @@ def scenario_from_config(resolved: dict) -> Scenario:
         spectrum=spectrum_from_config(resolved),
         lipschitz_budget=dyn["L"],
         drive=drive_from_config(resolved),
-        n_trunc=dyn["n_trunc"],
+        # 0 on a spectrum that holds no truncation; bad cubes never read it
+        n_trunc=dyn.get("n_trunc", 0),
         kick_base_level=dyn["n0"],
         kick_max_level=dyn["kick_max_level"],
         kick_window=dyn["kappa"],
         steps_per_period=dyn["steps_per_period"],
     )
+
+
+def truncation_from_config(resolved: dict) -> int:
+    """dynamics.n_trunc, which `floquet` checks the shift pattern on.  A
+    spectrum of n_max < MIN_TRUNC + 2 holds no truncation, so the command
+    is refused before it runs, naming the smallest valid n_max."""
+    dyn = resolved["dynamics"]
+    if "n_trunc" not in dyn:
+        least = MIN_TRUNC + 2
+        raise ConfigError(
+            f"config invalid at spectrum.n_max: the dynamics commands need dynamics.n_trunc "
+            f">= {MIN_TRUNC} and two modes past it, so want spectrum.n_max >= {least}, got "
+            f"{resolved['spectrum']['n_max']}; the smallest valid value is {least}")
+    return dyn["n_trunc"]
 
 
 def dimension_from_config(resolved: dict) -> Outcome:

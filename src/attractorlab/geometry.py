@@ -12,8 +12,9 @@ matrix is computed once per norm view from its upper triangle, every ball
 cover gathers its members from one cached ball matrix per radius, and every
 box count packs each stored slot's column and cell into one int64 key.  The
 dimension command's entry points are `sobolev_scan` (section-4 and file
-clouds) and `cube_dimension` (bad cubes); `cloud_rows` writes a cloud's
-table as cloud.csv rows, straight from its arrays."""
+clouds) and `cube_dimension` (bad cubes).  Each returns its tables with
+a `%` format per column; `cloud_rows` hands cloud.csv to the writer as
+column chunks sliced straight from the cloud's arrays."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fits import line_fit, local_slopes, monotone_increase
-from .outcome import Outcome
+from .outcome import ColumnTable, Outcome
 from .spectral import Spectrum, cube_width
 
 __all__ = [
@@ -46,6 +47,8 @@ __all__ = [
     "cube_doubling_report",
     "cube_dimension",
     "cloud_rows",
+    "CLOUD_HEADER",
+    "CLOUD_FORMATS",
 ]
 
 NEG_INF = float("-inf")
@@ -53,6 +56,9 @@ NEG_INF = float("-inf")
 # eigenmode coordinates; Sobolev weights treat them as weight-one directions.
 PLANAR_X = -1
 PLANAR_Y = -2
+# cloud.csv's columns and their `reports.write_csv` formats (`cloud_rows`)
+CLOUD_HEADER = ("point_id", "tag", "mode_index", "sign", "logmag")
+CLOUD_FORMATS = ("%d", "%s", "%d", "%d", "%.17g")
 
 # closed-ball membership in log coordinates allows at least this additive slack
 _LOG_SLACK = 1e-12
@@ -497,11 +503,12 @@ def slopes_diverge(local_slopes) -> bool:
 def _scan_tables(rows: list, cloud: PointCloud) -> tuple:
     """The dimension command's tables: rows (s, log_eps, N_eps, D_eps, local
     slope) as dimension_scan.csv, eps = exp(log_eps) put after s (0.0 below
-    exp(-700)), and the cloud as cloud.csv."""
+    exp(-700)), D_eps an int or None, so a free column; and the cloud as
+    cloud.csv."""
     return (("dimension_scan.csv", ("s", "eps", "log_eps", "n_eps", "d_eps", "local_slope"),
-             [(s, math.exp(le) if le > -700 else 0.0, le, *rest) for s, le, *rest in rows]),
-            ("cloud.csv", ("point_id", "tag", "mode_index", "sign", "logmag"),
-             cloud_rows(cloud)))
+             [(s, math.exp(le) if le > -700 else 0.0, le, *rest) for s, le, *rest in rows],
+             ("%.17g", "%.17g", "%.17g", "%d", None, "%.17g")),
+            ("cloud.csv", CLOUD_HEADER, cloud_rows(cloud), CLOUD_FORMATS))
 
 
 def sobolev_scan(cloud: PointCloud, s_list, log_scales, include_doubling: bool) -> Outcome:
@@ -610,13 +617,19 @@ def cube_dimension(cloud: PointCloud, levels: dict) -> Outcome:
     }, tables=_scan_tables(rows, cloud), summary=())
 
 
-def cloud_rows(cloud: PointCloud):
-    """Long-form rows (point_id, tag, mode_index, sign, logmag): the
-    coordinate table in its (point, mode) order, with a (0, 0, -inf)
-    placeholder row put in at the position of each point that stores
-    nothing.  The rows are made reports.CSV_CHUNK table entries at a time:
-    one list of tuples zipped from slices of the table's arrays, as Python
-    ints, strs and floats, with the chunk's placeholders inserted in it."""
+def cloud_rows(cloud: PointCloud) -> ColumnTable:
+    """The cloud as cloud.csv's rows (point_id, tag, mode_index, sign,
+    logmag), CLOUD_HEADER and CLOUD_FORMATS: the coordinate table in its
+    (point, mode) order, with a (0, 0, -inf) placeholder row put in at the
+    position of each point that stores nothing.  The table is made
+    reports.CSV_CHUNK table entries at a time, as five columns of Python
+    ints, strs and floats: the `.tolist()` slices of the table's arrays
+    with the chunk's placeholders inserted, and each row's tag looked up by
+    its point."""
+    return ColumnTable(lambda: _cloud_columns(cloud))
+
+
+def _cloud_columns(cloud: PointCloud):
     from .reports import CSV_CHUNK  # reports imports this module
 
     t, tags = cloud.points, cloud.tags
@@ -624,9 +637,11 @@ def cloud_rows(cloud: PointCloud):
     at = np.searchsorted(t.point, empty).tolist()  # the entry each placeholder goes before
     for a in range(0, len(t.point) + 1, CSV_CHUNK):
         b = a + CSV_CHUNK
-        point = t.point[a:b].tolist()
-        rows = list(zip(point, map(tags.__getitem__, point), t.mode[a:b].tolist(),
-                        t.sign[a:b].tolist(), t.log[a:b].tolist()))
+        point, mode, sign, log = (x[a:b].tolist() for x in (t.point, t.mode, t.sign, t.log))
         for k in reversed(range(bisect_left(at, a), bisect_left(at, b))):
-            rows.insert(at[k] - a, (empty[k], tags[empty[k]], 0, 0, NEG_INF))
-        yield from rows
+            i = at[k] - a
+            point.insert(i, empty[k])
+            mode.insert(i, 0)
+            sign.insert(i, 0)
+            log.insert(i, NEG_INF)
+        yield [point, list(map(tags.__getitem__, point)), mode, sign, log]

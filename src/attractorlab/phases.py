@@ -207,7 +207,8 @@ def floquet_check(spec: Spectrum, drive: PeriodicDrive, n_trunc: int,
         "pattern_ok" if match["pattern_ok"] and law.superexponential else "pattern_broken", {
             **match, "closing_exponent": law.p, "beta": law.beta, "epsilon": op.epsilon,
             "n_trunc": n_trunc, "L": coupling, "coupling_norm_max": op.coupling_norm_max},
-        tables=(("floquet_iterates.csv", ("N", "lognorm"), enumerate(walk.lognorms)),),
+        tables=(("floquet_iterates.csv", ("N", "lognorm"), enumerate(walk.lognorms),
+                 ("%d", "%.17g")),),
         summary=(f"shift pattern ok: {match['pattern_ok']}  "
                  f"max log rel err: {match['max_log_rel_err']:.17g}  "
                  f"off-pattern: {match['max_off_pattern']:.17g}",

@@ -13,8 +13,9 @@ import numpy as np
 
 from .geometry import NEG_INF, CoordTable, PointCloud
 from .integrators import PeriodLog
+from .outcome import ColumnTable
 
-__all__ = ["fmt17", "write_csv", "trajectory_rows", "load_cloud_csv", "write_json",
+__all__ = ["write_csv", "trajectory_rows", "load_cloud_csv", "write_json",
            "unmet_expectation"]
 
 # Rows write_csv formats at a time.
@@ -23,62 +24,55 @@ CSV_CHUNK = 4096
 _CSV_QUOTED = ',"\r\n'
 
 
-def fmt17(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
-
-
-def write_csv(path: str, header: list[str], rows) -> str:
+def write_csv(path: str, header: list[str], rows, formats: tuple) -> str:
     """Write the header and rows to path as CSV with LF line ends, making
     its directory; returns path.
 
-    A float (numpy's included) is written to 17 significant digits, so it
-    reads back bit for bit, `inf`, `nan` and `-0` included; an int or bool
-    is written verbatim (`str`), a str as itself, None as an empty cell,
-    and any other value as a float to 17 digits.  Cells are quoted as
-    csv.writer quotes them.  Rows are read CSV_CHUNK at a time; a chunk
-    whose rows have one width of at least two cells, each column of plain
-    ints, floats, or strs that need no quoting, is formatted with one `%`
-    operation, which gives the same bytes."""
+    formats declares each column: "%d" for ints, "%.17g" for floats, so
+    they read back bit for bit (`inf`, `nan` and `-0` included), "%s" for
+    strs, or None for a free column, whose cells csv.writer writes as they
+    are (None as an empty cell).  No cell's type is read.  Each chunk of
+    the table becomes one flat list of its cells: a ColumnTable's chunks by
+    interleaving its columns, any other rows CSV_CHUNK at a time.  The
+    chunk is written with one `%` of the declared row format, unless the
+    table has a free column or fewer than two, or a "%s" cell of the chunk
+    holds a character csv.writer quotes; then csv.writer writes its cells,
+    each converted by its column's format, which gives the bytes the `%`
+    would where it applies."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    rows = iter(rows)
+    width = len(formats)
+    text = [j for j, f in enumerate(formats) if f == "%s"]
+    free = None in formats or width < 2
+    row_format = "" if free else ",".join(formats) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        while chunk := list(itertools.islice(rows, CSV_CHUNK)):
-            row_format = _row_format(chunk)
-            if row_format is None:
-                for row in chunk:
-                    writer.writerow([v if isinstance(v, (str, int)) else fmt17(v) for v in row])
+        for cells in _flat_chunks(rows, width):
+            texts = ("".join(cells[j::width]) for j in text)
+            if free or any(c in s for s in texts for c in _CSV_QUOTED):
+                cells = [v if f is None else f % v
+                         for f, v in zip(itertools.cycle(formats), cells)]
+                writer.writerows(zip(*[iter(cells)] * width))
             else:
-                fh.write(row_format * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
+                fh.write(row_format * (len(cells) // width) % tuple(cells))
     return path
 
 
-def _row_format(chunk: list) -> str | None:
-    """The `%` format of one row of the chunk, or None when some column has
-    no single conversion that writes it as csv.writer would.  A one-cell
-    row goes to csv.writer, which quotes an empty cell there."""
-    if len(set(map(len, chunk))) != 1 or len(chunk[0]) < 2:
-        return None
-    formats = []
-    for column in zip(*chunk):
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            formats.append("%d")
-        elif all(issubclass(kind, float) for kind in kinds):
-            formats.append("%.17g")
-        elif kinds == {str}:
-            text = "".join(column)
-            if any(c in text for c in _CSV_QUOTED):
-                return None
-            formats.append("%s")
-        else:
-            return None
-    return ",".join(formats) + "\n"
+def _flat_chunks(rows, width: int):
+    """Each chunk of the table's cells as one flat list in row order."""
+    if isinstance(rows, ColumnTable):
+        for columns in rows.chunks():
+            cells = [None] * (width * len(columns[0]))
+            for j, column in enumerate(columns):
+                cells[j::width] = column
+            yield cells
+        return
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, CSV_CHUNK)):
+        if set(map(len, chunk)) != {width}:
+            bad = next(row for row in chunk if len(row) != width)
+            raise ValueError(f"row {bad!r} is not {width} cells wide")
+        yield list(itertools.chain.from_iterable(chunk))
 
 
 def write_json(path: str, payload: dict) -> str:

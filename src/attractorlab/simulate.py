@@ -186,9 +186,10 @@ def pair_check(scenario: Scenario, n_periods: int) -> Outcome:
         "superexponential" if result["superexponential"] else "exponential_only",
         {"closing_exponent": law.p, "gamma_star": law.gamma_star,
          **{key: result[key] for key in keys}},
-        tables=(("pair_distance.csv", ("t", "log_distance"), zip(log.times, log.lognorms)),
+        tables=(("pair_distance.csv", ("t", "log_distance"), zip(log.times, log.lognorms),
+                 ("%.17g", "%.17g")),
                 ("pair_trajectory.csv", ("t", "mode_index", "sign", "logmag"),
-                 trajectory_rows(log))),
+                 trajectory_rows(log), ("%.17g", "%d", "%d", "%.17g"))),
         summary=(f"closing exponent p: {law.p:.17g}  gamma*: {law.gamma_star:.17g}  "
                  f"walk rel err: {result['walk_rel_err']:.17g}",
                  f"log-Lipschitz gamma=1/2: {result['modulus_half_verdict']}; "

@@ -2,8 +2,10 @@
 checks that refuse a run before any numerics start.  The `floquet` and
 `simulate` runs share one small linear c=1 spectrum and run twice each."""
 
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -21,7 +23,8 @@ from attractorlab import simulate as sim
 from attractorlab.config import (KEYS, ConfigError, dimension_from_config, drive_from_config,
                                  resolve_config, scenario_from_config, spectrum_from_config)
 from attractorlab.cutoffs import PeriodicDrive
-from attractorlab.geometry import PLANAR_X, PLANAR_Y, PointCloud, cloud_rows
+from attractorlab.geometry import (CLOUD_FORMATS, CLOUD_HEADER, PLANAR_X, PLANAR_Y, PointCloud,
+                                   cloud_rows)
 from attractorlab.integrators import PROJECTION_GUARD
 from attractorlab.phases import floquet_check
 from attractorlab.reports import CSV_CHUNK, load_cloud_csv, unmet_expectation, write_csv
@@ -87,8 +90,7 @@ def cube_cloud_file(tmp_path):
             points.append({m: (1, log_eps) for b, m in enumerate(modes) if (p >> b) & 1})
             tags.append(f"cube:n={level}:p={p}")
     path = str(tmp_path / "cubes.csv")
-    write_csv(path, ["point_id", "tag", "mode_index", "sign", "logmag"],
-              cloud_rows(dict_cloud(points, tags=tags)))
+    write_csv(path, CLOUD_HEADER, cloud_rows(dict_cloud(points, tags=tags)), CLOUD_FORMATS)
     return path
 
 
@@ -646,8 +648,7 @@ class TestDimension:
     def test_file_cloud_doubling_above_exact_cap_pinned(self, tmp_path, cube_vertex_cloud,
                                                          capsys):
         path = str(tmp_path / "vertices.csv")
-        write_csv(path, ["point_id", "tag", "mode_index", "sign", "logmag"],
-                  cloud_rows(cube_vertex_cloud))
+        write_csv(path, CLOUD_HEADER, cloud_rows(cube_vertex_cloud), CLOUD_FORMATS)
         raw = file_config(path)
         raw["geometry"]["scales"] = "3e-1:1e-2:5"
         cfg = write_config(tmp_path / "c.json", raw)
@@ -855,6 +856,25 @@ class TestFailFast:
         assert not os.path.exists(tmp_path / "out")
         raw["spectrum"]["n_max"] = 3
         assert run(write_config(tmp_path / "c.json", raw), tmp_path / "out", "gap-check") == 0
+
+    @pytest.mark.parametrize("n_max", [3, 4, 5])
+    def test_dynamics_below_six_modes_refused_by_config(self, tmp_path, capsys, n_max):
+        # n_trunc >= 4 and two modes past it need n_max >= 6; floquet once
+        # ran at n_max 5 on a truncation of 3 and simulate failed at run time
+        raw = {"spectrum": {"family": "linear", "n_max": n_max, "params": {"c": 1.0}}}
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert run(cfg, tmp_path / "out", "floquet") == 1
+        assert capsys.readouterr().err == (
+            "config error: config invalid at spectrum.n_max: the dynamics commands need "
+            "dynamics.n_trunc >= 4 and two modes past it, so want spectrum.n_max >= 6, got "
+            f"{n_max}; the smallest valid value is 6\n")
+        assert run(cfg, tmp_path / "out", "simulate") == 1
+        assert "SimulationError: 6 periods need spectrum n_max >= 15 " in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+        assert run(cfg, tmp_path / "out", "gap-check") == 0
+        raw["spectrum"]["n_max"] = 6
+        assert run(write_config(tmp_path / "c.json", raw), tmp_path / "six", "floquet") == 0
+        assert report(tmp_path / "six", "floquet")["constants"]["n_trunc"] == 4
 
     def test_window_past_plateau_entry_names_kappa(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", bad_cubes_scan_config(0.3))
@@ -1128,7 +1148,7 @@ class TestCoordTable:
         path = str(tmp_path_factory.mktemp("cloud") / "cloud.csv")
         rows = list(cloud_rows(cloud))
         assert all(type(v) is int for r in rows for v in (r[0], r[2], r[3]))  # written as ints
-        write_csv(path, ["point_id", "tag", "mode_index", "sign", "logmag"], rows)
+        write_csv(path, CLOUD_HEADER, rows, CLOUD_FORMATS)
         got = load_cloud_csv(path)
         assert_table_invariants(got)
         assert got.points.n == cloud.points.n and got.tags == cloud.tags
@@ -1142,17 +1162,40 @@ class TestCoordTable:
     @example(([0, 0] + [1] * (CSV_CHUNK - 1) + [0, 1, 0, 2, 0, 0], [-0.5, -0.0], ["p"]))
     @example(([0, 0, 0], [0.0], ["q,r"]))  # only empty points
     @settings(max_examples=40, deadline=None)
-    def test_rows_match_entry_loop(self, tmp_path_factory, drawn):
+    def test_rows_match_entry_loop(self, drawn):
         cloud = gapped_cloud(*drawn)
         rows, want = list(cloud_rows(cloud)), list(entry_loop_cloud_rows(cloud))
         assert rows == want
         assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in want]
-        out = tmp_path_factory.mktemp("rows")
-        header = ["point_id", "tag", "mode_index", "sign", "logmag"]
-        written = [write_csv(str(out / name), header, made) for name, made in
-                   (("arrays.csv", cloud_rows(cloud)), ("loop.csv", iter(want)))]
-        with open(written[0], "rb") as got, open(written[1], "rb") as ref:
-            assert got.read() == ref.read()
+        # the rows are read from the chunks the writer gets: five columns of
+        # one length each, CSV_CHUNK table entries and their placeholders
+        chunks = list(cloud_rows(cloud).chunks())
+        assert all(len(c) == 5 and len({len(column) for column in c}) == 1 for c in chunks)
+        assert all(len(c[0]) - c[3].count(0) <= CSV_CHUNK for c in chunks)
+        assert [row for c in chunks for row in zip(*c)] == want
+
+    @given(gapped_tables())
+    @example(([0, 0] + [1] * (CSV_CHUNK - 1) + [0, 1, 0, 2, 0, 0], [-0.5, -0.0], ["p"]))
+    @example(([0, 0, 0], [0.0], ["q,r"]))  # only empty points
+    # a tag that needs quoting only in the second chunk
+    @example(([2] * (CSV_CHUNK // 2) + [1], [-1.5], ["p"] * (CSV_CHUNK // 2) + ['q"r']))
+    @settings(max_examples=40, deadline=None)
+    def test_column_and_row_paths_write_the_same_bytes(self, tmp_path_factory, drawn):
+        # write_csv fills its `%` from the column chunks, and from the rows
+        # that a wrapper such as the benchmark's row counter hands it; both
+        # write what csv.writer writes of the per-entry rows
+        cloud = gapped_cloud(*drawn)
+        out = tmp_path_factory.mktemp("paths")
+        written = [write_csv(str(out / name), CLOUD_HEADER, table, CLOUD_FORMATS)
+                   for name, table in (("columns.csv", cloud_rows(cloud)),
+                                       ("rows.csv", (row for row in cloud_rows(cloud))))]
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(CLOUD_HEADER)
+        writer.writerows((*row[:4], f"{row[4]:.17g}") for row in entry_loop_cloud_rows(cloud))
+        for path in written:
+            with open(path, "rb") as fh:
+                assert fh.read() == ref.getvalue().encode("utf-8"), os.path.basename(path)
 
     def test_section4_table(self):
         cloud, _ = sim.section4_attractor(sim.thm44_laws(), make_spectrum("quadratic", {}, 12), 12)

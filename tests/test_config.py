@@ -8,6 +8,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from attractorlab import cli
 from attractorlab.config import ConfigError, config_hash, resolve_config, scenario_from_config
@@ -169,6 +170,56 @@ def test_truncation_bound_is_two_below_n_max():
     for n_max in (18, 40):
         raw = with_key(BASE, "spectrum.n_max", n_max)
         assert resolve_config(raw)["dynamics"]["n_trunc"] == 16
+
+
+@st.composite
+def small_configs(draw):
+    """Raw configs over small key ranges: every family at n_max 3-16, each
+    cloud kind, and some dynamics and geometry keys given, some refused."""
+    family = draw(st.sampled_from(["linear", "power", "quadratic", "explicit"]))
+    n_max = draw(st.integers(3, 16))
+    spectrum = {"family": family, "n_max": n_max}
+    if family == "explicit":
+        spectrum["params"] = {"values": [1.0 + 0.5 * m for m in range(n_max)]}
+    raw = {"spectrum": spectrum}
+    optional = {
+        "dynamics": {"n_trunc": st.integers(4, 14), "n0": st.integers(1, 3),
+                     "kick_max_level": st.integers(1, 3), "kappa": st.sampled_from([0.04, 0.5]),
+                     "steps_per_period": st.sampled_from([64, 65, 4096])},
+        "geometry": {"s_list": st.sampled_from([[0], [0.0, 1.0]]),
+                     "scales": st.sampled_from(["1e-1:1e-3:4", [1.0, 0.5, 0.25, 0.125]]),
+                     "include_doubling": st.booleans(),
+                     "cloud": st.sampled_from([{"kind": "section4", "n_max": 3},
+                                               {"kind": "bad_cubes"},
+                                               {"kind": "file", "path": "cloud.csv"}])},
+    }
+    for section, keys in optional.items():
+        given = draw(st.lists(st.sampled_from(sorted(keys)), unique=True))
+        if given:
+            raw[section] = {key: draw(keys[key]) for key in given}
+    return raw
+
+
+@given(small_configs())
+@example({"spectrum": {"family": "linear", "n_max": 3}})  # no truncation fits
+@example({"spectrum": {"family": "quadratic", "n_max": 5}})
+@example({"spectrum": {"family": "explicit", "n_max": 4, "params": {"values": [1, 2, 3, 4]}},
+          "geometry": {"cloud": {"kind": "bad_cubes"}}})  # refused: the orbits exit
+@example({"spectrum": {"family": "linear", "n_max": 5},
+          "dynamics": {"kick_max_level": 1}, "geometry": {"cloud": {"kind": "bad_cubes"}}})
+@example({"spectrum": {"family": "linear", "n_max": 16},
+          "dynamics": {"kick_max_level": 1}, "geometry": {"cloud": {"kind": "bad_cubes"}}})
+@example({"spectrum": {"family": "linear", "n_max": 6}})
+@settings(max_examples=200, deadline=None)
+def test_resolve_is_idempotent(raw):
+    # a resolved config is a config the resolver accepts, and it resolves
+    # to itself: defaults lowered below a key's own floor or kept for keys
+    # a cloud kind refuses once broke the second pass
+    try:
+        once = resolve_config(raw)
+    except ConfigError:
+        return
+    assert resolve_config(copy.deepcopy(once)) == once
 
 
 def bad_cubes_raw(family: str, n_max: int, level: int) -> dict:

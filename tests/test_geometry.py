@@ -649,7 +649,7 @@ class TestDimension:
         out = sobolev_scan(segment_cloud(16), [0.0, 2.0], logs([0.1, 0.05, 0.02, 0.01]), False)
         assert out.verdict == want
         assert out.constants == {"slopes": {"0.0": 0.5, "2.0": 0.5}}
-        name, header, rows = out.tables[0]
+        name, header, rows, _ = out.tables[0]
         assert name == "dimension_scan.csv" and len(rows) == 8
         slopes = [r[5] for r in rows]
         assert math.isnan(slopes[0]) and math.isnan(slopes[4])

@@ -1,30 +1,38 @@
 """write_csv against the per-row csv.writer reference it formats chunks in
-place of: the same bytes for every cell kind, quoting, row width and row
-count, a chunk boundary included."""
+place of: the same bytes for every declared column kind, special cell,
+quoting, row width and row count, a chunk boundary included, whether the
+table comes as rows or as column chunks."""
 import csv
 import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from attractorlab.outcome import ColumnTable
 from attractorlab.reports import CSV_CHUNK, write_csv
 
 HEADER = ["a", "b", "c", "d", "e"]
-# Uniform columns, each of which a chunk may format with one conversion:
-# ints, floats (numpy's, inf, nan and -0.0 among them), and tags that need
-# no quoting, the empty tag and leading spaces included.
-COLUMNS = {
-    "int": st.integers(-10**30, 10**30),
-    "float": st.one_of(st.floats(), st.floats().map(np.float64)),
-    "str": st.text(alphabet=" ab:=", max_size=6),
+# Each column kind: its declared format and the cells it holds.  Ints,
+# floats (numpy's too) and tags that need no quoting, the empty tag and
+# leading spaces included; a free column holds ints, None and any text.
+KINDS = {
+    "int": ("%d", st.integers(-10**30, 10**30)),
+    "float": ("%.17g", st.one_of(st.floats(), st.floats().map(np.float64))),
+    "str": ("%s", st.text(alphabet=" ab:=", max_size=6)),
+    "free": (None, st.one_of(st.none(), st.integers(-10**6, 10**6),
+                             st.text(alphabet=' a,"\r\n', max_size=4))),
 }
-# Cells that leave a column without one conversion: bools, numpy ints, None,
-# and tags csv.writer quotes or might.
-SPECIAL = st.one_of(
-    st.booleans(), st.none(), st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.text(alphabet=' a,"\r\n', max_size=4),
-    st.sampled_from([math.inf, -math.inf, math.nan, -0.0]).map(np.float64))
+# Cells of a column's own kind that a chunk may hold only once: the float
+# specials, and tags csv.writer quotes or might.
+SPECIAL = {
+    "int": st.sampled_from([0, -1, 2**63]),
+    "float": st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -5e-324]).flatmap(
+        lambda v: st.sampled_from([v, np.float64(v)])),
+    "str": st.text(alphabet=' a,"\r\n', max_size=4),
+    "free": st.sampled_from([None, "", 'q,"r"']),
+}
 ROW_COUNTS = st.one_of(
     st.integers(0, 12),
     st.sampled_from([CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 1]),
@@ -43,35 +51,64 @@ def reference_csv(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def column_table(rows, width: int, size: int) -> ColumnTable:
+    """The rows as a ColumnTable of `size`-row chunks."""
+    def chunks():
+        for a in range(0, len(rows), size):
+            yield [[row[j] for row in rows[a:a + size]] for j in range(width)]
+    return ColumnTable(chunks)
+
+
 @st.composite
 def tables(draw):
-    """Rows tiled from a few drawn rows of uniform columns, up to three
-    chunks of them; then maybe one special cell and one ragged row, either
-    of which may sit in a later chunk only."""
-    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=5))
-    pattern = draw(st.lists(st.tuples(*(COLUMNS[k] for k in kinds)), min_size=1, max_size=6))
+    """Rows tiled from a few drawn rows of declared columns, up to three
+    chunks of them; then maybe one special cell of its column's kind, which
+    may sit in a later chunk only."""
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=5))
+    pattern = draw(st.lists(st.tuples(*(KINDS[k][1] for k in kinds)), min_size=1, max_size=6))
     count = draw(ROW_COUNTS)
     rows = [list(pattern[i % len(pattern)]) for i in range(count)]
     if rows and draw(st.booleans()):
         row = draw(st.integers(0, count - 1))
-        rows[row][draw(st.integers(0, len(kinds) - 1))] = draw(SPECIAL)
-    if rows and draw(st.booleans()):
-        row = draw(st.integers(0, count - 1))
-        rows[row] = rows[row][:-1] if len(kinds) > 1 else rows[row] + [0]
-    return HEADER[:len(kinds)], rows
+        column = draw(st.integers(0, len(kinds) - 1))
+        rows[row][column] = draw(SPECIAL[kinds[column]])
+    return HEADER[:len(kinds)], tuple(KINDS[k][0] for k in kinds), rows
 
 
-@given(tables())
-@example((HEADER[:2], [[k, "p"] for k in range(CSV_CHUNK)] + [[CSV_CHUNK, "q,r"]]))
-@example((HEADER[:2], [["p", 0.5]] * CSV_CHUNK + [['"q"', 0.5]]))
-@example((HEADER[:2], [["p", 0.5]] * CSV_CHUNK + [["r\ns", 0.5]]))
-@example((HEADER[:2], [[0.5, 1]] * (CSV_CHUNK + 2) + [[None, 1]] + [[0.5, 1]]))
-@example((HEADER[:1], [[""], ["a"]]))  # csv.writer quotes a lone empty cell
-@example((HEADER[:3], [[" x", -0.0, 1]] * 3 + [["", math.nan, True]]))
+TWO = ("%s", "%.17g")
+
+
+@given(tables(), st.sampled_from([1, 7, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 5]))
+@example((HEADER[:2], ("%d", "%s"), [[k, "p"] for k in range(CSV_CHUNK)] + [[CSV_CHUNK, "q,r"]]),
+         CSV_CHUNK)
+@example((HEADER[:2], TWO, [["p", 0.5]] * CSV_CHUNK + [['"q"', 0.5]]), CSV_CHUNK)
+@example((HEADER[:2], TWO, [["p", 0.5]] * CSV_CHUNK + [["r\ns", 0.5]]), CSV_CHUNK)
+@example((HEADER[:2], TWO, [["p", 0.5]] * CSV_CHUNK + [["r", 5e-324]]), CSV_CHUNK)
+@example((HEADER[:2], ("%.17g", "%d"), [[0.5, 1]] * (CSV_CHUNK + 2) + [[-0.0, 1]]), CSV_CHUNK)
+@example((HEADER[:3], ("%.17g", None, "%d"), [[0.5, 1, 1]] * (CSV_CHUNK + 2) + [[0.5, None, 1]]),
+         CSV_CHUNK)
+@example((HEADER[:1], ("%s",), [[""], ["a"]]), 1)  # csv.writer quotes a lone empty cell
+@example((HEADER[:1], (None,), [[None], [3]]), 1)
+@example((HEADER[:3], ("%s", "%.17g", "%.17g"),
+          [[" x", -0.0, 1.0]] * 3 + [["", math.nan, -math.inf], ["", math.inf, np.float64(0.1)]]),
+         2)
 @settings(max_examples=60, deadline=None)
-def test_matches_csv_writer(tmp_path_factory, table):
-    header, rows = table
-    path = str(tmp_path_factory.mktemp("csv") / "sub" / "out.csv")
-    assert write_csv(path, header, iter(rows)) == path
-    with open(path, "rb") as fh:
-        assert fh.read() == reference_csv(header, rows)
+def test_matches_csv_writer(tmp_path_factory, table, size):
+    header, formats, rows = table
+    want = reference_csv(header, rows)
+    for name, made in (("rows.csv", iter(rows)),
+                       ("columns.csv", column_table(rows, len(formats), size))):
+        path = str(tmp_path_factory.mktemp("csv") / "sub" / name)
+        assert write_csv(path, header, made, formats) == path
+        with open(path, "rb") as fh:
+            assert fh.read() == want, name
+
+
+@pytest.mark.parametrize("at", [0, CSV_CHUNK + 1])
+def test_ragged_row_refused(tmp_path, at):
+    # the formats declare the width, so a row of another width is an error,
+    # in a later chunk too, not a row written as it stands
+    rows = [(1, 0.5)] * (CSV_CHUNK + 2)
+    rows[at] = (1,)
+    with pytest.raises(ValueError, match=r"^row \(1,\) is not 2 cells wide$"):
+        write_csv(str(tmp_path / "out.csv"), HEADER[:2], iter(rows), ("%d", "%.17g"))
